@@ -198,8 +198,7 @@ def cmd_solve_payload(cfg, doc):
     cfg, _ = _resolve_quantizer(cfg, doc)
     plan = sim.plan_frame(cfg)
     if doc.get("iq_out"):
-        with open(doc["iq_out"], "wb") as f:
-            f.write(plan.report.psdu)
+        write_cf32(doc["iq_out"], plan.tx)
     _emit(sim.summary_json(cfg, [], extra={
         "solve": {
             "psdu_hex": plan.report.psdu.hex(),
@@ -207,6 +206,7 @@ def cmd_solve_payload(cfg, doc):
             "violated_positions": plan.report.violated_positions,
             "perturbed_subcarriers": plan.report.perturbed_subcarriers[:64],
             "rank": plan.report.rank,
+            "max_span": plan.report.max_span,
         },
     }), doc.get("metrics_out"))
     return EXIT_OK

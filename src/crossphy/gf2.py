@@ -1,12 +1,20 @@
-"""Dense GF(2) linear algebra on 64-bit packed words.
+"""GF(2) linear algebra for the payload solver.
 
-Rows are stored little-endian: bit j of word w holds column 64*w + j.
-The eliminator processes constraint rows in a caller-chosen priority order
-and keeps a growing row-echelon basis; a row that reduces to 0 = 1 is
-inconsistent with the higher-priority rows already accepted and is reported
-as violated (greedy maximal consistent subsystem).  XORs touch only each
-row's live word span, which keeps banded systems (like a convolutional
-code's) near-linear instead of cubic.
+``Gf2Matrix`` packs a dense bit matrix into uint64 words, little-endian
+(bit j of word w holds column 64*w + j).  The eliminator works on banded
+rows ``(lead, mask)`` instead: bit k of the int ``mask`` holds column
+``lead + k``, and bit 0 is set (an empty row is ``(0, 0)``).
+``eliminate`` inserts rows in a caller-chosen priority order into a
+row-echelon basis keyed by leading column; a row that reduces to 0 = 1
+conflicts with higher-priority rows already accepted and is reported as
+violated (greedy maximal consistent subsystem).
+
+If every input row lies within w columns of its lead, so does every basis
+row: a row meets only the basis row of its own lead c, both lie in
+[c, c + w - 1], and their XOR clears c.  A row thus takes at most w steps,
+each a dict lookup and a small-int XOR.  Rows of the 802.11 K=7 code span
+7 columns (both generators tap x[t] and x[t-6]), so eliminating them is
+linear in the row count.
 """
 
 from __future__ import annotations
@@ -63,6 +71,15 @@ class Gf2Matrix:
             m.words[r] = pack_bits(dense[r])
         return m
 
+    @classmethod
+    def from_bands(cls, lead: np.ndarray, mask: np.ndarray, cols: int) -> "Gf2Matrix":
+        """Pack banded rows given as integer arrays of leads and masks."""
+        m = cls.zeros(len(lead), cols)
+        r, k = np.nonzero((mask[:, None] >> np.arange(int(mask.max(initial=0)).bit_length())) & 1)
+        c = lead[r] + k
+        np.bitwise_or.at(m.words, (r, c // WORD), np.uint64(1) << (c % WORD).astype(np.uint64))
+        return m
+
     def to_dense(self) -> np.ndarray:
         return np.stack([unpack_bits(self.words[r], self.cols) for r in range(self.rows)])
 
@@ -74,22 +91,11 @@ class Gf2Matrix:
         acc = np.bitwise_count(self.words & xw[None, :]).sum(axis=1)
         return (acc & 1).astype(np.uint8)
 
-    def set_column(self, col: int, bits: np.ndarray) -> None:
-        w, b = divmod(col, WORD)
-        mask = np.uint64(1) << np.uint64(b)
-        on = np.asarray(bits, dtype=bool)
-        self.words[on, w] |= mask
-        self.words[~on, w] &= ~mask
 
-
-def _leading_col(row: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
-    """Lowest set column of a packed row, searching words [lo, hi); returns
-    (col, word_index) or (-1, -1) if empty."""
-    for w in range(lo, hi):
-        v = int(row[w])
-        if v:
-            return w * WORD + ((v & -v).bit_length() - 1), w
-    return -1, -1
+def _packed_to_bands(words: np.ndarray) -> list[tuple[int, int]]:
+    ints = [int.from_bytes(row.tobytes(), "little") for row in np.asarray(words, dtype="<u8")]
+    leads = [(v & -v).bit_length() - 1 if v else 0 for v in ints]
+    return [(lead, v >> lead) for lead, v in zip(leads, ints)]
 
 
 @dataclass
@@ -99,68 +105,63 @@ class EliminationResult:
     violated: list  # indices (into `order`) of rows inconsistent with earlier ones
     satisfied: int
     pivot_cols: list = field(default_factory=list)
+    max_span: int = 0  # widest basis row, in columns
 
 
-def eliminate(rows_words: np.ndarray, rhs: np.ndarray, n_cols: int,
+def eliminate(rows_words, rhs: np.ndarray, n_cols: int,
               order: np.ndarray | None = None) -> EliminationResult:
     """Greedy row-echelon elimination in priority order.
 
-    ``rows_words`` is (n_rows, n_words) packed; ``rhs`` the right-hand bits.
-    Rows are inserted in ``order`` (default: given order); each is reduced
-    against the basis built so far.  A row reducing to 0 = 1 is recorded as
-    violated and skipped, so the satisfied rows always form a consistent
-    system solved exactly by the returned x.
+    ``rows_words`` is a sequence of ``(lead, mask)`` rows, or a packed
+    (n_rows, n_words) uint64 array, converted once; ``rhs`` holds the
+    right-hand bits.  Rows are inserted in ``order`` (default: given
+    order); each is reduced against the basis built so far, always at its
+    lowest column.  A row reducing to 0 = 1 is recorded as violated and
+    skipped, so the satisfied rows always form a consistent system solved
+    exactly by the returned x.
     """
-    n_rows, n_words = rows_words.shape
-    if order is None:
-        order = np.arange(n_rows)
-    pivot_of_col: dict[int, int] = {}
-    basis_rows: list[np.ndarray] = []
-    basis_rhs: list[int] = []
-    basis_pivot: list[int] = []
-    basis_span: list[tuple[int, int]] = []
+    rows = _packed_to_bands(rows_words) if isinstance(rows_words, np.ndarray) else rows_words
+    n_rows = len(rows)
+    rhs = np.asarray(rhs).tolist()
+    order = range(n_rows) if order is None else np.asarray(order).tolist()
+    basis: dict[int, tuple[int, int]] = {}  # pivot column -> (mask, rhs)
     violated: list[int] = []
 
     for ri in order:
-        row = rows_words[ri].copy()
-        r = int(rhs[ri])
-        col, w0 = _leading_col(row, 0, n_words)
-        while col >= 0 and col in pivot_of_col:
-            bi = pivot_of_col[col]
-            blo, bhi = basis_span[bi]
-            row[blo:bhi] ^= basis_rows[bi][blo:bhi]
-            r ^= basis_rhs[bi]
-            col, w0 = _leading_col(row, w0, n_words)
-        if col < 0:
+        col, m = rows[ri]
+        r = rhs[ri]
+        while m:
+            hit = basis.get(col)
+            if hit is None:
+                basis[col] = (m, r)
+                break
+            m ^= hit[0]
+            r ^= hit[1]
+            if m:
+                low = (m & -m).bit_length() - 1
+                m >>= low
+                col += low
+        else:
             if r:
-                violated.append(int(ri))
-            continue
-        live = np.nonzero(row)[0]
-        pivot_of_col[col] = len(basis_rows)
-        basis_rows.append(row)
-        basis_rhs.append(r)
-        basis_pivot.append(col)
-        basis_span.append((int(live[0]), int(live[-1]) + 1))
+                violated.append(ri)
 
-    # every basis row's tail holds only columns greater than its pivot, so
-    # back-substitution runs in decreasing pivot-column order
-    x_words = np.zeros(n_words, dtype=np.uint64)
-    for bi in sorted(range(len(basis_rows)), key=lambda i: -basis_pivot[i]):
-        row = basis_rows[bi]
-        lo, hi = basis_span[bi]
-        parity = int(np.bitwise_count(row[lo:hi] & x_words[lo:hi]).sum()) & 1
-        val = parity ^ basis_rhs[bi]
-        if val:
-            c = basis_pivot[bi]
-            x_words[c // WORD] |= np.uint64(1) << np.uint64(c % WORD)
+    # a basis row's other columns all lie above its pivot, so in decreasing
+    # pivot order each is fixed before it is read; free columns stay zero
+    x = bytearray(n_cols)
+    for col in sorted(basis, reverse=True):
+        m, r = basis[col]
+        for k in range(1, m.bit_length()):
+            if m >> k & 1:
+                r ^= x[col + k]
+        x[col] = r
 
-    x = unpack_bits(x_words, n_cols)
     return EliminationResult(
-        x=x,
-        rank=len(basis_rows),
+        x=np.frombuffer(x, dtype=np.uint8).copy(),
+        rank=len(basis),
         violated=violated,
         satisfied=n_rows - len(violated),
-        pivot_cols=basis_pivot,
+        pivot_cols=list(basis),
+        max_span=max((m.bit_length() for m, _ in basis.values()), default=0),
     )
 
 

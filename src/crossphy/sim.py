@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"payload longer than {zigbee.MAX_PAYLOAD_BYTES} bytes")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 < self.scrambler_seed < 128:
+            raise ConfigError(f"scrambler_seed must be in 1..127, got {self.scrambler_seed}")
 
     @property
     def mcs(self) -> McsConfig:

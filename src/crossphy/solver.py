@@ -8,9 +8,12 @@ maximal consistent subsystem greedily, taking constraint bits in descending
 target-bin energy so any compromise lands on low-impact subcarriers, and
 reports every bit and subcarrier it could not hit.
 
-Only the constrained rows of G are ever materialized.  Columns of G are the
-chain's responses to unit vectors; the linear part of the chain is bitwise,
-so 64 unit-vector probes ride one uint64 lane array at a time.
+Rows of G come straight from the encoder taps.  Every coded bit, punctured
+or not, is the parity of x[t-6 .. t] under the g0 or g1 taps, and both
+generators tap x[t] and x[t-6]; so every row is a band of at most 7
+columns, held as ``(lead, mask)``.  The eliminator keeps bands within 7
+columns (see ``gf2``), which makes the solve linear in the number of
+constrained bits.  Only the constrained rows are built.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
-from .gf2 import WORD, Gf2Matrix, eliminate
+from .errors import CrossPhyError, DimensionError
+from .gf2 import Gf2Matrix, eliminate
 from .wifi import (
     DATA_SUBCARRIERS,
     McsConfig,
@@ -53,56 +56,53 @@ class SolveReport:
     perturbed_subcarriers: list = field(default_factory=list)
     psdu: bytes | None = None
     rank: int = 0
+    max_span: int = 0  # widest basis row of the elimination, in columns
 
 
-def _lane_chain_linear(unit_base: int, lanes: int, n_bits: int, mcs: McsConfig) -> np.ndarray:
-    """Linear chain response for unit vectors e_{unit_base .. unit_base+lanes-1}.
+# tap masks over x[t-6] .. x[t]: bit 6 - d holds the tap on x[t-d]
+_TAP_MASKS = np.array([sum(tap << (6 - d) for d, tap in enumerate(taps))
+                       for taps in (G0_TAPS, G1_TAPS)])
+_KEPT_34 = np.nonzero(_PUNCTURE_34_KEEP)[0]
 
-    Returns packed words (n_coded,) where bit b of position j is the j-th
-    coded bit of chain(e_{unit_base+b}) + chain(0).  Scrambling cancels in
-    the linear part, leaving encode + interleave, both bitwise-parallel.
+
+def coded_bit_rows(positions, mcs: McsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of G at interleaved coded-bit ``positions``, as ``(lead, mask)``.
+
+    With scrambling cancelled, the linear part of the chain is encode +
+    interleave.  Each coded position maps back through the inverse
+    interleaver (and the 3/4 keep pattern) to encoder step t and branch
+    g0 or g1, whose coded bit is the parity of x[t-6 .. t] under that
+    branch's taps.  Taps before x[0] drop out (the encoder starts at zero);
+    masks are shifted so bit 0 is the lowest column ``lead``.
     """
-    x = np.zeros(n_bits, dtype=np.uint64)
-    x[unit_base : unit_base + lanes] = np.uint64(1) << np.arange(lanes, dtype=np.uint64)
-    # convolutional encoder across lanes
-    a = np.zeros(n_bits, dtype=np.uint64)
-    b = np.zeros(n_bits, dtype=np.uint64)
-    for d, (t0, t1) in enumerate(zip(G0_TAPS, G1_TAPS)):
-        seg = x if d == 0 else np.concatenate([np.zeros(d, dtype=np.uint64), x[:-d]])
-        if t0:
-            a ^= seg
-        if t1:
-            b ^= seg
-    coded = np.empty(2 * n_bits, dtype=np.uint64)
-    coded[0::2] = a
-    coded[1::2] = b
+    positions = np.asarray(positions, dtype=np.int64)
+    sym, j = np.divmod(positions, mcs.n_cbps)
+    inverse = np.argsort(interleave_permutation(mcs.n_cbps, mcs.n_bpsc))
+    q = sym * mcs.n_cbps + inverse[j]  # index into the encoder's output
     if mcs.coding_rate == "3/4":
-        coded = coded[np.tile(_PUNCTURE_34_KEEP, len(coded) // 6)]
-    perm = interleave_permutation(mcs.n_cbps, mcs.n_bpsc)
-    blocks = coded.reshape(-1, mcs.n_cbps)
-    out = np.empty_like(blocks)
-    out[:, perm] = blocks
-    return out.reshape(-1)
+        group, kept = np.divmod(q, len(_KEPT_34))
+        q = len(_PUNCTURE_34_KEEP) * group + _KEPT_34[kept]
+    t, branch = np.divmod(q, 2)
+    clip = np.maximum(6 - t, 0)
+    mask = _TAP_MASKS[branch] >> clip
+    low = np.bitwise_count((mask & -mask) - 1).astype(np.int64)
+    return t - 6 + clip + low, mask >> low
 
 
 def build_generator(n_payload_bits: int, mcs: McsConfig, scrambler_seed: int):
     """(G, c) with chain(x) = G x + c for all payload bit vectors x.
 
-    Column i of G is chain(e_i) + c; c is the scrambler's affine offset
-    chain(0).  G has (n_payload_bits / n_dbps) * n_cbps rows.
+    Row j of G is built from the encoder taps by ``coded_bit_rows``; c is
+    the scrambler's affine offset chain(0).  G has
+    (n_payload_bits / n_dbps) * n_cbps rows.
     """
     if n_payload_bits % mcs.n_dbps != 0:
         raise DimensionError(
             f"n_payload_bits {n_payload_bits} must fill whole symbols of {mcs.n_dbps}"
         )
     c = coding_chain(np.zeros(n_payload_bits, dtype=np.uint8), mcs, scrambler_seed)
-    n_coded = len(c)
-    G = Gf2Matrix.zeros(n_coded, n_payload_bits)
-    for base in range(0, n_payload_bits, WORD):
-        lanes = min(WORD, n_payload_bits - base)
-        resp = _lane_chain_linear(base, lanes, n_payload_bits, mcs)
-        G.words[:, base // WORD] = resp
-    return G, c
+    lead, mask = coded_bit_rows(np.arange(len(c)), mcs)
+    return Gf2Matrix.from_bands(lead, mask, n_payload_bits), c
 
 
 def gf2_solve(G: Gf2Matrix, target: CodedBitTarget, c=None,
@@ -127,6 +127,7 @@ def gf2_solve(G: Gf2Matrix, target: CodedBitTarget, c=None,
         satisfied=len(idx) - len(violated),
         violated_positions=sorted(violated),
         rank=res.rank,
+        max_span=res.max_span,
     )
 
 
@@ -175,27 +176,18 @@ def solve_payload(
     mask[pos.reshape(-1)] = True
 
     c = coding_chain(np.zeros(n_bits, dtype=np.uint8), mcs, scrambler_seed)
-    rhs_full = y ^ c
-
-    # constrained rows of G, built 64 probe columns at a time
     midx = np.nonzero(mask)[0]
-    n_words = (n_bits + WORD - 1) // WORD
-    rows = np.zeros((len(midx), n_words), dtype=np.uint64)
-    for base in range(0, n_bits, WORD):
-        lanes = min(WORD, n_bits - base)
-        resp = _lane_chain_linear(base, lanes, n_bits, mcs)
-        rows[:, base // WORD] = resp[midx]
+    lead, band = coded_bit_rows(midx, mcs)
+    rows = list(zip(lead.tolist(), band.tolist()))
 
     if bin_energy is not None:
-        prio = np.repeat(np.asarray(bin_energy, dtype=np.float64).reshape(-1), b)
-        flat_pos = pos.reshape(-1)
-        order_of_pos = dict(zip(flat_pos.tolist(), prio.tolist()))
-        energies = np.array([order_of_pos[int(p)] for p in midx])
-        order = np.argsort(-energies, kind="stable")
+        prio = np.zeros(n_coded)
+        prio[pos.reshape(-1)] = np.repeat(np.asarray(bin_energy, dtype=np.float64).reshape(-1), b)
+        order = np.argsort(-prio[midx], kind="stable")
     else:
         order = None
 
-    res = eliminate(rows, rhs_full[midx], n_bits, order=order)
+    res = eliminate(rows, (y ^ c)[midx], n_bits, order=order)
     violated = sorted(int(midx[i]) for i in res.violated)
 
     # re-encode through the real chain and record every missed subcarrier
@@ -203,7 +195,8 @@ def solve_payload(
     ok = np.ones(n_coded, dtype=bool)
     ok[violated] = False
     if not np.array_equal(achieved_coded[mask & ok], y[mask & ok]):
-        raise AssertionError("re-encode mismatch on satisfied positions")
+        raise CrossPhyError("payload solve failed its re-encode check: the "
+                            "coding chain misses positions reported satisfied")
 
     achieved_bits = achieved_coded[pos]  # (S, m, b)
     weights = 1 << np.arange(b - 1, -1, -1)
@@ -220,4 +213,5 @@ def solve_payload(
         perturbed_subcarriers=perturbed,
         psdu=bits_to_psdu(res.x),
         rank=res.rank,
+        max_span=res.max_span,
     )

@@ -145,3 +145,28 @@ class TestSubcommands:
         capsys.readouterr()
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2  # header + 2 rows
+
+
+class TestSolvePayloadOutputs:
+    @pytest.mark.parametrize("seed", ["0", "200"])
+    def test_scrambler_seed_out_of_range_is_config_error(self, seed, capsys):
+        rc = run_cli(["solve-payload", "--payload-hex", "0011", "--quantizer-mode", "webee",
+                      "--scrambler-seed", seed])
+        assert rc == cli.EXIT_CONFIG
+        assert "scrambler_seed" in capsys.readouterr().err
+
+    def test_iq_out_holds_transmit_waveform(self, tmp_path):
+        from crossphy import sim
+
+        iq = tmp_path / "tx.cf32"
+        out = tmp_path / "s.json"
+        args = ["--payload-hex", "0011", "--quantizer-mode", "webee"]
+        assert run_cli(["solve-payload"] + args + ["--iq-out", str(iq),
+                                                   "--metrics-out", str(out)]) == cli.EXIT_OK
+        tx = sim.plan_frame(cli.experiment_config(
+            {"payload_hex": "0011", "quantizer_mode": "webee"})).tx
+        raw = np.fromfile(iq, dtype="<f4")
+        assert len(raw) == 2 * len(tx)
+        assert np.array_equal(raw[0::2], tx.samples.real.astype("<f4"))
+        solve = json.loads(out.read_text())["deterministic"]["solve"]
+        assert 1 <= solve["max_span"] <= 7

@@ -172,3 +172,97 @@ class TestSolvePayload:
         mcs = wifi.mcs_config("qam64", "1/2")
         with pytest.raises(DimensionError):
             solver.solve_payload(np.zeros((3, 5), dtype=int), mcs, SEED, SUBS)
+
+
+class TestBandedRows:
+    @pytest.mark.parametrize("modulation", ["bpsk", "qpsk", "qam16", "qam64"])
+    @pytest.mark.parametrize("rate", ["1/2", "3/4"])
+    def test_rows_are_bands_of_at_most_seven(self, modulation, rate):
+        mcs = wifi.mcs_config(modulation, rate)
+        lead, mask = solver.coded_bit_rows(np.arange(3 * mcs.n_cbps), mcs)
+        assert np.all(mask & 1) and np.all(mask < 1 << 7)
+        top = lead + np.log2(mask).astype(int)  # highest column of each row
+        assert np.all(lead >= 0) and np.all(top < 3 * mcs.n_dbps)
+
+    @pytest.mark.parametrize("modulation", ["bpsk", "qpsk", "qam16", "qam64"])
+    @pytest.mark.parametrize("rate", ["1/2", "3/4"])
+    def test_max_span_at_most_seven(self, modulation, rate):
+        mcs = wifi.mcs_config(modulation, rate)
+        rng = make_rng(9)
+        for subs in (SUBS, wifi.DATA_SUBCARRIERS):
+            intended = rng.integers(0, 2**mcs.n_bpsc, (8, len(subs)))
+            energy = rng.random((8, len(subs)))
+            rep = solver.solve_payload(intended, mcs, SEED, subs, bin_energy=energy)
+            assert 1 <= rep.max_span <= 7
+
+    def test_max_span_on_over_constrained_plan(self):
+        from crossphy import sim
+
+        cfg = sim.ExperimentConfig(payload=bytes(range(32)), quantizer_mode="webee",
+                                   target_subcarrier_count=30)
+        rep = sim.plan_frame(cfg).report
+        assert rep.violated_positions  # 30 bins x 6 bits outnumber 144 unknowns
+        assert 1 <= rep.max_span <= 7
+
+    @pytest.mark.parametrize("modulation,rate", [("bpsk", "1/2"), ("qam16", "3/4"),
+                                                 ("qam64", "1/2")])
+    def test_solve_payload_agrees_with_gf2_solve(self, modulation, rate):
+        mcs = wifi.mcs_config(modulation, rate)
+        subs = wifi.DATA_SUBCARRIERS
+        rng = make_rng(10)
+        n_sym = 4
+        intended = rng.integers(0, 2**mcs.n_bpsc, (n_sym, len(subs)))
+        energy = rng.random((n_sym, len(subs)))
+        rep = solver.solve_payload(intended, mcs, SEED, subs, bin_energy=energy)
+
+        G, c = solver.build_generator(n_sym * mcs.n_dbps, mcs, SEED)
+        pos = solver.target_bit_positions(mcs, subs, n_sym).reshape(-1)
+        b = mcs.n_bpsc
+        y = np.zeros(G.rows, dtype=np.uint8)
+        y[pos] = ((intended[..., None] >> np.arange(b - 1, -1, -1)) & 1).reshape(-1)
+        mask = np.zeros(G.rows, dtype=bool)
+        mask[pos] = True
+        prio = np.zeros(G.rows)
+        prio[pos] = np.repeat(energy.reshape(-1), b)
+        order = np.argsort(-prio[np.nonzero(mask)[0]], kind="stable")
+        ref = solver.gf2_solve(G, CodedBitTarget(y, mask), c, order=order)
+
+        assert rep.violated_positions  # over-constrained, so the order matters
+        assert np.array_equal(rep.x, ref.x)
+        assert rep.rank == ref.rank
+        assert rep.violated_positions == ref.violated_positions
+
+    def test_pinned_webee_psdu(self):
+        # PSDU of this plan as produced by the dense eliminator the banded
+        # one replaced; the elimination order and pivot rule are unchanged
+        import hashlib
+
+        from crossphy import sim
+
+        rng = make_rng(4, 0xBEEF, 48)
+        cfg = sim.ExperimentConfig(payload=bytes(rng.integers(0, 256, 48).tolist()),
+                                   quantizer_mode="webee", delta_f_hz=-3.125e6)
+        rep = sim.plan_frame(cfg).report
+        assert hashlib.sha256(rep.psdu).hexdigest() == (
+            "377888f7900fb75934386670746200cb88a0bc823f1e62547e08d103ee4ae270")
+        assert rep.rank == 18186 and not rep.violated_positions
+
+    def test_reencode_mismatch_raises(self, monkeypatch):
+        from crossphy.errors import CrossPhyError
+
+        mcs = wifi.mcs_config("qam64", "1/2")
+        intended = make_rng(11).integers(0, 64, (4, len(SUBS)))
+        first_pos = int(solver.target_bit_positions(mcs, SUBS, 4)[0, 0, 0])
+        real_chain = solver.coding_chain
+        calls = []
+
+        def flip_on_reencode(bits, mcs, seed):
+            out = real_chain(bits, mcs, seed)
+            calls.append(1)
+            if len(calls) == 2:  # the first call builds the offset c
+                out[first_pos] ^= 1
+            return out
+
+        monkeypatch.setattr(solver, "coding_chain", flip_on_reencode)
+        with pytest.raises(CrossPhyError, match="re-encode"):
+            solver.solve_payload(intended, mcs, SEED, SUBS)
