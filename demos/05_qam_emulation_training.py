@@ -7,21 +7,30 @@ Run:  python demos/05_qam_emulation_training.py
 """
 import numpy as np
 
-from crossphy import emulation as em, sim
+from crossphy import emulation as em, sim, wifi
 
 # a short ZigBee chip sequence placed 10 subcarriers below band center
 payload = bytes.fromhex("a1b2c3d4")
 target = sim.make_target(payload, -3.125e6, lead_in_samples=6)
 subs = sim.target_subcarriers(-3.125e6, 7)
+mcs = wifi.mcs_config("qam64")
 print(f"target: {len(target)} samples, emulated on subcarriers {subs}")
+
+
+def hard_reconstruction(model):
+    """The waveform of the model's hard decisions: the nn-webee rule with
+    its scales (at 1+0j this is the plain webee rule), synthesized."""
+    idx = sim.baseline_quantize(target, "nn-webee", mcs, subs, scales=model.export_scales())
+    return model.synthesize(mcs.constellation.points[idx])
+
 
 results = {}
 for mode in ("analog", "digital"):
-    model = em.build_autoencoder(em.EmulationConfig(
+    model = em.EmulationModel(em.EmulationConfig(
         constellation="qam64", target_subcarriers=subs, mode=mode))
     res = em.train(model, target, em.TrainConfig(epochs=300, learning_rate=1e-2))
     u = model.normalize(target.samples)
-    v = model.hard_forward(target.samples)
+    v = hard_reconstruction(model)
     results[mode] = dict(
         model=model,
         epochs=res.epochs_run,
@@ -34,10 +43,10 @@ for mode in ("analog", "digital"):
     print(f"  hard body NMSE {results[mode]['nmse']:.4f}, body phase MSE {results[mode]['phase']:.4f}")
 
 print("\n== against the plain max-abs nearest-point rule ==")
-base = em.build_autoencoder(em.EmulationConfig(
+base = em.EmulationModel(em.EmulationConfig(
     constellation="qam64", target_subcarriers=subs))
 u = base.normalize(target.samples)
-v0 = base.hard_forward(target.samples)  # scales still at 1+0j
+v0 = hard_reconstruction(base)  # scales still at 1+0j
 print(f"baseline       : NMSE {em.nmse_excluding_cp(v0, u):.4f}, "
       f"phase {em.phase_mse_excluding_cp(v0, u):.4f}")
 for mode in ("analog", "digital"):

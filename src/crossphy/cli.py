@@ -14,14 +14,7 @@ from dataclasses import replace
 
 from . import sim, zigbee
 from .dsp import make_rng
-from .emulation import (
-    EmulationConfig,
-    TrainConfig,
-    build_autoencoder,
-    load_model,
-    save_model,
-    train,
-)
+from .emulation import EmulationConfig, EmulationModel, load_model, save_model
 from .errors import ConfigError, CrossPhyError
 from .iqfile import read_cf32, write_cf32
 from .wifi import SAMPLE_RATE_HZ, transmit_psdu
@@ -63,8 +56,13 @@ def _parse_snr(values) -> tuple:
     for v in values:
         if isinstance(v, str) and v.lower() in ("inf", "+inf", "noiseless"):
             out.append(math.inf)
+        elif isinstance(v, bool):
+            raise ConfigError(f"key snr_db: expected numbers, got {v!r}")
         else:
-            out.append(float(v))
+            try:
+                out.append(float(v))
+            except (TypeError, ValueError):
+                raise ConfigError(f"key snr_db: expected numbers, got {v!r}")
     return tuple(out)
 
 
@@ -89,7 +87,9 @@ def parse_config(path: str | None, overrides: dict) -> dict:
             doc[key] = value
     for key, value in doc.items():
         want = _CONFIG_KEYS[key]
-        if want in (int, float) and not isinstance(value, (int, float)):
+        # bool is an int subclass, so JSON true/false would pass as 1/0
+        allowed = (int, float) if want in (int, float) else want
+        if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(f"key {key}: expected {want.__name__}, got {value!r}")
     return doc
 
@@ -97,8 +97,14 @@ def parse_config(path: str | None, overrides: dict) -> dict:
 def experiment_config(doc: dict) -> sim.ExperimentConfig:
     cfg = sim.ExperimentConfig()
     if "payload_hex" in doc:
-        payload = bytes.fromhex(doc["payload_hex"])
+        try:
+            payload = bytes.fromhex(doc["payload_hex"])
+        except ValueError:
+            raise ConfigError(f"key payload_hex: not a hex string: {doc['payload_hex']!r}")
     elif "payload_len" in doc:
+        if not 0 <= doc["payload_len"] <= zigbee.MAX_PAYLOAD_BYTES:
+            raise ConfigError(f"payload_len must be in 0..{zigbee.MAX_PAYLOAD_BYTES}, "
+                              f"got {doc['payload_len']}")
         rng = make_rng(int(doc.get("seed", 0)), 0xBEEF, int(doc["payload_len"]))
         payload = bytes(rng.integers(0, 256, int(doc["payload_len"])).tolist())
     else:
@@ -136,37 +142,23 @@ def _emit(doc: dict, path: str | None) -> None:
         print(text)
 
 
-def _trained_model(cfg: sim.ExperimentConfig, doc: dict):
-    if doc.get("model_file"):
-        return load_model(doc["model_file"])
-    subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-    target = sim.make_target(cfg.payload, cfg.delta_f_hz, lead_in_samples=cfg.lead_in_samples)
-    model = build_autoencoder(EmulationConfig(
-        constellation=cfg.modulation, target_subcarriers=subs, mode=cfg.emulation_mode,
-        tau_start=cfg.tau_start, tau_decay=cfg.tau_decay, tau_floor=cfg.tau_floor))
-    train(model, target, TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                                     seed=cfg.seed))
-    return model
-
-
 def _resolve_quantizer(cfg: sim.ExperimentConfig, doc: dict):
-    """For nn-webee, pull scales from the model file (or train one)."""
-    if cfg.quantizer_mode != "nn-webee":
+    """The model behind the 'trained' and 'nn-webee' modes, loaded from
+    model_file when one is given and trained otherwise, with its scales set
+    on the config; (cfg, None) for the other modes."""
+    if cfg.quantizer_mode not in ("trained", "nn-webee"):
         return cfg, None
-    model = _trained_model(cfg, doc)
+    if doc.get("model_file"):
+        model = load_model(doc["model_file"])
+    else:
+        model, _ = sim.train_model(cfg)
     return replace(cfg, scales=model.export_scales()), model
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_train(cfg, doc):
-    subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-    target = sim.make_target(cfg.payload, cfg.delta_f_hz, lead_in_samples=cfg.lead_in_samples)
-    model = build_autoencoder(EmulationConfig(
-        constellation=cfg.modulation, target_subcarriers=subs, mode=cfg.emulation_mode,
-        tau_start=cfg.tau_start, tau_decay=cfg.tau_decay, tau_floor=cfg.tau_floor))
-    result = train(model, target, TrainConfig(epochs=cfg.epochs,
-                                              learning_rate=cfg.learning_rate, seed=cfg.seed))
+    model, result = sim.train_model(cfg)
     out = doc.get("model_file", "model.json")
     save_model(model, out)
     _emit(sim.summary_json(cfg, [], extra={
@@ -177,8 +169,7 @@ def cmd_train(cfg, doc):
 
 
 def cmd_emulate(cfg, doc):
-    cfg, _ = _resolve_quantizer(cfg, doc)
-    model = _trained_model(cfg, doc) if cfg.quantizer_mode == "trained" else None
+    cfg, model = _resolve_quantizer(cfg, doc)
     plan = sim.plan_frame(cfg, model=model)
     if doc.get("iq_out"):
         write_cf32(doc["iq_out"], plan.tx)
@@ -195,8 +186,8 @@ def cmd_emulate(cfg, doc):
 
 
 def cmd_solve_payload(cfg, doc):
-    cfg, _ = _resolve_quantizer(cfg, doc)
-    plan = sim.plan_frame(cfg)
+    cfg, model = _resolve_quantizer(cfg, doc)
+    plan = sim.plan_frame(cfg, model=model)
     if doc.get("iq_out"):
         write_cf32(doc["iq_out"], plan.tx)
     _emit(sim.summary_json(cfg, [], extra={
@@ -254,8 +245,8 @@ def cmd_zigbee_demod(cfg, doc):
 
 
 def cmd_evaluate(cfg, doc):
-    cfg, _ = _resolve_quantizer(cfg, doc)
-    metrics = sim.run_pipeline(cfg)
+    cfg, model = _resolve_quantizer(cfg, doc)
+    metrics = sim.run_pipeline(cfg, model=model)
     _emit(sim.summary_json(cfg, metrics), doc.get("metrics_out"))
     return EXIT_OK
 
@@ -275,7 +266,7 @@ def cmd_grad_check(cfg, doc):
 
     rng = make_rng(cfg.seed)
     subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-    model = build_autoencoder(EmulationConfig(
+    model = EmulationModel(EmulationConfig(
         constellation=cfg.modulation, target_subcarriers=subs))
     checks = {
         "dft": db.dft_layer(),
@@ -357,13 +348,16 @@ def main(argv=None) -> int:
         for k in _CONFIG_KEYS
         if hasattr(args, k) and getattr(args, k) is not None
     }
-    if overrides.get("snr_db") is not None:
-        overrides["snr_db"] = [s.strip() for s in str(overrides["snr_db"]).split(",")]
-    if overrides.get("payload_lens") is not None:
-        overrides["payload_lens"] = [int(s) for s in str(overrides["payload_lens"]).split(",")]
-    if overrides.get("modes") is not None:
-        overrides["modes"] = [s.strip() for s in str(overrides["modes"]).split(",")]
+    for key in ("snr_db", "payload_lens", "modes"):
+        if key in overrides:
+            overrides[key] = [s.strip() for s in str(overrides[key]).split(",")]
     try:
+        if "payload_lens" in overrides:
+            try:
+                overrides["payload_lens"] = [int(s) for s in overrides["payload_lens"]]
+            except ValueError:
+                raise ConfigError(f"key payload_lens: expected integers, "
+                                  f"got {overrides['payload_lens']}")
         doc = parse_config(args.config, overrides)
         cfg = experiment_config(doc)
         return _COMMANDS[args.command](cfg, doc)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dsp import DFT_BASIS, IDFT_BASIS, N_FFT
 from .errors import DimensionError
-from .wifi import CP_LEN, Constellation, pilot_polarity
+from .wifi import CP_LEN, PILOT_SUBCARRIERS, Constellation, pilot_values
 
 __all__ = [
     "DiffBlock",
@@ -38,7 +38,6 @@ __all__ = [
     "cp_add_layer",
     "cp_remove_layer",
     "bin_select_layer",
-    "fixed_linear",
     "grad_check",
 ]
 
@@ -115,10 +114,6 @@ class FixedLinear(DiffBlock):
 
     def backward(self, gy):
         return gy @ self.weight
-
-
-def fixed_linear(weight: np.ndarray, name: str = "fixed_linear") -> FixedLinear:
-    return FixedLinear(weight, name)
 
 
 def cp_add_matrix() -> np.ndarray:
@@ -246,9 +241,7 @@ class SoftQuantize(DiffBlock):
 
     def hard_indices(self, x) -> np.ndarray:
         """argmin_j |w - c_j|^2 per element, ties to the lowest index."""
-        wr, wi = x[:, : self.n], x[:, self.n:]
-        d = (wr[..., None] - self.points.real) ** 2 + (wi[..., None] - self.points.imag) ** 2
-        return np.argmin(d, axis=2)
+        return self.const.nearest(unstack_complex(x))
 
 
 class GridAssemble(DiffBlock):
@@ -277,19 +270,16 @@ class GridAssemble(DiffBlock):
         for r, c in enumerate(self.target_columns):
             w[c, r] = 1.0
         self._w2 = _two_rail(w)
-        from .wifi import PILOT_SUBCARRIERS, PILOT_TEMPLATE
-
         self._pilot_cols = [m_ % N_FFT for m_ in PILOT_SUBCARRIERS]
-        self._pilot_template = np.array(PILOT_TEMPLATE)
+        self._pilots = np.zeros((0, 2 * N_FFT))
 
     def pilot_constants(self, n_rows: int) -> np.ndarray:
-        """(n_rows, 128) constant grid contribution (pilot bins only)."""
-        c = np.zeros((n_rows, 2 * N_FFT))
-        for s in range(n_rows):
-            pol = pilot_polarity(self.start_symbol + s)
-            for col, tpl in zip(self._pilot_cols, self._pilot_template):
-                c[s, col] = pol * tpl  # pilots are real-valued
-        return c
+        """(n_rows, 128) constant grid contribution (pilot bins only), kept
+        for the last row count: training asks for the same one every epoch."""
+        if self._pilots.shape[0] != n_rows:
+            self._pilots = np.zeros((n_rows, 2 * N_FFT))
+            self._pilots[:, self._pilot_cols] = pilot_values(n_rows, self.start_symbol)
+        return self._pilots
 
     def forward(self, x):
         if self.full_passthrough:

@@ -1,8 +1,10 @@
 """Reference DSP primitives: 64-point DFT/IDFT, frequency shift, AWGN,
 and signal-distance metrics.
 
-Everything here is a plain, direct realization of the defining formulas;
-the trainable emulation layers are validated against this module.
+Everything here is a plain realization of the defining formulas; the
+trainable emulation layers are validated against this module.  ``dft`` and
+``idft`` run numpy's FFT, which computes the same unnormalized pair as the
+``DFT_BASIS``/``IDFT_BASIS`` matrices without a BLAS product per call.
 
 Conventions
 -----------
@@ -103,7 +105,7 @@ def dft(block) -> np.ndarray:
     block = np.asarray(block, dtype=np.complex128)
     if block.shape != (N_FFT,):
         raise DimensionError(f"dft expects {N_FFT} samples, got shape {block.shape}")
-    return DFT_BASIS @ block
+    return np.fft.fft(block)
 
 
 def idft(bins) -> np.ndarray:
@@ -111,7 +113,7 @@ def idft(bins) -> np.ndarray:
     bins = np.asarray(bins, dtype=np.complex128)
     if bins.shape != (N_FFT,):
         raise DimensionError(f"idft expects {N_FFT} bins, got shape {bins.shape}")
-    return IDFT_BASIS @ bins
+    return np.fft.ifft(bins)
 
 
 def frequency_shift(sig: ComplexSignal, delta_f_hz: float) -> ComplexSignal:

@@ -8,9 +8,18 @@ it to reconstruct its own input picks the constellation points whose OFDM
 synthesis best matches the target waveform, in the time domain (analog
 mode) or in the instantaneous-phase domain (digital mode).
 
-The only trainable state is the complex scale vector; temperature anneals
-on a fixed schedule, and inference replaces the soft assignment with the
-nearest-point decision (``infer_symbols``).
+The only trainable state is the complex scale vector and temperature
+anneals on a fixed schedule.  The layers before the scale are fixed and so
+is the training input, so ``train`` runs them once and each epoch runs only
+the head from the scale on.  ``sim.train_model`` is the one caller.
+
+Inference is the one quantization rule every mode shares: divide each OFDM
+symbol's target bins by their largest magnitude (``symbol_peaks``),
+multiply by the per-subcarrier scales and take the nearest constellation
+point (``Constellation.nearest``).  With unit scales that is the ``webee``
+rule; with a model's exported scales it is ``nn-webee`` and reproduces the
+model's hard decisions, so a trained plan is ``nn-webee`` with its own
+scales (``sim.baseline_quantize``).
 """
 
 from __future__ import annotations
@@ -63,7 +72,13 @@ class EmulationConfig:
 
 
 class EmulationModel:
-    """The assembled block stack plus bookkeeping for training/inference."""
+    """The assembled block stack plus bookkeeping for training/inference.
+
+    ``stack`` is the full eight-layer model.  ``prefix`` (cyclic-prefix
+    removal, DFT, target-bin selection) has no parameters and a fixed input
+    during training, so the trainer runs it once and then runs only
+    ``head``: scale, soft quantizer, grid assembly, IDFT, cyclic prefix.
+    """
 
     def __init__(self, cfg: EmulationConfig):
         self.cfg = cfg
@@ -85,10 +100,10 @@ class EmulationModel:
         self.assemble = GridAssemble(cols, start_symbol=cfg.start_symbol)
         self.idft = idft_layer()
         self.cp_add = cp_add_layer()
-        self.stack = Sequential(
-            [self.cp_remove, self.dft, self.select, self.scale,
-             self.quantize, self.assemble, self.idft, self.cp_add]
-        )
+        self.prefix = Sequential([self.cp_remove, self.dft, self.select])
+        self.head = Sequential(
+            [self.scale, self.quantize, self.assemble, self.idft, self.cp_add])
+        self.stack = Sequential(self.prefix.blocks + self.head.blocks)
 
     # -- shaping ------------------------------------------------------------
 
@@ -100,71 +115,42 @@ class EmulationModel:
 
     def forward(self, x) -> np.ndarray:
         """Waveform in, reconstructed waveform out (same length)."""
-        out = self.stack.forward(self._to_blocks(x))
-        return unstack_complex(out).reshape(-1)
+        return _waveform(self.stack.forward(self._to_blocks(x)))
 
-    def backward(self, g_wave: np.ndarray) -> np.ndarray:
-        g = stack_complex(np.asarray(g_wave).reshape(-1, SYMBOL_LEN))
-        return self.stack.backward(g)
+    def _bins(self, x) -> np.ndarray:
+        """Stacked (S, 2m) target bins of a waveform: the fixed prefix."""
+        return self.prefix.forward(self._to_blocks(x))
 
-    # -- quantizer views ----------------------------------------------------
-
-    def scaled_bins(self, x) -> np.ndarray:
-        """(S, m) complex values entering the quantizer (after scaling)."""
-        h = self._to_blocks(x)
-        for b in (self.cp_remove, self.dft, self.select, self.scale):
+    # the training loop calls this every epoch; it stays private so that
+    # crossbench's tracer, which wraps public methods, does not time it
+    def _synthesize(self, points) -> np.ndarray:
+        h = stack_complex(points)
+        for b in (self.assemble, self.idft, self.cp_add):
             h = b.forward(h)
-        return unstack_complex(h)
+        return _waveform(h)
 
-    def target_bins(self, x) -> np.ndarray:
-        """(S, m) raw DFT values on the target subcarriers (before scaling)."""
-        h = self._to_blocks(x)
-        for b in (self.cp_remove, self.dft, self.select):
-            h = b.forward(h)
-        return unstack_complex(h)
+    def synthesize(self, points) -> np.ndarray:
+        """Waveform of an (S, m) grid of complex points on the target bins,
+        with the fixed pilots: grid assembly, IDFT, cyclic prefix."""
+        return self._synthesize(points)
 
     def normalize(self, x) -> np.ndarray:
         """Per-OFDM-symbol max-abs pre-normalization of a raw waveform.
 
-        Every 80-sample block is divided by the largest target-bin magnitude
-        of that block, which brings the bins into the constellation's
-        dynamic range; the trainable scales then start from 1+0j on top of
-        this.  ZigBee's constant envelope keeps the per-block factors nearly
-        equal, and the frame decoder is amplitude-invariant anyway.
+        Every 80-sample block is divided by ``symbol_peaks`` of its target
+        bins, which brings the bins into the constellation's dynamic range;
+        the trainable scales then start from 1+0j on top of this.  ZigBee's
+        constant envelope keeps the per-block factors nearly equal, and the
+        frame decoder is amplitude-invariant anyway.
         """
         x = np.asarray(x, dtype=np.complex128)
-        z = self.target_bins(x)
-        g = np.max(np.abs(z), axis=1)
-        # blocks with negligible energy (zero padding) stay near zero
-        # instead of being amplified to full scale
-        g = np.maximum(g, max(1e-9 * float(g.max()), 1e-300))
+        g = symbol_peaks(unstack_complex(self._bins(x)))
         return (x.reshape(-1, SYMBOL_LEN) / g[:, None]).reshape(-1)
-
-    def infer_symbols(self, x) -> np.ndarray:
-        """Hard constellation indices, shape (ceil(len(x)/80), m).
-
-        Deterministic; a partial trailing block is zero-padded.
-        """
-        x = np.asarray(x, dtype=np.complex128)
-        pad = (-len(x)) % SYMBOL_LEN
-        if pad:
-            x = np.concatenate([x, np.zeros(pad, dtype=np.complex128)])
-        w = self.scaled_bins(self.normalize(x))
-        return self.quantize.hard_indices(stack_complex(w))
-
-    def hard_forward(self, x) -> np.ndarray:
-        """Reconstruction with the quantizer snapped to nearest points."""
-        idx = self.infer_symbols(x)
-        pts = self.const.points[idx]
-        h = self.assemble.forward(stack_complex(pts))
-        h = self.idft.forward(h)
-        h = self.cp_add.forward(h)
-        return unstack_complex(h).reshape(-1)
 
     def export_scales(self) -> np.ndarray:
         """Per-subcarrier complex scales applied after the per-symbol max-abs
-        normalization; dropping them into the plain normalize-then-nearest
-        quantization rule reproduces this model's hard decisions."""
+        normalization; the ``nn-webee`` rule with these scales is this
+        model's quantizer."""
         return self.scale.scale.copy()
 
     @property
@@ -178,8 +164,18 @@ class EmulationModel:
         self.quantize.tau = float(value)
 
 
-def build_autoencoder(cfg: EmulationConfig) -> EmulationModel:
-    return EmulationModel(cfg)
+def _waveform(h: np.ndarray) -> np.ndarray:
+    """Stacked (S, 160) blocks -> one complex waveform."""
+    return unstack_complex(h).reshape(-1)
+
+
+def symbol_peaks(bins) -> np.ndarray:
+    """The per-OFDM-symbol normalizer: the largest magnitude in each row of
+    (S, m) bins.  Rows below 1e-9 of the overall peak (zero padding) are
+    floored there, so they stay near zero instead of being amplified to full
+    scale."""
+    g = np.max(np.abs(bins), axis=1)
+    return np.maximum(g, max(1e-9 * float(g.max()), 1e-300))
 
 
 def build_passthrough_autoencoder() -> Sequential:
@@ -274,7 +270,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     plateau_patience: int = 50
     plateau_tol: float = 1e-9
-    seed: int = 0
 
 
 @dataclass
@@ -291,10 +286,12 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
 
     The target is first max-abs pre-normalized per OFDM symbol, so epoch 0
     with scales at 1+0j reproduces the plain normalize-then-nearest-point
-    quantization exactly.  The kept parameters are the best epoch by the
-    hard-quantized selection metric, so the result is never worse than that
-    baseline.  Deterministic for a fixed config: no randomness enters the
-    updates.
+    quantization exactly.  The fixed prefix runs once on the normalized
+    target; every epoch then runs the head forward and backward and picks
+    the nearest points to the scaled bins.  The kept parameters are the best
+    epoch by the hard-quantized selection metric, so the result is never
+    worse than that baseline.  Deterministic for a fixed config: no
+    randomness enters the updates.
     """
     opt = opt or TrainConfig()
     x = np.asarray(target.samples, dtype=np.complex128)
@@ -303,9 +300,10 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
     if len(x) == 0:
         raise DomainError("empty training target")
 
-    if float(np.max(np.abs(model.target_bins(x)))) <= 0:
+    if float(np.max(np.abs(model._bins(x)))) <= 0:
         raise DomainError("target has no energy on the selected subcarriers")
     u = model.normalize(x)
+    z = model._bins(u)
 
     cfg = model.cfg
     params = model.scale.params
@@ -319,14 +317,15 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
     for epoch in range(opt.epochs):
         model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
-        v_soft = model.forward(u)
+        v_soft = _waveform(model.head.forward(z))
         soft_loss, g = loss_and_grad(v_soft, u, cfg.mode)
         if not math.isfinite(soft_loss):
             raise DomainError(f"non-finite training loss at epoch {epoch}: {soft_loss}")
-        model.stack.zero_grads()
-        model.backward(g)
+        model.head.zero_grads()
+        model.head.backward(stack_complex(g.reshape(-1, SYMBOL_LEN)))
 
-        v_hard = model.hard_forward(u)  # normalize() is idempotent on u
+        idx = model.quantize.hard_indices(model.scale.forward(z))
+        v_hard = model._synthesize(model.const.points[idx])
         metric = selection_metric(v_hard, u, cfg.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
@@ -354,30 +353,6 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
     model.tau = cfg.tau_floor
     result.epochs_run = len(result.loss_history)
     return result
-
-
-# ---------------------------------------------------------------------------
-# hard quantization helpers (shared with baselines)
-# ---------------------------------------------------------------------------
-
-def hard_quantize(bins, const: Constellation, scales=None) -> np.ndarray:
-    """Nearest-point indices of ``scales * bins`` (ties to lowest index)."""
-    z = np.asarray(bins, dtype=np.complex128)
-    w = z * (np.asarray(scales) if scales is not None else 1.0)
-    d = np.abs(w[..., None] - const.points) ** 2
-    return np.argmin(d, axis=-1)
-
-
-def soft_quantize(bins, const: Constellation, scales=None, tau: float = 1.0):
-    """Functional soft assignment; returns (soft_values, weights)."""
-    z = np.asarray(bins, dtype=np.complex128)
-    w = z * (np.asarray(scales) if scales is not None else 1.0)
-    d = np.abs(w[..., None] - const.points) ** 2
-    logits = -d / tau
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    a = e / e.sum(axis=-1, keepdims=True)
-    return a @ const.points, a
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,17 @@ from .emulation import (
     EmulationConfig,
     EmulationModel,
     TrainConfig,
-    build_autoencoder,
-    hard_quantize,
+    TrainResult,
     nmse_excluding_cp,
     phase_mse_excluding_cp,
+    symbol_peaks,
     train,
 )
 from .errors import ConfigError, DimensionError
 from .solver import SolveReport, solve_payload
 from .wifi import (
     DATA_SUBCARRIERS,
+    N_DATA_SUBCARRIERS,
     SAMPLE_RATE_HZ,
     SUBCARRIER_SPACING_HZ,
     SYMBOL_LEN,
@@ -81,20 +82,38 @@ class ExperimentConfig:
     scales: np.ndarray | None = None  # exported scales for 'nn-webee'
 
     def validate(self) -> None:
-        if abs(self.delta_f_hz) + ZIGBEE_HALF_BANDWIDTH_HZ > WIFI_HALF_BANDWIDTH_HZ:
-            raise ConfigError(
-                f"delta_f {self.delta_f_hz/1e6:g} MHz puts the ZigBee lobe outside the band"
-            )
+        # written so that NaN fails too
+        if not abs(self.delta_f_hz) + ZIGBEE_HALF_BANDWIDTH_HZ <= WIFI_HALF_BANDWIDTH_HZ:
+            raise ConfigError(f"delta_f_hz {self.delta_f_hz/1e6:g} MHz puts the ZigBee "
+                              f"lobe outside the band")
         if self.quantizer_mode not in QUANTIZER_MODES:
-            raise ConfigError(f"unknown quantizer mode {self.quantizer_mode!r}")
+            raise ConfigError(f"unknown quantizer_mode {self.quantizer_mode!r}")
         if self.emulation_mode not in ("analog", "digital"):
-            raise ConfigError(f"unknown emulation mode {self.emulation_mode!r}")
+            raise ConfigError(f"unknown emulation_mode {self.emulation_mode!r}")
         if len(self.payload) > zigbee.MAX_PAYLOAD_BYTES:
             raise ConfigError(f"payload longer than {zigbee.MAX_PAYLOAD_BYTES} bytes")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 < self.scrambler_seed < 128:
             raise ConfigError(f"scrambler_seed must be in 1..127, got {self.scrambler_seed}")
+        if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
+            raise ConfigError(f"snr_db values must be numbers or inf, got {list(self.snr_db)}")
+        if self.lead_in_samples < 0:
+            raise ConfigError(f"lead_in_samples must be >= 0, got {self.lead_in_samples}")
+        if not 1 <= self.target_subcarrier_count <= N_DATA_SUBCARRIERS:
+            raise ConfigError(f"target_subcarrier_count must be in 1..{N_DATA_SUBCARRIERS}, "
+                              f"got {self.target_subcarrier_count}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not self.tau_floor > 0:
+            raise ConfigError(f"tau_floor must be > 0, got {self.tau_floor}")
+        if not self.tau_start >= self.tau_floor:
+            raise ConfigError(f"tau_start must be >= tau_floor ({self.tau_floor}), "
+                              f"got {self.tau_start}")
+        if not 0 < self.tau_decay <= 1:
+            raise ConfigError(f"tau_decay must be in (0, 1], got {self.tau_decay}")
 
     @property
     def mcs(self) -> McsConfig:
@@ -167,20 +186,20 @@ def baseline_quantize(target: ComplexSignal, mode: str, mcs: McsConfig,
                bin value; magnitude ignored (ties break toward the lower
                index, then it is deterministic).
     nn-webee : the webee rule with trained per-subcarrier scales applied
-               after the normalization (requires ``scales``).
+               after the normalization (requires ``scales``); with a
+               model's exported scales this is that model's quantizer.
     """
     grid = ofdm_analyze(target)
     cols = [sc + 32 for sc in subcarriers]
     z = grid.bins[:, cols]
     const = mcs.constellation
     if mode in ("webee", "nn-webee"):
-        g = np.maximum(np.max(np.abs(z), axis=1, keepdims=True), 1e-300)
-        w = z / g
+        w = z / symbol_peaks(z)[:, None]
         if mode == "nn-webee":
             if scales is None:
                 raise ConfigError("nn-webee requires scales exported from a trained model")
             w = w * np.asarray(scales)[None, :]
-        return hard_quantize(w, const)
+        return const.nearest(w)
     if mode == "wide":
         # bins with no real content have meaningless phase; pin them so the
         # rule stays deterministic and scale-invariant
@@ -190,6 +209,38 @@ def baseline_quantize(target: ComplexSignal, mode: str, mcs: McsConfig,
         # the lowest index rather than whichever rounding error is smaller
         return np.argmin(np.round(dphi, 9), axis=-1)
     raise ConfigError(f"unknown baseline mode {mode!r}")
+
+
+def frame_target(cfg: ExperimentConfig) -> ComplexSignal:
+    """The target a frame is planned for: ``make_target``, padded to a
+    symbol count whose payload bits fill whole bytes (n_dbps is not
+    byte-aligned for every MCS, e.g. BPSK rate 3/4 carries 36)."""
+    target = make_target(cfg.payload, cfg.delta_f_hz, lead_in_samples=cfg.lead_in_samples)
+    mcs = cfg.mcs
+    align = 8 // math.gcd(mcs.n_dbps, 8)
+    extra = (-(len(target) // SYMBOL_LEN)) % align
+    if extra:
+        pad = np.zeros(extra * SYMBOL_LEN, dtype=np.complex128)
+        target = ComplexSignal(np.concatenate([target.samples, pad]),
+                               target.sample_rate_hz)
+    return target
+
+
+def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
+    """Build the emulation model for a config and train it on
+    ``frame_target(cfg)``.  The one training entry point: plans, sweeps and
+    the CLI all come through here."""
+    model = EmulationModel(EmulationConfig(
+        constellation=cfg.modulation,
+        target_subcarriers=target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count),
+        mode=cfg.emulation_mode,
+        tau_start=cfg.tau_start,
+        tau_decay=cfg.tau_decay,
+        tau_floor=cfg.tau_floor,
+    ))
+    result = train(model, frame_target(cfg),
+                   TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate))
+    return model, result
 
 
 @dataclass
@@ -213,47 +264,31 @@ class FramePlan:
 
 def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> FramePlan:
     """Target construction, quantization (training if needed), GF(2) solve
-    and transmit-waveform synthesis.  Deterministic for a fixed config."""
+    and transmit-waveform synthesis.  Deterministic for a fixed config.
+
+    ``model`` is a trained model to use instead of training one; a trained
+    plan quantizes with the ``nn-webee`` rule and the model's scales."""
     cfg.validate()
     subs = target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-    target = make_target(cfg.payload, cfg.delta_f_hz, lead_in_samples=cfg.lead_in_samples)
+    target = frame_target(cfg)
     mcs = cfg.mcs
-
-    # pad to a symbol count whose payload bits fill whole bytes (n_dbps is
-    # not byte-aligned for every MCS, e.g. BPSK rate 3/4 carries 36)
-    align = 8 // math.gcd(mcs.n_dbps, 8)
-    n_sym = len(target) // SYMBOL_LEN
-    extra = (-n_sym) % align
-    if extra:
-        pad = np.zeros(extra * SYMBOL_LEN, dtype=np.complex128)
-        target = ComplexSignal(np.concatenate([target.samples, pad]),
-                               target.sample_rate_hz)
+    if model is not None and (tuple(model.target_subcarriers) != subs
+                              or model.const.name != mcs.constellation.name):
+        raise ConfigError(
+            f"model ({model.const.name} on subcarriers {model.target_subcarriers}) does not "
+            f"match the configured {mcs.constellation.name} on {subs}")
 
     train_seconds = 0.0
     train_epochs = 0
-    if cfg.quantizer_mode == "trained":
-        if model is not None and tuple(model.target_subcarriers) != subs:
-            raise ConfigError(
-                f"model subcarriers {model.target_subcarriers} do not match "
-                f"the configured set {subs}")
+    mode, scales = cfg.quantizer_mode, cfg.scales
+    if mode == "trained":
         if model is None:
-            model = build_autoencoder(EmulationConfig(
-                constellation=cfg.modulation,
-                target_subcarriers=subs,
-                mode=cfg.emulation_mode,
-                tau_start=cfg.tau_start,
-                tau_decay=cfg.tau_decay,
-                tau_floor=cfg.tau_floor,
-            ))
-            t0 = time.time()
-            result = train(model, target, TrainConfig(
-                epochs=cfg.epochs, learning_rate=cfg.learning_rate, seed=cfg.seed))
-            train_seconds = time.time() - t0
+            t0 = time.perf_counter()
+            model, result = train_model(cfg)
+            train_seconds = time.perf_counter() - t0
             train_epochs = result.epochs_run
-        index_grid = model.infer_symbols(target.samples)
-    else:
-        index_grid = baseline_quantize(target, cfg.quantizer_mode, mcs, subs,
-                                       scales=cfg.scales)
+        mode, scales = "nn-webee", model.export_scales()
+    index_grid = baseline_quantize(target, mode, mcs, subs, scales=scales)
 
     grid = ofdm_analyze(target)
     cols = [sc + 32 for sc in subs]
@@ -265,19 +300,14 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
         raise DimensionError(f"transmit length {len(tx)} != target length {len(target)}")
 
     # noiseless emulation quality, measured on the normalized problem the
-    # quantizer actually solved: per-symbol max-abs normalized target
-    norm_model = model if model is not None else build_autoencoder(EmulationConfig(
+    # quantizer actually solved: per-symbol max-abs normalized target,
+    # against the reconstruction from the actually transmitted grid
+    norm_model = model if model is not None else EmulationModel(EmulationConfig(
         constellation=cfg.modulation, target_subcarriers=subs))
     u = norm_model.normalize(target.samples)
     intended_pts = mcs.constellation.points[index_grid]
     achieved_pts = ofdm_analyze(tx).bins[:, cols]
-    # reconstruction from the actually transmitted grid, normalized domain
-    from .diffblocks import stack_complex, unstack_complex
-
-    h = norm_model.assemble.forward(stack_complex(achieved_pts))
-    h = norm_model.idft.forward(h)
-    h = norm_model.cp_add.forward(h)
-    emulated = unstack_complex(h).reshape(-1)
+    emulated = norm_model.synthesize(achieved_pts)
     nmse_body = nmse_excluding_cp(emulated, u)
     phase_mse_body = phase_mse_excluding_cp(emulated, u)
     evm = float(np.sqrt(np.mean(np.abs(achieved_pts - intended_pts) ** 2)))
@@ -385,22 +415,14 @@ def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
         payload_rng = make_rng(cfg.seed, 0xBEEF, plen)
         payload = bytes(payload_rng.integers(0, 256, plen).tolist())
         trained_model = None
-
-        def trained(point_cfg):
-            nonlocal trained_model
-            if trained_model is None:
-                trained_model = plan_frame(
-                    replace(point_cfg, quantizer_mode="trained")).model
-            return trained_model
-
         for mode in modes:
             point_cfg = replace(cfg, payload=payload, quantizer_mode=mode)
             model = None
-            if mode == "nn-webee":
-                point_cfg = replace(point_cfg,
-                                    scales=trained(point_cfg).export_scales())
-            elif mode == "trained":
-                model = trained(point_cfg)
+            if mode in ("trained", "nn-webee"):
+                if trained_model is None:
+                    trained_model, _ = train_model(point_cfg)
+                model = trained_model
+                point_cfg = replace(point_cfg, scales=model.export_scales())
             for m in run_pipeline(point_cfg, model=model):
                 rows.append({
                     "quantizer_mode": mode,

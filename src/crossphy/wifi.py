@@ -74,11 +74,17 @@ class Constellation:
         idx = bits.reshape(-1, b) @ (1 << np.arange(b - 1, -1, -1))
         return self.points[idx]
 
+    def nearest(self, values) -> np.ndarray:
+        """Index of the nearest point to every value (any shape), by squared
+        Euclidean distance; ties go to the lowest index."""
+        w = np.asarray(values, dtype=np.complex128)
+        p = self.points
+        d = (w.real[..., None] - p.real) ** 2 + (w.imag[..., None] - p.imag) ** 2
+        return np.argmin(d, axis=-1)
+
     def demap_hard(self, symbols) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-point decisions; returns (indices, bits)."""
-        symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-        d = np.abs(symbols[:, None] - self.points[None, :]) ** 2
-        idx = np.argmin(d, axis=1)
+        idx = self.nearest(np.asarray(symbols).reshape(-1))
         b = self.bits_per_symbol
         bits = ((idx[:, None] >> np.arange(b - 1, -1, -1)) & 1).reshape(-1)
         return idx, bits
@@ -256,19 +262,6 @@ def deinterleave(bits, n_cbps: int, n_bpsc: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# QAM mapping
-# ---------------------------------------------------------------------------
-
-def qam_map(bits, const: Constellation) -> np.ndarray:
-    return const.map_bits(bits)
-
-
-def qam_demap(symbols, const: Constellation) -> np.ndarray:
-    _, bits = const.demap_hard(symbols)
-    return bits
-
-
-# ---------------------------------------------------------------------------
 # pilots and OFDM assembly
 # ---------------------------------------------------------------------------
 
@@ -284,6 +277,13 @@ def pilot_polarity(symbol_index: int) -> float:
     return float(pilot_polarity_sequence()[symbol_index % 127])
 
 
+def pilot_values(n_symbols: int, start_symbol: int = 0) -> np.ndarray:
+    """(n_symbols, 4) real pilot values on PILOT_SUBCARRIERS for data symbols
+    start_symbol, start_symbol + 1, ...: polarity times template."""
+    pol = pilot_polarity_sequence()[(start_symbol + np.arange(n_symbols)) % 127]
+    return pol[:, None] * np.array(PILOT_TEMPLATE)
+
+
 def assemble_grid(data_symbols: np.ndarray, start_symbol: int = 0) -> FreqGrid:
     """Place (S, 48) data symbols on the data bins, insert pilots, zero the
     rest.  Returns the shifted-order frequency grid (DC at column 32)."""
@@ -294,9 +294,8 @@ def assemble_grid(data_symbols: np.ndarray, start_symbol: int = 0) -> FreqGrid:
     bins = np.zeros((n_sym, N_FFT), dtype=np.complex128)
     data_cols = np.array([FreqGrid.column(m) for m in DATA_SUBCARRIERS])
     bins[:, data_cols] = data_symbols
-    pol = np.array([pilot_polarity(start_symbol + s) for s in range(n_sym)])
     pilot_cols = np.array([FreqGrid.column(m) for m in PILOT_SUBCARRIERS])
-    bins[:, pilot_cols] = pol[:, None] * np.array(PILOT_TEMPLATE)[None, :]
+    bins[:, pilot_cols] = pilot_values(n_sym, start_symbol)
     return FreqGrid(bins)
 
 
@@ -369,7 +368,7 @@ def transmit_psdu(
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
     coded = coding_chain(bits, mcs, scrambler_seed)
-    symbols = qam_map(coded, mcs.constellation).reshape(-1, N_DATA_SUBCARRIERS)
+    symbols = mcs.constellation.map_bits(coded).reshape(-1, N_DATA_SUBCARRIERS)
     grid = assemble_grid(symbols)
     sig = synthesize(grid)
     if return_grid:

@@ -170,3 +170,101 @@ class TestSolvePayloadOutputs:
         assert np.array_equal(raw[0::2], tx.samples.real.astype("<f4"))
         solve = json.loads(out.read_text())["deterministic"]["solve"]
         assert 1 <= solve["max_span"] <= 7
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("command", ["emulate", "evaluate", "solve-payload"])
+    def test_missing_model_file_is_runtime_error(self, command, tmp_path, capsys):
+        rc = run_cli([command, "--payload-hex", "aa55", "--epochs", "5",
+                      "--model-file", str(tmp_path / "absent.json")])
+        assert rc == cli.EXIT_RUNTIME
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_solve_payload_uses_the_trained_model_file(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        args = ["--payload-hex", "a1b2c3", "--epochs", "25", "--model-file", str(model)]
+        assert run_cli(["train"] + args + ["--emulation-mode", "digital"]) == cli.EXIT_OK
+        capsys.readouterr()
+        # a retrained model would come out of 3 analog epochs, not 25 digital ones
+        short = ["--payload-hex", "a1b2c3", "--epochs", "3", "--model-file", str(model)]
+        psdu = {}
+        for command, block in (("emulate", "emulation"), ("solve-payload", "solve")):
+            out = tmp_path / f"{command}.json"
+            assert run_cli([command] + short + ["--metrics-out", str(out)]) == cli.EXIT_OK
+            psdu[command] = json.loads(out.read_text())["deterministic"][block]["psdu_hex"]
+        assert psdu["emulate"] == psdu["solve-payload"]
+        from crossphy import emulation, sim
+
+        cfg = cli.experiment_config({"payload_hex": "a1b2c3"})
+        plan = sim.plan_frame(cfg, model=emulation.load_model(model))
+        assert psdu["emulate"] == plan.report.psdu.hex()
+
+
+def _config_exit(tmp_path, capsys, doc, command="evaluate"):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    rc = run_cli([command, "--config", str(path), "--payload-hex", "0011"])
+    return rc, capsys.readouterr().err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("doc,key", [
+        ({"epochs": -1}, "epochs"),
+        ({"epochs": 0}, "epochs"),
+        ({"learning_rate": -0.01}, "learning_rate"),
+        ({"learning_rate": 0}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"tau_floor": 0}, "tau_floor"),
+        ({"tau_floor": -0.1}, "tau_floor"),
+        ({"tau_start": 0.01, "tau_floor": 0.05}, "tau_start"),
+        ({"tau_decay": 0}, "tau_decay"),
+        ({"tau_decay": 1.5}, "tau_decay"),
+    ])
+    def test_training_settings_rejected(self, tmp_path, capsys, doc, key):
+        rc, err = _config_exit(tmp_path, capsys, doc)
+        assert rc == cli.EXIT_CONFIG
+        assert key in err
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"epochs": True}, "epochs"),
+        ({"trials": False}, "trials"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"delta_f_hz": False}, "delta_f_hz"),
+        ({"snr_db": 5}, "snr_db"),
+        ({"snr_db": [True]}, "snr_db"),
+        ({"modulation": 64}, "modulation"),
+    ])
+    def test_json_value_types_checked(self, tmp_path, capsys, doc, key):
+        rc, err = _config_exit(tmp_path, capsys, doc)
+        assert rc == cli.EXIT_CONFIG
+        assert key in err
+
+    def test_training_settings_at_their_bounds_accepted(self):
+        cfg = cli.experiment_config({"epochs": 1, "tau_decay": 1.0, "tau_start": 0.05,
+                                     "tau_floor": 0.05, "learning_rate": 1e-9})
+        assert cfg.epochs == 1 and cfg.tau_decay == 1.0
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--payload-hex", "zz"], "payload_hex"),
+        (["--lead-in-samples", "-5"], "lead_in_samples"),
+        (["--snr-db", "nan"], "snr_db"),
+        (["--snr-db=-inf"], "snr_db"),
+        (["--snr-db", "loud"], "snr_db"),
+        (["--target-subcarrier-count", "0"], "target_subcarrier_count"),
+        (["--target-subcarrier-count", "49"], "target_subcarrier_count"),
+        (["--target-subcarrier-count", "60"], "target_subcarrier_count"),
+        (["--delta-f-hz", "nan"], "delta_f_hz"),
+        (["--payload-len", "-5"], "payload_len"),
+        (["--payload-lens", "2,x"], "payload_lens"),
+    ])
+    def test_bad_flags_are_config_errors(self, capsys, flags, key):
+        rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)
+        assert rc == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_all_48_data_subcarriers_accepted(self, tmp_path):
+        out = tmp_path / "s.json"
+        rc = run_cli(["solve-payload", "--payload-hex", "01", "--quantizer-mode", "webee",
+                      "--target-subcarrier-count", "48", "--metrics-out", str(out)])
+        assert rc == cli.EXIT_OK

@@ -32,7 +32,7 @@ class TestFixedMatrices:
 
 class TestFixedLinearBlocks:
     def test_identity_forward_backward(self):
-        blk = db.fixed_linear(np.eye(10))
+        blk = db.FixedLinear(np.eye(10))
         x = dsp.make_rng(0).standard_normal((3, 10))
         assert np.array_equal(blk.forward(x), x)
         assert np.array_equal(blk.backward(x), x)
@@ -59,7 +59,7 @@ class TestFixedLinearBlocks:
 
     def test_grad_check_random_matrix(self):
         rng = dsp.make_rng(4)
-        blk = db.fixed_linear(rng.standard_normal((7, 13)))
+        blk = db.FixedLinear(rng.standard_normal((7, 13)))
         assert db.grad_check(blk, rng) < 1e-6
 
 
@@ -156,6 +156,18 @@ class TestGridAssemble:
                 assert grid[s, 7] == pol
                 assert grid[s, 21] == -pol
 
+    def test_pilots_follow_row_count_and_start_symbol(self):
+        # the constants are kept between calls; a new row count rebuilds them
+        from crossphy.wifi import pilot_polarity
+
+        blk = db.GridAssemble([50], start_symbol=125)
+        for n in (3, 6, 3, 1, 6):
+            grid = db.unstack_complex(blk.forward(np.zeros((n, 2))))
+            for s in range(n):
+                pol = pilot_polarity(125 + s)
+                assert grid[s, (-21) % 64] == pol
+                assert grid[s, 21] == -pol
+
     def test_grad_check(self):
         blk = db.GridAssemble([40, 41], start_symbol=2)
         assert db.grad_check(blk, dsp.make_rng(12)) < 1e-6
@@ -173,8 +185,8 @@ class TestGridAssemble:
 class TestSequential:
     def test_composition_matches_manual(self):
         rng = dsp.make_rng(13)
-        a = db.fixed_linear(rng.standard_normal((5, 8)))
-        b = db.fixed_linear(rng.standard_normal((3, 5)))
+        a = db.FixedLinear(rng.standard_normal((5, 8)))
+        b = db.FixedLinear(rng.standard_normal((3, 5)))
         seq = db.Sequential([a, b])
         x = rng.standard_normal((2, 8))
         assert np.allclose(seq.forward(x), b.forward(a.forward(x)))
@@ -182,7 +194,7 @@ class TestSequential:
     def test_grad_check_with_trainable_inside(self):
         rng = dsp.make_rng(14)
         seq = db.Sequential([
-            db.fixed_linear(rng.standard_normal((6, 6))),
+            db.FixedLinear(rng.standard_normal((6, 6))),
             db.ComplexScale(3),
             db.SoftQuantize(constellation("qpsk"), 3, tau=1.0),
         ])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crossphy import diffblocks as db
-from crossphy import dsp, emulation as em, zigbee
+from crossphy import dsp, emulation as em, sim, wifi, zigbee
 from crossphy.errors import ConfigError, DimensionError
 from crossphy.wifi import constellation
 
@@ -16,29 +16,39 @@ def zigbee_target(n_symbols=1, delta_f=-3.125e6, seed=0):
     return dsp.frequency_shift(sig, delta_f)
 
 
+def model_indices(model, target):
+    """The model's quantizer: the nn-webee rule with its exported scales."""
+    return sim.baseline_quantize(target, "nn-webee", wifi.mcs_config(model.const.name),
+                                 model.target_subcarriers, scales=model.export_scales())
+
+
+def hard_reconstruction(model, target):
+    return model.synthesize(model.const.points[model_indices(model, target)])
+
+
 class TestBuild:
     def test_pilot_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            em.build_autoencoder(em.EmulationConfig(target_subcarriers=(-7, -8)))
+            em.EmulationModel(em.EmulationConfig(target_subcarriers=(-7, -8)))
 
     def test_null_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            em.build_autoencoder(em.EmulationConfig(target_subcarriers=(0,)))
+            em.EmulationModel(em.EmulationConfig(target_subcarriers=(0,)))
 
     def test_output_length_equals_input_length(self):
-        model = em.build_autoencoder(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
         rng = dsp.make_rng(1)
         for blocks in (1, 3, 7):
             x = rng.standard_normal(80 * blocks) + 1j * rng.standard_normal(80 * blocks)
             assert len(model.forward(x)) == 80 * blocks
 
     def test_non_multiple_length_rejected(self):
-        model = em.build_autoencoder(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
         with pytest.raises(DimensionError):
             model.forward(np.ones(81, dtype=complex))
 
     def test_internal_grid_pilots_fixed(self):
-        model = em.build_autoencoder(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
         rng = dsp.make_rng(2)
         x = rng.standard_normal(160) + 1j * rng.standard_normal(160)
         h = model._to_blocks(x)
@@ -53,24 +63,18 @@ class TestBuild:
             assert grid[s, 21] == -pilot_polarity(s)
 
     def test_infer_shape_and_range(self):
-        model = em.build_autoencoder(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
         target = zigbee_target(2)
-        idx = model.infer_symbols(target.samples)
+        idx = model_indices(model, target)
         assert idx.shape == (len(target.samples) // 80, len(SUBS))
         assert idx.min() >= 0 and idx.max() < 64
 
     def test_infer_deterministic(self):
-        model = em.build_autoencoder(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
         target = zigbee_target(2)
-        a = model.infer_symbols(target.samples)
-        b = model.infer_symbols(target.samples)
+        a = model_indices(model, target)
+        b = model_indices(model, target)
         assert np.array_equal(a, b)
-
-    def test_infer_pads_partial_block(self):
-        model = em.build_autoencoder(em.EmulationConfig(target_subcarriers=SUBS))
-        target = zigbee_target(2)
-        idx = model.infer_symbols(target.samples[:500])  # ceil(500/80) = 7
-        assert idx.shape == (7, len(SUBS))
 
 
 class TestPassthrough:
@@ -85,7 +89,7 @@ class TestPassthrough:
         assert np.max(np.abs(ob[:, :16] - ib[:, 64:])) < 1e-9
 
     def test_full_autoencoder_grad_check(self):
-        model = em.build_autoencoder(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
         err = db.grad_check(model.stack, dsp.make_rng(4),
                             x=dsp.make_rng(5).standard_normal((2, 160)))
         assert err < 1e-4
@@ -140,13 +144,13 @@ class TestHardQuantize:
         const = constellation("qam64")
         s = np.exp(0.3j) * 1.7
         z = const.points[13] / s
-        assert em.hard_quantize(np.array([[z]]), const, scales=np.array([s]))[0, 0] == 13
+        assert const.nearest(np.array([[z]]) * np.array([s]))[0, 0] == 13
 
     def test_matches_bruteforce_qpsk(self):
         const = constellation("qpsk")
         rng = dsp.make_rng(10)
         z = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        idx = em.hard_quantize(z, const)
+        idx = const.nearest(z)
         for i in range(100):
             brute = min(range(4), key=lambda j: abs(z[i] - const.points[j]) ** 2)
             assert idx[i] == brute
@@ -155,14 +159,14 @@ class TestHardQuantize:
         const = constellation("qam16")
         rng = dsp.make_rng(11)
         z = 10 * (rng.standard_normal(50) + 1j * rng.standard_normal(50))
-        idx = em.hard_quantize(z, const)
+        idx = const.nearest(z)
         assert set(idx.tolist()) <= set(range(16))
 
 
 class TestTraining:
     def make(self, mode="analog"):
         cfg = em.EmulationConfig(target_subcarriers=SUBS, mode=mode)
-        return em.build_autoencoder(cfg)
+        return em.EmulationModel(cfg)
 
     def test_deterministic(self):
         target = zigbee_target(1)
@@ -184,7 +188,7 @@ class TestTraining:
         # baseline: per-symbol max-abs normalize + nearest point (scales = 1)
         target = zigbee_target(1, seed=3)
         model = self.make()
-        baseline_idx = model.infer_symbols(target.samples)  # scales still at init
+        baseline_idx = model_indices(model, target)  # scales still at init
         u = model.normalize(target.samples)
         pts = model.const.points[baseline_idx]
         h = model.assemble.forward(db.stack_complex(pts))
@@ -193,7 +197,7 @@ class TestTraining:
         v_base = db.unstack_complex(h).reshape(-1)
         base_nmse = em.nmse_excluding_cp(v_base, u)
         em.train(model, target, em.TrainConfig(epochs=120))
-        v_hard = model.hard_forward(target.samples)
+        v_hard = hard_reconstruction(model, target)
         assert em.nmse_excluding_cp(v_hard, u) <= base_nmse + 1e-12
 
     def test_digital_mode_improves_phase(self):
@@ -203,9 +207,43 @@ class TestTraining:
         digital = self.make("digital")
         em.train(digital, target, em.TrainConfig(epochs=150))
         u = analog.normalize(target.samples)
-        pa = em.phase_mse_excluding_cp(analog.hard_forward(target.samples), u)
-        pd = em.phase_mse_excluding_cp(digital.hard_forward(target.samples), u)
+        pa = em.phase_mse_excluding_cp(hard_reconstruction(analog, target), u)
+        pd = em.phase_mse_excluding_cp(hard_reconstruction(digital, target), u)
         assert pd <= pa + 1e-12
+
+    def test_head_scale_gradient_equals_full_stack(self):
+        # the trainer backpropagates through the head only; the fixed prefix
+        # in front of the scale cannot change the scale gradient
+        model = self.make("digital")
+        u = model.normalize(zigbee_target(2, seed=6).samples)
+        model.scale.set_scale(np.exp(0.3j) * np.linspace(0.8, 1.2, len(SUBS)))
+        blocks = model._to_blocks(u)
+        g = dsp.make_rng(12).standard_normal((blocks.shape[0], 160))
+        model.stack.zero_grads()
+        model.stack.forward(blocks)
+        model.stack.backward(g)
+        full = model.scale.grads["scale"].copy()
+        model.head.zero_grads()
+        model.head.forward(model.prefix.forward(blocks))
+        model.head.backward(g)
+        assert np.any(full != 0)
+        assert np.array_equal(model.scale.grads["scale"], full)
+
+    def test_first_epoch_loss_is_the_full_stack_loss(self):
+        target = zigbee_target(2, seed=7)
+        model = self.make()
+        u = model.normalize(target.samples)
+        expect = em.loss(model.forward(u), u, "analog")  # scales 1+0j, tau_start
+        res = em.train(model, target, em.TrainConfig(epochs=5))
+        assert res.loss_history[0] == expect
+
+    def test_best_hard_metric_is_the_nn_webee_reconstruction(self):
+        target = zigbee_target(2, seed=8)
+        model = self.make("digital")
+        res = em.train(model, target, em.TrainConfig(epochs=60))
+        u = model.normalize(target.samples)
+        got = em.selection_metric(hard_reconstruction(model, target), u, "digital")
+        assert got == res.best_hard_metric
 
     def test_nonfinite_loss_aborts(self):
         model = self.make()
@@ -220,8 +258,7 @@ class TestTraining:
         path = tmp_path / "model.json"
         em.save_model(model, path)
         back = em.load_model(path)
-        assert np.array_equal(back.infer_symbols(target.samples),
-                              model.infer_symbols(target.samples))
+        assert np.array_equal(model_indices(back, target), model_indices(model, target))
         assert back.const.name == model.const.name
         assert back.target_subcarriers == model.target_subcarriers
 

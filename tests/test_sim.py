@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestBaselineQuantize:
         sig = wifi.synthesize(FreqGrid(grid))
         got = sim.baseline_quantize(sig, "webee", self.mcs, self.subs)
         peak = np.max(np.abs(pts), axis=1, keepdims=True)
-        expect = em.hard_quantize(pts / peak, const)
+        expect = const.nearest(pts / peak)
         assert np.array_equal(got, expect)
 
     def test_wide_ignores_magnitude(self):
@@ -96,7 +97,7 @@ class TestBaselineQuantize:
         z = grid.bins[:, cols]
         mx = np.max(np.abs(z), axis=1, keepdims=True)
         live = mx[:, 0] > 0  # the all-zero padding symbol has no defined scale
-        expect = em.hard_quantize(z[live] / mx[live], self.mcs.constellation)
+        expect = self.mcs.constellation.nearest(z[live] / mx[live])
         got = sim.baseline_quantize(self.target, "webee", self.mcs, self.subs)
         assert np.array_equal(got[live], expect)
 
@@ -145,13 +146,40 @@ class TestPipeline:
         assert plan.model is not None
         assert plan.train_epochs > 0
 
+    def test_trained_plan_is_nn_webee_with_its_scales(self):
+        cfg = small_cfg(quantizer_mode="trained", emulation_mode="digital",
+                        payload=bytes(range(6)))
+        plan = sim.plan_frame(cfg)
+        nn = sim.plan_frame(replace(cfg, quantizer_mode="nn-webee",
+                                    scales=plan.model.export_scales()))
+        assert np.array_equal(plan.index_grid, nn.index_grid)
+        assert plan.report.psdu == nn.report.psdu
+
+    def test_train_model_uses_the_padded_frame_target(self):
+        # BPSK 3/4 carries 36 bits a symbol: 81 target symbols pad to 82
+        cfg = small_cfg(quantizer_mode="trained", modulation="bpsk", coding_rate="3/4")
+        plain = sim.make_target(cfg.payload, cfg.delta_f_hz, lead_in_samples=cfg.lead_in_samples)
+        assert len(sim.frame_target(cfg)) == len(plain) + 80
+        model, res = sim.train_model(cfg)
+        plan = sim.plan_frame(cfg)
+        assert res.epochs_run == plan.train_epochs
+        assert np.array_equal(model.export_scales(), plan.model.export_scales())
+
+    def test_model_constellation_mismatch_rejected(self):
+        cfg = small_cfg(quantizer_mode="trained")
+        subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
+        model = em.EmulationModel(em.EmulationConfig(constellation="qam16",
+                                                     target_subcarriers=subs))
+        with pytest.raises(ConfigError):
+            sim.plan_frame(cfg, model=model)
+
     def test_bad_quantizer_mode_rejected(self):
         with pytest.raises(ConfigError):
             sim.run_pipeline(small_cfg(quantizer_mode="nope"))
 
     def test_mismatched_model_subcarriers_rejected(self):
         cfg = small_cfg(quantizer_mode="trained")
-        model = em.build_autoencoder(em.EmulationConfig(
+        model = em.EmulationModel(em.EmulationConfig(
             target_subcarriers=(8, 9, 10)))
         with pytest.raises(ConfigError):
             sim.plan_frame(cfg, model=model)
