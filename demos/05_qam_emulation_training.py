@@ -15,12 +15,13 @@ target = sim.make_target(payload, -3.125e6, lead_in_samples=6)
 subs = sim.target_subcarriers(-3.125e6, 7)
 mcs = wifi.mcs_config("qam64")
 print(f"target: {len(target)} samples, emulated on subcarriers {subs}")
+z = wifi.ofdm_analyze(target).bins[:, [m + 32 for m in subs]]  # (symbols, 7) target bins
 
 
 def hard_reconstruction(model):
     """The waveform of the model's hard decisions: the nn-webee rule with
     its scales (at 1+0j this is the plain webee rule), synthesized."""
-    idx = sim.baseline_quantize(target, "nn-webee", mcs, subs, scales=model.export_scales())
+    idx = sim.baseline_quantize(z, "nn-webee", mcs, scales=model.export_scales())
     return model.synthesize(mcs.constellation.points[idx])
 
 

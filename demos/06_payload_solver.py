@@ -15,10 +15,10 @@ rng = dsp.make_rng(6)
 print("== the generator matrix ==")
 n = 2 * mcs.n_dbps
 G, c = solver.build_generator(n, mcs, seed)
-print(f"G is {G.rows} x {G.cols} over GF(2); c carries the scrambler offset")
+print(f"G is {G.shape[0]} x {G.shape[1]} over GF(2); c carries the scrambler offset")
 x = rng.integers(0, 2, n).astype(np.uint8)
 print(f"chain(x) == G x + c for random x: "
-      f"{np.array_equal(wifi.coding_chain(x, mcs, seed), G.matvec(x) ^ c)}")
+      f"{np.array_equal(wifi.coding_chain(x, mcs, seed), (G @ x) % 2 ^ c)}")
 
 print("\n== hitting an intended grid exactly ==")
 n_sym = 12

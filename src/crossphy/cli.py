@@ -96,19 +96,12 @@ def parse_config(path: str | None, overrides: dict) -> dict:
 
 def experiment_config(doc: dict) -> sim.ExperimentConfig:
     cfg = sim.ExperimentConfig()
+    payload = cfg.payload
     if "payload_hex" in doc:
         try:
             payload = bytes.fromhex(doc["payload_hex"])
         except ValueError:
             raise ConfigError(f"key payload_hex: not a hex string: {doc['payload_hex']!r}")
-    elif "payload_len" in doc:
-        if not 0 <= doc["payload_len"] <= zigbee.MAX_PAYLOAD_BYTES:
-            raise ConfigError(f"payload_len must be in 0..{zigbee.MAX_PAYLOAD_BYTES}, "
-                              f"got {doc['payload_len']}")
-        rng = make_rng(int(doc.get("seed", 0)), 0xBEEF, int(doc["payload_len"]))
-        payload = bytes(rng.integers(0, 256, int(doc["payload_len"])).tolist())
-    else:
-        payload = cfg.payload
     cfg = replace(
         cfg,
         payload=payload,
@@ -130,6 +123,17 @@ def experiment_config(doc: dict) -> sim.ExperimentConfig:
         scrambler_seed=int(doc.get("scrambler_seed", cfg.scrambler_seed)),
     )
     cfg.validate()
+    # random payloads are drawn from the seed, so only once it is valid
+    max_len = zigbee.MAX_PAYLOAD_BYTES
+    for n in doc.get("payload_lens", []):
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= max_len:
+            raise ConfigError(f"payload_lens values must be integers in 0..{max_len}, got {n!r}")
+    if "payload_len" in doc and "payload_hex" not in doc:
+        n = doc["payload_len"]
+        if not 0 <= n <= max_len:
+            raise ConfigError(f"payload_len must be in 0..{max_len}, got {n}")
+        rng = make_rng(cfg.seed, 0xBEEF, n)
+        cfg = replace(cfg, payload=bytes(rng.integers(0, 256, n).tolist()))
     return cfg
 
 

@@ -59,6 +59,14 @@ QUANTIZER_MODES = ("trained", "webee", "wide", "nn-webee")
 # instead of two, roughly halving the irreducible CP chip damage.
 DEFAULT_LEAD_IN = 6
 
+# Largest finite |snr_db|: keeps the per-SNR noise stream key of
+# ``run_point`` (2**20 + round(1000 snr_db)) non-negative and finite.
+MAX_ABS_SNR_DB = 1000.0
+
+# Smallest tau_floor: below it the soft quantizer is a hard decision
+# already, and a smaller temperature only overflows the distances it divides.
+MIN_TAU = 1e-6
+
 
 @dataclass
 class ExperimentConfig:
@@ -91,24 +99,31 @@ class ExperimentConfig:
         if self.emulation_mode not in ("analog", "digital"):
             raise ConfigError(f"unknown emulation_mode {self.emulation_mode!r}")
         if len(self.payload) > zigbee.MAX_PAYLOAD_BYTES:
-            raise ConfigError(f"payload longer than {zigbee.MAX_PAYLOAD_BYTES} bytes")
+            raise ConfigError(f"payload_hex: payload of {len(self.payload)} bytes is longer "
+                              f"than {zigbee.MAX_PAYLOAD_BYTES}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.scrambler_seed < 128:
             raise ConfigError(f"scrambler_seed must be in 1..127, got {self.scrambler_seed}")
-        if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
-            raise ConfigError(f"snr_db values must be numbers or inf, got {list(self.snr_db)}")
-        if self.lead_in_samples < 0:
-            raise ConfigError(f"lead_in_samples must be >= 0, got {self.lead_in_samples}")
+        if not all(s == math.inf or abs(s) <= MAX_ABS_SNR_DB for s in self.snr_db):
+            raise ConfigError(f"snr_db values must be inf or within +-{MAX_ABS_SNR_DB:g} dB, "
+                              f"got {list(self.snr_db)}")
+        # the lead-in only sets where the chip grid falls within one symbol
+        if not 0 <= self.lead_in_samples < SYMBOL_LEN:
+            raise ConfigError(f"lead_in_samples must be in 0..{SYMBOL_LEN - 1}, "
+                              f"got {self.lead_in_samples}")
         if not 1 <= self.target_subcarrier_count <= N_DATA_SUBCARRIERS:
             raise ConfigError(f"target_subcarrier_count must be in 1..{N_DATA_SUBCARRIERS}, "
                               f"got {self.target_subcarrier_count}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not self.tau_floor > 0:
-            raise ConfigError(f"tau_floor must be > 0, got {self.tau_floor}")
+        # one Adam step moves the scales (which start at 1+0j) by about this
+        if not 0 < self.learning_rate <= 1:
+            raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
+        if not self.tau_floor >= MIN_TAU:
+            raise ConfigError(f"tau_floor must be >= {MIN_TAU:g}, got {self.tau_floor}")
         if not self.tau_start >= self.tau_floor:
             raise ConfigError(f"tau_start must be >= tau_floor ({self.tau_floor}), "
                               f"got {self.tau_start}")
@@ -177,9 +192,10 @@ def reference_chips(payload: bytes) -> np.ndarray:
     return zigbee.symbols_to_chips(zigbee.build_frame(payload))
 
 
-def baseline_quantize(target: ComplexSignal, mode: str, mcs: McsConfig,
-                      subcarriers, scales: np.ndarray | None = None) -> np.ndarray:
-    """Reference quantization rules mapping target bins to point indices.
+def baseline_quantize(z: np.ndarray, mode: str, mcs: McsConfig,
+                      scales: np.ndarray | None = None) -> np.ndarray:
+    """Reference quantization rules mapping the (S, m) target bins ``z``
+    (OFDM symbols by target subcarriers) to point indices.
 
     webee    : per-OFDM-symbol max-abs normalization, then nearest point.
     wide     : the point with the smallest wrapped phase difference to the
@@ -189,9 +205,6 @@ def baseline_quantize(target: ComplexSignal, mode: str, mcs: McsConfig,
                after the normalization (requires ``scales``); with a
                model's exported scales this is that model's quantizer.
     """
-    grid = ofdm_analyze(target)
-    cols = [sc + 32 for sc in subcarriers]
-    z = grid.bins[:, cols]
     const = mcs.constellation
     if mode in ("webee", "nn-webee"):
         w = z / symbol_peaks(z)[:, None]
@@ -288,11 +301,9 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
             train_seconds = time.perf_counter() - t0
             train_epochs = result.epochs_run
         mode, scales = "nn-webee", model.export_scales()
-    index_grid = baseline_quantize(target, mode, mcs, subs, scales=scales)
-
-    grid = ofdm_analyze(target)
     cols = [sc + 32 for sc in subs]
-    z = grid.bins[:, cols]
+    z = ofdm_analyze(target).bins[:, cols]
+    index_grid = baseline_quantize(z, mode, mcs, scales=scales)
     report = solve_payload(index_grid, mcs, cfg.scrambler_seed, subs,
                            bin_energy=np.abs(z) ** 2)
     tx = transmit_psdu(report.psdu, mcs, cfg.scrambler_seed)
@@ -330,12 +341,12 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
 
 def _known_timing_chip_errors(rx: ComplexSignal, expected: np.ndarray,
                               lead_in: int) -> float:
-    """Chip error rate with genie timing: sample at the known chip grid,
-    resolve only the quadrant ambiguity by best agreement."""
-    x = zigbee.channel_filter(rx).samples
+    """Chip error rate with genie timing: sample the channel-filtered
+    ``rx`` at the known chip grid, resolve only the quadrant ambiguity by
+    best agreement."""
     spc = int(rx.sample_rate_hz // zigbee.CHIP_RATE_HZ)
     n = len(expected)
-    w = zigbee._chip_samples(x, spc, n, offset=lead_in)
+    w = zigbee._chip_samples(rx.samples, spc, n, offset=lead_in)
     ref = 2.0 * expected.astype(np.float64) - 1.0
     best = None
     for stream in (w.real, w.imag):
@@ -360,8 +371,9 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     for trial in range(cfg.trials):
         rng = make_rng(cfg.seed, len(cfg.payload), snr_key, trial)
         noisy = awgn(plan.tx, snr_db, rng)
-        rx = frequency_shift(noisy, -cfg.delta_f_hz)
-        res = zigbee.decode_frame(rx, expected_payload=cfg.payload)
+        # one filter pass serves both the decoder and the genie chip errors
+        rx = zigbee.channel_filter(frequency_shift(noisy, -cfg.delta_f_hz))
+        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None)
         if res.detected:
             n_det += 1
             if res.payload == cfg.payload:

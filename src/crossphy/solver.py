@@ -11,9 +11,12 @@ reports every bit and subcarrier it could not hit.
 Rows of G come straight from the encoder taps.  Every coded bit, punctured
 or not, is the parity of x[t-6 .. t] under the g0 or g1 taps, and both
 generators tap x[t] and x[t-6]; so every row is a band of at most 7
-columns, held as ``(lead, mask)``.  The eliminator keeps bands within 7
-columns (see ``gf2``), which makes the solve linear in the number of
-constrained bits.  Only the constrained rows are built.
+columns, held as ``(lead, mask)``.  Bands are the one row format: the
+eliminator keeps them within 7 columns (see ``gf2``), which makes the
+solve linear in the number of constrained bits, and ``solve_payload``,
+the one solve entry point, builds only the constrained rows.
+``build_generator`` scatters every band into the dense matrix G, which
+serves only as the specification's oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CrossPhyError, DimensionError
-from .gf2 import Gf2Matrix, eliminate
+from .gf2 import eliminate
 from .wifi import (
     DATA_SUBCARRIERS,
     McsConfig,
@@ -32,20 +35,6 @@ from .wifi import (
     interleave_permutation,
 )
 from .wifi import G0_TAPS, G1_TAPS, _PUNCTURE_34_KEEP
-
-
-@dataclass
-class CodedBitTarget:
-    """Desired interleaved coded bits plus a constraint mask (1 = must hit)."""
-
-    y: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.uint8)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.y.shape != self.mask.shape:
-            raise DimensionError("y and mask must have equal length")
 
 
 @dataclass
@@ -90,11 +79,13 @@ def coded_bit_rows(positions, mcs: McsConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_generator(n_payload_bits: int, mcs: McsConfig, scrambler_seed: int):
-    """(G, c) with chain(x) = G x + c for all payload bit vectors x.
+    """(G, c) with chain(x) = (G @ x) % 2 ^ c for all payload bit vectors x.
 
-    Row j of G is built from the encoder taps by ``coded_bit_rows``; c is
-    the scrambler's affine offset chain(0).  G has
-    (n_payload_bits / n_dbps) * n_cbps rows.
+    G is a dense uint8 0/1 array of shape (n_coded, n_payload_bits), with
+    n_coded = (n_payload_bits / n_dbps) * n_cbps; row j is the band
+    ``coded_bit_rows`` gives for position j.  c is the scrambler's affine
+    offset chain(0).  The solver never builds G; it is the specification's
+    statement of the chain, for tests and demos.
     """
     if n_payload_bits % mcs.n_dbps != 0:
         raise DimensionError(
@@ -102,33 +93,10 @@ def build_generator(n_payload_bits: int, mcs: McsConfig, scrambler_seed: int):
         )
     c = coding_chain(np.zeros(n_payload_bits, dtype=np.uint8), mcs, scrambler_seed)
     lead, mask = coded_bit_rows(np.arange(len(c)), mcs)
-    return Gf2Matrix.from_bands(lead, mask, n_payload_bits), c
-
-
-def gf2_solve(G: Gf2Matrix, target: CodedBitTarget, c=None,
-              order: np.ndarray | None = None) -> SolveReport:
-    """Solve G x = y + c restricted to masked rows, greedily maximal.
-
-    ``order`` ranks the masked rows (indices into the masked subset); rows
-    conflicting with higher-priority ones are reported through their
-    original coded-bit positions.  Free variables are zero.
-    """
-    y = target.y
-    if len(y) != G.rows:
-        raise DimensionError(f"target length {len(y)} != {G.rows} rows")
-    rhs_full = y ^ (np.asarray(c, dtype=np.uint8) if c is not None else 0)
-    idx = np.nonzero(target.mask)[0]
-    rows = G.words[idx]
-    rhs = rhs_full[idx]
-    res = eliminate(rows, rhs, G.cols, order=order)
-    violated = [int(idx[i]) for i in res.violated]
-    return SolveReport(
-        x=res.x,
-        satisfied=len(idx) - len(violated),
-        violated_positions=sorted(violated),
-        rank=res.rank,
-        max_span=res.max_span,
-    )
+    r, k = np.nonzero((mask[:, None] >> np.arange(7)) & 1)
+    G = np.zeros((len(c), n_payload_bits), dtype=np.uint8)
+    G[r, lead[r] + k] = 1
+    return G, c
 
 
 def target_bit_positions(mcs: McsConfig, target_subcarriers, n_symbols: int) -> np.ndarray:

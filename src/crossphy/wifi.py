@@ -96,7 +96,7 @@ def constellation(name: str) -> Constellation:
     name = name.lower()
     n_bpsc = {"bpsk": 1, "qpsk": 2, "qam16": 4, "qam64": 6}.get(name)
     if n_bpsc is None:
-        raise ConfigError(f"unknown constellation {name!r}")
+        raise ConfigError(f"unknown modulation {name!r}")
     k_mod = _KMOD[n_bpsc]
     pts = np.empty(2**n_bpsc, dtype=np.complex128)
     if n_bpsc == 1:
@@ -121,7 +121,7 @@ class McsConfig:
 
     def __post_init__(self):
         if self.coding_rate not in ("1/2", "3/4"):
-            raise ConfigError(f"unsupported coding rate {self.coding_rate!r}")
+            raise ConfigError(f"unsupported coding_rate {self.coding_rate!r}")
 
     @property
     def n_bpsc(self) -> int:
@@ -223,7 +223,7 @@ def convolutional_encode(bits, rate: str = "1/2") -> np.ndarray:
             raise DimensionError("rate 3/4 needs an input multiple of 3 bits")
         keep = np.tile(_PUNCTURE_34_KEEP, len(out) // 6)
         return out[keep]
-    raise ConfigError(f"unsupported coding rate {rate!r}")
+    raise ConfigError(f"unsupported coding_rate {rate!r}")
 
 
 # ---------------------------------------------------------------------------

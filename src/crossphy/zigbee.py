@@ -207,18 +207,18 @@ def _sync_pattern() -> np.ndarray:
 def decode_frame(
     sig: ComplexSignal,
     expected_payload: bytes | None = None,
-    sync_threshold: float = SYNC_THRESHOLD,
     filter_cutoff_hz: float | None = RX_FILTER_CUTOFF_HZ,
-    timing_search: bool = True,
 ) -> DecodeResult:
     """Correlate for preamble+SFD, then demap 32-chip windows to symbols.
 
     The sync search covers sample-level timing (one chip period), the even/
     odd chip-rail pairing, and the four-fold O-QPSK phase ambiguity (I/Q
     rail swap and sign).  Detection requires the best normalized hard-chip
-    correlation over the 320-chip sync pattern to reach ``sync_threshold``.
+    correlation over the 320-chip sync pattern to reach ``SYNC_THRESHOLD``.
     ``ser`` and ``chip_error_rate`` are computed against
-    ``expected_payload`` when given, else reported as NaN.
+    ``expected_payload`` when given, else reported as NaN.  Pass
+    ``filter_cutoff_hz=None`` for a signal already through
+    ``channel_filter``.
     """
     spc = _samples_per_chip(sig.sample_rate_hz)
     x = channel_filter(sig, filter_cutoff_hz).samples if filter_cutoff_hz else sig.samples
@@ -227,8 +227,7 @@ def decode_frame(
     alt = np.where(np.arange(n_pat) % 2 == 0, 1.0, -1.0)
 
     best = None  # (corr_mag, corr_signed, offset, lag, use_imag, alternated)
-    offsets = range(spc) if timing_search else (0,)
-    for off in offsets:
+    for off in range(spc):
         n_chips = max(0, -((off - len(x)) // spc))  # ceil; tail chip clamps
         if n_chips < n_pat:
             continue
@@ -248,7 +247,7 @@ def decode_frame(
                 if best is None or abs(c) > best[0]:
                     best = (abs(c), c, off, lag, use_imag, alternated)
 
-    if best is None or best[0] < sync_threshold:
+    if best is None or best[0] < SYNC_THRESHOLD:
         return DecodeResult(False, None, float("nan"), float("nan"),
                             sync_corr=0.0 if best is None else best[0])
 

@@ -130,10 +130,12 @@ def test_05_gf2_solver_consistent_systems():
             seed = int(rng.integers(1, 128))
             G, c = solver.build_generator(n, mcs, seed)
             x_true = rng.integers(0, 2, n).astype(np.uint8)
-            y = G.matvec(x_true) ^ c
+            y = (G @ x_true) % 2 ^ c
+            # labels on all 48 data subcarriers: every coded bit is masked
+            b = mcs.n_bpsc
+            grid = y.reshape(-1, len(wifi.DATA_SUBCARRIERS), b) @ (1 << np.arange(b - 1, -1, -1))
             t0 = time.time()
-            rep = solver.gf2_solve(
-                G, solver.CodedBitTarget(y, np.ones(len(y), dtype=bool)), c)
+            rep = solver.solve_payload(grid, mcs, seed, wifi.DATA_SUBCARRIERS)
             assert time.time() - t0 < 1.0
             assert not rep.violated_positions
             assert np.array_equal(wifi.coding_chain(rep.x, mcs, seed), y)

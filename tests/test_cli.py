@@ -220,6 +220,7 @@ class TestConfigValidation:
         ({"tau_start": 0.01, "tau_floor": 0.05}, "tau_start"),
         ({"tau_decay": 0}, "tau_decay"),
         ({"tau_decay": 1.5}, "tau_decay"),
+        ({"tau_floor": 1e-323, "tau_decay": 5e-324}, "tau_floor"),
     ])
     def test_training_settings_rejected(self, tmp_path, capsys, doc, key):
         rc, err = _config_exit(tmp_path, capsys, doc)
@@ -236,6 +237,15 @@ class TestConfigValidation:
         ({"modulation": 64}, "modulation"),
     ])
     def test_json_value_types_checked(self, tmp_path, capsys, doc, key):
+        rc, err = _config_exit(tmp_path, capsys, doc)
+        assert rc == cli.EXIT_CONFIG
+        assert key in err
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"modulation": "qam8"}, "modulation"),
+        ({"coding_rate": ""}, "coding_rate"),
+    ])
+    def test_unknown_mcs_names_its_key(self, tmp_path, capsys, doc, key):
         rc, err = _config_exit(tmp_path, capsys, doc)
         assert rc == cli.EXIT_CONFIG
         assert key in err
@@ -257,11 +267,26 @@ class TestConfigValidation:
         (["--delta-f-hz", "nan"], "delta_f_hz"),
         (["--payload-len", "-5"], "payload_len"),
         (["--payload-lens", "2,x"], "payload_lens"),
+        (["--payload-lens=-5"], "payload_lens"),
+        (["--payload-lens", "4,200"], "payload_lens"),
+        (["--seed=-1"], "seed"),
+        (["--snr-db=-1e300"], "snr_db"),
+        (["--snr-db", "1e300"], "snr_db"),
+        (["--snr-db", "inf,1000.5"], "snr_db"),
+        (["--learning-rate", "1e200"], "learning_rate"),
+        (["--learning-rate", "1.5"], "learning_rate"),
+        (["--lead-in-samples", "80"], "lead_in_samples"),
+        (["--lead-in-samples", "100000000000"], "lead_in_samples"),
     ])
     def test_bad_flags_are_config_errors(self, capsys, flags, key):
         rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)
         assert rc == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    def test_range_limits_accepted(self):
+        cfg = cli.experiment_config({"seed": 0, "snr_db": [-1000, 1000, "inf"],
+                                     "learning_rate": 1.0, "lead_in_samples": 79})
+        assert cfg.learning_rate == 1.0 and cfg.lead_in_samples == 79
 
     def test_all_48_data_subcarriers_accepted(self, tmp_path):
         out = tmp_path / "s.json"

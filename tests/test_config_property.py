@@ -1,0 +1,93 @@
+"""Property test over the config surface: every config either runs
+(exit 0) or is refused as a configuration error (exit 2) naming a key it
+sets; no input escapes as a traceback (exit 1) or a runtime failure
+(exit 3)."""
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from crossphy import cli  # noqa: E402
+
+_ANY_INT = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 1e-300, 1e300]))
+_ANY_TEXT = st.text(max_size=4)
+
+# Values inside each key's accepted range, so most examples run end to end
+# (payloads, epochs and trials stay small to bound the run time) ...
+_VALID = {
+    "payload_hex": st.binary(max_size=3).map(bytes.hex),
+    "payload_len": st.integers(0, 3),
+    "delta_f_hz": st.floats(-8.5e6, 8.5e6),
+    "modulation": st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"]),
+    "coding_rate": st.sampled_from(["1/2", "3/4"]),
+    "emulation_mode": st.sampled_from(["analog", "digital"]),
+    "quantizer_mode": st.sampled_from(["trained", "webee", "wide", "nn-webee"]),
+    "snr_db": st.lists(st.one_of(st.floats(-1000, 1000), st.just("inf")), max_size=2),
+    "trials": st.integers(1, 2),
+    "seed": st.integers(0, 2**70),
+    "epochs": st.integers(1, 2),
+    "learning_rate": st.floats(0, 1, exclude_min=True),
+    "tau_start": st.floats(0.05, 1e6),
+    "tau_decay": st.floats(0, 1, exclude_min=True),
+    "tau_floor": st.floats(1e-6, 0.05),
+    "target_subcarrier_count": st.integers(1, 48),
+    "lead_in_samples": st.integers(0, 79),
+    "scrambler_seed": st.integers(1, 127),
+}
+# ... and any value of the key's JSON type for the one key an example
+# perturbs (epochs and trials reach every invalid value but no large
+# valid one).
+_ANY = {
+    "payload_hex": st.one_of(st.binary(max_size=130).map(bytes.hex), _ANY_TEXT),
+    "payload_len": _ANY_INT,
+    "delta_f_hz": _ANY_FLOAT,
+    "modulation": _ANY_TEXT,
+    "coding_rate": _ANY_TEXT,
+    "emulation_mode": _ANY_TEXT,
+    "quantizer_mode": _ANY_TEXT,
+    "snr_db": st.lists(st.one_of(_ANY_FLOAT, _ANY_TEXT), max_size=3),
+    "trials": st.integers(-2**70, 2),
+    "seed": _ANY_INT,
+    "epochs": st.integers(-2**70, 2),
+    "learning_rate": _ANY_FLOAT,
+    "tau_start": _ANY_FLOAT,
+    "tau_decay": _ANY_FLOAT,
+    "tau_floor": _ANY_FLOAT,
+    "target_subcarrier_count": _ANY_INT,
+    "lead_in_samples": _ANY_INT,
+    "scrambler_seed": _ANY_INT,
+}
+
+
+@st.composite
+def configs(draw):
+    # epochs is always set: the default of 300 would make trained examples slow
+    optional = {k: v for k, v in _VALID.items() if k != "epochs"}
+    doc = draw(st.fixed_dictionaries({"epochs": _VALID["epochs"]}, optional=optional))
+    key = draw(st.none() | st.sampled_from(sorted(_ANY)))
+    if key is not None:
+        doc[key] = draw(_ANY[key])
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_every_config_runs_or_names_its_bad_key(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["evaluate", "--config", path])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (rc, err.getvalue())
+    if rc == cli.EXIT_CONFIG:
+        assert any(key in err.getvalue() for key in doc), err.getvalue()

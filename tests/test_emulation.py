@@ -18,8 +18,9 @@ def zigbee_target(n_symbols=1, delta_f=-3.125e6, seed=0):
 
 def model_indices(model, target):
     """The model's quantizer: the nn-webee rule with its exported scales."""
-    return sim.baseline_quantize(target, "nn-webee", wifi.mcs_config(model.const.name),
-                                 model.target_subcarriers, scales=model.export_scales())
+    z = wifi.ofdm_analyze(target).bins[:, [m + 32 for m in model.target_subcarriers]]
+    return sim.baseline_quantize(z, "nn-webee", wifi.mcs_config(model.const.name),
+                                 scales=model.export_scales())
 
 
 def hard_reconstruction(model, target):

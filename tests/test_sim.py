@@ -50,6 +50,10 @@ class TestTargetSubcarriers:
         assert len(sim.target_subcarriers(0.0, 5)) == 5
 
 
+def target_bins(sig, subs):
+    return wifi.ofdm_analyze(sig).bins[:, [m + 32 for m in subs]]
+
+
 class TestBaselineQuantize:
     def setup_method(self):
         self.mcs = wifi.mcs_config("qam64", "1/2")
@@ -69,7 +73,7 @@ class TestBaselineQuantize:
         cols = [m + 32 for m in self.subs]
         grid[:, cols] = 0.4 * pts
         sig = wifi.synthesize(FreqGrid(grid))
-        got = sim.baseline_quantize(sig, "webee", self.mcs, self.subs)
+        got = sim.baseline_quantize(target_bins(sig, self.subs), "webee", self.mcs)
         peak = np.max(np.abs(pts), axis=1, keepdims=True)
         expect = const.nearest(pts / peak)
         assert np.array_equal(got, expect)
@@ -78,9 +82,9 @@ class TestBaselineQuantize:
         grid = wifi.ofdm_analyze(self.target)
         cols = [m + 32 for m in self.subs]
         z = grid.bins[:, cols]
-        a = sim.baseline_quantize(self.target, "wide", self.mcs, self.subs)
+        a = sim.baseline_quantize(z, "wide", self.mcs)
         scaled = dsp.ComplexSignal(self.target.samples * 7.5, self.target.sample_rate_hz)
-        b = sim.baseline_quantize(scaled, "wide", self.mcs, self.subs)
+        b = sim.baseline_quantize(target_bins(scaled, self.subs), "wide", self.mcs)
         assert np.array_equal(a, b)
         # chosen points share the wrapped-phase-nearest property on every
         # bin that carries real content (zero bins have no phase)
@@ -98,17 +102,18 @@ class TestBaselineQuantize:
         mx = np.max(np.abs(z), axis=1, keepdims=True)
         live = mx[:, 0] > 0  # the all-zero padding symbol has no defined scale
         expect = self.mcs.constellation.nearest(z[live] / mx[live])
-        got = sim.baseline_quantize(self.target, "webee", self.mcs, self.subs)
+        got = sim.baseline_quantize(z, "webee", self.mcs)
         assert np.array_equal(got[live], expect)
 
     def test_nn_webee_requires_scales(self):
         with pytest.raises(ConfigError):
-            sim.baseline_quantize(self.target, "nn-webee", self.mcs, self.subs)
+            sim.baseline_quantize(target_bins(self.target, self.subs), "nn-webee", self.mcs)
 
     def test_nn_webee_with_unit_scales_equals_webee(self):
         ones = np.ones(len(self.subs), dtype=complex)
-        a = sim.baseline_quantize(self.target, "nn-webee", self.mcs, self.subs, scales=ones)
-        b = sim.baseline_quantize(self.target, "webee", self.mcs, self.subs)
+        z = target_bins(self.target, self.subs)
+        a = sim.baseline_quantize(z, "nn-webee", self.mcs, scales=ones)
+        b = sim.baseline_quantize(z, "webee", self.mcs)
         assert np.array_equal(a, b)
 
 
@@ -139,6 +144,27 @@ class TestPipeline:
     def test_transmit_length_matches_target(self):
         plan = sim.plan_frame(small_cfg())
         assert len(plan.tx) == len(plan.target)
+
+    def test_one_target_analysis_per_plan(self, monkeypatch):
+        calls = []
+        real = sim.ofdm_analyze
+        monkeypatch.setattr(sim, "ofdm_analyze", lambda sig: calls.append(sig) or real(sig))
+        plan = sim.plan_frame(small_cfg())
+        assert len(calls) == 2  # the target, then the transmit waveform
+        assert calls[0] is plan.target and calls[1] is plan.tx
+
+    def test_one_channel_filter_pass_per_trial(self, monkeypatch):
+        calls = []
+        real = zigbee.channel_filter
+
+        def counting(sig, *args, **kwargs):
+            calls.append(sig)
+            return real(sig, *args, **kwargs)
+
+        monkeypatch.setattr(zigbee, "channel_filter", counting)
+        plan = sim.plan_frame(small_cfg())
+        sim.run_point(replace(plan, config=replace(plan.config, trials=3)), 8.0)
+        assert len(calls) == 3
 
     def test_trained_mode_produces_model(self):
         cfg = small_cfg(quantizer_mode="trained", payload=bytes([9, 9]))

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from crossphy import solver, wifi
+from crossphy import gf2, solver, wifi
 from crossphy.dsp import make_rng
 from crossphy.errors import DimensionError
-from crossphy.solver import CodedBitTarget
 
 SEED = wifi.DEFAULT_SCRAMBLER_SEED
 SUBS = (-14, -13, -12, -11, -10, -9, -8)
+
+
+def label_grid(y, mcs):
+    """Point indices on all 48 data subcarriers whose MSB-first labels are
+    the interleaved coded bits y, so every coded bit is masked."""
+    b = mcs.n_bpsc
+    return y.reshape(-1, len(wifi.DATA_SUBCARRIERS), b) @ (1 << np.arange(b - 1, -1, -1))
 
 
 class TestBuildGenerator:
@@ -15,7 +21,7 @@ class TestBuildGenerator:
         mcs = wifi.mcs_config("qam64", "1/2")
         n = 2 * mcs.n_dbps
         G, c = solver.build_generator(n, mcs, SEED)
-        assert (G.rows, G.cols) == (2 * n, n)
+        assert G.shape == (2 * n, n)
         assert len(c) == 2 * n
 
     def test_unit_vector_columns(self):
@@ -26,10 +32,11 @@ class TestBuildGenerator:
         for i in rng.integers(0, n, 20):
             e = np.zeros(n, dtype=np.uint8)
             e[i] = 1
-            assert np.array_equal(wifi.coding_chain(e, mcs, SEED), G.matvec(e) ^ c)
+            assert np.array_equal(wifi.coding_chain(e, mcs, SEED), (G @ e) % 2 ^ c)
 
-    @pytest.mark.parametrize("modulation,rate", [("qam64", "1/2"), ("bpsk", "1/2"),
-                                                 ("qam16", "3/4")])
+    @pytest.mark.parametrize("modulation,rate", [
+        ("qam64", "1/2"), ("bpsk", "1/2"), ("qam16", "3/4"), ("bpsk", "3/4"),
+        ("qpsk", "1/2"), ("qpsk", "3/4"), ("qam16", "1/2"), ("qam64", "3/4")])
     def test_affine_identity_random_inputs(self, modulation, rate):
         mcs = wifi.mcs_config(modulation, rate)
         n = 2 * mcs.n_dbps
@@ -37,7 +44,7 @@ class TestBuildGenerator:
         rng = make_rng(1)
         for _ in range(5):
             x = rng.integers(0, 2, n).astype(np.uint8)
-            assert np.array_equal(wifi.coding_chain(x, mcs, SEED), G.matvec(x) ^ c)
+            assert np.array_equal(wifi.coding_chain(x, mcs, SEED), (G @ x) % 2 ^ c)
 
     def test_offset_is_scrambler_contribution(self):
         mcs = wifi.mcs_config("qam64", "1/2")
@@ -53,32 +60,27 @@ class TestBuildGenerator:
 
 class TestGf2Solve:
     def test_identity_full_mask(self):
-        from crossphy.gf2 import Gf2Matrix
-
-        G = Gf2Matrix.from_dense(np.eye(8, dtype=np.uint8))
         y = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         c = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        rep = solver.gf2_solve(G, CodedBitTarget(y, np.ones(8, dtype=bool)), c)
-        assert np.array_equal(rep.x, y ^ c)
-        assert rep.satisfied == 8 and not rep.violated_positions
+        res = gf2.eliminate(np.eye(8, dtype=np.uint8), y ^ c, 8)
+        assert np.array_equal(res.x, y ^ c)
+        assert res.satisfied == 8 and not res.violated
 
     def test_all_dont_care_gives_zero(self):
-        from crossphy.gf2 import Gf2Matrix
-
         rng = make_rng(2)
-        G = Gf2Matrix.from_dense(rng.integers(0, 2, (12, 6)).astype(np.uint8))
+        G = rng.integers(0, 2, (12, 6)).astype(np.uint8)
         y = rng.integers(0, 2, 12).astype(np.uint8)
-        rep = solver.gf2_solve(G, CodedBitTarget(y, np.zeros(12, dtype=bool)))
-        assert not rep.x.any() and not rep.violated_positions
+        mask = np.zeros(12, dtype=bool)
+        res = gf2.eliminate(G[mask], y[mask], 6)
+        assert not res.x.any() and not res.violated
 
     def test_consistent_chain_target(self):
         mcs = wifi.mcs_config("qam16", "1/2")
         n = 2 * mcs.n_dbps
-        G, c = solver.build_generator(n, mcs, SEED)
         rng = make_rng(3)
         x_true = rng.integers(0, 2, n).astype(np.uint8)
         y = wifi.coding_chain(x_true, mcs, SEED)
-        rep = solver.gf2_solve(G, CodedBitTarget(y, np.ones(len(y), dtype=bool)), c)
+        rep = solver.solve_payload(label_grid(y, mcs), mcs, SEED, wifi.DATA_SUBCARRIERS)
         assert not rep.violated_positions
         assert np.array_equal(wifi.coding_chain(rep.x, mcs, SEED), y)
 
@@ -218,19 +220,20 @@ class TestBandedRows:
         G, c = solver.build_generator(n_sym * mcs.n_dbps, mcs, SEED)
         pos = solver.target_bit_positions(mcs, subs, n_sym).reshape(-1)
         b = mcs.n_bpsc
-        y = np.zeros(G.rows, dtype=np.uint8)
+        y = np.zeros(len(G), dtype=np.uint8)
         y[pos] = ((intended[..., None] >> np.arange(b - 1, -1, -1)) & 1).reshape(-1)
-        mask = np.zeros(G.rows, dtype=bool)
+        mask = np.zeros(len(G), dtype=bool)
         mask[pos] = True
-        prio = np.zeros(G.rows)
+        prio = np.zeros(len(G))
         prio[pos] = np.repeat(energy.reshape(-1), b)
-        order = np.argsort(-prio[np.nonzero(mask)[0]], kind="stable")
-        ref = solver.gf2_solve(G, CodedBitTarget(y, mask), c, order=order)
+        masked = np.nonzero(mask)[0]
+        order = np.argsort(-prio[masked], kind="stable")
+        ref = gf2.eliminate(G[masked], (y ^ c)[masked], G.shape[1], order=order)
 
         assert rep.violated_positions  # over-constrained, so the order matters
         assert np.array_equal(rep.x, ref.x)
         assert rep.rank == ref.rank
-        assert rep.violated_positions == ref.violated_positions
+        assert rep.violated_positions == sorted(masked[ref.violated].tolist())
 
     def test_pinned_webee_psdu(self):
         # PSDU of this plan as produced by the dense eliminator the banded
