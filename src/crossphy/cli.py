@@ -15,7 +15,7 @@ from dataclasses import replace
 from . import sim, zigbee
 from .dsp import make_rng
 from .emulation import EmulationConfig, EmulationModel, load_model, save_model
-from .errors import ConfigError, CrossPhyError
+from .errors import ConfigError, CrossPhyError, DimensionError, DomainError
 from .iqfile import read_cf32, write_cf32
 from .wifi import SAMPLE_RATE_HZ, transmit_psdu
 
@@ -233,7 +233,10 @@ def cmd_zigbee_mod(cfg, doc):
 def cmd_zigbee_demod(cfg, doc):
     if not doc.get("iq_out"):
         raise ConfigError("zigbee-demod needs iq_out pointing at the cf32 file to decode")
-    sig = read_cf32(doc["iq_out"], SAMPLE_RATE_HZ)
+    try:
+        sig = read_cf32(doc["iq_out"], SAMPLE_RATE_HZ)
+    except (DimensionError, DomainError) as e:
+        raise ConfigError(f"key iq_out: {e}")
     expected = cfg.payload if "payload_hex" in doc else None
     res = zigbee.decode_frame(sig, expected_payload=expected)
     _emit(sim.summary_json(cfg, [], extra={

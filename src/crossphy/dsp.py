@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,10 +117,19 @@ def idft(bins) -> np.ndarray:
     return np.fft.ifft(bins)
 
 
+@lru_cache(maxsize=8)
+def _rotation(length: int, delta_f_hz: float, fs_hz: float) -> np.ndarray:
+    # channel trials shift same-length signals by the same offset, so the
+    # exp runs once per (length, offset, rate); read-only because shared
+    n = np.arange(length)
+    rot = np.exp(2j * np.pi * delta_f_hz * n / fs_hz)
+    rot.flags.writeable = False
+    return rot
+
+
 def frequency_shift(sig: ComplexSignal, delta_f_hz: float) -> ComplexSignal:
     """Multiply by a complex exponential: ``out[n] = s[n] exp(j 2 pi df n / fs)``."""
-    n = np.arange(len(sig.samples))
-    rot = np.exp(2j * np.pi * delta_f_hz * n / sig.sample_rate_hz)
+    rot = _rotation(len(sig.samples), delta_f_hz, sig.sample_rate_hz)
     return ComplexSignal(sig.samples * rot, sig.sample_rate_hz)
 
 

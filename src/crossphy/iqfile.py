@@ -23,9 +23,16 @@ def write_cf32(path, sig: ComplexSignal) -> None:
 
 
 def read_cf32(path, sample_rate_hz: float) -> ComplexSignal:
-    """Read interleaved float32 I/Q pairs; the caller supplies the rate."""
-    flat = np.fromfile(path, dtype="<f4")
-    if len(flat) % 2 != 0:
-        raise DimensionError(f"{path}: odd float count {len(flat)}, not valid cf32")
+    """Read interleaved float32 I/Q pairs; the caller supplies the rate.
+
+    The byte count must be a multiple of 8 (one I/Q pair); an empty file
+    is zero samples.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) % 8 != 0:
+        raise DimensionError(f"{path}: {len(raw)} bytes is not a whole number of "
+                             f"8-byte I/Q pairs, not valid cf32")
+    flat = np.frombuffer(raw, dtype="<f4")
     samples = flat[0::2].astype(np.float64) + 1j * flat[1::2].astype(np.float64)
     return ComplexSignal(samples, sample_rate_hz)

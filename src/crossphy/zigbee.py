@@ -6,6 +6,12 @@ LS-nibble first), 4-bit symbol to 32-chip spreading, half-sine O-QPSK at
 sampling on the MSK lattice, preamble/SFD synchronization with timing and
 quadrant-ambiguity search, and chip-correlation symbol decisions.
 
+The sync search correlates the hard-chip streams of every timing offset
+and both rails with the 320-chip preamble+SFD pattern in one real-FFT
+pass.  Each correlation is a sum of 320 products of +-1, an integer, and
+the FFT's rounding error is around 1e-12, so rounding the FFT output to the
+nearest integer gives exactly the values a direct correlation would.
+
 The chip sequences are transcribed from the 2450 MHz O-QPSK symbol-to-chip
 table of IEEE Std 802.15.4 (Table 12-1 in the 2020 revision), chip c0 first.
 """
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import firwin
 
 from .dsp import ComplexSignal
@@ -51,6 +58,7 @@ _CHIP_TABLE_PM = 2.0 * CHIP_TABLE.astype(np.float64) - 1.0
 PREAMBLE_SYMBOLS = (0,) * 8
 SFD_SYMBOLS = (0x7, 0xA)  # byte 0xA7, LS nibble first
 SYNC_SYMBOLS = PREAMBLE_SYMBOLS + SFD_SYMBOLS
+SYNC_CHIPS = CHIPS_PER_SYMBOL * len(SYNC_SYMBOLS)  # 320
 
 # Receiver defaults, calibrated at the bench: the low-pass keeps the chip
 # main lobe while rejecting energy on out-of-channel OFDM subcarriers; the
@@ -151,17 +159,30 @@ def _rx_taps(fs_hz: float, cutoff_hz: float) -> np.ndarray:
 
 
 def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ) -> ComplexSignal:
-    """Receiver channel-selection low-pass (zero-delay symmetric FIR)."""
+    """Receiver channel-selection low-pass (zero-delay symmetric FIR).
+
+    The output has ``len(sig)`` samples for every input length, the empty
+    signal included.
+    """
     taps = _rx_taps(sig.sample_rate_hz, cutoff_hz)
-    return ComplexSignal(np.convolve(sig.samples, taps, mode="same"), sig.sample_rate_hz)
+    x = sig.samples
+    if not len(x):
+        return ComplexSignal(x.copy(), sig.sample_rate_hz)
+    # the centred len(x) of the full convolution: mode "same" computes the
+    # same sums but returns max(len(x), len(taps)) samples
+    half = (len(taps) - 1) // 2
+    return ComplexSignal(np.convolve(x, taps)[half : half + len(x)], sig.sample_rate_hz)
 
 
-def _chip_samples(samples: np.ndarray, spc: int, n_chips: int, offset: int = 0) -> np.ndarray:
+def _chip_samples(samples: np.ndarray, spc: int, n_chips: int,
+                  offset: int | np.ndarray = 0) -> np.ndarray:
     """Complex values at the chip pulse peaks, derotated onto one rail.
 
     Chip ``k`` peaks at sample ``offset + (k+1)*spc``; even chips lie on the
     I axis and odd chips on Q, so multiplying by ``(-j)^(k mod 2)`` folds
-    both onto the real axis (up to the O-QPSK quadrant ambiguity).
+    both onto the real axis (up to the O-QPSK quadrant ambiguity).  Chips
+    past the end read the last sample.  An ``offset`` column of shape
+    ``(k, 1)`` gives one row of ``n_chips`` values per offset.
     """
     idx = np.minimum(offset + (np.arange(n_chips) + 1) * spc, len(samples) - 1)
     u = samples[idx]
@@ -204,6 +225,72 @@ def _sync_pattern() -> np.ndarray:
     return 2.0 * symbols_to_chips(np.array(SYNC_SYMBOLS)) - 1.0
 
 
+@lru_cache(maxsize=8)
+def _sync_spectra(n_fft: int) -> np.ndarray:
+    """Spectral weights ``(parity, chip phase, bin)`` of the sync search.
+
+    Split a hard-chip stream into its even chips ``e`` and odd chips ``o``,
+    and the pattern into ``pe`` and ``po``.  At even lag ``2m`` the plain
+    pattern scores ``sum_i e[m+i] pe[i] + o[m+i] po[i]``; at odd lag
+    ``2m+1`` the alternated pattern (odd chips negated) scores
+    ``sum_i o[m+i] pe[i] - e[m+1+i] po[i]``.  Both are sums of half-length
+    correlations, so they come from the spectra of ``e`` and ``o`` times
+    these conjugate pattern spectra; the phase ramp is the one-chip
+    advance of ``e``.
+    """
+    pattern = _sync_pattern()
+    pe, po = np.conj(rfft(np.stack([pattern[0::2], pattern[1::2]]), n_fft))
+    advance = np.exp(2j * np.pi * np.arange(len(pe)) / n_fft)
+    spectra = np.array([[pe, po], [-po * advance, pe]])
+    spectra.flags.writeable = False
+    return spectra
+
+
+def _hard_halves(x: np.ndarray, spc: int, n_half: int) -> np.ndarray:
+    """Hard chips of every timing offset as +-1 (``sign``, with 0 -> +1).
+
+    Axes are ``(offset, rail, phase, i)`` for chip ``2i + phase`` of the
+    real (rail 0) or imaginary (rail 1) part of the derotated chip samples.
+    """
+    chips = _chip_samples(x, spc, 2 * n_half, offset=np.arange(spc)[:, None])
+    hard = np.stack([chips.real >= 0, chips.imag >= 0], axis=1)
+    return np.where(hard.reshape(spc, 2, n_half, 2).swapaxes(2, 3), 1.0, -1.0)
+
+
+def _sync_search(x: np.ndarray, spc: int):
+    """Best preamble+SFD match of the filtered samples ``x``.
+
+    Searches every timing offset in one chip period, both chip rails and
+    both pattern parities: the plain pattern at even lags, the alternated
+    one at odd lags (the I/Q lattice).  All ``(offset, rail, parity,
+    lag // 2)`` correlations come from one real-FFT pass over the hard
+    chips (see ``_sync_spectra``), rounded to the integers they are and
+    divided by the pattern length.
+
+    Returns ``(corr, offset, lag, use_imag, alternated)`` for the largest
+    ``|corr|``, the first in ``(offset, rail, parity, lag)`` order on ties,
+    or None when no offset holds a full pattern of chips.
+    """
+    n_chips = -((np.arange(spc) - len(x)) // spc)  # per offset; ceil, tail chip clamps
+    if n_chips[0] < SYNC_CHIPS:
+        return None
+    # offsets may hold one chip fewer than offset 0; chips past an offset's
+    # own count read the clamped last sample and only enter masked lags
+    n_half = (int(n_chips[0]) + 1) // 2
+    last = (n_chips[:, None] - SYNC_CHIPS - np.arange(2)) // 2  # last valid m per parity
+    n_fft = next_fast_len(n_half, real=True)
+    # (offset, rail, parity, m) for lag 2m + parity
+    corr = irfft(np.einsum("orcb,pcb->orpb", rfft(_hard_halves(x, spc, n_half), n_fft),
+                           _sync_spectra(n_fft)), n_fft)[..., : int(last.max()) + 1]
+    np.rint(corr, out=corr)
+    score = np.abs(corr)
+    np.copyto(score, -1.0, where=np.arange(corr.shape[-1]) > last[:, None, :, None])
+    best = int(np.argmax(score))
+    off, rail, parity, half_lag = np.unravel_index(best, corr.shape)
+    return (float(corr.flat[best]) / SYNC_CHIPS, int(off), int(2 * half_lag + parity),
+            bool(rail), bool(parity))
+
+
 def decode_frame(
     sig: ComplexSignal,
     expected_payload: bytes | None = None,
@@ -213,46 +300,25 @@ def decode_frame(
 
     The sync search covers sample-level timing (one chip period), the even/
     odd chip-rail pairing, and the four-fold O-QPSK phase ambiguity (I/Q
-    rail swap and sign).  Detection requires the best normalized hard-chip
-    correlation over the 320-chip sync pattern to reach ``SYNC_THRESHOLD``.
-    ``ser`` and ``chip_error_rate`` are computed against
-    ``expected_payload`` when given, else reported as NaN.  Pass
-    ``filter_cutoff_hz=None`` for a signal already through
-    ``channel_filter``.
+    rail swap and sign).  It computes all of these hard-chip correlations
+    with one real-FFT correlation and rounds them to integers, which makes
+    them exactly equal to direct correlation sums (see ``_sync_search``).
+    Detection requires the best normalized correlation over the 320-chip
+    sync pattern to reach ``SYNC_THRESHOLD``; a signal too short for the
+    pattern is not detected and reports ``sync_corr`` 0.  ``ser`` and
+    ``chip_error_rate`` are computed against ``expected_payload`` when
+    given, else reported as NaN.  Pass ``filter_cutoff_hz=None`` for a
+    signal already through ``channel_filter``.
     """
     spc = _samples_per_chip(sig.sample_rate_hz)
     x = channel_filter(sig, filter_cutoff_hz).samples if filter_cutoff_hz else sig.samples
-    pattern = _sync_pattern()
-    n_pat = len(pattern)
-    alt = np.where(np.arange(n_pat) % 2 == 0, 1.0, -1.0)
-
-    best = None  # (corr_mag, corr_signed, offset, lag, use_imag, alternated)
-    for off in range(spc):
-        n_chips = max(0, -((off - len(x)) // spc))  # ceil; tail chip clamps
-        if n_chips < n_pat:
-            continue
-        w = _chip_samples(x, spc, n_chips, offset=off)
-        for use_imag, stream in ((False, np.sign(w.real)), (True, np.sign(w.imag))):
-            stream = np.where(stream == 0, 1.0, stream)
-            for alternated, pat in ((False, pattern), (True, pattern * alt)):
-                corr = np.correlate(stream, pat) / n_pat
-                # pattern parity must match lag parity (I/Q lattice)
-                lag0 = 1 if alternated else 0
-                if len(corr) <= lag0:
-                    continue
-                sub = corr[lag0::2]
-                i = int(np.argmax(np.abs(sub)))
-                lag = lag0 + 2 * i
-                c = float(sub[i])
-                if best is None or abs(c) > best[0]:
-                    best = (abs(c), c, off, lag, use_imag, alternated)
-
-    if best is None or best[0] < SYNC_THRESHOLD:
+    best = _sync_search(x, spc)
+    if best is None or abs(best[0]) < SYNC_THRESHOLD:
         return DecodeResult(False, None, float("nan"), float("nan"),
-                            sync_corr=0.0 if best is None else best[0])
+                            sync_corr=0.0 if best is None else abs(best[0]))
 
-    _, c, off, lag, use_imag, alternated = best
-    n_chips = max(0, -((off - len(x)) // spc))
+    c, off, lag, use_imag, alternated = best
+    n_chips = -((off - len(x)) // spc)
     w = _chip_samples(x, spc, n_chips, offset=off)
     soft = w.imag if use_imag else w.real
     soft = np.sign(c) * soft
@@ -266,7 +332,7 @@ def decode_frame(
         pm = chips.astype(np.float64).reshape(-1, CHIPS_PER_SYMBOL) * 2 - 1
         return np.argmax(pm @ _CHIP_TABLE_PM.T, axis=1)
 
-    data_start = lag + n_pat
+    data_start = lag + SYNC_CHIPS
     avail = (n_chips - data_start) // CHIPS_PER_SYMBOL
     if avail < 2:
         return DecodeResult(False, None, float("nan"), float("nan"), sync_corr=abs(c))

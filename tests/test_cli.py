@@ -74,6 +74,23 @@ class TestSubcommands:
         assert demod["payload_hex"] == "0102030405"
         assert demod["ser"] == 0.0
 
+    @pytest.mark.parametrize("raw", [b"abc", np.ones(3, dtype="<f4").tobytes()],
+                             ids=["truncated", "odd-float-count"])
+    def test_zigbee_demod_malformed_cf32_names_iq_out(self, tmp_path, capsys, raw):
+        iq = tmp_path / "bad.cf32"
+        iq.write_bytes(raw)
+        assert run_cli(["zigbee-demod", "--iq-out", str(iq)]) == cli.EXIT_CONFIG
+        assert "iq_out" in capsys.readouterr().err
+
+    def test_zigbee_demod_empty_cf32_is_not_detected(self, tmp_path):
+        iq = tmp_path / "empty.cf32"
+        iq.write_bytes(b"")
+        out_json = tmp_path / "d.json"
+        assert run_cli(["zigbee-demod", "--iq-out", str(iq),
+                        "--metrics-out", str(out_json)]) == cli.EXIT_OK
+        demod = json.loads(out_json.read_text())["deterministic"]["zigbee_demod"]
+        assert demod["detected"] is False and demod["sync_corr"] == 0.0
+
     def test_evaluate_noiseless_webee(self, tmp_path):
         out = tmp_path / "m.json"
         rc = run_cli(["evaluate", "--payload-hex", "00112233", "--quantizer-mode", "webee",

@@ -77,6 +77,19 @@ class TestFrequencyShift:
         out = dsp.frequency_shift(sig, 1.234e6)
         assert abs(out.power - sig.power) / sig.power < 1e-12
 
+    def test_cached_rotation_matches_direct_exp(self):
+        sig = random_signal(dsp.make_rng(8), 300)
+        n = np.arange(300)
+        direct = sig.samples * np.exp(2j * np.pi * -3.125e6 * n / sig.sample_rate_hz)
+        for _ in range(2):  # the second call reads the cache
+            out = dsp.frequency_shift(sig, -3.125e6)
+            assert np.array_equal(out.samples, direct)
+
+    def test_cached_rotation_is_read_only(self):
+        rot = dsp._rotation(16, 1e6, 20e6)
+        with pytest.raises(ValueError):
+            rot[0] = 0.0
+
 
 class TestAwgn:
     def test_infinite_snr_is_identity(self):
@@ -184,3 +197,15 @@ class TestIqFile:
         np.ones(3, dtype="<f4").tofile(path)
         with pytest.raises(DimensionError):
             read_cf32(path, 1e6)
+
+    @pytest.mark.parametrize("n_bytes", [3, 7, 9, 13])
+    def test_partial_pair_rejected(self, tmp_path, n_bytes):
+        path = tmp_path / "cut.cf32"
+        path.write_bytes(bytes(n_bytes))
+        with pytest.raises(DimensionError):
+            read_cf32(path, 1e6)
+
+    def test_empty_file_is_zero_samples(self, tmp_path):
+        path = tmp_path / "empty.cf32"
+        path.write_bytes(b"")
+        assert len(read_cf32(path, 1e6)) == 0

@@ -275,6 +275,44 @@ class TestNoiselessChipBudget:
         assert m.ser == 0.0 and m.prr == 1.0
 
 
+class TestLinkMetricsPinned:
+    # Metrics.as_dict() of an 8-byte webee plan, 40 trials per point, as the
+    # loop of direct sync correlations and the per-trial exp produced them
+    PINNED = (
+        {"snr_db": 4.0, "ser": 0.2638888888888888, "prr": 0.275,
+         "chip_error_rate": 0.24790736607142855, "nmse_body": 1.6645375402674338,
+         "phase_mse_body": 1.5406597553776629, "violated_bit_count": 0,
+         "evm": 9.890830426434554e-15, "goodput_kbps": 38.93805309734514, "trials": 40},
+        {"snr_db": 0.0, "ser": 1.0, "prr": 0.0,
+         "chip_error_rate": 0.30853794642857146, "nmse_body": 1.6645375402674338,
+         "phase_mse_body": 1.5406597553776629, "violated_bit_count": 0,
+         "evm": 9.890830426434554e-15, "goodput_kbps": 0.0, "trials": 40},
+    )
+    # properties of the plan, not of the channel trials; at the FFT's
+    # rounding level they may differ between platforms
+    PLAN_KEYS = ("nmse_body", "phase_mse_body", "evm")
+
+    def test_metrics_unchanged_and_one_rotation_per_point(self, monkeypatch):
+        cfg = small_cfg(payload=bytes(range(8)), snr_db=(4.0, 0.0), trials=40)
+        plan = sim.plan_frame(cfg)
+        calls = []
+
+        def counted_shift(sig, delta_f_hz):
+            calls.append(delta_f_hz)
+            return dsp.frequency_shift(sig, delta_f_hz)
+
+        monkeypatch.setattr(sim, "frequency_shift", counted_shift)
+        for snr, want in zip(cfg.snr_db, self.PINNED):
+            calls.clear()
+            dsp._rotation.cache_clear()
+            got = sim.run_point(plan, snr).as_dict()
+            assert calls == [-cfg.delta_f_hz] * cfg.trials
+            assert dsp._rotation.cache_info().misses <= 1  # one exp per point
+            for key in self.PLAN_KEYS:
+                assert got.pop(key) == pytest.approx(want[key], rel=1e-9, abs=1e-12)
+            assert got == {k: v for k, v in want.items() if k not in self.PLAN_KEYS}
+
+
 class TestMonotonicity:
     def test_prr_non_increasing_as_snr_drops(self):
         # allow one inversion across the sweep at Monte Carlo resolution

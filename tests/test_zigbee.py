@@ -206,3 +206,157 @@ class TestDecodeFrame:
         sig = zigbee.oqpsk_modulate(chips)
         res = zigbee.decode_frame(sig, expected_payload=payload)
         assert res.detected and res.payload == payload and res.ser == 0.0
+
+
+class TestChannelFilterLength:
+    @pytest.mark.parametrize("n", [0, 5, 128])
+    def test_output_keeps_input_length(self, n):
+        x = dsp.make_rng(20, n).standard_normal(n) + 0j
+        out = zigbee.channel_filter(dsp.ComplexSignal(x, 20e6))
+        assert len(out) == n
+
+    @pytest.mark.parametrize("n", [5, 128])
+    def test_short_input_is_the_zero_padded_filter(self, n):
+        x = dsp.make_rng(21, n).standard_normal(n) + 1j * dsp.make_rng(22, n).standard_normal(n)
+        padded = np.concatenate([np.zeros(200), x, np.zeros(200)])
+        want = np.convolve(padded, zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ),
+                           mode="same")[200 : 200 + n]
+        got = zigbee.channel_filter(dsp.ComplexSignal(x, 20e6)).samples
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [129, 130, 3201])
+    def test_long_input_unchanged(self, n):
+        x = dsp.make_rng(23, n).standard_normal(n) + 0.5j
+        taps = zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ)
+        got = zigbee.channel_filter(dsp.ComplexSignal(x, 20e6)).samples
+        assert np.array_equal(got, np.convolve(x, taps, mode="same"))
+
+    @pytest.mark.parametrize("n", [0, 5, 128, 3199])
+    def test_decode_of_too_short_signal_not_detected(self, n):
+        x = np.ones(n, dtype=complex)
+        res = zigbee.decode_frame(dsp.ComplexSignal(x, 20e6))
+        assert not res.detected and res.sync_corr == 0.0 and res.payload is None
+
+
+def loop_sync_search(x, spc):
+    """The sync search as one direct correlation per (offset, rail,
+    pattern), keeping the first strict maximum: the reference that
+    ``zigbee._sync_search`` must match exactly.
+
+    Returns ``(best, peaks)``: ``best`` in ``_sync_search``'s format and
+    the peak ``|corr|`` of every correlation, in search order.
+    """
+    pattern = zigbee._sync_pattern()
+    n_pat = len(pattern)
+    alt = np.where(np.arange(n_pat) % 2 == 0, 1.0, -1.0)
+    best = None  # (corr_mag, corr_signed, offset, lag, use_imag, alternated)
+    peaks = []
+    for off in range(spc):
+        n_chips = max(0, -((off - len(x)) // spc))  # ceil; tail chip clamps
+        if n_chips < n_pat:
+            continue
+        w = zigbee._chip_samples(x, spc, n_chips, offset=off)
+        for use_imag, stream in ((False, np.sign(w.real)), (True, np.sign(w.imag))):
+            stream = np.where(stream == 0, 1.0, stream)
+            for alternated, pat in ((False, pattern), (True, pattern * alt)):
+                corr = np.correlate(stream, pat) / n_pat
+                # pattern parity must match lag parity (I/Q lattice)
+                lag0 = 1 if alternated else 0
+                if len(corr) <= lag0:
+                    continue
+                sub = corr[lag0::2]
+                i = int(np.argmax(np.abs(sub)))
+                lag = lag0 + 2 * i
+                c = float(sub[i])
+                peaks.append(abs(c))
+                if best is None or abs(c) > best[0]:
+                    best = (abs(c), c, off, lag, use_imag, alternated)
+    return (None if best is None else best[1:]), peaks
+
+
+def _frame(payload, lead_in=0, tail=0):
+    sig = zigbee.oqpsk_modulate(zigbee.symbols_to_chips(zigbee.build_frame(payload)))
+    x = np.concatenate([np.zeros(lead_in), sig.samples, np.zeros(tail)])
+    return dsp.ComplexSignal(x, sig.sample_rate_hz)
+
+
+def _noisy(sig, snr_db, *key):
+    return dsp.awgn(sig, snr_db, dsp.make_rng(30, *key))
+
+
+def _oracle_cases():
+    """(id, signal, expected payload, filter cutoff) for the oracle test."""
+    payload = bytes(dsp.make_rng(31).integers(0, 256, 16).tolist())
+    frame = _frame(payload, lead_in=415, tail=300)  # 41.5 chips: an odd lag
+    cases = []
+    # the filtered chip sampler syncs raw O-QPSK down to about -8 dB, so
+    # the ladder goes below the link's SNRs to reach the failing paths
+    for k, snr in enumerate((np.inf, 8.0, 4.0, 0.0, -3.0, -8.0, -12.0, -16.0)):
+        for trial in range(4):
+            cases.append((f"snr{snr:g}-{trial}", _noisy(frame, snr, k, trial), payload, 1e6))
+    short = _frame(bytes([0x5A]))
+    for n in (3201, 3209):
+        cut = dsp.ComplexSignal(short.samples[:n], short.sample_rate_hz)
+        cases.append((f"len{n}", cut, bytes([0x5A]), 1e6))
+        cases.append((f"len{n}-noisy", _noisy(cut, 4.0, n), bytes([0x5A]), 1e6))
+    cut = dsp.ComplexSignal(_frame(bytes(5)).samples[:5003], 20e6)
+    cases.append(("len5003-noisy", _noisy(cut, 4.0, 5003), bytes(5), 1e6))
+    for q, rot in enumerate((1, 1j, -1, -1j)):
+        rotated = dsp.ComplexSignal(frame.samples * rot, frame.sample_rate_hz)
+        cases.append((f"rot{90 * q}", rotated, payload, 1e6))
+        cases.append((f"rot{90 * q}-noisy", _noisy(rotated, 4.0, 99, q), payload, 1e6))
+    delayed = _frame(bytes([1, 2, 3]), lead_in=737)
+    cases.append(("delay737", delayed, bytes([1, 2, 3]), 1e6))
+    cases.append(("delay737-noisy", _noisy(delayed, 4.0, 737), bytes([1, 2, 3]), 1e6))
+    for trial in range(4):
+        rng = dsp.make_rng(32, trial)
+        noise = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        cases.append((f"noise-{trial}", dsp.ComplexSignal(noise, 20e6), None, 1e6))
+    # sync fields one chip late and cut short of the frame's last chip:
+    # the late offsets lack the chip the odd-lag match needs
+    sync = zigbee.oqpsk_modulate(zigbee.symbols_to_chips(np.array(zigbee.SYNC_SYMBOLS)))
+    late = dsp.ComplexSignal(np.concatenate([np.zeros(10), sync.samples]), 20e6)
+    for n in (3201, 3205):
+        cut = dsp.ComplexSignal(late.samples[:n], 20e6)
+        for trial in range(3):
+            noisy = _noisy(cut, 6.0, n, trial)
+            cases.append((f"late-len{n}-{trial}", noisy, None, None))
+            cases.append((f"late-len{n}-{trial}-filtered", noisy, None, 1e6))
+    # exact zeros count as +1 chips: blank part of an unfiltered preamble
+    blanked = _frame(bytes([7, 7]), lead_in=300).samples.copy()
+    blanked[300:1900] = 0.0
+    cases.append(("zeros", dsp.ComplexSignal(blanked, 20e6), bytes([7, 7]), None))
+    # unfiltered noiseless chips: every offset inside a chip's pulse peak
+    # reads the same signs, so several offsets tie at the top correlation
+    for plen in (0, 4):
+        cases.append((f"ties-{plen}", _frame(bytes(range(plen))), bytes(range(plen)), None))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+class TestSyncSearchOracle:
+    @pytest.mark.parametrize("case", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES])
+    def test_decode_matches_the_loop(self, case, monkeypatch):
+        _, sig, payload, cutoff = case
+        got = zigbee.decode_frame(sig, expected_payload=payload, filter_cutoff_hz=cutoff)
+        x = zigbee.channel_filter(sig).samples if cutoff else sig.samples
+        assert repr(zigbee._sync_search(x, 10)) == repr(loop_sync_search(x, 10)[0])
+        monkeypatch.setattr(zigbee, "_sync_search", lambda x, spc: loop_sync_search(x, spc)[0])
+        want = zigbee.decode_frame(sig, expected_payload=payload, filter_cutoff_hz=cutoff)
+        assert repr(got) == repr(want)
+
+    def test_cases_reach_every_decode_path(self):
+        results = [zigbee.decode_frame(sig, expected_payload=p, filter_cutoff_hz=c)
+                   for _, sig, p, c in _ORACLE_CASES]
+        assert any(r.detected and r.payload is not None and r.ser == 0.0 for r in results)
+        assert any(r.detected and r.payload is not None and r.ser > 0.0 for r in results)
+        assert any(r.detected and r.payload is None for r in results)
+        assert any(not r.detected for r in results)
+        assert {r.start_chip % 2 for r in results if r.detected} == {0, 1}
+
+    @pytest.mark.parametrize("plen", [0, 4])
+    def test_tie_cases_tie(self, plen):
+        _, peaks = loop_sync_search(_frame(bytes(range(plen))).samples, 10)
+        assert sum(p == max(peaks) for p in peaks) > 1
