@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 One executable with subcommands; every run is reproducible from the config
-it echoes.  Exit codes: 0 success, 1 usage, 2 configuration, 3 runtime.
+it echoes.  Exit codes: 0 success, 1 usage (an unknown subcommand, an
+unknown flag or a flag without a value), 2 configuration (a bad setting,
+from a flag or a file alike, named by its key), 3 runtime.
 """
 
 from __future__ import annotations
@@ -24,25 +26,14 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# Config key -> JSON type.  The settings are the ExperimentConfig fields,
+# keyed and typed as the config echo writes them; the keys after them only
+# the CLI reads.  Every key is also a flag: ``--payload-hex`` for
+# ``payload_hex``.
+_SETTINGS = {key: type(value) for key, value in sim.ExperimentConfig().settings().items()}
 _CONFIG_KEYS = {
-    "payload_hex": str,
+    **_SETTINGS,
     "payload_len": int,
-    "delta_f_hz": float,
-    "modulation": str,
-    "coding_rate": str,
-    "emulation_mode": str,
-    "quantizer_mode": str,
-    "snr_db": list,
-    "trials": int,
-    "seed": int,
-    "epochs": int,
-    "learning_rate": float,
-    "tau_start": float,
-    "tau_decay": float,
-    "tau_floor": float,
-    "target_subcarrier_count": int,
-    "lead_in_samples": int,
-    "scrambler_seed": int,
     "model_file": str,
     "iq_out": str,
     "metrics_out": str,
@@ -61,7 +52,7 @@ def _parse_snr(values) -> tuple:
         else:
             try:
                 out.append(float(v))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"key snr_db: expected numbers, got {v!r}")
     return tuple(out)
 
@@ -82,47 +73,39 @@ def parse_config(path: str | None, overrides: dict) -> dict:
     for key in doc:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown key {key}")
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
+    doc.update(overrides)
     for key, value in doc.items():
         want = _CONFIG_KEYS[key]
         # bool is an int subclass, so JSON true/false would pass as 1/0
-        allowed = (int, float) if want in (int, float) else want
+        allowed = (int, float) if want is float else want
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(f"key {key}: expected {want.__name__}, got {value!r}")
     return doc
 
 
-def experiment_config(doc: dict) -> sim.ExperimentConfig:
-    cfg = sim.ExperimentConfig()
-    payload = cfg.payload
-    if "payload_hex" in doc:
+def _field_value(key: str, value):
+    """The ExperimentConfig field and value a setting's config value sets."""
+    if key == "payload_hex":
         try:
-            payload = bytes.fromhex(doc["payload_hex"])
+            return "payload", bytes.fromhex(value)
         except ValueError:
-            raise ConfigError(f"key payload_hex: not a hex string: {doc['payload_hex']!r}")
-    cfg = replace(
-        cfg,
-        payload=payload,
-        delta_f_hz=float(doc.get("delta_f_hz", cfg.delta_f_hz)),
-        modulation=doc.get("modulation", cfg.modulation),
-        coding_rate=doc.get("coding_rate", cfg.coding_rate),
-        emulation_mode=doc.get("emulation_mode", cfg.emulation_mode),
-        quantizer_mode=doc.get("quantizer_mode", cfg.quantizer_mode),
-        snr_db=_parse_snr(doc.get("snr_db", ["inf"])),
-        trials=int(doc.get("trials", cfg.trials)),
-        seed=int(doc.get("seed", cfg.seed)),
-        epochs=int(doc.get("epochs", cfg.epochs)),
-        learning_rate=float(doc.get("learning_rate", cfg.learning_rate)),
-        tau_start=float(doc.get("tau_start", cfg.tau_start)),
-        tau_decay=float(doc.get("tau_decay", cfg.tau_decay)),
-        tau_floor=float(doc.get("tau_floor", cfg.tau_floor)),
-        target_subcarrier_count=int(doc.get("target_subcarrier_count", cfg.target_subcarrier_count)),
-        lead_in_samples=int(doc.get("lead_in_samples", cfg.lead_in_samples)),
-        scrambler_seed=int(doc.get("scrambler_seed", cfg.scrambler_seed)),
-    )
+            raise ConfigError(f"key payload_hex: not a hex string: {value!r}")
+    if key == "snr_db":
+        return key, _parse_snr(value)
+    try:
+        return key, float(value) if _SETTINGS[key] is float else value
+    except OverflowError:
+        raise ConfigError(f"key {key}: integer out of the float range")
+
+
+def experiment_config(doc: dict) -> sim.ExperimentConfig:
+    cfg = replace(sim.ExperimentConfig(),
+                  **dict(_field_value(k, v) for k, v in doc.items() if k in _SETTINGS))
     cfg.validate()
+    for mode in doc.get("modes", []):
+        if mode not in sim.QUANTIZER_MODES:
+            raise ConfigError(f"modes: unknown quantizer mode {mode!r}, "
+                              f"expected one of {', '.join(sim.QUANTIZER_MODES)}")
     # random payloads are drawn from the seed, so only once it is valid
     max_len = zigbee.MAX_PAYLOAD_BYTES
     for n in doc.get("payload_lens", []):
@@ -146,17 +129,12 @@ def _emit(doc: dict, path: str | None) -> None:
         print(text)
 
 
-def _resolve_quantizer(cfg: sim.ExperimentConfig, doc: dict):
-    """The model behind the 'trained' and 'nn-webee' modes, loaded from
-    model_file when one is given and trained otherwise, with its scales set
-    on the config; (cfg, None) for the other modes."""
-    if cfg.quantizer_mode not in ("trained", "nn-webee"):
-        return cfg, None
-    if doc.get("model_file"):
-        model = load_model(doc["model_file"])
-    else:
-        model, _ = sim.train_model(cfg)
-    return replace(cfg, scales=model.export_scales()), model
+def _model(cfg: sim.ExperimentConfig, doc: dict) -> EmulationModel | None:
+    """The model in model_file for the modes that quantize with one; None
+    otherwise, and plan_frame then trains one where the mode needs it."""
+    if doc.get("model_file") and cfg.quantizer_mode in sim.MODEL_MODES:
+        return load_model(doc["model_file"])
+    return None
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -173,8 +151,7 @@ def cmd_train(cfg, doc):
 
 
 def cmd_emulate(cfg, doc):
-    cfg, model = _resolve_quantizer(cfg, doc)
-    plan = sim.plan_frame(cfg, model=model)
+    plan = sim.plan_frame(cfg, model=_model(cfg, doc))
     if doc.get("iq_out"):
         write_cf32(doc["iq_out"], plan.tx)
     _emit(sim.summary_json(cfg, [], extra={
@@ -190,8 +167,7 @@ def cmd_emulate(cfg, doc):
 
 
 def cmd_solve_payload(cfg, doc):
-    cfg, model = _resolve_quantizer(cfg, doc)
-    plan = sim.plan_frame(cfg, model=model)
+    plan = sim.plan_frame(cfg, model=_model(cfg, doc))
     if doc.get("iq_out"):
         write_cf32(doc["iq_out"], plan.tx)
     _emit(sim.summary_json(cfg, [], extra={
@@ -252,8 +228,7 @@ def cmd_zigbee_demod(cfg, doc):
 
 
 def cmd_evaluate(cfg, doc):
-    cfg, model = _resolve_quantizer(cfg, doc)
-    metrics = sim.run_pipeline(cfg, model=model)
+    metrics = sim.run_pipeline(cfg, model=_model(cfg, doc))
     _emit(sim.summary_json(cfg, metrics), doc.get("metrics_out"))
     return EXIT_OK
 
@@ -319,29 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("command", choices=sorted(_COMMANDS), help="subcommand to run")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--payload-hex", dest="payload_hex", help="payload bytes as hex")
-    p.add_argument("--payload-len", dest="payload_len", type=int,
-                   help="random payload length (seeded)")
-    p.add_argument("--delta-f-hz", dest="delta_f_hz", type=float)
-    p.add_argument("--modulation", choices=["bpsk", "qpsk", "qam16", "qam64"])
-    p.add_argument("--coding-rate", dest="coding_rate", choices=["1/2", "3/4"])
-    p.add_argument("--emulation-mode", dest="emulation_mode", choices=["analog", "digital"])
-    p.add_argument("--quantizer-mode", dest="quantizer_mode", choices=list(sim.QUANTIZER_MODES))
-    p.add_argument("--snr-db", dest="snr_db", help="comma list, e.g. 'inf,12,8'")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--lead-in-samples", dest="lead_in_samples", type=int)
-    p.add_argument("--target-subcarrier-count", dest="target_subcarrier_count", type=int)
-    p.add_argument("--scrambler-seed", dest="scrambler_seed", type=int)
-    p.add_argument("--model-file", dest="model_file")
-    p.add_argument("--iq-out", dest="iq_out")
-    p.add_argument("--metrics-out", dest="metrics_out")
-    p.add_argument("--payload-lens", dest="payload_lens",
-                   help="comma list of payload lengths for sweep")
-    p.add_argument("--modes", help="comma list of quantizer modes for sweep")
+    # values stay strings here: main converts them, so that a bad value is a
+    # configuration error naming its key, as it is in a config file
+    for key, want in _CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), metavar="A,B,..." if want is list else None)
     return p
+
+
+def _flag_value(key: str, text: str):
+    """A flag's text as its config key's JSON value: list keys split on
+    commas, and the payload_lens items are integers."""
+    want = _CONFIG_KEYS[key]
+    try:
+        if want is not list:
+            return want(text)
+        items = [s.strip() for s in text.split(",")]
+        return [int(s) for s in items] if key == "payload_lens" else items
+    except ValueError:
+        what = "integers" if want is list else want.__name__
+        raise ConfigError(f"key {key}: expected {what}, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -350,21 +321,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
-    overrides = {
-        k: getattr(args, k)
-        for k in _CONFIG_KEYS
-        if hasattr(args, k) and getattr(args, k) is not None
-    }
-    for key in ("snr_db", "payload_lens", "modes"):
-        if key in overrides:
-            overrides[key] = [s.strip() for s in str(overrides[key]).split(",")]
     try:
-        if "payload_lens" in overrides:
-            try:
-                overrides["payload_lens"] = [int(s) for s in overrides["payload_lens"]]
-            except ValueError:
-                raise ConfigError(f"key payload_lens: expected integers, "
-                                  f"got {overrides['payload_lens']}")
+        overrides = {k: _flag_value(k, v) for k, v in vars(args).items()
+                     if k in _CONFIG_KEYS and v is not None}
         doc = parse_config(args.config, overrides)
         cfg = experiment_config(doc)
         return _COMMANDS[args.command](cfg, doc)

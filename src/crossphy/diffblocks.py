@@ -250,17 +250,10 @@ class GridAssemble(DiffBlock):
 
     Pilot bins take the standard +-1 polarity values for their OFDM symbol
     index (affine part, no gradient); everything not a target bin or pilot
-    is zero.  With ``full_passthrough`` the block is the identity on all 64
-    bins, a validation configuration used to isolate cyclic-prefix error.
-    """
+    is zero."""
 
-    def __init__(self, target_columns, start_symbol: int = 0, full_passthrough: bool = False):
+    def __init__(self, target_columns, start_symbol: int = 0):
         super().__init__()
-        self.full_passthrough = full_passthrough
-        if full_passthrough:
-            self.in_dim = self.out_dim = 2 * N_FFT
-            self.target_columns = list(range(N_FFT))
-            return
         self.target_columns = list(target_columns)
         self.start_symbol = start_symbol
         m = len(self.target_columns)
@@ -282,14 +275,10 @@ class GridAssemble(DiffBlock):
         return self._pilots
 
     def forward(self, x):
-        if self.full_passthrough:
-            return x
         y = x @ self._w2.T
         return y + self.pilot_constants(x.shape[0])
 
     def backward(self, gy):
-        if self.full_passthrough:
-            return gy
         return gy @ self._w2
 
 

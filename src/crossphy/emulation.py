@@ -61,7 +61,6 @@ class EmulationConfig:
     constellation: str = "qam64"
     target_subcarriers: tuple = ()
     mode: str = "analog"  # 'analog' (time-domain MSE) or 'digital' (phase MSE)
-    start_symbol: int = 0
     tau_start: float = 1.0
     tau_decay: float = 0.95
     tau_floor: float = 0.05
@@ -97,7 +96,8 @@ class EmulationModel:
         self.select = bin_select_layer(cols)
         self.scale = ComplexScale(m)
         self.quantize = SoftQuantize(self.const, m, tau=cfg.tau_start)
-        self.assemble = GridAssemble(cols, start_symbol=cfg.start_symbol)
+        # pilots from data symbol 0, as wifi.transmit_psdu sends them
+        self.assemble = GridAssemble(cols)
         self.idft = idft_layer()
         self.cp_add = cp_add_layer()
         self.prefix = Sequential([self.cp_remove, self.dft, self.select])
@@ -183,10 +183,7 @@ def build_passthrough_autoencoder() -> Sequential:
     all 64 bins kept.  Isolates the cyclic-prefix contribution: the body of
     every 80-sample block is reproduced exactly and each prefix region maps
     to the block's tail."""
-    return Sequential(
-        [cp_remove_layer(), dft_layer(),
-         GridAssemble(None, full_passthrough=True), idft_layer(), cp_add_layer()]
-    )
+    return Sequential([cp_remove_layer(), dft_layer(), idft_layer(), cp_add_layer()])
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +258,18 @@ def selection_metric(output, target, mode: str) -> float:
 # training
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# training stops after this many epochs without a better hard metric
+PLATEAU_PATIENCE = 50
+PLATEAU_TOL = 1e-9
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    plateau_patience: int = 50
-    plateau_tol: float = 1e-9
 
 
 @dataclass
@@ -329,24 +329,24 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
         metric = selection_metric(v_hard, u, cfg.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
-        if metric < result.best_hard_metric - opt.plateau_tol:
+        if metric < result.best_hard_metric - PLATEAU_TOL:
             result.best_hard_metric = metric
             result.best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
             stale = 0
         else:
             stale += 1
-            if stale >= opt.plateau_patience:
+            if stale >= PLATEAU_PATIENCE:
                 break
 
         t += 1
         for k in params:
             gk = model.scale.grads[k]
-            mom[k] = opt.beta1 * mom[k] + (1 - opt.beta1) * gk
-            vel[k] = opt.beta2 * vel[k] + (1 - opt.beta2) * gk**2
-            m_hat = mom[k] / (1 - opt.beta1**t)
-            v_hat = vel[k] / (1 - opt.beta2**t)
-            params[k] = params[k] - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.adam_eps)
+            mom[k] = ADAM_BETA1 * mom[k] + (1 - ADAM_BETA1) * gk
+            vel[k] = ADAM_BETA2 * vel[k] + (1 - ADAM_BETA2) * gk**2
+            m_hat = mom[k] / (1 - ADAM_BETA1**t)
+            v_hat = vel[k] / (1 - ADAM_BETA2**t)
+            params[k] = params[k] - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     for k, v in best_params.items():
         params[k] = v
@@ -366,7 +366,6 @@ def save_model(model: EmulationModel, path) -> None:
         "constellation": model.const.name,
         "mode": model.cfg.mode,
         "target_subcarriers": list(model.target_subcarriers),
-        "start_symbol": model.cfg.start_symbol,
         "tau": model.tau,
         "scales_re": s.real.tolist(),
         "scales_im": s.imag.tolist(),
@@ -380,11 +379,13 @@ def load_model(path) -> EmulationModel:
         doc = json.load(f)
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model format version {doc.get('format_version')}")
+    if doc.get("start_symbol", 0) != 0:
+        raise ConfigError(f"model file {path}: start_symbol must be 0 (the transmitter's "
+                          f"first pilot symbol), got {doc['start_symbol']!r}")
     cfg = EmulationConfig(
         constellation=doc["constellation"],
         target_subcarriers=tuple(doc["target_subcarriers"]),
         mode=doc["mode"],
-        start_symbol=doc.get("start_symbol", 0),
     )
     model = EmulationModel(cfg)
     model.scale.set_scale(np.array(doc["scales_re"]) + 1j * np.array(doc["scales_im"]))

@@ -19,7 +19,7 @@ import csv
 import math
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -53,6 +53,8 @@ ZIGBEE_HALF_BANDWIDTH_HZ = 1.5e6  # O-QPSK main lobe half-width
 WIFI_HALF_BANDWIDTH_HZ = 10e6
 
 QUANTIZER_MODES = ("trained", "webee", "wide", "nn-webee")
+# the modes that quantize with a trained model's scales
+MODEL_MODES = ("trained", "nn-webee")
 
 # Dead-air samples prepended to the target by default: 6 samples puts only
 # one chip-peak sampling instant per OFDM symbol inside the cyclic prefix
@@ -87,9 +89,9 @@ class ExperimentConfig:
     target_subcarrier_count: int = 7
     lead_in_samples: int = DEFAULT_LEAD_IN
     scrambler_seed: int = 0b1011101
-    scales: np.ndarray | None = None  # exported scales for 'nn-webee'
 
     def validate(self) -> None:
+        mcs_config(self.modulation, self.coding_rate)  # raises, naming the bad key
         # written so that NaN fails too
         if not abs(self.delta_f_hz) + ZIGBEE_HALF_BANDWIDTH_HZ <= WIFI_HALF_BANDWIDTH_HZ:
             raise ConfigError(f"delta_f_hz {self.delta_f_hz/1e6:g} MHz puts the ZigBee "
@@ -134,6 +136,20 @@ class ExperimentConfig:
     def mcs(self) -> McsConfig:
         return mcs_config(self.modulation, self.coding_rate)
 
+    def settings(self) -> dict:
+        """Every setting under its config key, as a JSON value: the payload
+        as ``payload_hex`` and an infinite SNR as "inf"."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "payload":
+                out["payload_hex"] = value.hex()
+            elif f.name == "snr_db":
+                out["snr_db"] = [("inf" if math.isinf(s) else s) for s in value]
+            else:
+                out[f.name] = value
+        return out
+
 
 @dataclass
 class Metrics:
@@ -149,18 +165,7 @@ class Metrics:
     trials: int
 
     def as_dict(self) -> dict:
-        return {
-            "snr_db": self.snr_db,
-            "ser": self.ser,
-            "prr": self.prr,
-            "chip_error_rate": self.chip_error_rate,
-            "nmse_body": self.nmse_body,
-            "phase_mse_body": self.phase_mse_body,
-            "violated_bit_count": self.violated_bit_count,
-            "evm": self.evm,
-            "goodput_kbps": self.goodput_kbps,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def target_subcarriers(delta_f_hz: float, count: int = 7) -> tuple:
@@ -279,8 +284,9 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     """Target construction, quantization (training if needed), GF(2) solve
     and transmit-waveform synthesis.  Deterministic for a fixed config.
 
-    ``model`` is a trained model to use instead of training one; a trained
-    plan quantizes with the ``nn-webee`` rule and the model's scales."""
+    The ``trained`` and ``nn-webee`` modes quantize with the ``nn-webee``
+    rule and the scales of ``model``, a trained model, or of one trained
+    here when none is given."""
     cfg.validate()
     subs = target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
     target = frame_target(cfg)
@@ -293,8 +299,8 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
 
     train_seconds = 0.0
     train_epochs = 0
-    mode, scales = cfg.quantizer_mode, cfg.scales
-    if mode == "trained":
+    mode, scales = cfg.quantizer_mode, None
+    if mode in MODEL_MODES:
         if model is None:
             t0 = time.perf_counter()
             model, result = train_model(cfg)
@@ -418,8 +424,8 @@ CSV_FIELDS = [
 def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
     """Grid over {snr (from cfg), payload length, quantizer mode}; one row
     per point with the full metrics and a config echo.  The trained model
-    for a payload is fitted once and shared between the 'trained' rows and
-    the 'nn-webee' scale export."""
+    for a payload is fitted once and shared by the 'trained' and 'nn-webee'
+    rows."""
     payload_lens = list(payload_lens or [len(cfg.payload)])
     modes = list(modes or [cfg.quantizer_mode])
     rows = []
@@ -430,11 +436,10 @@ def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
         for mode in modes:
             point_cfg = replace(cfg, payload=payload, quantizer_mode=mode)
             model = None
-            if mode in ("trained", "nn-webee"):
+            if mode in MODEL_MODES:
                 if trained_model is None:
                     trained_model, _ = train_model(point_cfg)
                 model = trained_model
-                point_cfg = replace(point_cfg, scales=model.export_scales())
             for m in run_pipeline(point_cfg, model=model):
                 rows.append({
                     "quantizer_mode": mode,
@@ -469,23 +474,7 @@ def summary_json(cfg: ExperimentConfig, metrics: list[Metrics], extra: dict | No
 
     det = {
         "version": __version__,
-        "config": {
-            "payload_hex": cfg.payload.hex(),
-            "sample_rate_hz": SAMPLE_RATE_HZ,
-            "delta_f_hz": cfg.delta_f_hz,
-            "modulation": cfg.modulation,
-            "coding_rate": cfg.coding_rate,
-            "emulation_mode": cfg.emulation_mode,
-            "quantizer_mode": cfg.quantizer_mode,
-            "snr_db": [("inf" if math.isinf(s) else s) for s in cfg.snr_db],
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "epochs": cfg.epochs,
-            "learning_rate": cfg.learning_rate,
-            "target_subcarrier_count": cfg.target_subcarrier_count,
-            "lead_in_samples": cfg.lead_in_samples,
-            "scrambler_seed": cfg.scrambler_seed,
-        },
+        "config": {**cfg.settings(), "sample_rate_hz": SAMPLE_RATE_HZ},
         "notes": {
             "channel": "AWGN only; distance/power axes replaced by SNR",
             "prr": "payload-exact frames (stricter than CRC pass)",

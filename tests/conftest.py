@@ -44,6 +44,5 @@ def webee_plan(acceptance_cfg):
 
 @pytest.fixture(scope="session")
 def nn_webee_plan(acceptance_cfg, trained_plan):
-    cfg = dataclasses.replace(acceptance_cfg, quantizer_mode="nn-webee",
-                              scales=trained_plan.model.export_scales())
-    return sim.plan_frame(cfg)
+    cfg = dataclasses.replace(acceptance_cfg, quantizer_mode="nn-webee")
+    return sim.plan_frame(cfg, model=trained_plan.model)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from crossphy import cli
+from crossphy import cli, emulation, sim
 from crossphy.errors import ConfigError
 
 
@@ -110,6 +111,19 @@ class TestSubcommands:
             outs.append(json.dumps(json.loads(out.read_text())["deterministic"], sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_config_echo_holds_every_setting(self, tmp_path):
+        echoes = []
+        for tau in ("0.5", "0.9"):
+            out = tmp_path / f"{tau}.json"
+            rc = run_cli(["solve-payload", "--payload-hex", "0011", "--quantizer-mode", "webee",
+                          "--tau-start", tau, "--metrics-out", str(out)])
+            assert rc == cli.EXIT_OK
+            echoes.append(json.loads(out.read_text())["deterministic"]["config"])
+        for f in dataclasses.fields(sim.ExperimentConfig):
+            assert ("payload_hex" if f.name == "payload" else f.name) in echoes[0]
+        assert (echoes[0]["tau_start"], echoes[1]["tau_start"]) == (0.5, 0.9)
+        assert echoes[0] != echoes[1]
+
     def test_transmit_writes_cf32(self, tmp_path, capsys):
         iq = tmp_path / "tx.cf32"
         rc = run_cli(["transmit", "--payload-hex", "00" * 18, "--iq-out", str(iq)])
@@ -210,11 +224,23 @@ class TestModelFile:
             assert run_cli([command] + short + ["--metrics-out", str(out)]) == cli.EXIT_OK
             psdu[command] = json.loads(out.read_text())["deterministic"][block]["psdu_hex"]
         assert psdu["emulate"] == psdu["solve-payload"]
-        from crossphy import emulation, sim
-
         cfg = cli.experiment_config({"payload_hex": "a1b2c3"})
         plan = sim.plan_frame(cfg, model=emulation.load_model(model))
         assert psdu["emulate"] == plan.report.psdu.hex()
+
+    @pytest.mark.parametrize("start_symbol,rc", [(0, cli.EXIT_OK), (5, cli.EXIT_CONFIG)])
+    def test_model_start_symbol_must_be_zero(self, tmp_path, capsys, start_symbol, rc):
+        cfg = sim.ExperimentConfig()
+        subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
+        model = tmp_path / "model.json"
+        emulation.save_model(emulation.EmulationModel(
+            emulation.EmulationConfig(target_subcarriers=subs)), model)
+        doc = json.loads(model.read_text())
+        assert "start_symbol" not in doc
+        model.write_text(json.dumps({**doc, "start_symbol": start_symbol}))
+        assert run_cli(["emulate", "--payload-hex", "aa55", "--model-file", str(model)]) == rc
+        if rc == cli.EXIT_CONFIG:
+            assert "start_symbol" in capsys.readouterr().err
 
 
 def _config_exit(tmp_path, capsys, doc, command="evaluate"):
@@ -252,6 +278,10 @@ class TestConfigValidation:
         ({"snr_db": 5}, "snr_db"),
         ({"snr_db": [True]}, "snr_db"),
         ({"modulation": 64}, "modulation"),
+        ({"epochs": 1.5}, "epochs"),
+        ({"delta_f_hz": 10**400}, "delta_f_hz"),
+        ({"snr_db": [10**400]}, "snr_db"),
+        ({"modes": [1]}, "modes"),
     ])
     def test_json_value_types_checked(self, tmp_path, capsys, doc, key):
         rc, err = _config_exit(tmp_path, capsys, doc)
@@ -294,6 +324,13 @@ class TestConfigValidation:
         (["--learning-rate", "1.5"], "learning_rate"),
         (["--lead-in-samples", "80"], "lead_in_samples"),
         (["--lead-in-samples", "100000000000"], "lead_in_samples"),
+        (["--modulation", "qam8"], "modulation"),
+        (["--coding-rate", "2/3"], "coding_rate"),
+        (["--emulation-mode", "foo"], "emulation_mode"),
+        (["--quantizer-mode", "foo"], "quantizer_mode"),
+        (["--trials", "abc"], "trials"),
+        (["--epochs", "1.5"], "epochs"),
+        (["--modes", "foo"], "modes"),
     ])
     def test_bad_flags_are_config_errors(self, capsys, flags, key):
         rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)
@@ -310,3 +347,50 @@ class TestConfigValidation:
         rc = run_cli(["solve-payload", "--payload-hex", "01", "--quantizer-mode", "webee",
                       "--target-subcarrier-count", "48", "--metrics-out", str(out)])
         assert rc == cli.EXIT_OK
+
+
+# one value per config key, away from its default
+_SAMPLE_VALUES = {
+    "payload_hex": "a1b2",
+    "delta_f_hz": -2.5e6,
+    "modulation": "qam16",
+    "coding_rate": "3/4",
+    "emulation_mode": "digital",
+    "quantizer_mode": "wide",
+    "snr_db": ["inf", 4.5],
+    "trials": 3,
+    "seed": 7,
+    "epochs": 5,
+    "learning_rate": 0.02,
+    "tau_start": 0.5,
+    "tau_decay": 0.9,
+    "tau_floor": 0.01,
+    "target_subcarrier_count": 5,
+    "lead_in_samples": 3,
+    "scrambler_seed": 17,
+    "payload_len": 5,
+    "model_file": "m.json",
+    "iq_out": "x.cf32",
+    "metrics_out": "out.json",
+    "payload_lens": [2, 3],
+    "modes": ["webee", "wide"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
+def test_flag_and_config_file_agree(key, tmp_path, monkeypatch):
+    value = _SAMPLE_VALUES[key]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "evaluate",
+                        lambda cfg, doc: seen.append((cfg, doc)) or cli.EXIT_OK)
+    assert run_cli(["evaluate", f"--{key.replace('_', '-')}={text}"]) == cli.EXIT_OK
+    assert run_cli(["evaluate", "--config", str(path)]) == cli.EXIT_OK
+    (flag_cfg, flag_doc), (file_cfg, file_doc) = seen
+    assert flag_cfg == file_cfg
+    if key in cli._SETTINGS or key == "payload_len":
+        assert flag_cfg != sim.ExperimentConfig()
+    else:
+        assert flag_doc[key] == file_doc[key] == value

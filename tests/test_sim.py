@@ -176,8 +176,7 @@ class TestPipeline:
         cfg = small_cfg(quantizer_mode="trained", emulation_mode="digital",
                         payload=bytes(range(6)))
         plan = sim.plan_frame(cfg)
-        nn = sim.plan_frame(replace(cfg, quantizer_mode="nn-webee",
-                                    scales=plan.model.export_scales()))
+        nn = sim.plan_frame(replace(cfg, quantizer_mode="nn-webee"), model=plan.model)
         assert np.array_equal(plan.index_grid, nn.index_grid)
         assert plan.report.psdu == nn.report.psdu
 
