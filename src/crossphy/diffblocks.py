@@ -6,7 +6,9 @@ the stack as real matrices of shape (n_ofdm_symbols, 2*width): the real
 parts of a width-wide complex vector in the left half, imaginary parts in
 the right half.  Complex linear operators become real block matrices
 [[A, -B], [B, A]]; operators that act identically on both rails (cyclic
-prefix add/remove, bin selection) become block-diagonal.
+prefix add/remove, bin selection) become block-diagonal.  The 0/1 operators
+run as index copies (``CopyLinear``), which give the floats of their
+matrices.
 
 Fixed layers carry no trainable parameters; the only trainable state in the
 whole stack is the per-subcarrier complex scale in front of the soft
@@ -25,6 +27,7 @@ from .wifi import CP_LEN, PILOT_SUBCARRIERS, Constellation, pilot_values
 __all__ = [
     "DiffBlock",
     "FixedLinear",
+    "CopyLinear",
     "ComplexScale",
     "SoftQuantize",
     "GridAssemble",
@@ -107,13 +110,62 @@ class FixedLinear(DiffBlock):
         self.name = name
         self.out_dim, self.in_dim = self.weight.shape
 
-    def forward(self, x):
+    def _check(self, x):
         if x.shape[1] != self.in_dim:
             raise DimensionError(f"{self.name}: expected width {self.in_dim}, got {x.shape[1]}")
+
+    def forward(self, x):
+        self._check(x)
         return x @ self.weight.T
 
     def backward(self, gy):
         return gy @ self.weight
+
+
+class CopyLinear(FixedLinear):
+    """A FixedLinear whose 0/1 weight only copies: at most one 1 per row,
+    at most two per column (cyclic prefix add and remove, bin selection,
+    grid assembly).
+
+    Forward is an index copy; backward is a gather plus a two-term add for
+    each input column that feeds two outputs (the cyclic prefix).  Both give
+    the floats of the products with ``weight``, which stays the
+    specification: every other term of those sums is an exact zero, and a
+    sum of two terms does not depend on their order.
+    """
+
+    def __init__(self, weight: np.ndarray, name: str = "copy_linear"):
+        super().__init__(weight, name)
+        ones = np.flatnonzero(self.weight != 0)
+        self._rows, self._cols = np.divmod(ones, self.in_dim)  # row r copies column c
+        by_col = np.argsort(self._cols, kind="stable")
+        cols, rows = self._cols[by_col], self._rows[by_col]
+        if (np.any(self.weight.ravel()[ones] != 1) or np.any(np.diff(self._rows) == 0)
+                or np.any(cols[2:] == cols[:-2])):
+            raise DimensionError(f"{name}: weight is not a 0/1 copy map")
+        first = np.ones(len(cols), dtype=bool)
+        first[1:] = cols[1:] != cols[:-1]
+        # backward: input column _used[k] takes output _first[k], and column
+        # _twice[k] also takes output _second[k]
+        self._used, self._first = cols[first], rows[first]
+        self._twice, self._second = cols[~first], rows[~first]
+
+    def forward(self, x):
+        self._check(x)
+        if len(self._rows) == self.out_dim:
+            return x[:, self._cols]
+        y = np.zeros((x.shape[0], self.out_dim))
+        y[:, self._rows] = x[:, self._cols]
+        return y
+
+    def backward(self, gy):
+        if len(self._used) == self.in_dim:
+            gx = gy[:, self._first]
+        else:
+            gx = np.zeros((gy.shape[0], self.in_dim))
+            gx[:, self._used] = gy[:, self._first]
+        gx[:, self._twice] += gy[:, self._second]
+        return gx
 
 
 def cp_add_matrix() -> np.ndarray:
@@ -140,21 +192,21 @@ def idft_layer() -> FixedLinear:
     return FixedLinear(_complex_to_real_matrix(IDFT_BASIS), "idft")
 
 
-def cp_add_layer() -> FixedLinear:
-    return FixedLinear(_two_rail(cp_add_matrix()), "cp_add")
+def cp_add_layer() -> CopyLinear:
+    return CopyLinear(_two_rail(cp_add_matrix()), "cp_add")
 
 
-def cp_remove_layer() -> FixedLinear:
-    return FixedLinear(_two_rail(cp_remove_matrix()), "cp_remove")
+def cp_remove_layer() -> CopyLinear:
+    return CopyLinear(_two_rail(cp_remove_matrix()), "cp_remove")
 
 
-def bin_select_layer(columns, width: int = N_FFT) -> FixedLinear:
+def bin_select_layer(columns, width: int = N_FFT) -> CopyLinear:
     """0/1 selection keeping the given complex columns (one 1 per kept row)."""
     columns = list(columns)
     w = np.zeros((len(columns), width))
     for r, c in enumerate(columns):
         w[r, c] = 1.0
-    return FixedLinear(_two_rail(w), "bin_select")
+    return CopyLinear(_two_rail(w), "bin_select")
 
 
 class ComplexScale(DiffBlock):
@@ -204,6 +256,16 @@ class SoftQuantize(DiffBlock):
     ``a_j = softmax(-|w - c_j|^2 / tau)`` and outputs ``sum_j a_j c_j``; the
     weights a are the float one-hot the hard decision collapses to as
     ``tau -> 0``.  Temperature is annealed by the trainer, not trained.
+
+    Every constellation is a grid in label order, point ``i*L + q`` at
+    ``lx[i] + 1j*ly[q]``, so the distances are a broadcast sum of per-axis
+    squares (the same floats as the per-point formula) and the gradient
+    differences are per axis.  Each 64-wide sum runs on a C-contiguous
+    (S, n, C) array, so its summation order is that of the per-point
+    formula.  The forward keeps three (S, n, C) work arrays for the
+    backward and the next call (``last_weights`` is one of them, rewritten
+    by the next forward) until ``release``.  ``decisions`` is the forward's
+    nearest point per value, ``Constellation.nearest`` of the input.
     """
 
     def __init__(self, const: Constellation, n: int, tau: float = 1.0):
@@ -213,56 +275,76 @@ class SoftQuantize(DiffBlock):
         self.in_dim = self.out_dim = 2 * n
         self.tau = float(tau)
         self.points = const.points
-        self.last_weights = None
+        n_y = len(np.unique(self.points.imag))
+        self._lx, self._ly = self.points.real[::n_y].copy(), self.points.imag[:n_y].copy()
+        if not (np.array_equal(self.points.real, np.repeat(self._lx, n_y))
+                and np.array_equal(self.points.imag, np.tile(self._ly, len(self._lx)))):
+            raise DimensionError(f"{const.name}: points are not a grid in label order")
+        self.release()
+
+    def release(self):
+        """Drop the work arrays and the last forward's weights and decisions."""
+        self._work = self._ex = self._ey = None
+        self.last_weights = self.decisions = None
 
     def forward(self, x):
-        wr, wi = x[:, : self.n], x[:, self.n:]
-        cr, ci = self.points.real, self.points.imag
-        d = (wr[..., None] - cr) ** 2 + (wi[..., None] - ci) ** 2  # (S, n, C)
-        logits = -d / self.tau
-        logits -= logits.max(axis=2, keepdims=True)
-        e = np.exp(logits)
-        a = e / e.sum(axis=2, keepdims=True)
-        self._x, self._d, self._a = x, d, a
-        self.last_weights = a
-        return np.concatenate([a @ cr, a @ ci], axis=1)
+        n, rows = self.n, x.shape[0]
+        ex = x[:, :n, None] - self._lx  # (S, n, Lx): wr - lx
+        ey = x[:, n:, None] - self._ly
+        shape = (rows, n, len(self._lx), len(self._ly))
+        if self._work is None or self._work[0].shape != shape:
+            self._work = [np.empty(shape) for _ in range(3)]
+        a = self._work[0]
+        np.add(np.square(ex)[..., :, None], np.square(ey)[..., None, :], out=a)
+        a = a.reshape(rows, n, -1)  # squared distances, (S, n, C)
+        self.decisions = np.argmin(a, axis=2)
+        # the largest logit -d/tau is the one at the smallest distance
+        top = np.take_along_axis(a, self.decisions[..., None], axis=2) / -self.tau
+        np.divide(a, -self.tau, out=a)
+        np.subtract(a, top, out=a)
+        np.exp(a, out=a)
+        np.divide(a, a.sum(axis=2, keepdims=True), out=a)
+        self._ex, self._ey, self.last_weights = ex, ey, a
+        return np.concatenate([a @ self.points.real, a @ self.points.imag], axis=1)
 
     def backward(self, gy):
-        x, a = self._x, self._a
-        wr, wi = x[:, : self.n], x[:, self.n:]
-        cr, ci = self.points.real, self.points.imag
-        gr, gi = gy[:, : self.n], gy[:, self.n:]
+        n, a = self.n, self.last_weights
+        t4, q4 = self._work[1:]
+        t, q = t4.reshape(a.shape), q4.reshape(a.shape)
         # dL/da_j, then through softmax: q_l = (-1/tau) a_l (t_l - sum_j a_j t_j)
-        t = gr[..., None] * cr + gi[..., None] * ci
-        q = (-1.0 / self.tau) * a * (t - np.sum(a * t, axis=2, keepdims=True))
-        gwr = np.sum(q * 2.0 * (wr[..., None] - cr), axis=2)
-        gwi = np.sum(q * 2.0 * (wi[..., None] - ci), axis=2)
-        return np.concatenate([gwr, gwi], axis=1)
+        np.add((gy[:, :n, None] * self._lx)[..., :, None],
+               (gy[:, n:, None] * self._ly)[..., None, :], out=t4)
+        np.multiply(a, t, out=q)
+        np.subtract(t, q.sum(axis=2, keepdims=True), out=t)
+        np.multiply(a, -1.0 / self.tau, out=q)
+        np.multiply(q, t, out=q)
+        # d|w - c_j|^2 / dw = 2 (w - c_j), one axis at a time
+        np.multiply(q4, (2.0 * self._ex)[..., :, None], out=t4)
+        gwr = t.sum(axis=2)
+        np.multiply(q4, (2.0 * self._ey)[..., None, :], out=t4)
+        return np.concatenate([gwr, t.sum(axis=2)], axis=1)
 
     def hard_indices(self, x) -> np.ndarray:
         """argmin_j |w - c_j|^2 per element, ties to the lowest index."""
         return self.const.nearest(unstack_complex(x))
 
 
-class GridAssemble(DiffBlock):
+class GridAssemble(CopyLinear):
     """Scatter m quantized bins into the 64-bin grid; pilots and nulls are
     constants.
 
     Pilot bins take the standard +-1 polarity values for their OFDM symbol
     index (affine part, no gradient); everything not a target bin or pilot
-    is zero."""
+    is zero.  ``y = x @ weight.T + pilots``, run as a copy of x into the
+    pilot grid."""
 
     def __init__(self, target_columns, start_symbol: int = 0):
-        super().__init__()
         self.target_columns = list(target_columns)
         self.start_symbol = start_symbol
-        m = len(self.target_columns)
-        self.in_dim = 2 * m
-        self.out_dim = 2 * N_FFT
-        w = np.zeros((N_FFT, m))
+        w = np.zeros((N_FFT, len(self.target_columns)))
         for r, c in enumerate(self.target_columns):
             w[c, r] = 1.0
-        self._w2 = _two_rail(w)
+        super().__init__(_two_rail(w), "grid_assemble")
         self._pilot_cols = [m_ % N_FFT for m_ in PILOT_SUBCARRIERS]
         self._pilots = np.zeros((0, 2 * N_FFT))
 
@@ -275,11 +357,10 @@ class GridAssemble(DiffBlock):
         return self._pilots
 
     def forward(self, x):
-        y = x @ self._w2.T
-        return y + self.pilot_constants(x.shape[0])
-
-    def backward(self, gy):
-        return gy @ self._w2
+        self._check(x)
+        y = self.pilot_constants(x.shape[0]).copy()
+        y[:, self._rows] += x[:, self._cols]
+        return y
 
 
 class Sequential(DiffBlock):

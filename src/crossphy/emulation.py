@@ -11,7 +11,10 @@ mode) or in the instantaneous-phase domain (digital mode).
 The only trainable state is the complex scale vector and temperature
 anneals on a fixed schedule.  The layers before the scale are fixed and so
 is the training input, so ``train`` runs them once and each epoch runs only
-the head from the scale on.  ``sim.train_model`` is the one caller.
+the head from the scale on.  The soft quantizer's forward also yields the
+epoch's hard decisions, and the hard grid is re-synthesized and re-scored
+only in epochs whose decisions differ from the previous epoch's.
+``sim.train_model`` is the one caller.
 
 Inference is the one quantization rule every mode shares: divide each OFDM
 symbol's target bins by their largest magnitude (``symbol_peaks``),
@@ -87,6 +90,9 @@ class EmulationModel:
             raise ConfigError(f"target subcarriers {bad} are not data subcarriers")
         if not cfg.target_subcarriers:
             raise ConfigError("target subcarrier set is empty")
+        if len(set(cfg.target_subcarriers)) != len(cfg.target_subcarriers):
+            raise ConfigError(f"target subcarriers {list(cfg.target_subcarriers)} "
+                              f"repeat a subcarrier")
         self.target_subcarriers = tuple(sorted(cfg.target_subcarriers))
         m = len(self.target_subcarriers)
         cols = [sc % N_FFT for sc in self.target_subcarriers]  # plain DFT order
@@ -121,8 +127,9 @@ class EmulationModel:
         """Stacked (S, 2m) target bins of a waveform: the fixed prefix."""
         return self.prefix.forward(self._to_blocks(x))
 
-    # the training loop calls this every epoch; it stays private so that
-    # crossbench's tracer, which wraps public methods, does not time it
+    # the training loop calls this in every epoch whose decisions changed; it
+    # stays private so that crossbench's tracer, which wraps public methods,
+    # does not time it
     def _synthesize(self, points) -> np.ndarray:
         h = stack_complex(points)
         for b in (self.assemble, self.idft, self.cp_add):
@@ -287,11 +294,15 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
     The target is first max-abs pre-normalized per OFDM symbol, so epoch 0
     with scales at 1+0j reproduces the plain normalize-then-nearest-point
     quantization exactly.  The fixed prefix runs once on the normalized
-    target; every epoch then runs the head forward and backward and picks
-    the nearest points to the scaled bins.  The kept parameters are the best
-    epoch by the hard-quantized selection metric, so the result is never
-    worse than that baseline.  Deterministic for a fixed config: no
-    randomness enters the updates.
+    target; every epoch then runs the head forward and backward, and the
+    quantizer's forward gives the nearest points to the scaled bins.  The
+    hard reconstruction and its metric are recomputed only when those
+    decisions differ from the previous epoch's; otherwise the epoch repeats
+    the previous metric, which is the same number.  The kept parameters are
+    the best epoch by the hard-quantized selection metric, so the result is
+    never worse than that baseline.  Deterministic for a fixed config: no
+    randomness enters the updates.  The quantizer's work arrays are released
+    on return.
     """
     opt = opt or TrainConfig()
     x = np.asarray(target.samples, dtype=np.complex128)
@@ -313,6 +324,7 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
     best_params = {k: v.copy() for k, v in params.items()}
     stale = 0
     t = 0
+    idx = None
 
     for epoch in range(opt.epochs):
         model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
@@ -324,9 +336,10 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
         model.head.zero_grads()
         model.head.backward(stack_complex(g.reshape(-1, SYMBOL_LEN)))
 
-        idx = model.quantize.hard_indices(model.scale.forward(z))
-        v_hard = model._synthesize(model.const.points[idx])
-        metric = selection_metric(v_hard, u, cfg.mode)
+        # the hard grid, and so its metric, changes only with the decisions
+        if idx is None or not np.array_equal(model.quantize.decisions, idx):
+            idx = model.quantize.decisions
+            metric = selection_metric(model._synthesize(model.const.points[idx]), u, cfg.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - PLATEAU_TOL:
@@ -348,6 +361,7 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
             v_hat = vel[k] / (1 - ADAM_BETA2**t)
             params[k] = params[k] - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
+    model.quantize.release()
     for k, v in best_params.items():
         params[k] = v
     model.tau = cfg.tau_floor
@@ -374,20 +388,58 @@ def save_model(model: EmulationModel, path) -> None:
         json.dump(doc, f, indent=2)
 
 
+def _finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
 def load_model(path) -> EmulationModel:
+    """Read a ``save_model`` file.  Every key is checked before it is used:
+    a malformed file is a ``ConfigError`` naming the key."""
     with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format version {doc.get('format_version')}")
+        try:
+            doc = json.load(f)
+        except ValueError as e:
+            raise ConfigError(f"model_file {path} is not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"model_file {path} must hold a JSON object, got {type(doc).__name__}")
+
+    def bad(key, want):
+        return ConfigError(f"model_file {path}: key {key}: expected {want}, got {doc.get(key)!r}")
+
+    version = doc.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise bad("format_version", MODEL_FORMAT_VERSION)
     if doc.get("start_symbol", 0) != 0:
-        raise ConfigError(f"model file {path}: start_symbol must be 0 (the transmitter's "
+        raise ConfigError(f"model_file {path}: start_symbol must be 0 (the transmitter's "
                           f"first pilot symbol), got {doc['start_symbol']!r}")
-    cfg = EmulationConfig(
-        constellation=doc["constellation"],
-        target_subcarriers=tuple(doc["target_subcarriers"]),
-        mode=doc["mode"],
-    )
-    model = EmulationModel(cfg)
-    model.scale.set_scale(np.array(doc["scales_re"]) + 1j * np.array(doc["scales_im"]))
+    if not isinstance(doc.get("constellation"), str):
+        raise bad("constellation", "a modulation name")
+    try:
+        constellation(doc["constellation"])
+    except ConfigError as e:
+        raise ConfigError(f"model_file {path}: key constellation: {e}")
+    if doc.get("mode") not in ("analog", "digital"):
+        raise bad("mode", "'analog' or 'digital'")
+    subs = doc.get("target_subcarriers")
+    if not isinstance(subs, list) or not all(type(m) is int for m in subs):
+        raise bad("target_subcarriers", "a list of subcarrier integers")
+    for key in ("scales_re", "scales_im"):
+        v = doc.get(key)
+        if not (isinstance(v, list) and len(v) == len(subs) and all(map(_finite_number, v))):
+            raise bad(key, f"{len(subs)} finite numbers, one per target subcarrier")
+    if not (_finite_number(doc.get("tau")) and doc["tau"] > 0):
+        raise bad("tau", "a finite number > 0")
+    try:
+        model = EmulationModel(EmulationConfig(
+            constellation=doc["constellation"], target_subcarriers=tuple(subs), mode=doc["mode"]))
+    except ConfigError as e:
+        raise ConfigError(f"model_file {path}: key target_subcarriers: {e}")
+    model.scale.set_scale(np.array(doc["scales_re"], dtype=np.float64)
+                          + 1j * np.array(doc["scales_im"], dtype=np.float64))
     model.tau = doc["tau"]
     return model

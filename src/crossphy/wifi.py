@@ -92,8 +92,7 @@ class Constellation:
 
 @lru_cache(maxsize=8)
 def constellation(name: str) -> Constellation:
-    """Build 'bpsk', 'qpsk', 'qam16' or 'qam64'."""
-    name = name.lower()
+    """Build 'bpsk', 'qpsk', 'qam16' or 'qam64' (spelled exactly so)."""
     n_bpsc = {"bpsk": 1, "qpsk": 2, "qam16": 4, "qam64": 6}.get(name)
     if n_bpsc is None:
         raise ConfigError(f"unknown modulation {name!r}")

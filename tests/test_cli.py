@@ -242,6 +242,47 @@ class TestModelFile:
         if rc == cli.EXIT_CONFIG:
             assert "start_symbol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate,key", [
+        (lambda d: {"format_version": 1}, "constellation"),
+        (lambda d: [1], "model_file"),
+        (lambda d: {**d, "scales_re": [1.0, 1.0], "scales_im": [0.0, 0.0]}, "scales_re"),
+        (lambda d: {**d, "scales_re": ["1"] + d["scales_re"][1:]}, "scales_re"),
+        (lambda d: {**d, "scales_im": d["scales_im"] + [0.0]}, "scales_im"),
+        (lambda d: {**d, "scales_re": [True] * 7}, "scales_re"),
+        (lambda d: {**d, "scales_re": [10**400] * 7}, "scales_re"),
+        (lambda d: {**d, "tau": 0}, "tau"),
+        (lambda d: {**d, "tau": float("nan")}, "tau"),
+        (lambda d: {**d, "mode": "foo"}, "mode"),
+        (lambda d: {**d, "constellation": "qam8"}, "constellation"),
+        (lambda d: {**d, "constellation": "QAM64"}, "constellation"),
+        (lambda d: {**d, "target_subcarriers": "-14"}, "target_subcarriers"),
+        (lambda d: {**d, "target_subcarriers": [0] + d["target_subcarriers"][1:]},
+         "target_subcarriers"),
+        (lambda d: {**d, "target_subcarriers": d["target_subcarriers"][:1] * 2
+                    + d["target_subcarriers"][2:]}, "target_subcarriers"),
+        (lambda d: {**d, "format_version": True}, "format_version"),
+    ], ids=["version-only", "list", "two-scales", "string-scale", "eight-scales",
+            "bool-scales", "huge-scales", "zero-tau", "nan-tau", "mode", "constellation",
+            "upper-case-constellation", "subcarriers-not-list", "null-subcarrier",
+            "repeated-subcarrier", "bool-version"])
+    def test_malformed_model_file_names_its_key(self, tmp_path, capsys, mutate, key):
+        cfg = sim.ExperimentConfig()
+        subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
+        model = tmp_path / "model.json"
+        emulation.save_model(emulation.EmulationModel(
+            emulation.EmulationConfig(target_subcarriers=subs)), model)
+        model.write_text(json.dumps(mutate(json.loads(model.read_text()))))
+        assert run_cli(["emulate", "--payload-hex", "01", "--model-file", str(model)]) \
+            == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_model_file_not_json_is_config_error(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("{")
+        assert run_cli(["emulate", "--payload-hex", "01", "--model-file", str(model)]) \
+            == cli.EXIT_CONFIG
+        assert "model_file" in capsys.readouterr().err
+
 
 def _config_exit(tmp_path, capsys, doc, command="evaluate"):
     path = tmp_path / "c.json"
@@ -291,6 +332,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("doc,key", [
         ({"modulation": "qam8"}, "modulation"),
         ({"coding_rate": ""}, "coding_rate"),
+        ({"modulation": "QAM64"}, "modulation"),
     ])
     def test_unknown_mcs_names_its_key(self, tmp_path, capsys, doc, key):
         rc, err = _config_exit(tmp_path, capsys, doc)
@@ -331,6 +373,8 @@ class TestConfigValidation:
         (["--trials", "abc"], "trials"),
         (["--epochs", "1.5"], "epochs"),
         (["--modes", "foo"], "modes"),
+        # the config echo holds the name as given, so only the one spelling runs
+        (["--modulation", "QAM64"], "modulation"),
     ])
     def test_bad_flags_are_config_errors(self, capsys, flags, key):
         rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)

@@ -5,6 +5,69 @@ from crossphy import diffblocks as db
 from crossphy import dsp
 from crossphy.wifi import constellation
 
+MODULATIONS = ("bpsk", "qpsk", "qam16", "qam64")
+
+
+class SoftQuantize64(db.DiffBlock):
+    """The soft quantizer by its per-point formula: (S, n, C) distances to
+    every constellation point, softmax over them, and the gradient summed
+    over the points.  ``SoftQuantize`` must give these floats exactly."""
+
+    def __init__(self, const, n, tau=1.0):
+        super().__init__()
+        self.n = n
+        self.in_dim = self.out_dim = 2 * n
+        self.tau = float(tau)
+        self.points = const.points
+
+    def forward(self, x):
+        wr, wi = x[:, : self.n], x[:, self.n:]
+        cr, ci = self.points.real, self.points.imag
+        d = (wr[..., None] - cr) ** 2 + (wi[..., None] - ci) ** 2  # (S, n, C)
+        logits = -d / self.tau
+        logits -= logits.max(axis=2, keepdims=True)
+        e = np.exp(logits)
+        a = e / e.sum(axis=2, keepdims=True)
+        self._x, self._a = x, a
+        self.last_weights = a
+        return np.concatenate([a @ cr, a @ ci], axis=1)
+
+    def backward(self, gy):
+        x, a = self._x, self._a
+        wr, wi = x[:, : self.n], x[:, self.n:]
+        cr, ci = self.points.real, self.points.imag
+        gr, gi = gy[:, : self.n], gy[:, self.n:]
+        # dL/da_j, then through softmax: q_l = (-1/tau) a_l (t_l - sum_j a_j t_j)
+        t = gr[..., None] * cr + gi[..., None] * ci
+        q = (-1.0 / self.tau) * a * (t - np.sum(a * t, axis=2, keepdims=True))
+        gwr = np.sum(q * 2.0 * (wr[..., None] - cr), axis=2)
+        gwi = np.sum(q * 2.0 * (wi[..., None] - ci), axis=2)
+        return np.concatenate([gwr, gwi], axis=1)
+
+
+def same_bits(a, b):
+    """Equal as stored floats: signed zeros and NaN payloads count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def held_rows(block, n_rows):
+    """Names of the block's arrays, alone or in a list, with n_rows rows."""
+    def rows(v):
+        return isinstance(v, np.ndarray) and v.ndim > 0 and v.shape[0] == n_rows
+    return [k for k, v in vars(block).items()
+            if rows(v) or (isinstance(v, list) and any(map(rows, v)))]
+
+
+def midpoint_inputs(const, rng, n):
+    """(S, 2n) inputs whose every real and imaginary part sits exactly on a
+    decision edge between two axis levels, or on a level."""
+    levels_x = np.unique(const.points.real)
+    levels_y = np.unique(const.points.imag)
+    edges_x = np.concatenate([(levels_x[1:] + levels_x[:-1]) / 2, levels_x])
+    edges_y = np.concatenate([(levels_y[1:] + levels_y[:-1]) / 2, levels_y])
+    return np.concatenate([rng.choice(edges_x, (6, n)), rng.choice(edges_y, (6, n))], axis=1)
+
 
 class TestFixedMatrices:
     def test_cp_add_structure(self):
@@ -28,6 +91,41 @@ class TestFixedMatrices:
         w = blk.weight
         assert w.shape == (6, 128)
         assert np.array_equal(w.sum(axis=1), np.ones(6))
+
+
+class TestCopyLayers:
+    """The 0/1 layers run as index copies; their weights stay the spec."""
+
+    @pytest.mark.parametrize("make", [
+        db.cp_add_layer,
+        db.cp_remove_layer,
+        lambda: db.bin_select_layer([3, 17, 50]),
+        lambda: db.bin_select_layer([5, 5, 9]),
+        lambda: db.GridAssemble([50, 51, 52], start_symbol=3),
+    ], ids=["cp_add", "cp_remove", "bin_select", "bin_select_repeated", "grid_assemble"])
+    def test_equals_the_matrix_products(self, make):
+        rng = dsp.make_rng(20)
+        blk = make()
+        assert isinstance(blk, db.CopyLinear)
+        x = rng.standard_normal((9, blk.in_dim))
+        gy = rng.standard_normal((9, blk.out_dim))
+        want = x @ blk.weight.T
+        if isinstance(blk, db.GridAssemble):
+            want = want + blk.pilot_constants(9)
+        assert np.array_equal(blk.forward(x), want)
+        assert np.array_equal(blk.backward(gy), gy @ blk.weight)
+
+    def test_cp_add_backward_adds_the_prefix_gradient(self):
+        gy = np.zeros((1, 160))
+        gy[0, 0], gy[0, 64] = 0.25, 0.5  # prefix sample 0 and body sample 48
+        assert db.cp_add_layer().backward(gy)[0, 48] == 0.75
+
+    def test_not_a_copy_map_rejected(self):
+        from crossphy.errors import DimensionError
+
+        for w in (np.array([[1.0, 1.0]]), np.array([[2.0]]), np.ones((3, 1))):
+            with pytest.raises(DimensionError):
+                db.CopyLinear(w)
 
 
 class TestFixedLinearBlocks:
@@ -124,6 +222,46 @@ class TestSoftQuantize:
             idx = blk.hard_indices(db.stack_complex(np.array([[z]])))[0, 0]
             brute = min(range(4), key=lambda j: abs(z - qpsk.points[j]) ** 2)
             assert idx == brute
+
+    @pytest.mark.parametrize("name", MODULATIONS)
+    @pytest.mark.parametrize("inputs", ["random", "midpoints"])
+    def test_equals_the_per_point_formula(self, name, inputs):
+        const = constellation(name)
+        rng = dsp.make_rng(30)
+        n = 5
+        for tau in (1.0, 0.3, 0.05, 1e-3):
+            if inputs == "random":
+                x = 1.3 * rng.standard_normal((6, 2 * n))
+            else:
+                x = midpoint_inputs(const, rng, n)
+            gy = rng.standard_normal((6, 2 * n))
+            blk, ref = db.SoftQuantize(const, n, tau), SoftQuantize64(const, n, tau)
+            assert same_bits(blk.forward(x), ref.forward(x))
+            assert same_bits(blk.last_weights, ref.last_weights)
+            assert same_bits(blk.backward(gy), ref.backward(gy))
+
+    @pytest.mark.parametrize("name", MODULATIONS)
+    def test_decisions_are_the_nearest_points(self, name):
+        const = constellation(name)
+        rng = dsp.make_rng(31)
+        blk = db.SoftQuantize(const, 4, tau=0.5)
+        for x in (2 * rng.standard_normal((50, 8)), midpoint_inputs(const, rng, 4)):
+            blk.forward(x)
+            assert np.array_equal(blk.decisions, const.nearest(db.unstack_complex(x)))
+            assert np.array_equal(blk.decisions, blk.hard_indices(x))
+
+    @pytest.mark.parametrize("name", MODULATIONS)
+    def test_grad_check_every_constellation(self, name):
+        blk = db.SoftQuantize(constellation(name), 3, tau=0.7)
+        assert db.grad_check(blk, dsp.make_rng(32)) < 1e-4
+
+    def test_release_drops_the_work_arrays(self):
+        blk = db.SoftQuantize(self.const, 3, tau=1.0)
+        blk.forward(np.ones((5, 6)))
+        blk.backward(np.ones((5, 6)))
+        assert held_rows(blk, 5)
+        blk.release()
+        assert not held_rows(blk, 5)
 
     def test_hard_scale_invariance(self):
         # argmin unchanged when all distances scale by a positive constant

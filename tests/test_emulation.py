@@ -5,6 +5,7 @@ from crossphy import diffblocks as db
 from crossphy import dsp, emulation as em, sim, wifi, zigbee
 from crossphy.errors import ConfigError, DimensionError
 from crossphy.wifi import constellation
+from test_diffblocks import SoftQuantize64, held_rows, same_bits
 
 SUBS = (-14, -13, -12, -11, -10, -9, -8)
 
@@ -270,3 +271,112 @@ class TestTraining:
         path.write_text(json.dumps({"format_version": 999}))
         with pytest.raises(ConfigError):
             em.load_model(path)
+
+
+class GridAssembleProducts(db.DiffBlock):
+    """Grid assembly by its matrix products: ``x @ weight.T + pilots``."""
+
+    def __init__(self, spec):
+        super().__init__()
+        self.spec = spec
+        self.in_dim, self.out_dim = spec.in_dim, spec.out_dim
+
+    def forward(self, x):
+        return x @ self.spec.weight.T + self.spec.pilot_constants(x.shape[0])
+
+    def backward(self, gy):
+        return gy @ self.spec.weight
+
+
+def reference_train(model, target, opt):
+    """The epoch loop as it stood before ``train`` reused the quantizer's
+    decisions, run on the specification's layers: matrix products for the
+    0/1 maps, the per-point soft quantizer, and ``hard_indices`` plus a hard
+    synthesis every epoch."""
+    def products(blk):
+        return db.FixedLinear(blk.weight, blk.name)
+
+    cfg = model.cfg
+    prefix = db.Sequential([products(model.cp_remove), model.dft, products(model.select)])
+    quantize = SoftQuantize64(model.const, model.quantize.n, cfg.tau_start)
+    synth = db.Sequential([GridAssembleProducts(model.assemble), model.idft,
+                           products(model.cp_add)])
+    head = db.Sequential([model.scale, quantize] + synth.blocks)
+
+    def bins(w):
+        return prefix.forward(db.stack_complex(w.reshape(-1, 80)))
+
+    x = np.asarray(target.samples, dtype=np.complex128)
+    g = em.symbol_peaks(db.unstack_complex(bins(x)))
+    u = (x.reshape(-1, 80) / g[:, None]).reshape(-1)
+    z = bins(u)
+
+    params = model.scale.params
+    mom = {k: np.zeros_like(v) for k, v in params.items()}
+    vel = {k: np.zeros_like(v) for k, v in params.items()}
+    result = em.TrainResult()
+    best_params = {k: v.copy() for k, v in params.items()}
+    stale = 0
+    t = 0
+
+    for epoch in range(opt.epochs):
+        quantize.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
+
+        v_soft = em._waveform(head.forward(z))
+        soft_loss, g = em.loss_and_grad(v_soft, u, cfg.mode)
+        head.zero_grads()
+        head.backward(db.stack_complex(g.reshape(-1, 80)))
+
+        idx = model.quantize.hard_indices(model.scale.forward(z))
+        v_hard = em._waveform(synth.forward(db.stack_complex(model.const.points[idx])))
+        metric = em.selection_metric(v_hard, u, cfg.mode)
+        result.loss_history.append(soft_loss)
+        result.hard_metric_history.append(metric)
+        if metric < result.best_hard_metric - em.PLATEAU_TOL:
+            result.best_hard_metric = metric
+            result.best_epoch = epoch
+            best_params = {k: v.copy() for k, v in params.items()}
+            stale = 0
+        else:
+            stale += 1
+            if stale >= em.PLATEAU_PATIENCE:
+                break
+
+        t += 1
+        for k in params:
+            gk = model.scale.grads[k]
+            mom[k] = em.ADAM_BETA1 * mom[k] + (1 - em.ADAM_BETA1) * gk
+            vel[k] = em.ADAM_BETA2 * vel[k] + (1 - em.ADAM_BETA2) * gk**2
+            m_hat = mom[k] / (1 - em.ADAM_BETA1**t)
+            v_hat = vel[k] / (1 - em.ADAM_BETA2**t)
+            params[k] = params[k] - opt.learning_rate * m_hat / (np.sqrt(v_hat) + em.ADAM_EPS)
+
+    for k, v in best_params.items():
+        params[k] = v
+    result.epochs_run = len(result.loss_history)
+    return result
+
+
+# 8 B frames are 2/3 of the 32 B ones' rows; the 32 B frames' soft waveform
+# is larger than numpy's 256 KiB temporary-elision threshold
+@pytest.mark.parametrize("n_bytes", [8, 32])
+@pytest.mark.parametrize("mode", ["analog", "digital"])
+@pytest.mark.parametrize("modulation,rate", [("bpsk", "3/4"), ("qpsk", "1/2"),
+                                             ("qam16", "3/4"), ("qam64", "1/2")])
+def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
+    payload = bytes(dsp.make_rng(1, 0xBEEF, n_bytes).integers(0, 256, n_bytes).tolist())
+    cfg = sim.ExperimentConfig(payload=payload, modulation=modulation, coding_rate=rate,
+                               emulation_mode=mode)
+    model, got = sim.train_model(cfg)
+
+    ref_model = em.EmulationModel(model.cfg)
+    target = sim.frame_target(cfg)
+    want = reference_train(ref_model, target, em.TrainConfig(cfg.epochs, cfg.learning_rate))
+
+    assert got.epochs_run == want.epochs_run
+    assert got.best_epoch == want.best_epoch
+    assert same_bits(got.best_hard_metric, want.best_hard_metric)
+    assert same_bits(got.loss_history, want.loss_history)
+    assert same_bits(got.hard_metric_history, want.hard_metric_history)
+    assert same_bits(model.export_scales(), ref_model.export_scales())
+    assert held_rows(model.quantize, len(target.samples) // 80) == []

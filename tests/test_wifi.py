@@ -218,3 +218,8 @@ class TestTransmit:
     def test_unknown_constellation_rejected(self):
         with pytest.raises(ConfigError):
             wifi.constellation("qam1024")
+
+    def test_constellation_name_is_case_sensitive(self):
+        # a config echoes the name it was given, so only the one spelling runs
+        with pytest.raises(ConfigError, match="QAM64"):
+            wifi.constellation("QAM64")
