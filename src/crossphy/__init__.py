@@ -1,6 +1,6 @@
 """crossphy: WiFi-to-ZigBee cross-technology waveform emulation toolkit.
 
-A numpy/scipy library that derives a WiFi OFDM payload whose transmitted
+A numpy library that derives a WiFi OFDM payload whose transmitted
 waveform decodes on a ZigBee receiver: fixed-weight differentiable DSP
 layers with a trainable quantizer, a GF(2) inversion of the WiFi coding
 chain, a software O-QPSK/DSSS modem, and an end-to-end simulation harness.

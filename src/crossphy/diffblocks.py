@@ -74,7 +74,7 @@ class DiffBlock:
 
     ``forward`` caches whatever ``backward`` needs; ``backward`` maps the
     upstream gradient to the input gradient and accumulates parameter
-    gradients into ``self.grads``.
+    gradients into ``self.grads``.  ``release`` drops those caches.
     """
 
     in_dim: int
@@ -96,6 +96,9 @@ class DiffBlock:
 
     def zero_grads(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def release(self):
+        """Drop every array kept from the last forward."""
 
     def sample_input(self, rng: np.random.Generator, n_rows: int = 2) -> np.ndarray:
         return rng.standard_normal((n_rows, self.in_dim))
@@ -219,6 +222,10 @@ class ComplexScale(DiffBlock):
         self.params = {"scale": np.concatenate([np.ones(n), np.zeros(n)])}
         self.trainable = frozenset({"scale"})
         self.zero_grads()
+        self.release()
+
+    def release(self):
+        self._x = None
 
     @property
     def scale(self) -> np.ndarray:
@@ -346,6 +353,9 @@ class GridAssemble(CopyLinear):
             w[c, r] = 1.0
         super().__init__(_two_rail(w), "grid_assemble")
         self._pilot_cols = [m_ % N_FFT for m_ in PILOT_SUBCARRIERS]
+        self.release()
+
+    def release(self):
         self._pilots = np.zeros((0, 2 * N_FFT))
 
     def pilot_constants(self, n_rows: int) -> np.ndarray:
@@ -385,6 +395,10 @@ class Sequential(DiffBlock):
     def zero_grads(self):
         for b in self.blocks:
             b.zero_grads()
+
+    def release(self):
+        for b in self.blocks:
+            b.release()
 
     def trainable_items(self):
         for b in self.blocks:

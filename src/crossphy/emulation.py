@@ -138,8 +138,11 @@ class EmulationModel:
 
     def synthesize(self, points) -> np.ndarray:
         """Waveform of an (S, m) grid of complex points on the target bins,
-        with the fixed pilots: grid assembly, IDFT, cyclic prefix."""
-        return self._synthesize(points)
+        with the fixed pilots: grid assembly, IDFT, cyclic prefix.  The
+        pilot grid is not kept."""
+        wave = self._synthesize(points)
+        self.assemble.release()
+        return wave
 
     def normalize(self, x) -> np.ndarray:
         """Per-OFDM-symbol max-abs pre-normalization of a raw waveform.
@@ -301,7 +304,8 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
     the previous metric, which is the same number.  The kept parameters are
     the best epoch by the hard-quantized selection metric, so the result is
     never worse than that baseline.  Deterministic for a fixed config: no
-    randomness enters the updates.  The quantizer's work arrays are released
+    randomness enters the updates.  The head's per-frame arrays (the
+    quantizer's work arrays, the scale's input, the pilot grid) are released
     on return.
     """
     opt = opt or TrainConfig()
@@ -361,7 +365,7 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
             v_hat = vel[k] / (1 - ADAM_BETA2**t)
             params[k] = params[k] - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    model.quantize.release()
+    model.head.release()
     for k, v in best_params.items():
         params[k] = v
     model.tau = cfg.tau_floor

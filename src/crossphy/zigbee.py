@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import firwin
+from numpy.fft import irfft, rfft
 
 from .dsp import ComplexSignal
 from .errors import ConfigError, DimensionError, DomainError
@@ -152,10 +151,26 @@ def oqpsk_modulate(chips, fs_hz: float = 20e6) -> ComplexSignal:
 
 @lru_cache(maxsize=8)
 def _rx_taps(fs_hz: float, cutoff_hz: float) -> np.ndarray:
+    """Hamming-windowed-sinc low-pass with unit DC gain.
+
+    The floating-point steps are those of ``scipy.signal.firwin(n,
+    cutoff_hz, fs=fs_hz)``, so the taps are the same floats: the ideal
+    low-pass ``f sinc(f m)`` at ``f = cutoff / (fs/2)``, times the symmetric
+    Hamming window accumulated as ``0.54 + (1 - 0.54) cos`` (``1 - 0.54`` is
+    not the float ``0.46``), divided by its sum (the response at DC).
+    """
+    f = cutoff_hz / (0.5 * fs_hz)
+    if not 0 < f < 1:
+        raise DomainError(f"filter cutoff {cutoff_hz} Hz must lie strictly between 0 and "
+                          f"half the sample rate, {0.5 * fs_hz} Hz")
     # ~6.4 us span regardless of rate; odd length keeps zero group delay
     n = int(round(129 * fs_hz / 20e6))
     n += 1 - n % 2
-    return firwin(n, cutoff_hz, fs=fs_hz)
+    m = np.arange(n, dtype=np.float64) - 0.5 * (n - 1)
+    h = f * np.sinc(f * m)
+    h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n))
+    h /= np.sum(h)
+    return h
 
 
 def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ) -> ComplexSignal:
@@ -246,15 +261,33 @@ def _sync_spectra(n_fft: int) -> np.ndarray:
     return spectra
 
 
+@lru_cache(maxsize=8)
+def _next_fast_len(n: int) -> int:
+    """The smallest ``2^a 3^b 5^c >= n``: a length the real FFT runs fast
+    on (``scipy.fft.next_fast_len(n, real=True)``)."""
+    best = 1 << (n - 1).bit_length()  # n >= 1
+    odd = 1  # 3^b 5^c
+    while odd < best:
+        factor = odd
+        while factor < best:
+            # the smallest power-of-two multiple of factor that reaches n
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
 def _hard_halves(x: np.ndarray, spc: int, n_half: int) -> np.ndarray:
     """Hard chips of every timing offset as +-1 (``sign``, with 0 -> +1).
 
     Axes are ``(offset, rail, phase, i)`` for chip ``2i + phase`` of the
     real (rail 0) or imaginary (rail 1) part of the derotated chip samples.
+    The array is C-contiguous, which keeps the FFT over ``i`` fast.
     """
     chips = _chip_samples(x, spc, 2 * n_half, offset=np.arange(spc)[:, None])
     hard = np.stack([chips.real >= 0, chips.imag >= 0], axis=1)
-    return np.where(hard.reshape(spc, 2, n_half, 2).swapaxes(2, 3), 1.0, -1.0)
+    hard = np.ascontiguousarray(hard.reshape(spc, 2, n_half, 2).swapaxes(2, 3))
+    return np.where(hard, 1.0, -1.0)
 
 
 def _sync_search(x: np.ndarray, spc: int):
@@ -278,7 +311,7 @@ def _sync_search(x: np.ndarray, spc: int):
     # own count read the clamped last sample and only enter masked lags
     n_half = (int(n_chips[0]) + 1) // 2
     last = (n_chips[:, None] - SYNC_CHIPS - np.arange(2)) // 2  # last valid m per parity
-    n_fft = next_fast_len(n_half, real=True)
+    n_fft = _next_fast_len(n_half)
     # (offset, rail, parity, m) for lag 2m + parity
     corr = irfft(np.einsum("orcb,pcb->orpb", rfft(_hard_halves(x, spc, n_half), n_fft),
                            _sync_spectra(n_fft)), n_fft)[..., : int(last.max()) + 1]

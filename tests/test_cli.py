@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,3 +443,20 @@ def test_flag_and_config_file_agree(key, tmp_path, monkeypatch):
         assert flag_cfg != sim.ExperimentConfig()
     else:
         assert flag_doc[key] == file_doc[key] == value
+
+
+def test_runtime_imports_no_scipy():
+    """The CLI, a webee plan and a channel point run on numpy alone."""
+    script = textwrap.dedent("""
+        import sys
+        import crossphy.cli
+        from crossphy import sim
+        cfg = sim.ExperimentConfig(payload=bytes(range(8)), quantizer_mode="webee", trials=3)
+        sim.run_point(sim.plan_frame(cfg), 4.0)
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

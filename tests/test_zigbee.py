@@ -238,6 +238,38 @@ class TestChannelFilterLength:
         assert not res.detected and res.sync_corr == 0.0 and res.payload is None
 
 
+class TestNoScipyReceiver:
+    """The receiver's filter design and FFT length are numpy-only; scipy is
+    their oracle."""
+
+    @pytest.mark.parametrize("fs_hz", [2e6 * k for k in range(2, 41, 2)])
+    def test_rx_taps_equal_firwin(self, fs_hz):
+        from scipy.signal import firwin
+        nyquist = fs_hz / 2
+        rx = zigbee.RX_FILTER_CUTOFF_HZ
+        cutoffs = [rx, 0.5 * rx, 1.5 * rx, 0.999 * rx] + [nyquist * k / 37 for k in range(1, 37)]
+        for cutoff in [c for c in cutoffs if c < nyquist]:
+            taps = zigbee._rx_taps(fs_hz, cutoff)
+            want = firwin(len(taps), cutoff, fs=fs_hz)
+            assert taps.tobytes() == want.tobytes(), (fs_hz, cutoff)
+
+    def test_next_fast_len_equals_scipy(self):
+        from scipy.fft import next_fast_len
+        got = [zigbee._next_fast_len(n) for n in range(1, 20001)]
+        assert got == [next_fast_len(n, real=True) for n in range(1, 20001)]
+
+    @pytest.mark.parametrize("cutoff", [10e6, 10.5e6, 0.0, -1e6, float("nan")])
+    def test_cutoff_outside_the_band_raises(self, cutoff):
+        with pytest.raises(DomainError, match="cutoff"):
+            zigbee._rx_taps(20e6, cutoff)
+        with pytest.raises(DomainError, match="cutoff"):
+            zigbee.channel_filter(_frame(b"\x01"), cutoff)
+
+    def test_hard_halves_contiguous(self):
+        x = _frame(b"\x01\x02", lead_in=7).samples
+        assert zigbee._hard_halves(x, 10, 200).flags.c_contiguous
+
+
 def loop_sync_search(x, spc):
     """The sync search as one direct correlation per (offset, rail,
     pattern), keeping the first strict maximum: the reference that
