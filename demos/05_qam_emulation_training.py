@@ -27,9 +27,8 @@ def hard_reconstruction(model):
 
 results = {}
 for mode in ("analog", "digital"):
-    model = em.EmulationModel(em.EmulationConfig(
-        constellation="qam64", target_subcarriers=subs, mode=mode))
-    res = em.train(model, target, em.TrainConfig(epochs=300, learning_rate=1e-2))
+    model = em.EmulationModel("qam64", subs, mode)
+    res = em.train(model, target, sim.ExperimentConfig(epochs=300, learning_rate=1e-2))
     u = model.normalize(target.samples)
     v = hard_reconstruction(model)
     results[mode] = dict(
@@ -44,8 +43,7 @@ for mode in ("analog", "digital"):
     print(f"  hard body NMSE {results[mode]['nmse']:.4f}, body phase MSE {results[mode]['phase']:.4f}")
 
 print("\n== against the plain max-abs nearest-point rule ==")
-base = em.EmulationModel(em.EmulationConfig(
-    constellation="qam64", target_subcarriers=subs))
+base = em.EmulationModel("qam64", subs, "analog")
 u = base.normalize(target.samples)
 v0 = hard_reconstruction(base)  # scales still at 1+0j
 print(f"baseline       : NMSE {em.nmse_excluding_cp(v0, u):.4f}, "

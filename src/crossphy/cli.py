@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import sim, zigbee
 from .dsp import make_rng
-from .emulation import EmulationConfig, EmulationModel, load_model, save_model
+from .emulation import EmulationModel, load_model, save_model
 from .errors import ConfigError, CrossPhyError, DimensionError, DomainError
 from .iqfile import read_cf32, write_cf32
 from .wifi import SAMPLE_RATE_HZ, transmit_psdu
@@ -115,8 +115,7 @@ def experiment_config(doc: dict) -> sim.ExperimentConfig:
         n = doc["payload_len"]
         if not 0 <= n <= max_len:
             raise ConfigError(f"payload_len must be in 0..{max_len}, got {n}")
-        rng = make_rng(cfg.seed, 0xBEEF, n)
-        cfg = replace(cfg, payload=bytes(rng.integers(0, 256, n).tolist()))
+        cfg = replace(cfg, payload=sim.random_payload(cfg.seed, n))
     return cfg
 
 
@@ -248,8 +247,7 @@ def cmd_grad_check(cfg, doc):
 
     rng = make_rng(cfg.seed)
     subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-    model = EmulationModel(EmulationConfig(
-        constellation=cfg.modulation, target_subcarriers=subs))
+    model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
     checks = {
         "dft": db.dft_layer(),
         "idft": db.idft_layer(),

@@ -10,10 +10,11 @@ prefix add/remove, bin selection) become block-diagonal.  The 0/1 operators
 run as index copies (``CopyLinear``), which give the floats of their
 matrices.
 
-Fixed layers carry no trainable parameters; the only trainable state in the
-whole stack is the per-subcarrier complex scale in front of the soft
-quantizer.  ``grad_check`` validates any block against central finite
-differences.
+Fixed layers carry no trainable state.  The only trainable state in the
+whole stack is one array: ``ComplexScale.s``, the per-subcarrier complex
+scale in front of the soft quantizer, whose gradient the backward leaves
+in ``ComplexScale.grad``.  ``grad_check`` validates any block against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -73,29 +74,18 @@ class DiffBlock:
     """Forward/backward layer contract.
 
     ``forward`` caches whatever ``backward`` needs; ``backward`` maps the
-    upstream gradient to the input gradient and accumulates parameter
-    gradients into ``self.grads``.  ``release`` drops those caches.
+    upstream gradient to the input gradient (``ComplexScale`` also keeps the
+    gradient of its scale).  ``release`` drops those caches.
     """
 
     in_dim: int
     out_dim: int
-    params: dict
-    grads: dict
-    trainable: frozenset
-
-    def __init__(self):
-        self.params = {}
-        self.grads = {}
-        self.trainable = frozenset()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def zero_grads(self):
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def release(self):
         """Drop every array kept from the last forward."""
@@ -108,7 +98,6 @@ class FixedLinear(DiffBlock):
     """y = x @ W.T with a frozen weight matrix; backward is x @ W."""
 
     def __init__(self, weight: np.ndarray, name: str = "fixed_linear"):
-        super().__init__()
         self.weight = np.asarray(weight, dtype=np.float64)
         self.name = name
         self.out_dim, self.in_dim = self.weight.shape
@@ -213,15 +202,14 @@ def bin_select_layer(columns, width: int = N_FFT) -> CopyLinear:
 
 
 class ComplexScale(DiffBlock):
-    """Trainable per-column complex gain: y_k = s_k * z_k."""
+    """Trainable per-column complex gain: y_k = s_k * z_k.  ``s`` holds the
+    scale as [Re | Im]; ``backward`` sets ``grad``, the gradient for ``s``."""
 
     def __init__(self, n: int):
-        super().__init__()
         self.n = n
         self.in_dim = self.out_dim = 2 * n
-        self.params = {"scale": np.concatenate([np.ones(n), np.zeros(n)])}
-        self.trainable = frozenset({"scale"})
-        self.zero_grads()
+        self.s = np.concatenate([np.ones(n), np.zeros(n)])
+        self.grad = np.zeros(2 * n)
         self.release()
 
     def release(self):
@@ -229,30 +217,27 @@ class ComplexScale(DiffBlock):
 
     @property
     def scale(self) -> np.ndarray:
-        s = self.params["scale"]
-        return s[: self.n] + 1j * s[self.n:]
+        return self.s[: self.n] + 1j * self.s[self.n:]
 
     def set_scale(self, s: np.ndarray):
-        self.params["scale"] = np.concatenate([np.real(s), np.imag(s)]).astype(np.float64)
+        self.s = np.concatenate([np.real(s), np.imag(s)]).astype(np.float64)
 
     def forward(self, x):
         self._x = x
         zr, zi = x[:, : self.n], x[:, self.n:]
-        s = self.params["scale"]
-        sr, si = s[: self.n], s[self.n:]
+        sr, si = self.s[: self.n], self.s[self.n:]
         return np.concatenate([sr * zr - si * zi, sr * zi + si * zr], axis=1)
 
     def backward(self, gy):
         x = self._x
         zr, zi = x[:, : self.n], x[:, self.n:]
         gr, gi = gy[:, : self.n], gy[:, self.n:]
-        s = self.params["scale"]
-        sr, si = s[: self.n], s[self.n:]
+        sr, si = self.s[: self.n], self.s[self.n:]
         gzr = gr * sr + gi * si
         gzi = -gr * si + gi * sr
         gsr = np.sum(gr * zr + gi * zi, axis=0)
         gsi = np.sum(-gr * zi + gi * zr, axis=0)
-        self.grads["scale"] += np.concatenate([gsr, gsi])
+        self.grad = np.concatenate([gsr, gsi])
         return np.concatenate([gzr, gzi], axis=1)
 
 
@@ -276,7 +261,6 @@ class SoftQuantize(DiffBlock):
     """
 
     def __init__(self, const: Constellation, n: int, tau: float = 1.0):
-        super().__init__()
         self.const = const
         self.n = n
         self.in_dim = self.out_dim = 2 * n
@@ -345,9 +329,8 @@ class GridAssemble(CopyLinear):
     is zero.  ``y = x @ weight.T + pilots``, run as a copy of x into the
     pilot grid."""
 
-    def __init__(self, target_columns, start_symbol: int = 0):
+    def __init__(self, target_columns):
         self.target_columns = list(target_columns)
-        self.start_symbol = start_symbol
         w = np.zeros((N_FFT, len(self.target_columns)))
         for r, c in enumerate(self.target_columns):
             w[c, r] = 1.0
@@ -363,7 +346,7 @@ class GridAssemble(CopyLinear):
         for the last row count: training asks for the same one every epoch."""
         if self._pilots.shape[0] != n_rows:
             self._pilots = np.zeros((n_rows, 2 * N_FFT))
-            self._pilots[:, self._pilot_cols] = pilot_values(n_rows, self.start_symbol)
+            self._pilots[:, self._pilot_cols] = pilot_values(n_rows)
         return self._pilots
 
     def forward(self, x):
@@ -374,10 +357,9 @@ class GridAssemble(CopyLinear):
 
 
 class Sequential(DiffBlock):
-    """Chain of blocks; exposes the union of trainable params."""
+    """Chain of blocks."""
 
     def __init__(self, blocks: list):
-        super().__init__()
         self.blocks = list(blocks)
         self.in_dim = self.blocks[0].in_dim
         self.out_dim = self.blocks[-1].out_dim
@@ -392,18 +374,9 @@ class Sequential(DiffBlock):
             gy = b.backward(gy)
         return gy
 
-    def zero_grads(self):
-        for b in self.blocks:
-            b.zero_grads()
-
     def release(self):
         for b in self.blocks:
             b.release()
-
-    def trainable_items(self):
-        for b in self.blocks:
-            for name in b.trainable:
-                yield b, name
 
 
 def _away_from_boundaries(block, x: np.ndarray, margin: float) -> np.ndarray:
@@ -433,37 +406,32 @@ def grad_check(
     """Central finite differences vs the analytic backward.
 
     Probes random directions through random upstream gradients on both the
-    input and every trainable parameter; returns the max relative error.
+    input and the scale of every ``ComplexScale`` in the block; returns the
+    max relative error.
     """
     if x is None:
         x = block.sample_input(rng)
     x = _away_from_boundaries(block, x, margin=10 * h)
+    scales = [b for b in getattr(block, "blocks", [block]) if isinstance(b, ComplexScale)]
     worst = 0.0
     for _ in range(n_probes):
         g = rng.standard_normal((x.shape[0], block.out_dim))
         dx = rng.standard_normal(x.shape)
-        block.zero_grads()
         block.forward(x)
-        gx = block.backward(g)
-        ana = float(np.sum(gx * dx))
+        ana = float(np.sum(block.backward(g) * dx))
         num = float(np.sum(g * (block.forward(x + h * dx) - block.forward(x - h * dx))) / (2 * h))
         worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1.0))
-        # parameter directions
-        items = list(block.trainable_items()) if isinstance(block, Sequential) else [
-            (block, n) for n in block.trainable
-        ]
-        for owner, name in items:
-            dp = rng.standard_normal(owner.params[name].shape)
-            block.zero_grads()
+        for owner in scales:
+            ds = rng.standard_normal(owner.s.shape)
             block.forward(x)
             block.backward(g)
-            ana = float(np.sum(owner.grads[name] * dp))
-            p0 = owner.params[name].copy()
-            owner.params[name] = p0 + h * dp
+            ana = float(np.sum(owner.grad * ds))
+            s0 = owner.s
+            owner.s = s0 + h * ds
             yp = block.forward(x)
-            owner.params[name] = p0 - h * dp
+            owner.s = s0 - h * ds
             ym = block.forward(x)
-            owner.params[name] = p0
+            owner.s = s0
             num = float(np.sum(g * (yp - ym)) / (2 * h))
             worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1.0))
     return worst

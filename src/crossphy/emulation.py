@@ -8,10 +8,12 @@ it to reconstruct its own input picks the constellation points whose OFDM
 synthesis best matches the target waveform, in the time domain (analog
 mode) or in the instantaneous-phase domain (digital mode).
 
-The only trainable state is the complex scale vector and temperature
-anneals on a fixed schedule.  The layers before the scale are fixed and so
-is the training input, so ``train`` runs them once and each epoch runs only
-the head from the scale on.  The soft quantizer's forward also yields the
+The only trainable state is the scale array of the ``ComplexScale`` layer;
+``train(model, target, cfg)`` takes its epoch cap, learning rate and
+temperature schedule from a ``sim.ExperimentConfig`` and its objective from
+``model.mode``.  The layers before the scale are fixed and so is the
+training input, so ``train`` runs them once and each epoch runs only the
+head from the scale on.  The soft quantizer's forward also yields the
 epoch's hard decisions, and the hard grid is re-synthesized and re-scored
 only in epochs whose decisions differ from the previous epoch's.
 ``sim.train_model`` is the one caller.
@@ -59,41 +61,29 @@ from .wifi import (
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass
-class EmulationConfig:
-    constellation: str = "qam64"
-    target_subcarriers: tuple = ()
-    mode: str = "analog"  # 'analog' (time-domain MSE) or 'digital' (phase MSE)
-    tau_start: float = 1.0
-    tau_decay: float = 0.95
-    tau_floor: float = 0.05
-
-    def __post_init__(self):
-        if self.mode not in ("analog", "digital"):
-            raise ConfigError(f"unknown emulation mode {self.mode!r}")
-
-
 class EmulationModel:
     """The assembled block stack plus bookkeeping for training/inference.
 
-    ``stack`` is the full eight-layer model.  ``prefix`` (cyclic-prefix
-    removal, DFT, target-bin selection) has no parameters and a fixed input
-    during training, so the trainer runs it once and then runs only
-    ``head``: scale, soft quantizer, grid assembly, IDFT, cyclic prefix.
+    Built from what a model file stores: constellation, target subcarriers
+    and ``mode``, the objective ('analog' or 'digital').  ``stack`` is the
+    full eight-layer model.  ``prefix`` (cyclic-prefix removal, DFT,
+    target-bin selection) has no trainable state and a fixed input during
+    training, so the trainer runs it once and then runs only ``head``:
+    scale, soft quantizer, grid assembly, IDFT, cyclic prefix.
     """
 
-    def __init__(self, cfg: EmulationConfig):
-        self.cfg = cfg
-        self.const: Constellation = constellation(cfg.constellation)
-        bad = [m for m in cfg.target_subcarriers if m not in DATA_SUBCARRIERS]
+    def __init__(self, modulation: str, target_subcarriers, mode: str):
+        self.const: Constellation = constellation(modulation)
+        self.mode = mode
+        bad = [m for m in target_subcarriers if m not in DATA_SUBCARRIERS]
         if bad:
             raise ConfigError(f"target subcarriers {bad} are not data subcarriers")
-        if not cfg.target_subcarriers:
+        if not target_subcarriers:
             raise ConfigError("target subcarrier set is empty")
-        if len(set(cfg.target_subcarriers)) != len(cfg.target_subcarriers):
-            raise ConfigError(f"target subcarriers {list(cfg.target_subcarriers)} "
+        if len(set(target_subcarriers)) != len(target_subcarriers):
+            raise ConfigError(f"target subcarriers {list(target_subcarriers)} "
                               f"repeat a subcarrier")
-        self.target_subcarriers = tuple(sorted(cfg.target_subcarriers))
+        self.target_subcarriers = tuple(sorted(target_subcarriers))
         m = len(self.target_subcarriers)
         cols = [sc % N_FFT for sc in self.target_subcarriers]  # plain DFT order
 
@@ -101,7 +91,7 @@ class EmulationModel:
         self.dft = dft_layer()
         self.select = bin_select_layer(cols)
         self.scale = ComplexScale(m)
-        self.quantize = SoftQuantize(self.const, m, tau=cfg.tau_start)
+        self.quantize = SoftQuantize(self.const, m)
         # pilots from data symbol 0, as wifi.transmit_psdu sends them
         self.assemble = GridAssemble(cols)
         self.idft = idft_layer()
@@ -277,12 +267,6 @@ PLATEAU_TOL = 1e-9
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 200
-    learning_rate: float = 1e-2
-
-
-@dataclass
 class TrainResult:
     loss_history: list = field(default_factory=list)
     hard_metric_history: list = field(default_factory=list)
@@ -291,24 +275,25 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None = None) -> TrainResult:
+def train(model: EmulationModel, target: ComplexSignal, cfg) -> TrainResult:
     """Adam on the quantizer scales, tau annealed geometrically.
 
-    The target is first max-abs pre-normalized per OFDM symbol, so epoch 0
-    with scales at 1+0j reproduces the plain normalize-then-nearest-point
-    quantization exactly.  The fixed prefix runs once on the normalized
-    target; every epoch then runs the head forward and backward, and the
-    quantizer's forward gives the nearest points to the scaled bins.  The
-    hard reconstruction and its metric are recomputed only when those
-    decisions differ from the previous epoch's; otherwise the epoch repeats
-    the previous metric, which is the same number.  The kept parameters are
-    the best epoch by the hard-quantized selection metric, so the result is
-    never worse than that baseline.  Deterministic for a fixed config: no
-    randomness enters the updates.  The head's per-frame arrays (the
-    quantizer's work arrays, the scale's input, the pilot grid) are released
-    on return.
+    ``cfg``, a ``sim.ExperimentConfig``, gives the schedule: ``epochs``,
+    ``learning_rate`` and ``tau_start``/``tau_decay``/``tau_floor``; the
+    objective is ``model.mode``.  The target is first max-abs pre-normalized per OFDM
+    symbol, so epoch 0 with scales at 1+0j reproduces the plain
+    normalize-then-nearest-point quantization exactly.  The fixed prefix
+    runs once on the normalized target; every epoch then runs the head
+    forward and backward, and the quantizer's forward gives the nearest
+    points to the scaled bins.  The hard reconstruction and its metric are
+    recomputed only when those decisions differ from the previous epoch's;
+    otherwise the epoch repeats the previous metric, which is the same
+    number.  The kept scales are the best epoch's by the hard-quantized
+    selection metric, so the result is never worse than that baseline.
+    Deterministic for a fixed config: no randomness enters the updates.
+    The head's per-frame arrays (the quantizer's work arrays, the scale's
+    input, the pilot grid) are released on return.
     """
-    opt = opt or TrainConfig()
     x = np.asarray(target.samples, dtype=np.complex128)
     if len(x) % SYMBOL_LEN != 0:
         raise DimensionError(f"target length {len(x)} not a multiple of {SYMBOL_LEN}")
@@ -320,36 +305,34 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
     u = model.normalize(x)
     z = model._bins(u)
 
-    cfg = model.cfg
-    params = model.scale.params
-    mom = {k: np.zeros_like(v) for k, v in params.items()}
-    vel = {k: np.zeros_like(v) for k, v in params.items()}
+    sc = model.scale
+    mom = np.zeros_like(sc.s)
+    vel = np.zeros_like(sc.s)
     result = TrainResult()
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_s = sc.s.copy()
     stale = 0
     t = 0
     idx = None
 
-    for epoch in range(opt.epochs):
+    for epoch in range(cfg.epochs):
         model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
         v_soft = _waveform(model.head.forward(z))
-        soft_loss, g = loss_and_grad(v_soft, u, cfg.mode)
+        soft_loss, g = loss_and_grad(v_soft, u, model.mode)
         if not math.isfinite(soft_loss):
             raise DomainError(f"non-finite training loss at epoch {epoch}: {soft_loss}")
-        model.head.zero_grads()
         model.head.backward(stack_complex(g.reshape(-1, SYMBOL_LEN)))
 
         # the hard grid, and so its metric, changes only with the decisions
         if idx is None or not np.array_equal(model.quantize.decisions, idx):
             idx = model.quantize.decisions
-            metric = selection_metric(model._synthesize(model.const.points[idx]), u, cfg.mode)
+            metric = selection_metric(model._synthesize(model.const.points[idx]), u, model.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - PLATEAU_TOL:
             result.best_hard_metric = metric
             result.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_s = sc.s.copy()
             stale = 0
         else:
             stale += 1
@@ -357,17 +340,14 @@ def train(model: EmulationModel, target: ComplexSignal, opt: TrainConfig | None 
                 break
 
         t += 1
-        for k in params:
-            gk = model.scale.grads[k]
-            mom[k] = ADAM_BETA1 * mom[k] + (1 - ADAM_BETA1) * gk
-            vel[k] = ADAM_BETA2 * vel[k] + (1 - ADAM_BETA2) * gk**2
-            m_hat = mom[k] / (1 - ADAM_BETA1**t)
-            v_hat = vel[k] / (1 - ADAM_BETA2**t)
-            params[k] = params[k] - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        mom = ADAM_BETA1 * mom + (1 - ADAM_BETA1) * sc.grad
+        vel = ADAM_BETA2 * vel + (1 - ADAM_BETA2) * sc.grad**2
+        m_hat = mom / (1 - ADAM_BETA1**t)
+        v_hat = vel / (1 - ADAM_BETA2**t)
+        sc.s = sc.s - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     model.head.release()
-    for k, v in best_params.items():
-        params[k] = v
+    sc.s = best_s
     model.tau = cfg.tau_floor
     result.epochs_run = len(result.loss_history)
     return result
@@ -382,7 +362,7 @@ def save_model(model: EmulationModel, path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "constellation": model.const.name,
-        "mode": model.cfg.mode,
+        "mode": model.mode,
         "target_subcarriers": list(model.target_subcarriers),
         "tau": model.tau,
         "scales_re": s.real.tolist(),
@@ -439,8 +419,7 @@ def load_model(path) -> EmulationModel:
     if not (_finite_number(doc.get("tau")) and doc["tau"] > 0):
         raise bad("tau", "a finite number > 0")
     try:
-        model = EmulationModel(EmulationConfig(
-            constellation=doc["constellation"], target_subcarriers=tuple(subs), mode=doc["mode"]))
+        model = EmulationModel(doc["constellation"], subs, doc["mode"])
     except ConfigError as e:
         raise ConfigError(f"model_file {path}: key target_subcarriers: {e}")
     model.scale.set_scale(np.array(doc["scales_re"], dtype=np.float64)

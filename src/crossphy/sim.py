@@ -26,9 +26,7 @@ import numpy as np
 from . import zigbee
 from .dsp import ComplexSignal, awgn, frequency_shift, make_rng
 from .emulation import (
-    EmulationConfig,
     EmulationModel,
-    TrainConfig,
     TrainResult,
     nmse_excluding_cp,
     phase_mse_excluding_cp,
@@ -168,7 +166,7 @@ class Metrics:
         return asdict(self)
 
 
-def target_subcarriers(delta_f_hz: float, count: int = 7) -> tuple:
+def target_subcarriers(delta_f_hz: float, count: int) -> tuple:
     """The `count` data subcarriers nearest the offset, pilots excluded;
     ties break toward the lower subcarrier index."""
     center = delta_f_hz / SUBCARRIER_SPACING_HZ
@@ -229,6 +227,12 @@ def baseline_quantize(z: np.ndarray, mode: str, mcs: McsConfig,
     raise ConfigError(f"unknown baseline mode {mode!r}")
 
 
+def random_payload(seed: int, n: int) -> bytes:
+    """The ``n``-byte payload drawn from ``seed``: the CLI's ``payload_len``
+    and every ``sweep`` row."""
+    return bytes(make_rng(seed, 0xBEEF, n).integers(0, 256, n).tolist())
+
+
 def frame_target(cfg: ExperimentConfig) -> ComplexSignal:
     """The target a frame is planned for: ``make_target``, padded to a
     symbol count whose payload bits fill whole bytes (n_dbps is not
@@ -248,17 +252,9 @@ def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
     """Build the emulation model for a config and train it on
     ``frame_target(cfg)``.  The one training entry point: plans, sweeps and
     the CLI all come through here."""
-    model = EmulationModel(EmulationConfig(
-        constellation=cfg.modulation,
-        target_subcarriers=target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count),
-        mode=cfg.emulation_mode,
-        tau_start=cfg.tau_start,
-        tau_decay=cfg.tau_decay,
-        tau_floor=cfg.tau_floor,
-    ))
-    result = train(model, frame_target(cfg),
-                   TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate))
-    return model, result
+    model = EmulationModel(cfg.modulation, target_subcarriers(
+        cfg.delta_f_hz, cfg.target_subcarrier_count), cfg.emulation_mode)
+    return model, train(model, frame_target(cfg), cfg)
 
 
 @dataclass
@@ -319,8 +315,7 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     # noiseless emulation quality, measured on the normalized problem the
     # quantizer actually solved: per-symbol max-abs normalized target,
     # against the reconstruction from the actually transmitted grid
-    norm_model = model if model is not None else EmulationModel(EmulationConfig(
-        constellation=cfg.modulation, target_subcarriers=subs))
+    norm_model = model or EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
     u = norm_model.normalize(target.samples)
     intended_pts = mcs.constellation.points[index_grid]
     achieved_pts = ofdm_analyze(tx).bins[:, cols]
@@ -430,8 +425,7 @@ def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
     modes = list(modes or [cfg.quantizer_mode])
     rows = []
     for plen in payload_lens:
-        payload_rng = make_rng(cfg.seed, 0xBEEF, plen)
-        payload = bytes(payload_rng.integers(0, 256, plen).tolist())
+        payload = random_payload(cfg.seed, plen)
         trained_model = None
         for mode in modes:
             point_cfg = replace(cfg, payload=payload, quantizer_mode=mode)

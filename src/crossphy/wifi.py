@@ -276,14 +276,14 @@ def pilot_polarity(symbol_index: int) -> float:
     return float(pilot_polarity_sequence()[symbol_index % 127])
 
 
-def pilot_values(n_symbols: int, start_symbol: int = 0) -> np.ndarray:
+def pilot_values(n_symbols: int) -> np.ndarray:
     """(n_symbols, 4) real pilot values on PILOT_SUBCARRIERS for data symbols
-    start_symbol, start_symbol + 1, ...: polarity times template."""
-    pol = pilot_polarity_sequence()[(start_symbol + np.arange(n_symbols)) % 127]
+    0, 1, ...: polarity times template."""
+    pol = pilot_polarity_sequence()[np.arange(n_symbols) % 127]
     return pol[:, None] * np.array(PILOT_TEMPLATE)
 
 
-def assemble_grid(data_symbols: np.ndarray, start_symbol: int = 0) -> FreqGrid:
+def assemble_grid(data_symbols: np.ndarray) -> FreqGrid:
     """Place (S, 48) data symbols on the data bins, insert pilots, zero the
     rest.  Returns the shifted-order frequency grid (DC at column 32)."""
     data_symbols = np.asarray(data_symbols, dtype=np.complex128)
@@ -294,7 +294,7 @@ def assemble_grid(data_symbols: np.ndarray, start_symbol: int = 0) -> FreqGrid:
     data_cols = np.array([FreqGrid.column(m) for m in DATA_SUBCARRIERS])
     bins[:, data_cols] = data_symbols
     pilot_cols = np.array([FreqGrid.column(m) for m in PILOT_SUBCARRIERS])
-    bins[:, pilot_cols] = pilot_values(n_sym, start_symbol)
+    bins[:, pilot_cols] = pilot_values(n_sym)
     return FreqGrid(bins)
 
 

@@ -360,29 +360,27 @@ def decode_frame(
         soft = soft * sgn
     hard = soft > 0
 
-    def window_symbols(start_chip: int, count: int) -> np.ndarray:
-        chips = hard[start_chip : start_chip + count * CHIPS_PER_SYMBOL]
-        pm = chips.astype(np.float64).reshape(-1, CHIPS_PER_SYMBOL) * 2 - 1
-        return np.argmax(pm @ _CHIP_TABLE_PM.T, axis=1)
-
     data_start = lag + SYNC_CHIPS
     avail = (n_chips - data_start) // CHIPS_PER_SYMBOL
     if avail < 2:
         return DecodeResult(False, None, float("nan"), float("nan"), sync_corr=abs(c))
-    length = int(symbols_to_bytes(window_symbols(data_start, 2))[0])
-    n_pay_sym = 2 * length
+    # every whole symbol window after the SFD, demapped once
+    chips = hard[data_start : data_start + avail * CHIPS_PER_SYMBOL]
+    pm = chips.astype(np.float64).reshape(-1, CHIPS_PER_SYMBOL) * 2 - 1
+    syms = np.argmax(pm @ _CHIP_TABLE_PM.T, axis=1)
+    n_pay_sym = 2 * int(symbols_to_bytes(syms[:2])[0])
     payload = None
     if avail >= 2 + n_pay_sym:
-        payload = symbols_to_bytes(window_symbols(data_start + 2 * CHIPS_PER_SYMBOL, n_pay_sym))
+        payload = symbols_to_bytes(syms[2 : 2 + n_pay_sym])
 
     ser = float("nan")
     cer = float("nan")
     if expected_payload is not None:
-        exp_syms = build_frame(expected_payload)[len(SYNC_SYMBOLS):]
+        frame = build_frame(expected_payload)
+        exp_syms = frame[len(SYNC_SYMBOLS):]
         n_cmp = min(avail, len(exp_syms))
-        got = window_symbols(data_start, n_cmp)
-        ser = float(np.mean(got != exp_syms[:n_cmp])) if n_cmp else 1.0
-        exp_chips = symbols_to_chips(build_frame(expected_payload))
+        ser = float(np.mean(syms[:n_cmp] != exp_syms[:n_cmp])) if n_cmp else 1.0
+        exp_chips = symbols_to_chips(frame)
         n_chip_cmp = min(n_chips - lag, len(exp_chips))
         cer = float(np.mean(hard[lag : lag + n_chip_cmp] != exp_chips[:n_chip_cmp].astype(bool)))
 

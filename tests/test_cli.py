@@ -238,8 +238,7 @@ class TestModelFile:
         cfg = sim.ExperimentConfig()
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
         model = tmp_path / "model.json"
-        emulation.save_model(emulation.EmulationModel(
-            emulation.EmulationConfig(target_subcarriers=subs)), model)
+        emulation.save_model(emulation.EmulationModel(cfg.modulation, subs, "analog"), model)
         doc = json.loads(model.read_text())
         assert "start_symbol" not in doc
         model.write_text(json.dumps({**doc, "start_symbol": start_symbol}))
@@ -274,8 +273,7 @@ class TestModelFile:
         cfg = sim.ExperimentConfig()
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
         model = tmp_path / "model.json"
-        emulation.save_model(emulation.EmulationModel(
-            emulation.EmulationConfig(target_subcarriers=subs)), model)
+        emulation.save_model(emulation.EmulationModel(cfg.modulation, subs, "analog"), model)
         model.write_text(json.dumps(mutate(json.loads(model.read_text()))))
         assert run_cli(["emulate", "--payload-hex", "01", "--model-file", str(model)]) \
             == cli.EXIT_CONFIG

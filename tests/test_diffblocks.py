@@ -14,7 +14,6 @@ class SoftQuantize64(db.DiffBlock):
     over the points.  ``SoftQuantize`` must give these floats exactly."""
 
     def __init__(self, const, n, tau=1.0):
-        super().__init__()
         self.n = n
         self.in_dim = self.out_dim = 2 * n
         self.tau = float(tau)
@@ -101,7 +100,7 @@ class TestCopyLayers:
         db.cp_remove_layer,
         lambda: db.bin_select_layer([3, 17, 50]),
         lambda: db.bin_select_layer([5, 5, 9]),
-        lambda: db.GridAssemble([50, 51, 52], start_symbol=3),
+        lambda: db.GridAssemble([50, 51, 52]),
     ], ids=["cp_add", "cp_remove", "bin_select", "bin_select_repeated", "grid_assemble"])
     def test_equals_the_matrix_products(self, make):
         rng = dsp.make_rng(20)
@@ -279,7 +278,7 @@ class TestSoftQuantize:
 
 class TestGridAssemble:
     def test_pilots_fixed_regardless_of_input(self):
-        blk = db.GridAssemble([50, 51, 52], start_symbol=0)
+        blk = db.GridAssemble([50, 51, 52])
         rng = dsp.make_rng(11)
         from crossphy.wifi import pilot_polarity
 
@@ -294,24 +293,27 @@ class TestGridAssemble:
                 assert grid[s, 7] == pol
                 assert grid[s, 21] == -pol
 
-    def test_pilots_follow_row_count_and_start_symbol(self):
-        # the constants are kept between calls; a new row count rebuilds them
+    def test_pilots_follow_row_count_and_wrap_every_127_symbols(self):
+        # the constants are kept between calls; a new row count rebuilds them,
+        # and symbols 127 on repeat the polarity sequence from its start
         from crossphy.wifi import pilot_polarity
 
-        blk = db.GridAssemble([50], start_symbol=125)
-        for n in (3, 6, 3, 1, 6):
+        blk = db.GridAssemble([50])
+        for n in (3, 6, 3, 1, 130, 6):
             grid = db.unstack_complex(blk.forward(np.zeros((n, 2))))
             for s in range(n):
-                pol = pilot_polarity(125 + s)
+                pol = pilot_polarity(s)
                 assert grid[s, (-21) % 64] == pol
                 assert grid[s, 21] == -pol
+        wrapped = db.unstack_complex(blk.forward(np.zeros((130, 2))))
+        assert np.array_equal(wrapped[127:], wrapped[:3])
 
     def test_grad_check(self):
-        blk = db.GridAssemble([40, 41], start_symbol=2)
+        blk = db.GridAssemble([40, 41])
         assert db.grad_check(blk, dsp.make_rng(12)) < 1e-6
 
     def test_nontarget_data_bins_zero(self):
-        blk = db.GridAssemble([50], start_symbol=0)
+        blk = db.GridAssemble([50])
         out = db.unstack_complex(blk.forward(np.ones((1, 2))))
         pilot_cols = {(-21) % 64, (-7) % 64, 7, 21}
         for col in range(64):

@@ -31,26 +31,26 @@ def hard_reconstruction(model, target):
 class TestBuild:
     def test_pilot_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            em.EmulationModel(em.EmulationConfig(target_subcarriers=(-7, -8)))
+            em.EmulationModel("qam64", (-7, -8), "analog")
 
     def test_null_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            em.EmulationModel(em.EmulationConfig(target_subcarriers=(0,)))
+            em.EmulationModel("qam64", (0,), "analog")
 
     def test_output_length_equals_input_length(self):
-        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel("qam64", SUBS, "analog")
         rng = dsp.make_rng(1)
         for blocks in (1, 3, 7):
             x = rng.standard_normal(80 * blocks) + 1j * rng.standard_normal(80 * blocks)
             assert len(model.forward(x)) == 80 * blocks
 
     def test_non_multiple_length_rejected(self):
-        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel("qam64", SUBS, "analog")
         with pytest.raises(DimensionError):
             model.forward(np.ones(81, dtype=complex))
 
     def test_internal_grid_pilots_fixed(self):
-        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel("qam64", SUBS, "analog")
         rng = dsp.make_rng(2)
         x = rng.standard_normal(160) + 1j * rng.standard_normal(160)
         h = model._to_blocks(x)
@@ -65,14 +65,14 @@ class TestBuild:
             assert grid[s, 21] == -pilot_polarity(s)
 
     def test_infer_shape_and_range(self):
-        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel("qam64", SUBS, "analog")
         target = zigbee_target(2)
         idx = model_indices(model, target)
         assert idx.shape == (len(target.samples) // 80, len(SUBS))
         assert idx.min() >= 0 and idx.max() < 64
 
     def test_infer_deterministic(self):
-        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel("qam64", SUBS, "analog")
         target = zigbee_target(2)
         a = model_indices(model, target)
         b = model_indices(model, target)
@@ -91,7 +91,7 @@ class TestPassthrough:
         assert np.max(np.abs(ob[:, :16] - ib[:, 64:])) < 1e-9
 
     def test_full_autoencoder_grad_check(self):
-        model = em.EmulationModel(em.EmulationConfig(target_subcarriers=SUBS))
+        model = em.EmulationModel("qam64", SUBS, "analog")
         err = db.grad_check(model.stack, dsp.make_rng(4),
                             x=dsp.make_rng(5).standard_normal((2, 160)))
         assert err < 1e-4
@@ -167,21 +167,20 @@ class TestHardQuantize:
 
 class TestTraining:
     def make(self, mode="analog"):
-        cfg = em.EmulationConfig(target_subcarriers=SUBS, mode=mode)
-        return em.EmulationModel(cfg)
+        return em.EmulationModel("qam64", SUBS, mode)
 
     def test_deterministic(self):
         target = zigbee_target(1)
         runs = []
         for _ in range(2):
             model = self.make()
-            em.train(model, target, em.TrainConfig(epochs=60))
-            runs.append(model.scale.params["scale"].copy())
+            em.train(model, target, sim.ExperimentConfig(epochs=60))
+            runs.append(model.scale.s.copy())
         assert np.array_equal(runs[0], runs[1])
 
     def test_best_metric_non_increasing(self):
         model = self.make()
-        res = em.train(model, zigbee_target(1), em.TrainConfig(epochs=80))
+        res = em.train(model, zigbee_target(1), sim.ExperimentConfig(epochs=80))
         best = np.minimum.accumulate(res.hard_metric_history)
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(best, best[1:]))
         assert res.best_hard_metric == pytest.approx(min(res.hard_metric_history))
@@ -198,16 +197,16 @@ class TestTraining:
         h = model.cp_add.forward(h)
         v_base = db.unstack_complex(h).reshape(-1)
         base_nmse = em.nmse_excluding_cp(v_base, u)
-        em.train(model, target, em.TrainConfig(epochs=120))
+        em.train(model, target, sim.ExperimentConfig(epochs=120))
         v_hard = hard_reconstruction(model, target)
         assert em.nmse_excluding_cp(v_hard, u) <= base_nmse + 1e-12
 
     def test_digital_mode_improves_phase(self):
         target = zigbee_target(2, seed=4)
         analog = self.make("analog")
-        em.train(analog, target, em.TrainConfig(epochs=150))
+        em.train(analog, target, sim.ExperimentConfig(epochs=150))
         digital = self.make("digital")
-        em.train(digital, target, em.TrainConfig(epochs=150))
+        em.train(digital, target, sim.ExperimentConfig(epochs=150))
         u = analog.normalize(target.samples)
         pa = em.phase_mse_excluding_cp(hard_reconstruction(analog, target), u)
         pd = em.phase_mse_excluding_cp(hard_reconstruction(digital, target), u)
@@ -221,42 +220,48 @@ class TestTraining:
         model.scale.set_scale(np.exp(0.3j) * np.linspace(0.8, 1.2, len(SUBS)))
         blocks = model._to_blocks(u)
         g = dsp.make_rng(12).standard_normal((blocks.shape[0], 160))
-        model.stack.zero_grads()
         model.stack.forward(blocks)
         model.stack.backward(g)
-        full = model.scale.grads["scale"].copy()
-        model.head.zero_grads()
+        full = model.scale.grad.copy()
         model.head.forward(model.prefix.forward(blocks))
         model.head.backward(g)
         assert np.any(full != 0)
-        assert np.array_equal(model.scale.grads["scale"], full)
+        assert np.array_equal(model.scale.grad, full)
 
     def test_first_epoch_loss_is_the_full_stack_loss(self):
         target = zigbee_target(2, seed=7)
         model = self.make()
         u = model.normalize(target.samples)
         expect = em.loss(model.forward(u), u, "analog")  # scales 1+0j, tau_start
-        res = em.train(model, target, em.TrainConfig(epochs=5))
+        res = em.train(model, target, sim.ExperimentConfig(epochs=5))
         assert res.loss_history[0] == expect
 
     def test_best_hard_metric_is_the_nn_webee_reconstruction(self):
         target = zigbee_target(2, seed=8)
         model = self.make("digital")
-        res = em.train(model, target, em.TrainConfig(epochs=60))
+        res = em.train(model, target, sim.ExperimentConfig(epochs=60))
         u = model.normalize(target.samples)
         got = em.selection_metric(hard_reconstruction(model, target), u, "digital")
         assert got == res.best_hard_metric
+
+    def test_default_config_caps_at_the_cli_epoch_count(self, monkeypatch):
+        # no plateau stop, so only the cap ends training
+        monkeypatch.setattr(em, "PLATEAU_PATIENCE", 10**9)
+        from crossphy import cli
+
+        res = em.train(self.make("digital"), zigbee_target(1), sim.ExperimentConfig())
+        assert res.epochs_run == cli.experiment_config({}).epochs == 300
 
     def test_nonfinite_loss_aborts(self):
         model = self.make()
         bad = dsp.ComplexSignal(np.zeros(160, dtype=complex), 20e6)
         with pytest.raises(Exception):
-            em.train(model, bad, em.TrainConfig(epochs=5))
+            em.train(model, bad, sim.ExperimentConfig(epochs=5))
 
     def test_save_load_roundtrip(self, tmp_path):
         target = zigbee_target(1, seed=5)
         model = self.make()
-        em.train(model, target, em.TrainConfig(epochs=40))
+        em.train(model, target, sim.ExperimentConfig(epochs=40))
         path = tmp_path / "model.json"
         em.save_model(model, path)
         back = em.load_model(path)
@@ -277,7 +282,6 @@ class GridAssembleProducts(db.DiffBlock):
     """Grid assembly by its matrix products: ``x @ weight.T + pilots``."""
 
     def __init__(self, spec):
-        super().__init__()
         self.spec = spec
         self.in_dim, self.out_dim = spec.in_dim, spec.out_dim
 
@@ -288,7 +292,7 @@ class GridAssembleProducts(db.DiffBlock):
         return gy @ self.spec.weight
 
 
-def reference_train(model, target, opt):
+def reference_train(model, target, cfg):
     """The epoch loop as it stood before ``train`` reused the quantizer's
     decisions, run on the specification's layers: matrix products for the
     0/1 maps, the per-point soft quantizer, and ``hard_indices`` plus a hard
@@ -296,7 +300,6 @@ def reference_train(model, target, opt):
     def products(blk):
         return db.FixedLinear(blk.weight, blk.name)
 
-    cfg = model.cfg
     prefix = db.Sequential([products(model.cp_remove), model.dft, products(model.select)])
     quantize = SoftQuantize64(model.const, model.quantize.n, cfg.tau_start)
     synth = db.Sequential([GridAssembleProducts(model.assemble), model.idft,
@@ -311,31 +314,30 @@ def reference_train(model, target, opt):
     u = (x.reshape(-1, 80) / g[:, None]).reshape(-1)
     z = bins(u)
 
-    params = model.scale.params
-    mom = {k: np.zeros_like(v) for k, v in params.items()}
-    vel = {k: np.zeros_like(v) for k, v in params.items()}
+    scale = model.scale
+    mom = np.zeros_like(scale.s)
+    vel = np.zeros_like(scale.s)
     result = em.TrainResult()
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_s = scale.s.copy()
     stale = 0
     t = 0
 
-    for epoch in range(opt.epochs):
+    for epoch in range(cfg.epochs):
         quantize.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
         v_soft = em._waveform(head.forward(z))
-        soft_loss, g = em.loss_and_grad(v_soft, u, cfg.mode)
-        head.zero_grads()
+        soft_loss, g = em.loss_and_grad(v_soft, u, model.mode)
         head.backward(db.stack_complex(g.reshape(-1, 80)))
 
         idx = model.quantize.hard_indices(model.scale.forward(z))
         v_hard = em._waveform(synth.forward(db.stack_complex(model.const.points[idx])))
-        metric = em.selection_metric(v_hard, u, cfg.mode)
+        metric = em.selection_metric(v_hard, u, model.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - em.PLATEAU_TOL:
             result.best_hard_metric = metric
             result.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_s = scale.s.copy()
             stale = 0
         else:
             stale += 1
@@ -343,16 +345,14 @@ def reference_train(model, target, opt):
                 break
 
         t += 1
-        for k in params:
-            gk = model.scale.grads[k]
-            mom[k] = em.ADAM_BETA1 * mom[k] + (1 - em.ADAM_BETA1) * gk
-            vel[k] = em.ADAM_BETA2 * vel[k] + (1 - em.ADAM_BETA2) * gk**2
-            m_hat = mom[k] / (1 - em.ADAM_BETA1**t)
-            v_hat = vel[k] / (1 - em.ADAM_BETA2**t)
-            params[k] = params[k] - opt.learning_rate * m_hat / (np.sqrt(v_hat) + em.ADAM_EPS)
+        gk = scale.grad
+        mom = em.ADAM_BETA1 * mom + (1 - em.ADAM_BETA1) * gk
+        vel = em.ADAM_BETA2 * vel + (1 - em.ADAM_BETA2) * gk**2
+        m_hat = mom / (1 - em.ADAM_BETA1**t)
+        v_hat = vel / (1 - em.ADAM_BETA2**t)
+        scale.s = scale.s - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + em.ADAM_EPS)
 
-    for k, v in best_params.items():
-        params[k] = v
+    scale.s = best_s
     result.epochs_run = len(result.loss_history)
     return result
 
@@ -364,14 +364,14 @@ def reference_train(model, target, opt):
 @pytest.mark.parametrize("modulation,rate", [("bpsk", "3/4"), ("qpsk", "1/2"),
                                              ("qam16", "3/4"), ("qam64", "1/2")])
 def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
-    payload = bytes(dsp.make_rng(1, 0xBEEF, n_bytes).integers(0, 256, n_bytes).tolist())
+    payload = sim.random_payload(1, n_bytes)
     cfg = sim.ExperimentConfig(payload=payload, modulation=modulation, coding_rate=rate,
                                emulation_mode=mode)
     model, got = sim.train_model(cfg)
 
-    ref_model = em.EmulationModel(model.cfg)
+    ref_model = em.EmulationModel(model.const.name, model.target_subcarriers, model.mode)
     target = sim.frame_target(cfg)
-    want = reference_train(ref_model, target, em.TrainConfig(cfg.epochs, cfg.learning_rate))
+    want = reference_train(ref_model, target, cfg)
 
     assert got.epochs_run == want.epochs_run
     assert got.best_epoch == want.best_epoch

@@ -193,8 +193,7 @@ class TestPipeline:
     def test_model_constellation_mismatch_rejected(self):
         cfg = small_cfg(quantizer_mode="trained")
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-        model = em.EmulationModel(em.EmulationConfig(constellation="qam16",
-                                                     target_subcarriers=subs))
+        model = em.EmulationModel("qam16", subs, "analog")
         with pytest.raises(ConfigError):
             sim.plan_frame(cfg, model=model)
 
@@ -204,8 +203,7 @@ class TestPipeline:
 
     def test_mismatched_model_subcarriers_rejected(self):
         cfg = small_cfg(quantizer_mode="trained")
-        model = em.EmulationModel(em.EmulationConfig(
-            target_subcarriers=(8, 9, 10)))
+        model = em.EmulationModel("qam64", (8, 9, 10), "analog")
         with pytest.raises(ConfigError):
             sim.plan_frame(cfg, model=model)
 
@@ -217,6 +215,29 @@ class TestPipeline:
         rng_a = dsp.make_rng(cfg_a.seed, len(cfg_a.payload), key, 0)
         rng_b = dsp.make_rng(cfg_b.seed, len(cfg_b.payload), key, 0)
         assert np.array_equal(rng_a.standard_normal(8), rng_b.standard_normal(8))
+
+
+@pytest.fixture(scope="module")
+def digital_20_epochs():
+    base = sim.ExperimentConfig(payload=sim.random_payload(1, 8), emulation_mode="digital",
+                                epochs=20)
+    return (base, *sim.train_model(base))
+
+
+# each value binds within 20 epochs: tau_floor 0.9 from epoch 3 on
+# (0.95**3 = 0.857), where 0.2 would not until epoch 32
+@pytest.mark.parametrize("key,value", [
+    ("epochs", 15), ("learning_rate", 5e-2), ("tau_start", 0.5), ("tau_decay", 0.8),
+    ("tau_floor", 0.9), ("emulation_mode", "analog"),
+])
+def test_every_training_setting_reaches_the_trainer(key, value, digital_20_epochs):
+    base, base_model, want = digital_20_epochs
+    cfg = replace(base, **{key: value})
+    assert getattr(cfg, key) != getattr(base, key)
+    model, got = sim.train_model(cfg)
+    assert (got.loss_history, got.epochs_run) != (want.loss_history, want.epochs_run)
+    if key == "tau_floor":
+        assert (model.tau, base_model.tau) == (0.9, base.tau_floor)
 
 
 class TestMcsMatrix:
