@@ -7,29 +7,27 @@ Run:  python demos/05_qam_emulation_training.py
 """
 import numpy as np
 
-from crossphy import emulation as em, sim, wifi
+from crossphy import emulation as em, sim
 
 # a short ZigBee chip sequence placed 10 subcarriers below band center
 payload = bytes.fromhex("a1b2c3d4")
 target = sim.make_target(payload, -3.125e6, lead_in_samples=6)
 subs = sim.target_subcarriers(-3.125e6, 7)
-mcs = wifi.mcs_config("qam64")
 print(f"target: {len(target)} samples, emulated on subcarriers {subs}")
-z = wifi.ofdm_analyze(target).bins[:, [m + 32 for m in subs]]  # (symbols, 7) target bins
 
 
 def hard_reconstruction(model):
-    """The waveform of the model's hard decisions: the nn-webee rule with
-    its scales (at 1+0j this is the plain webee rule), synthesized."""
-    idx = sim.baseline_quantize(z, "nn-webee", mcs, scales=model.export_scales())
-    return model.synthesize(mcs.constellation.points[idx])
+    """The waveform of the model's hard decisions on the normalized target
+    (at scales 1+0j this is the plain webee rule), synthesized."""
+    u, _ = model.normalize(target.samples)
+    return model.synthesize(model.const.points[model.decide(u)])
 
 
 results = {}
 for mode in ("analog", "digital"):
     model = em.EmulationModel("qam64", subs, mode)
     res = em.train(model, target, sim.ExperimentConfig(epochs=300, learning_rate=1e-2))
-    u = model.normalize(target.samples)
+    u, _ = model.normalize(target.samples)
     v = hard_reconstruction(model)
     results[mode] = dict(
         model=model,
@@ -44,7 +42,7 @@ for mode in ("analog", "digital"):
 
 print("\n== against the plain max-abs nearest-point rule ==")
 base = em.EmulationModel("qam64", subs, "analog")
-u = base.normalize(target.samples)
+u, _ = base.normalize(target.samples)
 v0 = hard_reconstruction(base)  # scales still at 1+0j
 print(f"baseline       : NMSE {em.nmse_excluding_cp(v0, u):.4f}, "
       f"phase {em.phase_mse_excluding_cp(v0, u):.4f}")

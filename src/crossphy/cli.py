@@ -183,8 +183,7 @@ def cmd_solve_payload(cfg, doc):
 
 
 def cmd_transmit(cfg, doc):
-    psdu = bytes.fromhex(doc["payload_hex"]) if "payload_hex" in doc else cfg.payload
-    sig = transmit_psdu(psdu, cfg.mcs, cfg.scrambler_seed)
+    sig = transmit_psdu(cfg.payload, cfg.mcs, cfg.scrambler_seed)
     out = doc.get("iq_out", "tx.cf32")
     write_cf32(out, sig)
     _emit(sim.summary_json(cfg, [], extra={
@@ -194,12 +193,13 @@ def cmd_transmit(cfg, doc):
 
 
 def cmd_zigbee_mod(cfg, doc):
-    chips = zigbee.symbols_to_chips(zigbee.build_frame(cfg.payload))
+    frame = zigbee.build_frame(cfg.payload)
+    chips = zigbee.symbols_to_chips(frame)
     sig = zigbee.oqpsk_modulate(chips)
     out = doc.get("iq_out", "zigbee.cf32")
     write_cf32(out, sig)
     _emit(sim.summary_json(cfg, [], extra={
-        "zigbee_mod": {"symbols": int(len(zigbee.build_frame(cfg.payload))),
+        "zigbee_mod": {"symbols": int(len(frame)),
                        "chips": int(len(chips)), "samples": len(sig), "iq_out": out},
     }), doc.get("metrics_out"))
     return EXIT_OK
@@ -242,22 +242,11 @@ def cmd_sweep(cfg, doc):
 
 def cmd_grad_check(cfg, doc):
     from .diffblocks import grad_check
-    from .wifi import constellation as _const
-    from . import diffblocks as db
 
     rng = make_rng(cfg.seed)
     subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
     model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
-    checks = {
-        "dft": db.dft_layer(),
-        "idft": db.idft_layer(),
-        "cp_add": db.cp_add_layer(),
-        "cp_remove": db.cp_remove_layer(),
-        "bin_select": db.bin_select_layer([sc % 64 for sc in subs]),
-        "complex_scale": db.ComplexScale(len(subs)),
-        "soft_quantize": db.SoftQuantize(_const(cfg.modulation), len(subs), tau=1.0),
-        "autoencoder": model.stack,
-    }
+    checks = {**{b.name: b for b in model.stack.blocks}, "autoencoder": model.stack}
     worst = 0.0
     report = {}
     for name, block in checks.items():

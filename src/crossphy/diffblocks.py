@@ -204,6 +204,7 @@ def bin_select_layer(columns, width: int = N_FFT) -> CopyLinear:
 class ComplexScale(DiffBlock):
     """Trainable per-column complex gain: y_k = s_k * z_k.  ``s`` holds the
     scale as [Re | Im]; ``backward`` sets ``grad``, the gradient for ``s``."""
+    name = "complex_scale"
 
     def __init__(self, n: int):
         self.n = n
@@ -259,6 +260,7 @@ class SoftQuantize(DiffBlock):
     by the next forward) until ``release``.  ``decisions`` is the forward's
     nearest point per value, ``Constellation.nearest`` of the input.
     """
+    name = "soft_quantize"
 
     def __init__(self, const: Constellation, n: int, tau: float = 1.0):
         self.const = const

@@ -18,13 +18,13 @@ epoch's hard decisions, and the hard grid is re-synthesized and re-scored
 only in epochs whose decisions differ from the previous epoch's.
 ``sim.train_model`` is the one caller.
 
-Inference is the one quantization rule every mode shares: divide each OFDM
-symbol's target bins by their largest magnitude (``symbol_peaks``),
-multiply by the per-subcarrier scales and take the nearest constellation
-point (``Constellation.nearest``).  With unit scales that is the ``webee``
-rule; with a model's exported scales it is ``nn-webee`` and reproduces the
-model's hard decisions, so a trained plan is ``nn-webee`` with its own
-scales (``sim.baseline_quantize``).
+Inference is the one quantization rule every mode but ``wide`` shares:
+``normalize`` divides each OFDM symbol by the largest magnitude of its
+target bins (``symbol_peaks``) and ``decide`` scales the normalized bins and
+takes the nearest constellation point (``Constellation.nearest``).  With
+unit scales that is the ``webee`` rule; with trained scales it is the best
+epoch's decisions, so a ``trained`` or ``nn-webee`` plan is ``decide`` of a
+trained model.
 """
 
 from __future__ import annotations
@@ -134,8 +134,9 @@ class EmulationModel:
         self.assemble.release()
         return wave
 
-    def normalize(self, x) -> np.ndarray:
-        """Per-OFDM-symbol max-abs pre-normalization of a raw waveform.
+    def normalize(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Per-OFDM-symbol max-abs pre-normalization of a raw waveform:
+        ``(u, z)``, the normalized waveform and the raw (S, m) target bins.
 
         Every 80-sample block is divided by ``symbol_peaks`` of its target
         bins, which brings the bins into the constellation's dynamic range;
@@ -144,13 +145,23 @@ class EmulationModel:
         frame decoder is amplitude-invariant anyway.
         """
         x = np.asarray(x, dtype=np.complex128)
-        g = symbol_peaks(unstack_complex(self._bins(x)))
-        return (x.reshape(-1, SYMBOL_LEN) / g[:, None]).reshape(-1)
+        z = unstack_complex(self._bins(x))
+        if float(np.max(np.abs(z))) <= 0:
+            raise DomainError("target has no energy on the selected subcarriers")
+        g = symbol_peaks(z)
+        return (x.reshape(-1, SYMBOL_LEN) / g[:, None]).reshape(-1), z
+
+    def decide(self, u) -> np.ndarray:
+        """(S, m) point indices of a normalized waveform: its target bins,
+        scaled, to the nearest point.  Unit scales give the ``webee`` rule,
+        trained ones the best epoch's decisions."""
+        idx = self.quantize.hard_indices(self.scale.forward(self._bins(u)))
+        self.scale.release()
+        return idx
 
     def export_scales(self) -> np.ndarray:
         """Per-subcarrier complex scales applied after the per-symbol max-abs
-        normalization; the ``nn-webee`` rule with these scales is this
-        model's quantizer."""
+        normalization, as ``decide`` applies them."""
         return self.scale.scale.copy()
 
     @property
@@ -192,15 +203,7 @@ def build_passthrough_autoencoder() -> Sequential:
 
 def loss(output, target, mode: str) -> float:
     """analog: mean |u-v|^2 over samples; digital: mean wrapped-phase-diff^2."""
-    u = np.asarray(target, dtype=np.complex128).reshape(-1)
-    v = np.asarray(output, dtype=np.complex128).reshape(-1)
-    if u.shape != v.shape:
-        raise DimensionError(f"length mismatch {u.shape} vs {v.shape}")
-    if mode == "analog":
-        return float(np.mean(np.abs(u - v) ** 2))
-    if mode == "digital":
-        return float(np.mean(np.angle(v * np.conj(u)) ** 2))
-    raise ConfigError(f"unknown loss mode {mode!r}")
+    return loss_and_grad(output, target, mode)[0]
 
 
 def loss_and_grad(output, target, mode: str, eps: float = 1e-12):
@@ -211,6 +214,8 @@ def loss_and_grad(output, target, mode: str, eps: float = 1e-12):
     """
     u = np.asarray(target, dtype=np.complex128).reshape(-1)
     v = np.asarray(output, dtype=np.complex128).reshape(-1)
+    if u.shape != v.shape:
+        raise DimensionError(f"length mismatch {u.shape} vs {v.shape}")
     n = len(u)
     if mode == "analog":
         diff = v - u
@@ -300,9 +305,7 @@ def train(model: EmulationModel, target: ComplexSignal, cfg) -> TrainResult:
     if len(x) == 0:
         raise DomainError("empty training target")
 
-    if float(np.max(np.abs(model._bins(x)))) <= 0:
-        raise DomainError("target has no energy on the selected subcarriers")
-    u = model.normalize(x)
+    u, _ = model.normalize(x)
     z = model._bins(u)
 
     sc = model.scale

@@ -1,10 +1,10 @@
 """End-to-end experiment driver.
 
 Builds a ZigBee target waveform at a subcarrier offset inside the WiFi
-baseband, picks constellation points for it (trained quantizer or one of
-the reference quantization rules), inverts the coding chain to a PSDU,
-transmits that PSDU through the unmodified OFDM chain, and runs the
-software ZigBee receiver over an AWGN channel.
+baseband, picks constellation points for it (``EmulationModel.decide`` of a
+trained or untrained model, or the phase-only ``wide_quantize``), inverts
+the coding chain to a PSDU, transmits it through the unmodified OFDM chain,
+and runs the software ZigBee receiver over an AWGN channel.
 
 Distance and transmit power, the axes of an over-the-air testbed, are
 replaced by the SNR axis here; packet reception requires byte-exact payload
@@ -30,7 +30,6 @@ from .emulation import (
     TrainResult,
     nmse_excluding_cp,
     phase_mse_excluding_cp,
-    symbol_peaks,
     train,
 )
 from .errors import ConfigError, DimensionError
@@ -195,36 +194,18 @@ def reference_chips(payload: bytes) -> np.ndarray:
     return zigbee.symbols_to_chips(zigbee.build_frame(payload))
 
 
-def baseline_quantize(z: np.ndarray, mode: str, mcs: McsConfig,
-                      scales: np.ndarray | None = None) -> np.ndarray:
-    """Reference quantization rules mapping the (S, m) target bins ``z``
-    (OFDM symbols by target subcarriers) to point indices.
-
-    webee    : per-OFDM-symbol max-abs normalization, then nearest point.
-    wide     : the point with the smallest wrapped phase difference to the
-               bin value; magnitude ignored (ties break toward the lower
-               index, then it is deterministic).
-    nn-webee : the webee rule with trained per-subcarrier scales applied
-               after the normalization (requires ``scales``); with a
-               model's exported scales this is that model's quantizer.
-    """
-    const = mcs.constellation
-    if mode in ("webee", "nn-webee"):
-        w = z / symbol_peaks(z)[:, None]
-        if mode == "nn-webee":
-            if scales is None:
-                raise ConfigError("nn-webee requires scales exported from a trained model")
-            w = w * np.asarray(scales)[None, :]
-        return const.nearest(w)
-    if mode == "wide":
-        # bins with no real content have meaningless phase; pin them so the
-        # rule stays deterministic and scale-invariant
-        znz = np.where(np.abs(z) < 1e-9 * max(float(np.abs(z).max()), 1e-300), 1.0, z)
-        dphi = np.abs(np.angle(znz[..., None] * np.conj(const.points)))
-        # symmetric targets produce exact phase ties; round so the winner is
-        # the lowest index rather than whichever rounding error is smaller
-        return np.argmin(np.round(dphi, 9), axis=-1)
-    raise ConfigError(f"unknown baseline mode {mode!r}")
+def wide_quantize(z: np.ndarray, mcs: McsConfig) -> np.ndarray:
+    """The ``wide`` rule (the other modes use ``EmulationModel.decide``): for
+    each of the (S, m) raw target bins ``z`` the point with the smallest
+    wrapped phase difference; magnitude ignored, ties to the lower index."""
+    points = mcs.constellation.points
+    # bins with no real content have meaningless phase; pin them so the
+    # rule stays deterministic and scale-invariant
+    znz = np.where(np.abs(z) < 1e-9 * max(float(np.abs(z).max()), 1e-300), 1.0, z)
+    dphi = np.abs(np.angle(znz[..., None] * np.conj(points)))
+    # symmetric targets produce exact phase ties; round so the winner is
+    # the lowest index rather than whichever rounding error is smaller
+    return np.argmin(np.round(dphi, 9), axis=-1)
 
 
 def random_payload(seed: int, n: int) -> bytes:
@@ -268,7 +249,7 @@ class FramePlan:
     index_grid: np.ndarray
     report: SolveReport
     tx: ComplexSignal
-    model: EmulationModel | None
+    model: EmulationModel
     nmse_body: float
     phase_mse_body: float
     evm: float
@@ -280,9 +261,11 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     """Target construction, quantization (training if needed), GF(2) solve
     and transmit-waveform synthesis.  Deterministic for a fixed config.
 
-    The ``trained`` and ``nn-webee`` modes quantize with the ``nn-webee``
-    rule and the scales of ``model``, a trained model, or of one trained
-    here when none is given."""
+    One ``EmulationModel`` analyses the target and quantizes it: ``model``,
+    or one trained here, in the ``trained`` and ``nn-webee`` modes; an
+    untrained one in ``webee`` and ``wide``, which check a given model
+    against the config and ignore its scales.  ``wide`` takes
+    ``wide_quantize`` of the raw bins, the others ``model.decide``."""
     cfg.validate()
     subs = target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
     target = frame_target(cfg)
@@ -293,19 +276,16 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
             f"model ({model.const.name} on subcarriers {model.target_subcarriers}) does not "
             f"match the configured {mcs.constellation.name} on {subs}")
 
-    train_seconds = 0.0
-    train_epochs = 0
-    mode, scales = cfg.quantizer_mode, None
-    if mode in MODEL_MODES:
-        if model is None:
-            t0 = time.perf_counter()
-            model, result = train_model(cfg)
-            train_seconds = time.perf_counter() - t0
-            train_epochs = result.epochs_run
-        mode, scales = "nn-webee", model.export_scales()
-    cols = [sc + 32 for sc in subs]
-    z = ofdm_analyze(target).bins[:, cols]
-    index_grid = baseline_quantize(z, mode, mcs, scales=scales)
+    train_seconds, train_epochs = 0.0, 0
+    if cfg.quantizer_mode not in MODEL_MODES:
+        model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
+    elif model is None:
+        t0 = time.perf_counter()
+        model, result = train_model(cfg)
+        train_seconds = time.perf_counter() - t0
+        train_epochs = result.epochs_run
+    u, z = model.normalize(target.samples)
+    index_grid = wide_quantize(z, mcs) if cfg.quantizer_mode == "wide" else model.decide(u)
     report = solve_payload(index_grid, mcs, cfg.scrambler_seed, subs,
                            bin_energy=np.abs(z) ** 2)
     tx = transmit_psdu(report.psdu, mcs, cfg.scrambler_seed)
@@ -315,11 +295,9 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     # noiseless emulation quality, measured on the normalized problem the
     # quantizer actually solved: per-symbol max-abs normalized target,
     # against the reconstruction from the actually transmitted grid
-    norm_model = model or EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
-    u = norm_model.normalize(target.samples)
     intended_pts = mcs.constellation.points[index_grid]
-    achieved_pts = ofdm_analyze(tx).bins[:, cols]
-    emulated = norm_model.synthesize(achieved_pts)
+    achieved_pts = ofdm_analyze(tx).bins[:, [sc + 32 for sc in subs]]
+    emulated = model.synthesize(achieved_pts)
     nmse_body = nmse_excluding_cp(emulated, u)
     phase_mse_body = phase_mse_excluding_cp(emulated, u)
     evm = float(np.sqrt(np.mean(np.abs(achieved_pts - intended_pts) ** 2)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crossphy import diffblocks as db
-from crossphy import dsp, emulation as em, sim, wifi, zigbee
+from crossphy import dsp, emulation as em, sim, zigbee
 from crossphy.errors import ConfigError, DimensionError
 from crossphy.wifi import constellation
 from test_diffblocks import SoftQuantize64, held_rows, same_bits
@@ -18,10 +18,8 @@ def zigbee_target(n_symbols=1, delta_f=-3.125e6, seed=0):
 
 
 def model_indices(model, target):
-    """The model's quantizer: the nn-webee rule with its exported scales."""
-    z = wifi.ofdm_analyze(target).bins[:, [m + 32 for m in model.target_subcarriers]]
-    return sim.baseline_quantize(z, "nn-webee", wifi.mcs_config(model.const.name),
-                                 scales=model.export_scales())
+    """The model's quantizer: ``decide`` of the normalized target."""
+    return model.decide(model.normalize(target.samples)[0])
 
 
 def hard_reconstruction(model, target):
@@ -190,7 +188,7 @@ class TestTraining:
         target = zigbee_target(1, seed=3)
         model = self.make()
         baseline_idx = model_indices(model, target)  # scales still at init
-        u = model.normalize(target.samples)
+        u, _ = model.normalize(target.samples)
         pts = model.const.points[baseline_idx]
         h = model.assemble.forward(db.stack_complex(pts))
         h = model.idft.forward(h)
@@ -207,7 +205,7 @@ class TestTraining:
         em.train(analog, target, sim.ExperimentConfig(epochs=150))
         digital = self.make("digital")
         em.train(digital, target, sim.ExperimentConfig(epochs=150))
-        u = analog.normalize(target.samples)
+        u, _ = analog.normalize(target.samples)
         pa = em.phase_mse_excluding_cp(hard_reconstruction(analog, target), u)
         pd = em.phase_mse_excluding_cp(hard_reconstruction(digital, target), u)
         assert pd <= pa + 1e-12
@@ -216,7 +214,7 @@ class TestTraining:
         # the trainer backpropagates through the head only; the fixed prefix
         # in front of the scale cannot change the scale gradient
         model = self.make("digital")
-        u = model.normalize(zigbee_target(2, seed=6).samples)
+        u, _ = model.normalize(zigbee_target(2, seed=6).samples)
         model.scale.set_scale(np.exp(0.3j) * np.linspace(0.8, 1.2, len(SUBS)))
         blocks = model._to_blocks(u)
         g = dsp.make_rng(12).standard_normal((blocks.shape[0], 160))
@@ -231,17 +229,19 @@ class TestTraining:
     def test_first_epoch_loss_is_the_full_stack_loss(self):
         target = zigbee_target(2, seed=7)
         model = self.make()
-        u = model.normalize(target.samples)
+        u, _ = model.normalize(target.samples)
         expect = em.loss(model.forward(u), u, "analog")  # scales 1+0j, tau_start
         res = em.train(model, target, sim.ExperimentConfig(epochs=5))
         assert res.loss_history[0] == expect
 
-    def test_best_hard_metric_is_the_nn_webee_reconstruction(self):
+    @pytest.mark.parametrize("mode", ["analog", "digital"])
+    @pytest.mark.parametrize("modulation", ["qpsk", "qam16", "qam64"])
+    def test_best_hard_metric_is_the_nn_webee_reconstruction(self, modulation, mode):
         target = zigbee_target(2, seed=8)
-        model = self.make("digital")
+        model = em.EmulationModel(modulation, SUBS, mode)
         res = em.train(model, target, sim.ExperimentConfig(epochs=60))
-        u = model.normalize(target.samples)
-        got = em.selection_metric(hard_reconstruction(model, target), u, "digital")
+        u, _ = model.normalize(target.samples)
+        got = em.selection_metric(hard_reconstruction(model, target), u, mode)
         assert got == res.best_hard_metric
 
     def test_default_config_caps_at_the_cli_epoch_count(self, monkeypatch):

@@ -50,8 +50,16 @@ class TestTargetSubcarriers:
         assert len(sim.target_subcarriers(0.0, 5)) == 5
 
 
-def target_bins(sig, subs):
-    return wifi.ofdm_analyze(sig).bins[:, [m + 32 for m in subs]]
+def normalized(sig, subs):
+    """``EmulationModel.normalize`` of a waveform on ``subs``: the
+    normalized waveform and the raw target bins."""
+    return em.EmulationModel("qam64", subs, "analog").normalize(sig.samples)
+
+
+def webee(sig, subs):
+    """The webee rule: ``decide`` of an untrained model."""
+    model = em.EmulationModel("qam64", subs, "analog")
+    return model.decide(model.normalize(sig.samples)[0])
 
 
 class TestBaselineQuantize:
@@ -73,18 +81,16 @@ class TestBaselineQuantize:
         cols = [m + 32 for m in self.subs]
         grid[:, cols] = 0.4 * pts
         sig = wifi.synthesize(FreqGrid(grid))
-        got = sim.baseline_quantize(target_bins(sig, self.subs), "webee", self.mcs)
+        got = webee(sig, self.subs)
         peak = np.max(np.abs(pts), axis=1, keepdims=True)
         expect = const.nearest(pts / peak)
         assert np.array_equal(got, expect)
 
     def test_wide_ignores_magnitude(self):
-        grid = wifi.ofdm_analyze(self.target)
-        cols = [m + 32 for m in self.subs]
-        z = grid.bins[:, cols]
-        a = sim.baseline_quantize(z, "wide", self.mcs)
+        _, z = normalized(self.target, self.subs)
+        a = sim.wide_quantize(z, self.mcs)
         scaled = dsp.ComplexSignal(self.target.samples * 7.5, self.target.sample_rate_hz)
-        b = sim.baseline_quantize(target_bins(scaled, self.subs), "wide", self.mcs)
+        b = sim.wide_quantize(normalized(scaled, self.subs)[1], self.mcs)
         assert np.array_equal(a, b)
         # chosen points share the wrapped-phase-nearest property on every
         # bin that carries real content (zero bins have no phase)
@@ -96,24 +102,19 @@ class TestBaselineQuantize:
         assert np.allclose(dphi_chosen[live], dphi_all.min(axis=-1)[live])
 
     def test_webee_equals_hard_quantize_with_per_symbol_scale(self):
-        grid = wifi.ofdm_analyze(self.target)
-        cols = [m + 32 for m in self.subs]
-        z = grid.bins[:, cols]
+        _, z = normalized(self.target, self.subs)
         mx = np.max(np.abs(z), axis=1, keepdims=True)
         live = mx[:, 0] > 0  # the all-zero padding symbol has no defined scale
         expect = self.mcs.constellation.nearest(z[live] / mx[live])
-        got = sim.baseline_quantize(z, "webee", self.mcs)
+        got = webee(self.target, self.subs)
         assert np.array_equal(got[live], expect)
-
-    def test_nn_webee_requires_scales(self):
-        with pytest.raises(ConfigError):
-            sim.baseline_quantize(target_bins(self.target, self.subs), "nn-webee", self.mcs)
 
     def test_nn_webee_with_unit_scales_equals_webee(self):
         ones = np.ones(len(self.subs), dtype=complex)
-        z = target_bins(self.target, self.subs)
-        a = sim.baseline_quantize(z, "nn-webee", self.mcs, scales=ones)
-        b = sim.baseline_quantize(z, "webee", self.mcs)
+        model = em.EmulationModel("qam64", self.subs, "digital")
+        model.scale.set_scale(ones)
+        a = model.decide(model.normalize(self.target.samples)[0])
+        b = webee(self.target, self.subs)
         assert np.array_equal(a, b)
 
 
@@ -146,12 +147,28 @@ class TestPipeline:
         assert len(plan.tx) == len(plan.target)
 
     def test_one_target_analysis_per_plan(self, monkeypatch):
-        calls = []
-        real = sim.ofdm_analyze
-        monkeypatch.setattr(sim, "ofdm_analyze", lambda sig: calls.append(sig) or real(sig))
-        plan = sim.plan_frame(small_cfg())
-        assert len(calls) == 2  # the target, then the transmit waveform
-        assert calls[0] is plan.target and calls[1] is plan.tx
+        model, _ = sim.train_model(small_cfg())
+        normalize, analyze = em.EmulationModel.normalize, sim.ofdm_analyze
+        for mode in sim.QUANTIZER_MODES:
+            targets, waves = [], []
+            monkeypatch.setattr(em.EmulationModel, "normalize",
+                                lambda self, x: targets.append(x) or normalize(self, x))
+            monkeypatch.setattr(sim, "ofdm_analyze",
+                                lambda sig: waves.append(sig) or analyze(sig))
+            plan = sim.plan_frame(small_cfg(quantizer_mode=mode), model=model)
+            assert len(targets) == 1 and targets[0] is plan.target.samples
+            assert len(waves) == 1 and waves[0] is plan.tx
+
+    def test_webee_plan_ignores_a_given_models_scales(self):
+        cfg = small_cfg(emulation_mode="digital", payload=bytes(range(6)))
+        model, _ = sim.train_model(cfg)
+        assert not np.array_equal(model.export_scales(), np.ones(len(model.target_subcarriers)))
+        given = sim.plan_frame(cfg, model=model)
+        fresh = sim.plan_frame(cfg)
+        assert np.array_equal(given.index_grid, fresh.index_grid)
+        assert given.report.psdu == fresh.report.psdu
+        assert (given.nmse_body, given.phase_mse_body, given.evm) == (
+            fresh.nmse_body, fresh.phase_mse_body, fresh.evm)
 
     def test_one_channel_filter_pass_per_trial(self, monkeypatch):
         calls = []
