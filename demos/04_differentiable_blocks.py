@@ -35,7 +35,9 @@ z = np.array([[0.35 + 0.47j]])
 for tau in (10.0, 1.0, 0.1, 0.01):
     blk = db.SoftQuantize(const, 1, tau=tau)
     out = db.unstack_complex(blk.forward(db.stack_complex(z)))[0, 0]
-    top = np.max(blk.last_weights)
+    # the 64 point weights are the outer product of the per-axis weights
+    ax, ay = blk.axis_weights
+    top = np.max(ax) * np.max(ay)
     print(f"  tau={tau:5.2f}: output {out:.3f}, largest weight {top:.3f}")
 hard_idx = db.SoftQuantize(const, 1, tau=1.0).hard_indices(db.stack_complex(z))[0, 0]
 print(f"  hard decision: point index {hard_idx} = {const.points[hard_idx]:.3f}")

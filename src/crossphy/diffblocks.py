@@ -245,20 +245,24 @@ class ComplexScale(DiffBlock):
 class SoftQuantize(DiffBlock):
     """Softmax assignment to constellation points.
 
-    For every scaled bin value w the block forms
-    ``a_j = softmax(-|w - c_j|^2 / tau)`` and outputs ``sum_j a_j c_j``; the
-    weights a are the float one-hot the hard decision collapses to as
-    ``tau -> 0``.  Temperature is annealed by the trainer, not trained.
+    For every scaled bin value w the quantizer forms the weights
+    ``a_j = softmax(-|w - c_j|^2 / tau)`` over the constellation points and
+    outputs ``sum_j a_j c_j``; the weights are the float one-hot the hard
+    decision collapses to as ``tau -> 0``.  Temperature is annealed by the
+    trainer, not trained.
 
     Every constellation is a grid in label order, point ``i*L + q`` at
-    ``lx[i] + 1j*ly[q]``, so the distances are a broadcast sum of per-axis
-    squares (the same floats as the per-point formula) and the gradient
-    differences are per axis.  Each 64-wide sum runs on a C-contiguous
-    (S, n, C) array, so its summation order is that of the per-point
-    formula.  The forward keeps three (S, n, C) work arrays for the
-    backward and the next call (``last_weights`` is one of them, rewritten
-    by the next forward) until ``release``.  ``decisions`` is the forward's
-    nearest point per value, ``Constellation.nearest`` of the input.
+    ``lx[i] + 1j*ly[q]``, so ``|w - c|^2`` is a sum of per-axis squares and
+    the weights factor exactly: ``a_(i*L+q) = ax_i * ay_q``, with ``ax`` the
+    softmax of ``-(Re w - lx)^2 / tau`` over the Lx levels and ``ay`` that
+    of ``-(Im w - ly)^2 / tau`` over the Ly levels.  The block runs these two
+    per-axis softmaxes: the output is ``sum ax lx`` on Re and ``sum ay ly``
+    on Im, each axis depends only on its own input, and its derivative is
+    ``(2/tau) Var_a(l)``, the weights' variance of the levels.
+    ``axis_weights`` is the last forward's ``(ax, ay)``, and ``decisions``
+    its nearest point ``kx*Ly + ky`` (per-axis argmin, ties to the lower
+    level): ``Constellation.nearest`` of the input, unless rounding that
+    sum of squares makes two distinct distances tie.
     """
     name = "soft_quantize"
 
@@ -276,46 +280,36 @@ class SoftQuantize(DiffBlock):
         self.release()
 
     def release(self):
-        """Drop the work arrays and the last forward's weights and decisions."""
-        self._work = self._ex = self._ey = None
-        self.last_weights = self.decisions = None
+        """Drop the slopes kept for the backward and the last forward's
+        weights and decisions."""
+        self._slope = self.axis_weights = self.decisions = None
 
     def forward(self, x):
-        n, rows = self.n, x.shape[0]
-        ex = x[:, :n, None] - self._lx  # (S, n, Lx): wr - lx
-        ey = x[:, n:, None] - self._ly
-        shape = (rows, n, len(self._lx), len(self._ly))
-        if self._work is None or self._work[0].shape != shape:
-            self._work = [np.empty(shape) for _ in range(3)]
-        a = self._work[0]
-        np.add(np.square(ex)[..., :, None], np.square(ey)[..., None, :], out=a)
-        a = a.reshape(rows, n, -1)  # squared distances, (S, n, C)
-        self.decisions = np.argmin(a, axis=2)
-        # the largest logit -d/tau is the one at the smallest distance
-        top = np.take_along_axis(a, self.decisions[..., None], axis=2) / -self.tau
-        np.divide(a, -self.tau, out=a)
-        np.subtract(a, top, out=a)
-        np.exp(a, out=a)
-        np.divide(a, a.sum(axis=2, keepdims=True), out=a)
-        self._ex, self._ey, self.last_weights = ex, ey, a
-        return np.concatenate([a @ self.points.real, a @ self.points.imag], axis=1)
+        n = self.n
+        out, var, weights, nearest = [], [], [], []
+        for w, levels in ((x[:, :n], self._lx), (x[:, n:], self._ly)):
+            # level-major (L, S, n), so the sums over the levels add planes
+            col = levels[:, None, None]
+            d = np.square(w - col)  # squared distances
+            nearest.append(np.argmin(d, axis=0))
+            # the largest logit -d/tau is the one at the smallest distance
+            a = np.subtract(d.min(axis=0), d, out=d)
+            a /= self.tau
+            np.exp(a, out=a)
+            a /= a.sum(axis=0)
+            mean = (levels @ a.reshape(len(levels), -1)).reshape(w.shape)
+            dev = np.square(col - mean)
+            dev *= a
+            out.append(mean)
+            var.append(dev.sum(axis=0))
+            weights.append(a.transpose(1, 2, 0))
+        self._slope = (2.0 / self.tau) * np.concatenate(var, axis=1)
+        self.axis_weights = tuple(weights)
+        self.decisions = nearest[0] * len(self._ly) + nearest[1]
+        return np.concatenate(out, axis=1)
 
     def backward(self, gy):
-        n, a = self.n, self.last_weights
-        t4, q4 = self._work[1:]
-        t, q = t4.reshape(a.shape), q4.reshape(a.shape)
-        # dL/da_j, then through softmax: q_l = (-1/tau) a_l (t_l - sum_j a_j t_j)
-        np.add((gy[:, :n, None] * self._lx)[..., :, None],
-               (gy[:, n:, None] * self._ly)[..., None, :], out=t4)
-        np.multiply(a, t, out=q)
-        np.subtract(t, q.sum(axis=2, keepdims=True), out=t)
-        np.multiply(a, -1.0 / self.tau, out=q)
-        np.multiply(q, t, out=q)
-        # d|w - c_j|^2 / dw = 2 (w - c_j), one axis at a time
-        np.multiply(q4, (2.0 * self._ex)[..., :, None], out=t4)
-        gwr = t.sum(axis=2)
-        np.multiply(q4, (2.0 * self._ey)[..., None, :], out=t4)
-        return np.concatenate([gwr, t.sum(axis=2)], axis=1)
+        return gy * self._slope
 
     def hard_indices(self, x) -> np.ndarray:
         """argmin_j |w - c_j|^2 per element, ties to the lowest index."""

@@ -9,14 +9,17 @@ synthesis best matches the target waveform, in the time domain (analog
 mode) or in the instantaneous-phase domain (digital mode).
 
 The only trainable state is the scale array of the ``ComplexScale`` layer;
-``train(model, target, cfg)`` takes its epoch cap, learning rate and
-temperature schedule from a ``sim.ExperimentConfig`` and its objective from
-``model.mode``.  The layers before the scale are fixed and so is the
-training input, so ``train`` runs them once and each epoch runs only the
-head from the scale on.  The soft quantizer's forward also yields the
-epoch's hard decisions, and the hard grid is re-synthesized and re-scored
-only in epochs whose decisions differ from the previous epoch's.
-``sim.train_model`` is the one caller.
+``train(model, u, z, cfg)`` fits it to a target that ``normalize`` has
+analysed, and takes its epoch cap, learning rate and temperature schedule
+from a ``sim.ExperimentConfig`` and its objective from ``model.mode``.  The
+layers before the scale are fixed and so is the training input, so
+``train`` runs them once; the layers after the quantizer are fixed and
+affine, so ``train`` runs them as one product plus the pilots' waveform.
+An epoch is then the scale, the two per-axis softmaxes of the soft
+quantizer and that product, forward and backward.  The quantizer's forward
+also yields the epoch's hard decisions, and the hard grid is re-synthesized
+and re-scored only in epochs whose decisions differ from the previous
+epoch's.  ``sim`` is the one caller.
 
 Inference is the one quantization rule every mode but ``wide`` shares:
 ``normalize`` divides each OFDM symbol by the largest magnitude of its
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import ComplexSignal, N_FFT
+from .dsp import N_FFT
 from .diffblocks import (
     ComplexScale,
     GridAssemble,
@@ -66,10 +69,11 @@ class EmulationModel:
 
     Built from what a model file stores: constellation, target subcarriers
     and ``mode``, the objective ('analog' or 'digital').  ``stack`` is the
-    full eight-layer model.  ``prefix`` (cyclic-prefix removal, DFT,
-    target-bin selection) has no trainable state and a fixed input during
-    training, so the trainer runs it once and then runs only ``head``:
-    scale, soft quantizer, grid assembly, IDFT, cyclic prefix.
+    full eight-layer model: ``prefix`` (cyclic-prefix removal, DFT,
+    target-bin selection), ``scale``, ``quantize`` and ``tail`` (grid
+    assembly with the pilots, IDFT, cyclic prefix).  The layers are the
+    specification: ``forward``, ``synthesize`` and every plan's metrics run
+    them, and ``train`` runs the fixed tail as their product.
     """
 
     def __init__(self, modulation: str, target_subcarriers, mode: str):
@@ -97,9 +101,9 @@ class EmulationModel:
         self.idft = idft_layer()
         self.cp_add = cp_add_layer()
         self.prefix = Sequential([self.cp_remove, self.dft, self.select])
-        self.head = Sequential(
-            [self.scale, self.quantize, self.assemble, self.idft, self.cp_add])
-        self.stack = Sequential(self.prefix.blocks + self.head.blocks)
+        self.tail = Sequential([self.assemble, self.idft, self.cp_add])
+        self.stack = Sequential(
+            self.prefix.blocks + [self.scale, self.quantize] + self.tail.blocks)
 
     # -- shaping ------------------------------------------------------------
 
@@ -117,21 +121,12 @@ class EmulationModel:
         """Stacked (S, 2m) target bins of a waveform: the fixed prefix."""
         return self.prefix.forward(self._to_blocks(x))
 
-    # the training loop calls this in every epoch whose decisions changed; it
-    # stays private so that crossbench's tracer, which wraps public methods,
-    # does not time it
-    def _synthesize(self, points) -> np.ndarray:
-        h = stack_complex(points)
-        for b in (self.assemble, self.idft, self.cp_add):
-            h = b.forward(h)
-        return _waveform(h)
-
     def synthesize(self, points) -> np.ndarray:
         """Waveform of an (S, m) grid of complex points on the target bins,
         with the fixed pilots: grid assembly, IDFT, cyclic prefix.  The
         pilot grid is not kept."""
-        wave = self._synthesize(points)
-        self.assemble.release()
+        wave = _waveform(self.tail.forward(stack_complex(points)))
+        self.tail.release()
         return wave
 
     def normalize(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +141,7 @@ class EmulationModel:
         """
         x = np.asarray(x, dtype=np.complex128)
         z = unstack_complex(self._bins(x))
-        if float(np.max(np.abs(z))) <= 0:
+        if z.size == 0 or float(np.max(np.abs(z))) <= 0:
             raise DomainError("target has no energy on the selected subcarriers")
         g = symbol_peaks(z)
         return (x.reshape(-1, SYMBOL_LEN) / g[:, None]).reshape(-1), z
@@ -187,6 +182,15 @@ def symbol_peaks(bins) -> np.ndarray:
     scale."""
     g = np.max(np.abs(bins), axis=1)
     return np.maximum(g, max(1e-9 * float(g.max()), 1e-300))
+
+
+def kept_symbols(bins) -> np.ndarray:
+    """(S,) True for the rows of (S, m) raw target bins whose peak
+    ``symbol_peaks`` did not floor.  A floored row has no content on the
+    target bins, such as a frame's last symbol when only its cyclic prefix
+    holds target samples, and ``normalize`` scales its other samples by up
+    to 1e9."""
+    return symbol_peaks(bins) == np.max(np.abs(bins), axis=1)
 
 
 def build_passthrough_autoencoder() -> Sequential:
@@ -251,11 +255,47 @@ def phase_mse_excluding_cp(output, target) -> float:
     return float(np.mean(np.angle(v[m] * np.conj(u[m])) ** 2))
 
 
+def gain_free_loss_and_grad(output, target):
+    """The waveform error left after the best complex gain on the output:
+    ``(|u|^2 - |c|^2/|v|^2)/n`` with ``c = <v,u> = sum v conj(u)``, and its
+    gradient ``-(2/n)(c u/|v|^2 - |c|^2 v/|v|^4)`` in the form of
+    ``loss_and_grad``.  The ZigBee receiver is amplitude-invariant, so this
+    is the error it sees; an absolute-scale MSE would also charge the
+    trainable scales for the gain of the fixed pilots."""
+    u = np.asarray(target, dtype=np.complex128).reshape(-1)
+    v = np.asarray(output, dtype=np.complex128).reshape(-1)
+    n = len(u)
+    c = np.vdot(u, v)
+    vv = np.vdot(v, v).real
+    cc = abs(c) ** 2
+    grad = (-2.0 / n) * (c / vv * u - cc / vv**2 * v)
+    return float((np.vdot(u, u).real - cc / vv) / n), grad
+
+
+def gain_free_error_excluding_cp(output, target) -> float:
+    """``1 - |<v,u>|^2/(|v|^2 |u|^2)`` over the body samples: the share of
+    the target's body energy that no complex gain on the output reaches."""
+    u = np.asarray(target).reshape(-1)
+    v = np.asarray(output).reshape(-1)
+    m = body_mask(len(u))
+    u, v = u[m], v[m]
+    return float(1.0 - abs(np.vdot(u, v)) ** 2 / (np.vdot(v, v).real * np.vdot(u, u).real))
+
+
+def fit_loss_and_grad(output, target, mode: str):
+    """The training objective and its gradient: ``gain_free_loss_and_grad``
+    in analog mode, the phase loss of ``loss_and_grad`` in digital mode."""
+    if mode == "analog":
+        return gain_free_loss_and_grad(output, target)
+    return loss_and_grad(output, target, mode)
+
+
 def selection_metric(output, target, mode: str) -> float:
     """Hard-reconstruction quality used to pick the best training epoch:
-    body NMSE in analog mode, body phase MSE in digital mode."""
+    the gain-free body error in analog mode, the body phase MSE in digital
+    mode."""
     if mode == "analog":
-        return nmse_excluding_cp(output, target)
+        return gain_free_error_excluding_cp(output, target)
     return phase_mse_excluding_cp(output, target)
 
 
@@ -280,35 +320,53 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def train(model: EmulationModel, target: ComplexSignal, cfg) -> TrainResult:
+def fused_tail(model: EmulationModel, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed tail (grid assembly, IDFT, cyclic prefix) as one affine map
+    of stacked (n_rows, 2m) points: ``points @ a + p``.  ``a`` (2m, 160) is
+    the product of the three layers' weights and ``p`` (n_rows, 160) the
+    pilots' waveform, the layers run on zero points.  Its backward is
+    ``gy @ a.T``."""
+    a = model.assemble.weight.T @ model.idft.weight.T @ model.cp_add.weight.T
+    p = model.tail.forward(np.zeros((n_rows, model.assemble.in_dim)))
+    model.tail.release()
+    return a, p
+
+
+def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     """Adam on the quantizer scales, tau annealed geometrically.
 
-    ``cfg``, a ``sim.ExperimentConfig``, gives the schedule: ``epochs``,
-    ``learning_rate`` and ``tau_start``/``tau_decay``/``tau_floor``; the
-    objective is ``model.mode``.  The target is first max-abs pre-normalized per OFDM
-    symbol, so epoch 0 with scales at 1+0j reproduces the plain
-    normalize-then-nearest-point quantization exactly.  The fixed prefix
-    runs once on the normalized target; every epoch then runs the head
-    forward and backward, and the quantizer's forward gives the nearest
-    points to the scaled bins.  The hard reconstruction and its metric are
-    recomputed only when those decisions differ from the previous epoch's;
-    otherwise the epoch repeats the previous metric, which is the same
-    number.  The kept scales are the best epoch's by the hard-quantized
-    selection metric, so the result is never worse than that baseline.
+    ``(u, z)`` is ``model.normalize`` of the target: the normalized waveform
+    and its raw (S, m) target bins.  ``cfg``, a ``sim.ExperimentConfig``,
+    gives the schedule: ``epochs``, ``learning_rate`` and
+    ``tau_start``/``tau_decay``/``tau_floor``; the objective
+    (``fit_loss_and_grad``) and the hard-reconstruction metric
+    (``selection_metric``) follow ``model.mode``.  Analog mode fits only the
+    symbols that ``kept_symbols`` keeps: a floored symbol's normalized
+    samples would be the whole objective.  Epoch 0, with scales at 1+0j,
+    scores the plain normalize-then-nearest-point quantization.
+
+    The fixed prefix runs once on ``u``, and the fixed tail runs as
+    ``fused_tail``'s one product, for the soft waveform and the hard one
+    alike.  Every epoch runs the scale and the soft quantizer forward and
+    backward; the quantizer's forward gives the nearest points to the
+    scaled bins, and the hard reconstruction and its metric are recomputed
+    only when those decisions differ from the previous epoch's (otherwise
+    the metric is the same number).  The kept scales are the best epoch's
+    by the metric, so the result is never worse than that baseline.
     Deterministic for a fixed config: no randomness enters the updates.
-    The head's per-frame arrays (the quantizer's work arrays, the scale's
-    input, the pilot grid) are released on return.
+    The scale's and quantizer's per-frame arrays are released on return.
     """
-    x = np.asarray(target.samples, dtype=np.complex128)
-    if len(x) % SYMBOL_LEN != 0:
-        raise DimensionError(f"target length {len(x)} not a multiple of {SYMBOL_LEN}")
-    if len(x) == 0:
-        raise DomainError("empty training target")
+    u = np.asarray(u, dtype=np.complex128)
+    if len(u) != SYMBOL_LEN * len(z):
+        raise DimensionError(f"target of {len(u)} samples for {len(z)} symbols of bins")
 
-    u, _ = model.normalize(x)
-    z = model._bins(u)
+    rows = kept_symbols(z) if model.mode == "analog" else np.ones(len(z), dtype=bool)
+    bins = model._bins(u)[rows]
+    target = u.reshape(-1, SYMBOL_LEN)[rows].reshape(-1)
+    a, pilots = fused_tail(model, len(z))
+    pilots = pilots[rows]
 
-    sc = model.scale
+    sc, quantize = model.scale, model.quantize
     mom = np.zeros_like(sc.s)
     vel = np.zeros_like(sc.s)
     result = TrainResult()
@@ -320,16 +378,17 @@ def train(model: EmulationModel, target: ComplexSignal, cfg) -> TrainResult:
     for epoch in range(cfg.epochs):
         model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
-        v_soft = _waveform(model.head.forward(z))
-        soft_loss, g = loss_and_grad(v_soft, u, model.mode)
+        v_soft = _waveform(quantize.forward(sc.forward(bins)) @ a + pilots)
+        soft_loss, g = fit_loss_and_grad(v_soft, target, model.mode)
         if not math.isfinite(soft_loss):
             raise DomainError(f"non-finite training loss at epoch {epoch}: {soft_loss}")
-        model.head.backward(stack_complex(g.reshape(-1, SYMBOL_LEN)))
+        sc.backward(quantize.backward(stack_complex(g.reshape(-1, SYMBOL_LEN)) @ a.T))
 
         # the hard grid, and so its metric, changes only with the decisions
-        if idx is None or not np.array_equal(model.quantize.decisions, idx):
-            idx = model.quantize.decisions
-            metric = selection_metric(model._synthesize(model.const.points[idx]), u, model.mode)
+        if idx is None or not np.array_equal(quantize.decisions, idx):
+            idx = quantize.decisions
+            v_hard = _waveform(stack_complex(model.const.points[idx]) @ a + pilots)
+            metric = selection_metric(v_hard, target, model.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - PLATEAU_TOL:
@@ -349,7 +408,8 @@ def train(model: EmulationModel, target: ComplexSignal, cfg) -> TrainResult:
         v_hat = vel / (1 - ADAM_BETA2**t)
         sc.s = sc.s - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    model.head.release()
+    sc.release()
+    quantize.release()
     sc.s = best_s
     model.tau = cfg.tau_floor
     result.epochs_run = len(result.loss_history)

@@ -231,11 +231,11 @@ def frame_target(cfg: ExperimentConfig) -> ComplexSignal:
 
 def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
     """Build the emulation model for a config and train it on
-    ``frame_target(cfg)``.  The one training entry point: plans, sweeps and
-    the CLI all come through here."""
+    ``frame_target(cfg)``, as ``plan_frame`` does when a mode needs a model
+    and none is given.  Sweeps and the CLI train through here."""
     model = EmulationModel(cfg.modulation, target_subcarriers(
         cfg.delta_f_hz, cfg.target_subcarrier_count), cfg.emulation_mode)
-    return model, train(model, frame_target(cfg), cfg)
+    return model, train(model, *model.normalize(frame_target(cfg).samples), cfg)
 
 
 @dataclass
@@ -261,11 +261,11 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     """Target construction, quantization (training if needed), GF(2) solve
     and transmit-waveform synthesis.  Deterministic for a fixed config.
 
-    One ``EmulationModel`` analyses the target and quantizes it: ``model``,
-    or one trained here, in the ``trained`` and ``nn-webee`` modes; an
-    untrained one in ``webee`` and ``wide``, which check a given model
-    against the config and ignore its scales.  ``wide`` takes
-    ``wide_quantize`` of the raw bins, the others ``model.decide``."""
+    One ``EmulationModel`` analyses the target, once, and quantizes it:
+    ``model``, or one trained here on that analysis, in the ``trained`` and
+    ``nn-webee`` modes; an untrained one in ``webee`` and ``wide``, which
+    check a given model against the config and ignore its scales.  ``wide``
+    takes ``wide_quantize`` of the raw bins, the others ``model.decide``."""
     cfg.validate()
     subs = target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
     target = frame_target(cfg)
@@ -277,14 +277,15 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
             f"match the configured {mcs.constellation.name} on {subs}")
 
     train_seconds, train_epochs = 0.0, 0
-    if cfg.quantizer_mode not in MODEL_MODES:
+    needs_training = cfg.quantizer_mode in MODEL_MODES and model is None
+    if cfg.quantizer_mode not in MODEL_MODES or model is None:
         model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
-    elif model is None:
+    u, z = model.normalize(target.samples)
+    if needs_training:
         t0 = time.perf_counter()
-        model, result = train_model(cfg)
+        result = train(model, u, z, cfg)
         train_seconds = time.perf_counter() - t0
         train_epochs = result.epochs_run
-    u, z = model.normalize(target.samples)
     index_grid = wide_quantize(z, mcs) if cfg.quantizer_mode == "wide" else model.decide(u)
     report = solve_payload(index_grid, mcs, cfg.scrambler_seed, subs,
                            bin_energy=np.abs(z) ** 2)

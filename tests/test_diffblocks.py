@@ -11,7 +11,8 @@ MODULATIONS = ("bpsk", "qpsk", "qam16", "qam64")
 class SoftQuantize64(db.DiffBlock):
     """The soft quantizer by its per-point formula: (S, n, C) distances to
     every constellation point, softmax over them, and the gradient summed
-    over the points.  ``SoftQuantize`` must give these floats exactly."""
+    over the points.  ``SoftQuantize`` factors the softmax into two
+    per-axis ones, so it gives these numbers to within rounding."""
 
     def __init__(self, const, n, tau=1.0):
         self.n = n
@@ -44,18 +45,20 @@ class SoftQuantize64(db.DiffBlock):
         return np.concatenate([gwr, gwi], axis=1)
 
 
-def same_bits(a, b):
-    """Equal as stored floats: signed zeros and NaN payloads count."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def held_rows(block, n_rows):
-    """Names of the block's arrays, alone or in a list, with n_rows rows."""
+    """Names of the block's arrays, alone or in a list or tuple, with n_rows
+    rows."""
     def rows(v):
         return isinstance(v, np.ndarray) and v.ndim > 0 and v.shape[0] == n_rows
     return [k for k, v in vars(block).items()
-            if rows(v) or (isinstance(v, list) and any(map(rows, v)))]
+            if rows(v) or (isinstance(v, (list, tuple)) and any(map(rows, v)))]
+
+
+def joint_weights(blk):
+    """(S, n, C) weights of a ``SoftQuantize`` forward over the points in
+    label order: the outer product of its per-axis weights."""
+    ax, ay = blk.axis_weights
+    return (ax[..., :, None] * ay[..., None, :]).reshape(ax.shape[:2] + (-1,))
 
 
 def midpoint_inputs(const, rng, n):
@@ -196,7 +199,7 @@ class TestSoftQuantize:
         mid = (pts[0] + pts[1]) / 2
         blk = db.SoftQuantize(self.const, 1, tau=0.7)
         blk.forward(db.stack_complex(np.array([[mid]])))
-        w = blk.last_weights[0, 0]
+        w = joint_weights(blk)[0, 0]
         assert abs(w[0] - w[1]) < 1e-12
 
     def test_weights_are_a_distribution(self):
@@ -204,7 +207,7 @@ class TestSoftQuantize:
         z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         blk = db.SoftQuantize(self.const, 9, tau=0.5)
         blk.forward(db.stack_complex(z[None, :]))
-        w = blk.last_weights
+        w = joint_weights(blk)
         assert np.all(w >= 0)
         assert np.allclose(w.sum(axis=2), 1.0)
 
@@ -225,6 +228,9 @@ class TestSoftQuantize:
     @pytest.mark.parametrize("name", MODULATIONS)
     @pytest.mark.parametrize("inputs", ["random", "midpoints"])
     def test_equals_the_per_point_formula(self, name, inputs):
+        # the two per-axis softmaxes are the 64-point one factored exactly;
+        # the floats differ by rounding (measured <= 1.3e-14 on the weights,
+        # <= 3e-15/tau on the gradient, whose terms scale with 1/tau)
         const = constellation(name)
         rng = dsp.make_rng(30)
         n = 5
@@ -235,9 +241,10 @@ class TestSoftQuantize:
                 x = midpoint_inputs(const, rng, n)
             gy = rng.standard_normal((6, 2 * n))
             blk, ref = db.SoftQuantize(const, n, tau), SoftQuantize64(const, n, tau)
-            assert same_bits(blk.forward(x), ref.forward(x))
-            assert same_bits(blk.last_weights, ref.last_weights)
-            assert same_bits(blk.backward(gy), ref.backward(gy))
+            assert np.max(np.abs(blk.forward(x) - ref.forward(x))) <= 1e-13
+            assert np.max(np.abs(joint_weights(blk) - ref.last_weights)) <= 1e-13
+            assert np.max(np.abs(blk.backward(gy) - ref.backward(gy))) <= 1e-13 / tau
+            assert np.array_equal(blk.decisions, const.nearest(db.unstack_complex(x)))
 
     @pytest.mark.parametrize("name", MODULATIONS)
     def test_decisions_are_the_nearest_points(self, name):

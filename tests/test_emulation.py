@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from crossphy import diffblocks as db
 from crossphy import dsp, emulation as em, sim, zigbee
 from crossphy.errors import ConfigError, DimensionError
 from crossphy.wifi import constellation
-from test_diffblocks import SoftQuantize64, held_rows, same_bits
+from test_diffblocks import SoftQuantize64, held_rows
 
 SUBS = (-14, -13, -12, -11, -10, -9, -8)
 
@@ -24,6 +26,20 @@ def model_indices(model, target):
 
 def hard_reconstruction(model, target):
     return model.synthesize(model.const.points[model_indices(model, target)])
+
+
+def train(model, target, cfg):
+    """``em.train`` on ``model.normalize`` of a target signal."""
+    return em.train(model, *model.normalize(target.samples), cfg)
+
+
+def kept(model, u, z, v=None):
+    """The samples the analog objective sees: ``u`` (or ``v``) on the
+    symbols ``kept_symbols`` keeps; every sample in digital mode."""
+    w = u if v is None else v
+    if model.mode != "analog":
+        return w
+    return w.reshape(-1, 80)[em.kept_symbols(z)].reshape(-1)
 
 
 class TestBuild:
@@ -172,47 +188,54 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = self.make()
-            em.train(model, target, sim.ExperimentConfig(epochs=60))
+            train(model, target, sim.ExperimentConfig(epochs=60))
             runs.append(model.scale.s.copy())
         assert np.array_equal(runs[0], runs[1])
 
     def test_best_metric_non_increasing(self):
         model = self.make()
-        res = em.train(model, zigbee_target(1), sim.ExperimentConfig(epochs=80))
+        res = train(model, zigbee_target(1), sim.ExperimentConfig(epochs=80))
         best = np.minimum.accumulate(res.hard_metric_history)
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(best, best[1:]))
         assert res.best_hard_metric == pytest.approx(min(res.hard_metric_history))
 
     def test_trained_not_worse_than_maxabs_baseline(self):
-        # baseline: per-symbol max-abs normalize + nearest point (scales = 1)
+        # baseline: per-symbol max-abs normalize + nearest point (scales = 1).
+        # The kept scales are never worse than unit scales by the trainer's
+        # own selection metric, the gain-free body error the amplitude-
+        # invariant receiver sees (here 0.692 -> 0.488).  The absolute-scale
+        # body NMSE is not that metric and rises as the scales move (here
+        # 1.92 -> 2.71): the fixed pilots do not scale with them.
         target = zigbee_target(1, seed=3)
         model = self.make()
         baseline_idx = model_indices(model, target)  # scales still at init
-        u, _ = model.normalize(target.samples)
+        u, z = model.normalize(target.samples)
         pts = model.const.points[baseline_idx]
         h = model.assemble.forward(db.stack_complex(pts))
         h = model.idft.forward(h)
         h = model.cp_add.forward(h)
         v_base = db.unstack_complex(h).reshape(-1)
-        base_nmse = em.nmse_excluding_cp(v_base, u)
-        em.train(model, target, sim.ExperimentConfig(epochs=120))
+        base = em.selection_metric(kept(model, u, z, v_base), kept(model, u, z), "analog")
+        train(model, target, sim.ExperimentConfig(epochs=120))
         v_hard = hard_reconstruction(model, target)
-        assert em.nmse_excluding_cp(v_hard, u) <= base_nmse + 1e-12
+        got = em.selection_metric(kept(model, u, z, v_hard), kept(model, u, z), "analog")
+        assert got <= base + 1e-12
 
     def test_digital_mode_improves_phase(self):
         target = zigbee_target(2, seed=4)
         analog = self.make("analog")
-        em.train(analog, target, sim.ExperimentConfig(epochs=150))
+        train(analog, target, sim.ExperimentConfig(epochs=150))
         digital = self.make("digital")
-        em.train(digital, target, sim.ExperimentConfig(epochs=150))
+        train(digital, target, sim.ExperimentConfig(epochs=150))
         u, _ = analog.normalize(target.samples)
         pa = em.phase_mse_excluding_cp(hard_reconstruction(analog, target), u)
         pd = em.phase_mse_excluding_cp(hard_reconstruction(digital, target), u)
         assert pd <= pa + 1e-12
 
     def test_head_scale_gradient_equals_full_stack(self):
-        # the trainer backpropagates through the head only; the fixed prefix
-        # in front of the scale cannot change the scale gradient
+        # the trainer runs the fixed prefix once and backpropagates from the
+        # scale on; the prefix in front of the scale cannot change the scale
+        # gradient
         model = self.make("digital")
         u, _ = model.normalize(zigbee_target(2, seed=6).samples)
         model.scale.set_scale(np.exp(0.3j) * np.linspace(0.8, 1.2, len(SUBS)))
@@ -221,47 +244,85 @@ class TestTraining:
         model.stack.forward(blocks)
         model.stack.backward(g)
         full = model.scale.grad.copy()
-        model.head.forward(model.prefix.forward(blocks))
-        model.head.backward(g)
+        head = db.Sequential([model.scale, model.quantize] + model.tail.blocks)
+        head.forward(model.prefix.forward(blocks))
+        head.backward(g)
         assert np.any(full != 0)
         assert np.array_equal(model.scale.grad, full)
 
+    def test_fused_tail_equals_the_layers(self):
+        # train runs grid assembly, IDFT and cyclic prefix as one product
+        # plus the pilots' waveform; the layers' sums run in another order
+        model = self.make()
+        rng = dsp.make_rng(13)
+        for n_rows in (1, 5, 130):
+            a, p = em.fused_tail(model, n_rows)
+            q = rng.standard_normal((n_rows, 2 * len(SUBS)))
+            gy = rng.standard_normal((n_rows, 160))
+            assert np.max(np.abs(q @ a + p - model.tail.forward(q))) <= 1e-13
+            assert np.max(np.abs(gy @ a.T - model.tail.backward(gy))) <= 1e-13
+        model.tail.release()
+
     def test_first_epoch_loss_is_the_full_stack_loss(self):
+        # the trainer's objective of the layered model at scales 1+0j and
+        # tau_start; train's fused tail sums in another order
         target = zigbee_target(2, seed=7)
         model = self.make()
-        u, _ = model.normalize(target.samples)
-        expect = em.loss(model.forward(u), u, "analog")  # scales 1+0j, tau_start
-        res = em.train(model, target, sim.ExperimentConfig(epochs=5))
-        assert res.loss_history[0] == expect
+        u, z = model.normalize(target.samples)
+        expect, _ = em.fit_loss_and_grad(kept(model, u, z, model.forward(u)), kept(model, u, z),
+                                         "analog")
+        res = train(model, target, sim.ExperimentConfig(epochs=5))
+        assert res.loss_history[0] == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_no_floored_symbol_enters_the_analog_objective(self, monkeypatch):
+        # a frame's last symbol holds target samples only in its cyclic
+        # prefix; normalize floors its peak and scales it by about 1e9
+        cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 8), epochs=4)
+        model, _ = sim.train_model(replace(cfg, epochs=1))
+        u, z = model.normalize(sim.frame_target(cfg).samples)
+        floored = ~em.kept_symbols(z)
+        assert np.flatnonzero(floored).tolist() == [len(z) - 1]
+        assert np.max(np.abs(u.reshape(-1, 80)[floored])) > 1e6
+        seen = []
+        for name in ("fit_loss_and_grad", "selection_metric"):
+            real = getattr(em, name)
+            monkeypatch.setattr(em, name, lambda v, t, mode, real=real:
+                                seen.append((v, t)) or real(v, t, mode))
+        em.train(model, u, z, cfg)
+        want = u.reshape(-1, 80)[~floored].reshape(-1)
+        assert len(seen) >= 5  # four epochs and at least one hard metric
+        assert all(len(v) == len(want) and np.array_equal(t, want) for v, t in seen)
 
     @pytest.mark.parametrize("mode", ["analog", "digital"])
     @pytest.mark.parametrize("modulation", ["qpsk", "qam16", "qam64"])
     def test_best_hard_metric_is_the_nn_webee_reconstruction(self, modulation, mode):
         target = zigbee_target(2, seed=8)
         model = em.EmulationModel(modulation, SUBS, mode)
-        res = em.train(model, target, sim.ExperimentConfig(epochs=60))
-        u, _ = model.normalize(target.samples)
-        got = em.selection_metric(hard_reconstruction(model, target), u, mode)
-        assert got == res.best_hard_metric
+        res = train(model, target, sim.ExperimentConfig(epochs=60))
+        u, z = model.normalize(target.samples)
+        v = hard_reconstruction(model, target)
+        got = em.selection_metric(kept(model, u, z, v), kept(model, u, z), mode)
+        # layered synthesis against train's fused tail: qam64-digital is 1 ulp off
+        assert got == pytest.approx(res.best_hard_metric, rel=1e-12, abs=0)
 
     def test_default_config_caps_at_the_cli_epoch_count(self, monkeypatch):
         # no plateau stop, so only the cap ends training
         monkeypatch.setattr(em, "PLATEAU_PATIENCE", 10**9)
         from crossphy import cli
 
-        res = em.train(self.make("digital"), zigbee_target(1), sim.ExperimentConfig())
+        res = train(self.make("digital"), zigbee_target(1), sim.ExperimentConfig())
         assert res.epochs_run == cli.experiment_config({}).epochs == 300
 
     def test_nonfinite_loss_aborts(self):
         model = self.make()
         bad = dsp.ComplexSignal(np.zeros(160, dtype=complex), 20e6)
         with pytest.raises(Exception):
-            em.train(model, bad, sim.ExperimentConfig(epochs=5))
+            train(model, bad, sim.ExperimentConfig(epochs=5))
 
     def test_save_load_roundtrip(self, tmp_path):
         target = zigbee_target(1, seed=5)
         model = self.make()
-        em.train(model, target, sim.ExperimentConfig(epochs=40))
+        train(model, target, sim.ExperimentConfig(epochs=40))
         path = tmp_path / "model.json"
         em.save_model(model, path)
         back = em.load_model(path)
@@ -294,9 +355,11 @@ class GridAssembleProducts(db.DiffBlock):
 
 def reference_train(model, target, cfg):
     """The epoch loop as it stood before ``train`` reused the quantizer's
-    decisions, run on the specification's layers: matrix products for the
-    0/1 maps, the per-point soft quantizer, and ``hard_indices`` plus a hard
-    synthesis every epoch."""
+    decisions and fused the tail, run on the specification's layers: matrix
+    products for the 0/1 maps, the per-point soft quantizer, the layered
+    tail on every symbol, and ``hard_indices`` plus a hard synthesis every
+    epoch.  In analog mode the objective and the metric see the kept
+    symbols' samples, and the dropped symbols' gradient is zero."""
     def products(blk):
         return db.FixedLinear(blk.weight, blk.name)
 
@@ -310,9 +373,15 @@ def reference_train(model, target, cfg):
         return prefix.forward(db.stack_complex(w.reshape(-1, 80)))
 
     x = np.asarray(target.samples, dtype=np.complex128)
-    g = em.symbol_peaks(db.unstack_complex(bins(x)))
+    raw = db.unstack_complex(bins(x))
+    g = em.symbol_peaks(raw)
     u = (x.reshape(-1, 80) / g[:, None]).reshape(-1)
     z = bins(u)
+    rows = em.kept_symbols(raw) if model.mode == "analog" else np.ones(len(z), dtype=bool)
+    u_fit = u.reshape(-1, 80)[rows].reshape(-1)
+
+    def fit_samples(h):
+        return db.unstack_complex(h[rows]).reshape(-1)
 
     scale = model.scale
     mom = np.zeros_like(scale.s)
@@ -325,13 +394,15 @@ def reference_train(model, target, cfg):
     for epoch in range(cfg.epochs):
         quantize.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
-        v_soft = em._waveform(head.forward(z))
-        soft_loss, g = em.loss_and_grad(v_soft, u, model.mode)
-        head.backward(db.stack_complex(g.reshape(-1, 80)))
+        v_soft = fit_samples(head.forward(z))
+        soft_loss, g = em.fit_loss_and_grad(v_soft, u_fit, model.mode)
+        gy = np.zeros((len(z), 160))
+        gy[rows] = db.stack_complex(g.reshape(-1, 80))
+        head.backward(gy)
 
         idx = model.quantize.hard_indices(model.scale.forward(z))
-        v_hard = em._waveform(synth.forward(db.stack_complex(model.const.points[idx])))
-        metric = em.selection_metric(v_hard, u, model.mode)
+        v_hard = fit_samples(synth.forward(db.stack_complex(model.const.points[idx])))
+        metric = em.selection_metric(v_hard, u_fit, model.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - em.PLATEAU_TOL:
@@ -354,7 +425,7 @@ def reference_train(model, target, cfg):
 
     scale.s = best_s
     result.epochs_run = len(result.loss_history)
-    return result
+    return result, len(u_fit)
 
 
 # 8 B frames are 2/3 of the 32 B ones' rows; the 32 B frames' soft waveform
@@ -364,6 +435,8 @@ def reference_train(model, target, cfg):
 @pytest.mark.parametrize("modulation,rate", [("bpsk", "3/4"), ("qpsk", "1/2"),
                                              ("qam16", "3/4"), ("qam64", "1/2")])
 def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
+    # train's per-axis quantizer and fused tail round differently from the
+    # layers: the histories agree to rounding, every decision exactly
     payload = sim.random_payload(1, n_bytes)
     cfg = sim.ExperimentConfig(payload=payload, modulation=modulation, coding_rate=rate,
                                emulation_mode=mode)
@@ -371,14 +444,23 @@ def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
 
     ref_model = em.EmulationModel(model.const.name, model.target_subcarriers, model.mode)
     target = sim.frame_target(cfg)
-    want = reference_train(ref_model, target, cfg)
+    want, n = reference_train(ref_model, target, cfg)
 
     assert got.epochs_run == want.epochs_run
     assert got.best_epoch == want.best_epoch
-    assert same_bits(got.best_hard_metric, want.best_hard_metric)
-    assert same_bits(got.loss_history, want.loss_history)
-    assert same_bits(got.hard_metric_history, want.hard_metric_history)
-    assert same_bits(model.export_scales(), ref_model.export_scales())
+    u, _ = model.normalize(target.samples)
+    assert np.array_equal(model.decide(u), ref_model.decide(u))
+    assert got.best_hard_metric == pytest.approx(want.best_hard_metric, rel=1e-12, abs=0)
+    assert got.hard_metric_history == pytest.approx(want.hard_metric_history, rel=1e-12, abs=0)
+    if mode == "analog":
+        assert got.loss_history == pytest.approx(want.loss_history, rel=1e-12, abs=0)
+    else:
+        # the phase error is +-pi instead of 0 where the target sample is
+        # exactly zero (ROADMAP, Known defects), and which one the quadrant
+        # of the soft output there picks; a sample near zero in one
+        # rounding and not the other moves the loss by a multiple of pi^2/n
+        turns = (np.array(got.loss_history) - np.array(want.loss_history)) * n / np.pi**2
+        assert np.max(np.abs(turns - np.round(turns))) <= 1e-6
     n_rows = len(target.samples) // 80
     assert [(type(b).__name__, held_rows(b, n_rows)) for b in model.stack.blocks
             if held_rows(b, n_rows)] == []

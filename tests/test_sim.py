@@ -159,6 +159,17 @@ class TestPipeline:
             assert len(targets) == 1 and targets[0] is plan.target.samples
             assert len(waves) == 1 and waves[0] is plan.tx
 
+    def test_trained_plan_analyses_its_target_once(self, monkeypatch):
+        # the plan trains on the analysis it quantizes with
+        normalize, calls = em.EmulationModel.normalize, []
+        monkeypatch.setattr(em.EmulationModel, "normalize",
+                            lambda self, x: calls.append(x) or normalize(self, x))
+        for mode in sim.MODEL_MODES:
+            calls.clear()
+            plan = sim.plan_frame(small_cfg(quantizer_mode=mode, epochs=3))
+            assert plan.train_epochs == 3
+            assert len(calls) == 1 and calls[0] is plan.target.samples
+
     def test_webee_plan_ignores_a_given_models_scales(self):
         cfg = small_cfg(emulation_mode="digital", payload=bytes(range(6)))
         model, _ = sim.train_model(cfg)
@@ -383,3 +394,20 @@ class TestSweep:
         assert "deterministic" in doc and "nondeterministic" in doc
         assert doc["deterministic"]["config"]["payload_hex"] == cfg.payload.hex()
         assert doc["deterministic"]["metrics"][0]["prr"] == metrics[0].prr
+
+
+class TestDefaultModeTrains:
+    """The default config trains in analog mode (the ``trained_plan``
+    fixture is the default config with the acceptance SNRs and trials)."""
+
+    def test_trained_grid_differs_from_webee(self, trained_plan, webee_plan):
+        assert trained_plan.config.emulation_mode == sim.ExperimentConfig().emulation_mode
+        assert not np.all(trained_plan.model.export_scales() == 1)
+        assert not np.array_equal(trained_plan.index_grid, webee_plan.index_grid)
+
+    @pytest.mark.parametrize("snr_db", [8.0, 4.0])
+    def test_trained_beats_webee_on_chip_errors(self, trained_plan, webee_plan, snr_db):
+        trained = sim.run_point(trained_plan, snr_db)
+        webee = sim.run_point(webee_plan, snr_db)
+        assert trained.trials == webee.trials == 100
+        assert trained.chip_error_rate < webee.chip_error_rate
