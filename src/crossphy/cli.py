@@ -218,8 +218,9 @@ def cmd_zigbee_demod(cfg, doc):
         "zigbee_demod": {
             "detected": res.detected,
             "payload_hex": res.payload.hex() if res.payload is not None else None,
-            "ser": res.ser,
-            "chip_error_rate": res.chip_error_rate,
+            # NaN (no expected payload, or nothing detected) is not JSON
+            "ser": None if math.isnan(res.ser) else res.ser,
+            "chip_error_rate": None if math.isnan(res.chip_error_rate) else res.chip_error_rate,
             "sync_corr": res.sync_corr,
         },
     }), doc.get("metrics_out"))

@@ -6,9 +6,8 @@ the stack as real matrices of shape (n_ofdm_symbols, 2*width): the real
 parts of a width-wide complex vector in the left half, imaginary parts in
 the right half.  Complex linear operators become real block matrices
 [[A, -B], [B, A]]; operators that act identically on both rails (cyclic
-prefix add/remove, bin selection) become block-diagonal.  The 0/1 operators
-run as index copies (``CopyLinear``), which give the floats of their
-matrices.
+prefix add/remove, bin selection) become block-diagonal.  Every fixed layer
+runs as its matrix.
 
 Fixed layers carry no trainable state.  The only trainable state in the
 whole stack is one array: ``ComplexScale.s``, the per-subcarrier complex
@@ -28,7 +27,6 @@ from .wifi import CP_LEN, PILOT_SUBCARRIERS, Constellation, pilot_values
 __all__ = [
     "DiffBlock",
     "FixedLinear",
-    "CopyLinear",
     "ComplexScale",
     "SoftQuantize",
     "GridAssemble",
@@ -102,62 +100,13 @@ class FixedLinear(DiffBlock):
         self.name = name
         self.out_dim, self.in_dim = self.weight.shape
 
-    def _check(self, x):
+    def forward(self, x):
         if x.shape[1] != self.in_dim:
             raise DimensionError(f"{self.name}: expected width {self.in_dim}, got {x.shape[1]}")
-
-    def forward(self, x):
-        self._check(x)
         return x @ self.weight.T
 
     def backward(self, gy):
         return gy @ self.weight
-
-
-class CopyLinear(FixedLinear):
-    """A FixedLinear whose 0/1 weight only copies: at most one 1 per row,
-    at most two per column (cyclic prefix add and remove, bin selection,
-    grid assembly).
-
-    Forward is an index copy; backward is a gather plus a two-term add for
-    each input column that feeds two outputs (the cyclic prefix).  Both give
-    the floats of the products with ``weight``, which stays the
-    specification: every other term of those sums is an exact zero, and a
-    sum of two terms does not depend on their order.
-    """
-
-    def __init__(self, weight: np.ndarray, name: str = "copy_linear"):
-        super().__init__(weight, name)
-        ones = np.flatnonzero(self.weight != 0)
-        self._rows, self._cols = np.divmod(ones, self.in_dim)  # row r copies column c
-        by_col = np.argsort(self._cols, kind="stable")
-        cols, rows = self._cols[by_col], self._rows[by_col]
-        if (np.any(self.weight.ravel()[ones] != 1) or np.any(np.diff(self._rows) == 0)
-                or np.any(cols[2:] == cols[:-2])):
-            raise DimensionError(f"{name}: weight is not a 0/1 copy map")
-        first = np.ones(len(cols), dtype=bool)
-        first[1:] = cols[1:] != cols[:-1]
-        # backward: input column _used[k] takes output _first[k], and column
-        # _twice[k] also takes output _second[k]
-        self._used, self._first = cols[first], rows[first]
-        self._twice, self._second = cols[~first], rows[~first]
-
-    def forward(self, x):
-        self._check(x)
-        if len(self._rows) == self.out_dim:
-            return x[:, self._cols]
-        y = np.zeros((x.shape[0], self.out_dim))
-        y[:, self._rows] = x[:, self._cols]
-        return y
-
-    def backward(self, gy):
-        if len(self._used) == self.in_dim:
-            gx = gy[:, self._first]
-        else:
-            gx = np.zeros((gy.shape[0], self.in_dim))
-            gx[:, self._used] = gy[:, self._first]
-        gx[:, self._twice] += gy[:, self._second]
-        return gx
 
 
 def cp_add_matrix() -> np.ndarray:
@@ -184,21 +133,21 @@ def idft_layer() -> FixedLinear:
     return FixedLinear(_complex_to_real_matrix(IDFT_BASIS), "idft")
 
 
-def cp_add_layer() -> CopyLinear:
-    return CopyLinear(_two_rail(cp_add_matrix()), "cp_add")
+def cp_add_layer() -> FixedLinear:
+    return FixedLinear(_two_rail(cp_add_matrix()), "cp_add")
 
 
-def cp_remove_layer() -> CopyLinear:
-    return CopyLinear(_two_rail(cp_remove_matrix()), "cp_remove")
+def cp_remove_layer() -> FixedLinear:
+    return FixedLinear(_two_rail(cp_remove_matrix()), "cp_remove")
 
 
-def bin_select_layer(columns, width: int = N_FFT) -> CopyLinear:
+def bin_select_layer(columns, width: int = N_FFT) -> FixedLinear:
     """0/1 selection keeping the given complex columns (one 1 per kept row)."""
     columns = list(columns)
     w = np.zeros((len(columns), width))
     for r, c in enumerate(columns):
         w[r, c] = 1.0
-    return CopyLinear(_two_rail(w), "bin_select")
+    return FixedLinear(_two_rail(w), "bin_select")
 
 
 class ComplexScale(DiffBlock):
@@ -251,18 +200,17 @@ class SoftQuantize(DiffBlock):
     decision collapses to as ``tau -> 0``.  Temperature is annealed by the
     trainer, not trained.
 
-    Every constellation is a grid in label order, point ``i*L + q`` at
-    ``lx[i] + 1j*ly[q]``, so ``|w - c|^2`` is a sum of per-axis squares and
-    the weights factor exactly: ``a_(i*L+q) = ax_i * ay_q``, with ``ax`` the
-    softmax of ``-(Re w - lx)^2 / tau`` over the Lx levels and ``ay`` that
-    of ``-(Im w - ly)^2 / tau`` over the Ly levels.  The block runs these two
-    per-axis softmaxes: the output is ``sum ax lx`` on Re and ``sum ay ly``
-    on Im, each axis depends only on its own input, and its derivative is
-    ``(2/tau) Var_a(l)``, the weights' variance of the levels.
-    ``axis_weights`` is the last forward's ``(ax, ay)``, and ``decisions``
-    its nearest point ``kx*Ly + ky`` (per-axis argmin, ties to the lower
-    level): ``Constellation.nearest`` of the input, unless rounding that
-    sum of squares makes two distinct distances tie.
+    Every constellation is the grid of its per-axis ``levels``, point
+    ``i*L + q`` at ``lx[i] + 1j*ly[q]``, so ``|w - c|^2`` is a sum of
+    per-axis squares and the weights factor exactly: ``a_(i*L+q) = ax_i *
+    ay_q``, with ``ax`` the softmax of ``-(Re w - lx)^2 / tau`` over the Lx
+    levels and ``ay`` that of ``-(Im w - ly)^2 / tau`` over the Ly levels.
+    The block runs these two per-axis softmaxes: the output is ``sum ax lx``
+    on Re and ``sum ay ly`` on Im, each axis depends only on its own input,
+    and its derivative is ``(2/tau) Var_a(l)``, the weights' variance of the
+    levels.  ``axis_weights`` is the last forward's ``(ax, ay)``, and
+    ``decisions`` its nearest points ``kx*Ly + ky``, the argmin of the same
+    per-axis squares: ``Constellation.nearest`` of the input.
     """
     name = "soft_quantize"
 
@@ -272,11 +220,7 @@ class SoftQuantize(DiffBlock):
         self.in_dim = self.out_dim = 2 * n
         self.tau = float(tau)
         self.points = const.points
-        n_y = len(np.unique(self.points.imag))
-        self._lx, self._ly = self.points.real[::n_y].copy(), self.points.imag[:n_y].copy()
-        if not (np.array_equal(self.points.real, np.repeat(self._lx, n_y))
-                and np.array_equal(self.points.imag, np.tile(self._ly, len(self._lx)))):
-            raise DimensionError(f"{const.name}: points are not a grid in label order")
+        self._lx, self._ly = const.levels
         self.release()
 
     def release(self):
@@ -316,14 +260,13 @@ class SoftQuantize(DiffBlock):
         return self.const.nearest(unstack_complex(x))
 
 
-class GridAssemble(CopyLinear):
+class GridAssemble(FixedLinear):
     """Scatter m quantized bins into the 64-bin grid; pilots and nulls are
     constants.
 
     Pilot bins take the standard +-1 polarity values for their OFDM symbol
     index (affine part, no gradient); everything not a target bin or pilot
-    is zero.  ``y = x @ weight.T + pilots``, run as a copy of x into the
-    pilot grid."""
+    is zero: ``y = x @ weight.T + pilots``."""
 
     def __init__(self, target_columns):
         self.target_columns = list(target_columns)
@@ -332,23 +275,10 @@ class GridAssemble(CopyLinear):
             w[c, r] = 1.0
         super().__init__(_two_rail(w), "grid_assemble")
         self._pilot_cols = [m_ % N_FFT for m_ in PILOT_SUBCARRIERS]
-        self.release()
-
-    def release(self):
-        self._pilots = np.zeros((0, 2 * N_FFT))
-
-    def pilot_constants(self, n_rows: int) -> np.ndarray:
-        """(n_rows, 128) constant grid contribution (pilot bins only), kept
-        for the last row count: training asks for the same one every epoch."""
-        if self._pilots.shape[0] != n_rows:
-            self._pilots = np.zeros((n_rows, 2 * N_FFT))
-            self._pilots[:, self._pilot_cols] = pilot_values(n_rows)
-        return self._pilots
 
     def forward(self, x):
-        self._check(x)
-        y = self.pilot_constants(x.shape[0]).copy()
-        y[:, self._rows] += x[:, self._cols]
+        y = super().forward(x)
+        y[:, self._pilot_cols] += pilot_values(x.shape[0])
         return y
 
 

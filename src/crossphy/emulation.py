@@ -123,11 +123,8 @@ class EmulationModel:
 
     def synthesize(self, points) -> np.ndarray:
         """Waveform of an (S, m) grid of complex points on the target bins,
-        with the fixed pilots: grid assembly, IDFT, cyclic prefix.  The
-        pilot grid is not kept."""
-        wave = _waveform(self.tail.forward(stack_complex(points)))
-        self.tail.release()
-        return wave
+        with the fixed pilots: grid assembly, IDFT, cyclic prefix."""
+        return _waveform(self.tail.forward(stack_complex(points)))
 
     def normalize(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Per-OFDM-symbol max-abs pre-normalization of a raw waveform:
@@ -327,9 +324,7 @@ def fused_tail(model: EmulationModel, n_rows: int) -> tuple[np.ndarray, np.ndarr
     pilots' waveform, the layers run on zero points.  Its backward is
     ``gy @ a.T``."""
     a = model.assemble.weight.T @ model.idft.weight.T @ model.cp_add.weight.T
-    p = model.tail.forward(np.zeros((n_rows, model.assemble.in_dim)))
-    model.tail.release()
-    return a, p
+    return a, model.tail.forward(np.zeros((n_rows, model.assemble.in_dim)))
 
 
 def train(model: EmulationModel, u, z, cfg) -> TrainResult:

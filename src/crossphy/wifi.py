@@ -14,7 +14,7 @@ Bit order follows the standard: octets are serialized LSB first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,13 +49,23 @@ class Constellation:
     """Gray-labeled QAM point set, normalized to unit mean power.
 
     ``points[j]`` is the symbol whose label bits (MSB first, in transmission
-    order) form the integer ``j``.
+    order) form the integer ``j``.  The set is a grid: ``levels`` holds the
+    real and the imaginary axis levels in label order (BPSK has the one
+    imaginary level 0), and ``points[kx*Ly + ky]`` is
+    ``levels[0][kx] + 1j*levels[1][ky]``.  Both arrays are read-only.
     """
 
     name: str
     bits_per_symbol: int
-    points: np.ndarray
+    levels: tuple
     k_mod: float
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        lx, ly = self.levels
+        pts = (lx[:, None] + 1j * ly).reshape(-1)
+        pts.flags.writeable = False
+        return pts
 
     @property
     def size(self) -> int:
@@ -75,12 +85,17 @@ class Constellation:
         return self.points[idx]
 
     def nearest(self, values) -> np.ndarray:
-        """Index of the nearest point to every value (any shape), by squared
-        Euclidean distance; ties go to the lowest index."""
+        """Index of the nearest point to every value (any shape).
+
+        The squared distance to a grid point is the sum of its per-axis
+        squares, so the nearest point is ``kx*Ly + ky``, with ``kx`` and
+        ``ky`` the nearest level on each axis by ``(w - level)**2``.  Ties go
+        to the lower label on each axis, and so to the lowest index."""
         w = np.asarray(values, dtype=np.complex128)
-        p = self.points
-        d = (w.real[..., None] - p.real) ** 2 + (w.imag[..., None] - p.imag) ** 2
-        return np.argmin(d, axis=-1)
+        lx, ly = self.levels
+        kx = np.argmin(np.square(w.real[..., None] - lx), axis=-1)
+        ky = np.argmin(np.square(w.imag[..., None] - ly), axis=-1)
+        return kx * len(ly) + ky
 
     def demap_hard(self, symbols) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-point decisions; returns (indices, bits)."""
@@ -97,18 +112,12 @@ def constellation(name: str) -> Constellation:
     if n_bpsc is None:
         raise ConfigError(f"unknown modulation {name!r}")
     k_mod = _KMOD[n_bpsc]
-    pts = np.empty(2**n_bpsc, dtype=np.complex128)
-    if n_bpsc == 1:
-        for j in range(2):
-            pts[j] = _AXIS_LEVELS[1][j]
-    else:
-        half = n_bpsc // 2
-        axis = _AXIS_LEVELS[half]
-        for j in range(2**n_bpsc):
-            i_bits = j >> half
-            q_bits = j & ((1 << half) - 1)
-            pts[j] = axis[i_bits] + 1j * axis[q_bits]
-    return Constellation(name=name, bits_per_symbol=n_bpsc, points=pts * k_mod, k_mod=k_mod)
+    gray = _AXIS_LEVELS[max(1, n_bpsc // 2)]
+    axis = np.array([gray[j] for j in range(len(gray))]) * k_mod
+    levels = (axis, axis if n_bpsc > 1 else np.zeros(1))
+    for lv in levels:
+        lv.flags.writeable = False
+    return Constellation(name=name, bits_per_symbol=n_bpsc, levels=levels, k_mod=k_mod)
 
 
 @dataclass(frozen=True)

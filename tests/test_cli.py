@@ -97,6 +97,30 @@ class TestSubcommands:
         demod = json.loads(out_json.read_text())["deterministic"]["zigbee_demod"]
         assert demod["detected"] is False and demod["sync_corr"] == 0.0
 
+    @pytest.mark.parametrize("case", ["empty", "detected", "no-payload"])
+    def test_zigbee_demod_writes_strict_json(self, tmp_path, capsys, case):
+        # a missing error rate is null: NaN is not JSON (RFC 8259)
+        iq = tmp_path / "z.cf32"
+        payload = ["--payload-hex", "0102030405"]
+        if case == "empty":
+            iq.write_bytes(b"")
+        else:
+            assert run_cli(["zigbee-mod", "--iq-out", str(iq)] + payload) == cli.EXIT_OK
+            capsys.readouterr()
+        out_json = tmp_path / "d.json"
+        args = payload if case == "detected" else []
+        assert run_cli(["zigbee-demod", "--iq-out", str(iq),
+                        "--metrics-out", str(out_json)] + args) == cli.EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        demod = json.loads(out_json.read_text(), parse_constant=reject)["deterministic"][
+            "zigbee_demod"]
+        rates = {"empty": None, "detected": 0.0, "no-payload": None}[case]
+        assert demod["detected"] is (case != "empty")
+        assert demod["ser"] == demod["chip_error_rate"] == rates
+
     def test_evaluate_noiseless_webee(self, tmp_path):
         out = tmp_path / "m.json"
         rc = run_cli(["evaluate", "--payload-hex", "00112233", "--quantizer-mode", "webee",

@@ -95,47 +95,17 @@ class TestFixedMatrices:
         assert np.array_equal(w.sum(axis=1), np.ones(6))
 
 
-class TestCopyLayers:
-    """The 0/1 layers run as index copies; their weights stay the spec."""
-
-    @pytest.mark.parametrize("make", [
-        db.cp_add_layer,
-        db.cp_remove_layer,
-        lambda: db.bin_select_layer([3, 17, 50]),
-        lambda: db.bin_select_layer([5, 5, 9]),
-        lambda: db.GridAssemble([50, 51, 52]),
-    ], ids=["cp_add", "cp_remove", "bin_select", "bin_select_repeated", "grid_assemble"])
-    def test_equals_the_matrix_products(self, make):
-        rng = dsp.make_rng(20)
-        blk = make()
-        assert isinstance(blk, db.CopyLinear)
-        x = rng.standard_normal((9, blk.in_dim))
-        gy = rng.standard_normal((9, blk.out_dim))
-        want = x @ blk.weight.T
-        if isinstance(blk, db.GridAssemble):
-            want = want + blk.pilot_constants(9)
-        assert np.array_equal(blk.forward(x), want)
-        assert np.array_equal(blk.backward(gy), gy @ blk.weight)
-
-    def test_cp_add_backward_adds_the_prefix_gradient(self):
-        gy = np.zeros((1, 160))
-        gy[0, 0], gy[0, 64] = 0.25, 0.5  # prefix sample 0 and body sample 48
-        assert db.cp_add_layer().backward(gy)[0, 48] == 0.75
-
-    def test_not_a_copy_map_rejected(self):
-        from crossphy.errors import DimensionError
-
-        for w in (np.array([[1.0, 1.0]]), np.array([[2.0]]), np.ones((3, 1))):
-            with pytest.raises(DimensionError):
-                db.CopyLinear(w)
-
-
 class TestFixedLinearBlocks:
     def test_identity_forward_backward(self):
         blk = db.FixedLinear(np.eye(10))
         x = dsp.make_rng(0).standard_normal((3, 10))
         assert np.array_equal(blk.forward(x), x)
         assert np.array_equal(blk.backward(x), x)
+
+    def test_cp_add_backward_adds_the_prefix_gradient(self):
+        gy = np.zeros((1, 160))
+        gy[0, 0], gy[0, 64] = 0.25, 0.5  # prefix sample 0 and body sample 48
+        assert db.cp_add_layer().backward(gy)[0, 48] == 0.75
 
     def test_dft_layer_matches_reference(self):
         rng = dsp.make_rng(1)
@@ -301,8 +271,8 @@ class TestGridAssemble:
                 assert grid[s, 21] == -pol
 
     def test_pilots_follow_row_count_and_wrap_every_127_symbols(self):
-        # the constants are kept between calls; a new row count rebuilds them,
-        # and symbols 127 on repeat the polarity sequence from its start
+        # each call takes the pilots of its own row count, and symbols 127 on
+        # repeat the polarity sequence from its start
         from crossphy.wifi import pilot_polarity
 
         blk = db.GridAssemble([50])

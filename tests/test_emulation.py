@@ -261,7 +261,6 @@ class TestTraining:
             gy = rng.standard_normal((n_rows, 160))
             assert np.max(np.abs(q @ a + p - model.tail.forward(q))) <= 1e-13
             assert np.max(np.abs(gy @ a.T - model.tail.backward(gy))) <= 1e-13
-        model.tail.release()
 
     def test_first_epoch_loss_is_the_full_stack_loss(self):
         # the trainer's objective of the layered model at scales 1+0j and
@@ -339,38 +338,18 @@ class TestTraining:
             em.load_model(path)
 
 
-class GridAssembleProducts(db.DiffBlock):
-    """Grid assembly by its matrix products: ``x @ weight.T + pilots``."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.in_dim, self.out_dim = spec.in_dim, spec.out_dim
-
-    def forward(self, x):
-        return x @ self.spec.weight.T + self.spec.pilot_constants(x.shape[0])
-
-    def backward(self, gy):
-        return gy @ self.spec.weight
-
-
 def reference_train(model, target, cfg):
     """The epoch loop as it stood before ``train`` reused the quantizer's
-    decisions and fused the tail, run on the specification's layers: matrix
-    products for the 0/1 maps, the per-point soft quantizer, the layered
-    tail on every symbol, and ``hard_indices`` plus a hard synthesis every
-    epoch.  In analog mode the objective and the metric see the kept
-    symbols' samples, and the dropped symbols' gradient is zero."""
-    def products(blk):
-        return db.FixedLinear(blk.weight, blk.name)
-
-    prefix = db.Sequential([products(model.cp_remove), model.dft, products(model.select)])
+    decisions and fused the tail, run on the specification's layers: the
+    per-point soft quantizer, the layered tail on every symbol, and
+    ``hard_indices`` plus a hard synthesis every epoch.  In analog mode the
+    objective and the metric see the kept symbols' samples, and the dropped
+    symbols' gradient is zero."""
     quantize = SoftQuantize64(model.const, model.quantize.n, cfg.tau_start)
-    synth = db.Sequential([GridAssembleProducts(model.assemble), model.idft,
-                           products(model.cp_add)])
-    head = db.Sequential([model.scale, quantize] + synth.blocks)
+    head = db.Sequential([model.scale, quantize] + model.tail.blocks)
 
     def bins(w):
-        return prefix.forward(db.stack_complex(w.reshape(-1, 80)))
+        return model.prefix.forward(db.stack_complex(w.reshape(-1, 80)))
 
     x = np.asarray(target.samples, dtype=np.complex128)
     raw = db.unstack_complex(bins(x))
@@ -401,7 +380,7 @@ def reference_train(model, target, cfg):
         head.backward(gy)
 
         idx = model.quantize.hard_indices(model.scale.forward(z))
-        v_hard = fit_samples(synth.forward(db.stack_complex(model.const.points[idx])))
+        v_hard = fit_samples(model.tail.forward(db.stack_complex(model.const.points[idx])))
         metric = em.selection_metric(v_hard, u_fit, model.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)

@@ -4,6 +4,8 @@ import pytest
 from crossphy import dsp, wifi
 from crossphy.errors import ConfigError, DimensionError, DomainError
 
+MODULATIONS = ("bpsk", "qpsk", "qam16", "qam64")
+
 
 def lfsr_oracle(n, seed):
     """Independent x^7+x^4+1 LFSR: plain shift-register simulation."""
@@ -144,6 +146,46 @@ class TestConstellation:
     def test_indivisible_length_rejected(self):
         with pytest.raises(DimensionError):
             wifi.constellation("qam16").map_bits([0, 1, 0])
+
+    @pytest.mark.parametrize("name", MODULATIONS)
+    def test_nearest_is_the_argmin_over_every_point(self, name):
+        c = wifi.constellation(name)
+        p = c.points
+
+        def oracle(w):
+            d = (w.real[..., None] - p.real) ** 2 + (w.imag[..., None] - p.imag) ** 2
+            return np.argmin(d, axis=-1)  # ties to the lowest index
+
+        rng = dsp.make_rng(30)
+        re, im = rng.uniform(-1.5, 1.5, (2, 10**5))
+        w = re + 1j * im
+        assert np.array_equal(c.nearest(w), oracle(w))
+        # every level, and every midpoint between neighbouring levels, on
+        # each axis: exact ties go to the lowest index
+        edges = []
+        for lv in c.levels:
+            s = np.sort(lv)
+            edges.append(np.concatenate([s, (s[1:] + s[:-1]) / 2]))
+        grid = edges[0][:, None] + 1j * edges[1]
+        assert np.array_equal(c.nearest(grid), oracle(grid))
+        # 0 ties the two innermost levels of each axis; the lower labels win:
+        # -1/sqrt(10) is label 1 of QAM-16's axis and -1/sqrt(42) label 2 of
+        # QAM-64's, so the points 1*4+1 and 2*8+2
+        assert c.nearest(0j) == {"bpsk": 0, "qpsk": 0, "qam16": 5, "qam64": 18}[name]
+
+    @pytest.mark.parametrize("name", MODULATIONS)
+    def test_levels_rebuild_points_bit_for_bit(self, name):
+        c = wifi.constellation(name)
+        lx, ly = c.levels
+        rebuilt = np.array([complex(lx[j // len(ly)], ly[j % len(ly)]) for j in range(c.size)])
+        assert np.array_equal(rebuilt.view(np.uint64), c.points.view(np.uint64))
+
+    @pytest.mark.parametrize("name", MODULATIONS)
+    def test_points_and_levels_read_only(self, name):
+        c = wifi.constellation(name)
+        for arr in (c.points, *c.levels):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestTransmit:
