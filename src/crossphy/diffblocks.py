@@ -179,16 +179,22 @@ class ComplexScale(DiffBlock):
         return np.concatenate([sr * zr - si * zi, sr * zi + si * zr], axis=1)
 
     def backward(self, gy):
-        x = self._x
-        zr, zi = x[:, : self.n], x[:, self.n:]
+        self.backward_scale(gy)
         gr, gi = gy[:, : self.n], gy[:, self.n:]
         sr, si = self.s[: self.n], self.s[self.n:]
         gzr = gr * sr + gi * si
         gzi = -gr * si + gi * sr
+        return np.concatenate([gzr, gzi], axis=1)
+
+    def backward_scale(self, gy):
+        """The part of ``backward`` that sets ``grad``, for a caller that
+        needs no input gradient."""
+        x = self._x
+        zr, zi = x[:, : self.n], x[:, self.n:]
+        gr, gi = gy[:, : self.n], gy[:, self.n:]
         gsr = np.sum(gr * zr + gi * zi, axis=0)
         gsi = np.sum(-gr * zi + gi * zr, axis=0)
         self.grad = np.concatenate([gsr, gsi])
-        return np.concatenate([gzr, gzi], axis=1)
 
 
 class SoftQuantize(DiffBlock):
@@ -230,11 +236,15 @@ class SoftQuantize(DiffBlock):
 
     def forward(self, x):
         n = self.n
+        self.release()  # the last forward's weights go before the new ones come
         out, var, weights, nearest = [], [], [], []
         for w, levels in ((x[:, :n], self._lx), (x[:, n:], self._ly)):
-            # level-major (L, S, n), so the sums over the levels add planes
+            # level-major (L, S, n), so the sums over the levels add planes;
+            # a contiguous w makes the broadcasts below one run per level
+            w = np.ascontiguousarray(w)
             col = levels[:, None, None]
-            d = np.square(w - col)  # squared distances
+            d = np.subtract(w, col)
+            np.square(d, out=d)  # squared distances
             nearest.append(np.argmin(d, axis=0))
             # the largest logit -d/tau is the one at the smallest distance
             a = np.subtract(d.min(axis=0), d, out=d)
@@ -242,11 +252,13 @@ class SoftQuantize(DiffBlock):
             np.exp(a, out=a)
             a /= a.sum(axis=0)
             mean = (levels @ a.reshape(len(levels), -1)).reshape(w.shape)
-            dev = np.square(col - mean)
+            dev = np.subtract(col, mean)
+            np.square(dev, out=dev)
             dev *= a
             out.append(mean)
             var.append(dev.sum(axis=0))
             weights.append(a.transpose(1, 2, 0))
+            del dev  # before the next axis allocates its distances
         self._slope = (2.0 / self.tau) * np.concatenate(var, axis=1)
         self.axis_weights = tuple(weights)
         self.decisions = nearest[0] * len(self._ly) + nearest[1]

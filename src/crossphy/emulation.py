@@ -16,7 +16,8 @@ layers before the scale are fixed and so is the training input, so
 ``train`` runs them once; the layers after the quantizer are fixed and
 affine, so ``train`` runs them as one product plus the pilots' waveform.
 An epoch is then the scale, the two per-axis softmaxes of the soft
-quantizer and that product, forward and backward.  The quantizer's forward
+quantizer and that product, forward and backward, with its waveform-sized
+arrays allocated once per ``train`` call.  The quantizer's forward
 also yields the epoch's hard decisions, and the hard grid is re-synthesized
 and re-scored only in epochs whose decisions differ from the previous
 epoch's.  ``sim`` is the one caller.
@@ -207,7 +208,11 @@ def loss(output, target, mode: str) -> float:
     return loss_and_grad(output, target, mode)[0]
 
 
-def loss_and_grad(output, target, mode: str, eps: float = 1e-12):
+# floor of |v|^2 in the denominator of the phase loss's gradient
+MAG2_FLOOR = 1e-12
+
+
+def loss_and_grad(output, target, mode: str):
     """Loss plus its gradient with respect to the (complex) output.
 
     The gradient is returned as a complex array whose real/imag parts are
@@ -223,7 +228,7 @@ def loss_and_grad(output, target, mode: str, eps: float = 1e-12):
         return float(np.mean(np.abs(diff) ** 2)), (2.0 / n) * diff
     if mode == "digital":
         e = np.angle(v * np.conj(u))
-        mag2 = np.maximum(np.abs(v) ** 2, eps)
+        mag2 = np.maximum(np.abs(v) ** 2, MAG2_FLOOR)
         # d(angle v)/d(vr) = -vi/|v|^2, d/d(vi) = vr/|v|^2
         gr = (2.0 / n) * e * (-v.imag / mag2)
         gi = (2.0 / n) * e * (v.real / mag2)
@@ -281,7 +286,8 @@ def gain_free_error_excluding_cp(output, target) -> float:
 
 def fit_loss_and_grad(output, target, mode: str):
     """The training objective and its gradient: ``gain_free_loss_and_grad``
-    in analog mode, the phase loss of ``loss_and_grad`` in digital mode."""
+    in analog mode, the phase loss of ``loss_and_grad`` in digital mode.
+    ``train`` computes it in place (``_Workspace.objective``)."""
     if mode == "analog":
         return gain_free_loss_and_grad(output, target)
     return loss_and_grad(output, target, mode)
@@ -290,7 +296,7 @@ def fit_loss_and_grad(output, target, mode: str):
 def selection_metric(output, target, mode: str) -> float:
     """Hard-reconstruction quality used to pick the best training epoch:
     the gain-free body error in analog mode, the body phase MSE in digital
-    mode."""
+    mode.  ``train`` computes it in place (``_Workspace.metric``)."""
     if mode == "analog":
         return gain_free_error_excluding_cp(output, target)
     return phase_mse_excluding_cp(output, target)
@@ -327,6 +333,122 @@ def fused_tail(model: EmulationModel, n_rows: int) -> tuple[np.ndarray, np.ndarr
     return a, model.tail.forward(np.zeros((n_rows, model.assemble.in_dim)))
 
 
+# numpy evaluates ``x * f(y)`` into the temporary ``f(y)`` once that holds
+# 256 KiB or more (temporary elision), and so multiplies in the other order;
+# a complex product's rounding depends on the order of its operands
+_ELISION_BYTES = 256 * 1024
+
+
+def _factors(x, temporary):
+    """The operands of ``x * temporary`` in the order numpy multiplies them."""
+    return (temporary, x) if temporary.nbytes >= _ELISION_BYTES else (x, temporary)
+
+
+class _Workspace:
+    """The per-frame arrays of one ``train`` call, allocated once: the fused
+    tail's synthesis of its rows and the training objective and selection
+    metric of that synthesis against ``target`` (the rows' samples).
+
+    ``objective`` is ``fit_loss_and_grad`` of the soft waveform and
+    ``metric`` is ``selection_metric`` of the hard one, each as the same
+    ufuncs on the same operands in the same order, writing into these
+    buffers, so every float is bit-identical to theirs.  The metric reads
+    only body samples, so the hard waveform is synthesized on the body
+    columns alone.
+    """
+
+    def __init__(self, target, a, pilots, mode: str):
+        n_rows = len(pilots)
+        body = np.r_[CP_LEN:SYMBOL_LEN, SYMBOL_LEN + CP_LEN:2 * SYMBOL_LEN]
+        self.target, self.a, self.pilots, self.mode = target, a, pilots, mode
+        self.a_body = np.ascontiguousarray(a[:, body])
+        self.pilots_body = np.ascontiguousarray(pilots[:, body])
+        target_body = target.reshape(n_rows, SYMBOL_LEN)[:, CP_LEN:].reshape(-1)
+        # h holds the stacked soft waveform until v is formed, then the
+        # stacked gradient; v and g are the complex waveform and gradient
+        self.h = np.empty((n_rows, 2 * SYMBOL_LEN))
+        self.v = np.empty(n_rows * SYMBOL_LEN, dtype=np.complex128)
+        self.g = np.empty_like(self.v)
+        self.h_body = np.empty((n_rows, 2 * N_FFT))
+        self.v_body = np.empty(n_rows * N_FFT, dtype=np.complex128)
+        if mode == "analog":
+            self.w = np.empty_like(self.v)
+            self.uu = np.vdot(target, target).real
+            self.target_body = target_body
+            self.uu_body = np.vdot(target_body, target_body).real
+        elif mode == "digital":
+            self.conj_target = np.conj(target)
+            self.conj_body = np.conj(target_body)
+            self.e, self.mag2, self.w = (np.empty(len(self.v)) for _ in range(3))
+            self.e_body = np.empty(len(self.v_body))
+        else:
+            raise ConfigError(f"unknown loss mode {mode!r}")
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The last ``objective``'s gradient, stacked (n_rows, 160)."""
+        return self.h
+
+    @staticmethod
+    def _synthesize(points, a, pilots, h, v):
+        """``_waveform(points @ a + pilots)`` into ``h`` and ``v``."""
+        np.matmul(points, a, out=h)
+        h += pilots
+        half = h.shape[1] // 2
+        v2 = v.reshape(len(h), half)
+        np.multiply(1j, h[:, half:], out=v2)
+        np.add(h[:, :half], v2, out=v2)
+
+    def objective(self, points) -> float:
+        """``fit_loss_and_grad`` of the soft waveform of stacked (n_rows, 2m)
+        points; leaves the stacked gradient in ``grad``."""
+        v, g = self.v, self.g
+        self._synthesize(points, self.a, self.pilots, self.h, v)
+        n = len(v)
+        if self.mode == "analog":  # gain_free_loss_and_grad
+            u = self.target
+            c = np.vdot(u, v)
+            vv = np.vdot(v, v).real
+            cc = abs(c) ** 2
+            np.multiply(c / vv, u, out=g)
+            g -= np.multiply(cc / vv**2, v, out=self.w)
+            np.multiply(*_factors(-2.0 / n, g), out=g)
+            loss = float((self.uu - cc / vv) / n)
+        else:  # loss_and_grad, digital
+            p = np.multiply(*_factors(v, self.conj_target), out=g)
+            e = np.arctan2(p.imag, p.real, out=self.e)  # np.angle(p)
+            mag2 = np.abs(v, out=self.mag2)
+            np.square(mag2, out=mag2)
+            np.maximum(mag2, MAG2_FLOOR, out=mag2)
+            loss = float(np.mean(np.square(e, out=self.w)))
+            np.multiply(2.0 / n, e, out=e)
+            gr = np.negative(v.imag, out=self.w)
+            gr /= mag2
+            gi = np.divide(v.real, mag2, out=mag2)
+            np.multiply(e, gr, out=gr)
+            np.multiply(e, gi, out=gi)
+            np.multiply(1j, gi, out=g)
+            np.add(gr, g, out=g)
+        g2 = g.reshape(len(self.h), SYMBOL_LEN)
+        self.h[:, :SYMBOL_LEN] = g2.real
+        self.h[:, SYMBOL_LEN:] = g2.imag
+        return loss
+
+    def metric(self, points) -> float:
+        """``selection_metric`` of the hard waveform of stacked (n_rows, 2m)
+        points."""
+        v = self.v_body
+        self._synthesize(points, self.a_body, self.pilots_body, self.h_body, v)
+        if self.mode == "analog":  # gain_free_error_excluding_cp
+            u = self.target_body
+            return float(1.0 - abs(np.vdot(u, v)) ** 2 / (np.vdot(v, v).real * self.uu_body))
+        # phase_mse_excluding_cp: its v[m] * np.conj(u[m]) keeps this
+        # order whether numpy elides a temporary or not
+        p = np.multiply(v, self.conj_body, out=v)
+        e = np.arctan2(p.imag, p.real, out=self.e_body)
+        return float(np.mean(np.square(e, out=e)))
+
+
 def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     """Adam on the quantizer scales, tau annealed geometrically.
 
@@ -349,7 +471,13 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     the metric is the same number).  The kept scales are the best epoch's
     by the metric, so the result is never worse than that baseline.
     Deterministic for a fixed config: no randomness enters the updates.
-    The scale's and quantizer's per-frame arrays are released on return.
+
+    The waveform-sized arrays of an epoch (the soft and hard waveforms, the
+    objective's buffers and its gradient) live in one workspace, allocated
+    once per call for the frame's rows and dropped on return; each epoch
+    refills them and computes the floats ``fit_loss_and_grad`` and
+    ``selection_metric`` would, bit for bit.  The scale's and quantizer's
+    per-frame arrays are released on return too.
     """
     u = np.asarray(u, dtype=np.complex128)
     if len(u) != SYMBOL_LEN * len(z):
@@ -359,7 +487,7 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     bins = model._bins(u)[rows]
     target = u.reshape(-1, SYMBOL_LEN)[rows].reshape(-1)
     a, pilots = fused_tail(model, len(z))
-    pilots = pilots[rows]
+    work = _Workspace(target, a, pilots[rows], model.mode)
 
     sc, quantize = model.scale, model.quantize
     mom = np.zeros_like(sc.s)
@@ -373,17 +501,15 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     for epoch in range(cfg.epochs):
         model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
-        v_soft = _waveform(quantize.forward(sc.forward(bins)) @ a + pilots)
-        soft_loss, g = fit_loss_and_grad(v_soft, target, model.mode)
+        soft_loss = work.objective(quantize.forward(sc.forward(bins)))
         if not math.isfinite(soft_loss):
             raise DomainError(f"non-finite training loss at epoch {epoch}: {soft_loss}")
-        sc.backward(quantize.backward(stack_complex(g.reshape(-1, SYMBOL_LEN)) @ a.T))
+        sc.backward_scale(quantize.backward(work.grad @ a.T))
 
         # the hard grid, and so its metric, changes only with the decisions
         if idx is None or not np.array_equal(quantize.decisions, idx):
             idx = quantize.decisions
-            v_hard = _waveform(stack_complex(model.const.points[idx]) @ a + pilots)
-            metric = selection_metric(v_hard, target, model.mode)
+            metric = work.metric(stack_complex(model.const.points[idx]))
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - PLATEAU_TOL:

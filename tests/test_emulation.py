@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -282,15 +283,58 @@ class TestTraining:
         floored = ~em.kept_symbols(z)
         assert np.flatnonzero(floored).tolist() == [len(z) - 1]
         assert np.max(np.abs(u.reshape(-1, 80)[floored])) > 1e6
+        # the objective scores the soft waveform it synthesizes; the metric
+        # synthesizes only the body of the hard one, so record that whole
+        # waveform of the grid it scores
         seen = []
-        for name in ("fit_loss_and_grad", "selection_metric"):
-            real = getattr(em, name)
-            monkeypatch.setattr(em, name, lambda v, t, mode, real=real:
-                                seen.append((v, t)) or real(v, t, mode))
+        objective, metric = em._Workspace.objective, em._Workspace.metric
+
+        def seen_objective(ws, points):
+            loss = objective(ws, points)
+            seen.append((ws.v, ws.target))
+            return loss
+
+        def seen_metric(ws, points):
+            seen.append((em._waveform(points @ ws.a + ws.pilots), ws.target))
+            return metric(ws, points)
+
+        monkeypatch.setattr(em._Workspace, "objective", seen_objective)
+        monkeypatch.setattr(em._Workspace, "metric", seen_metric)
         em.train(model, u, z, cfg)
         want = u.reshape(-1, 80)[~floored].reshape(-1)
         assert len(seen) >= 5  # four epochs and at least one hard metric
         assert all(len(v) == len(want) and np.array_equal(t, want) for v, t in seen)
+
+    @pytest.mark.parametrize("mode", ["analog", "digital"])
+    def test_epochs_allocate_no_waveform(self, mode):
+        # train's workspace holds every waveform-sized array of an epoch, so
+        # an epoch after the first allocates little beyond the quantizer's
+        # (L, S, m) weights; one soft waveform is S*80 complex128
+        cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 16), emulation_mode=mode,
+                                   epochs=12)
+        model = em.EmulationModel(cfg.modulation, SUBS, mode)
+        u, z = model.normalize(sim.frame_target(cfg).samples)
+        forward = model.quantize.forward
+        marks = []  # (live, peak since the last mark) at each epoch's start
+
+        def marked_forward(x):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return forward(x)
+
+        model.quantize.forward = marked_forward
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            res = em.train(model, u, z, cfg)
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert res.epochs_run == len(marks) - 1 == cfg.epochs
+        wave = len(z) * 80 * np.dtype(np.complex128).itemsize
+        above = [(peak - live) / wave for (live, _), (_, peak) in zip(marks[1:-1], marks[2:])]
+        assert max(above) <= 1.5
 
     @pytest.mark.parametrize("mode", ["analog", "digital"])
     @pytest.mark.parametrize("modulation", ["qpsk", "qam16", "qam64"])
@@ -443,3 +487,36 @@ def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
     n_rows = len(target.samples) // 80
     assert [(type(b).__name__, held_rows(b, n_rows)) for b in model.stack.blocks
             if held_rows(b, n_rows)] == []
+
+
+# 8 B frames' soft waveforms are below numpy's 256 KiB temporary-elision
+# threshold and 32 B frames' above it; digital frames keep their padded tail,
+# whose exact-zero target samples make the phase error +-pi or 0 by the signs
+# of the output's zeros.  The gradients compare as bits, signs of zero too.
+@pytest.mark.parametrize("n_bytes", [8, 32])
+@pytest.mark.parametrize("mode", ["analog", "digital"])
+@pytest.mark.parametrize("modulation,rate", [("bpsk", "3/4"), ("qpsk", "1/2"),
+                                             ("qam16", "3/4"), ("qam64", "1/2")])
+def test_workspace_equals_the_objective_and_metric(modulation, rate, mode, n_bytes):
+    cfg = sim.ExperimentConfig(payload=sim.random_payload(1, n_bytes), modulation=modulation,
+                               coding_rate=rate, emulation_mode=mode)
+    model = em.EmulationModel(modulation, SUBS, mode)
+    u, z = model.normalize(sim.frame_target(cfg).samples)
+    rows = em.kept_symbols(z) if mode == "analog" else np.ones(len(z), dtype=bool)
+    target = u.reshape(-1, 80)[rows].reshape(-1)
+    assert mode == "analog" or np.any(target == 0)
+    a, pilots = em.fused_tail(model, len(z))
+    pilots = pilots[rows]
+    work = em._Workspace(target, a, pilots, mode)
+    bins = model._bins(u)[rows]
+    for scale, tau in ((1.0, cfg.tau_start), (np.exp(0.3j) * np.linspace(0.8, 1.2, 7), 0.05)):
+        model.scale.set_scale(np.broadcast_to(scale, 7))
+        model.tau = tau
+        soft = model.quantize.forward(model.scale.forward(bins))
+        loss, grad = em.fit_loss_and_grad(em._waveform(soft @ a + pilots), target, mode)
+        assert work.objective(soft) == loss
+        bits = db.stack_complex(grad.reshape(-1, 80)).view(np.uint64)
+        assert np.array_equal(work.grad.view(np.uint64), bits)
+        hard = db.stack_complex(model.const.points[model.quantize.decisions])
+        want = em.selection_metric(em._waveform(hard @ a + pilots), target, mode)
+        assert work.metric(hard) == want
