@@ -137,19 +137,31 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
     """Add circularly-symmetric complex Gaussian noise at the given SNR.
 
     ``snr_db = +inf`` is the noise-disabled sentinel and returns the signal
-    unchanged.  Noise variance is ``signal_power / 10^(snr_db/10)`` split
-    evenly between the real and imaginary parts.
+    unchanged; NaN and ``-inf`` raise a ``DomainError``.  Noise variance is
+    ``signal_power / 10^(snr_db/10)`` split evenly between the real and
+    imaginary parts.  The noise is ``rng.standard_normal(n)`` for the real
+    parts, then another ``rng.standard_normal(n)`` for the imaginary parts,
+    each times ``sqrt(var / 2)``: bit for bit the samples of ``(re + 1j im)
+    * sqrt(var / 2)``, built in place.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise DomainError(f"snr_db must be a number of dB or +inf, got {snr_db}")
+    if snr_db == math.inf:
         return ComplexSignal(sig.samples.copy(), sig.sample_rate_hz)
     p = sig.power
     if p <= 0.0:
         raise DomainError("awgn requires a signal with nonzero power")
     var = p / 10.0 ** (snr_db / 10.0)
     n = len(sig.samples)
-    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    noise *= math.sqrt(var / 2.0)
-    return ComplexSignal(sig.samples + noise, sig.sample_rate_hz)
+    draws = np.empty((2, n))
+    rng.standard_normal(out=draws[0])
+    rng.standard_normal(out=draws[1])
+    scale = math.sqrt(var / 2.0)
+    noisy = np.empty(n, dtype=np.complex128)
+    np.multiply(draws[0], scale, out=noisy.real)
+    np.multiply(draws[1], scale, out=noisy.imag)
+    noisy += sig.samples
+    return ComplexSignal(noisy, sig.sample_rate_hz)
 
 
 def wrap_phase(x) -> np.ndarray:

@@ -117,6 +117,47 @@ class TestAwgn:
         with pytest.raises(DomainError):
             dsp.awgn(sig, 10.0, dsp.make_rng(0))
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_snr_rejected(self, snr_db):
+        sig = random_signal(dsp.make_rng(12), 16)
+        with pytest.raises(DomainError, match="snr_db"):
+            dsp.awgn(sig, snr_db, dsp.make_rng(0))
+
+
+def formula_awgn(sig, snr_db, rng):
+    """``dsp.awgn`` as the complex formula: the reference the in-place
+    version must equal bit for bit."""
+    var = sig.power / 10.0 ** (snr_db / 10.0)
+    n = len(sig.samples)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise *= math.sqrt(var / 2.0)
+    return sig.samples + noise
+
+
+class TestAwgnOracle:
+    @pytest.mark.parametrize("n", [1, 24400])
+    @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 4.0, 8.0, 13.7, 1000.0])
+    def test_equals_the_formula_bit_for_bit(self, n, snr_db):
+        sig = random_signal(dsp.make_rng(13, n), n)
+        got = dsp.awgn(sig, snr_db, dsp.make_rng(14, n)).samples
+        want = formula_awgn(sig, snr_db, dsp.make_rng(14, n))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_draws_the_same_stream(self):
+        # what a caller draws next from the generator is unchanged too
+        sig = random_signal(dsp.make_rng(15), 100)
+        a, b = dsp.make_rng(16), dsp.make_rng(16)
+        dsp.awgn(sig, 4.0, a)
+        formula_awgn(sig, 4.0, b)
+        assert a.standard_normal() == b.standard_normal()
+
+    @pytest.mark.parametrize("n", [1, 24400])
+    def test_infinite_snr_returns_a_copy(self, n):
+        sig = random_signal(dsp.make_rng(17, n), n)
+        out = dsp.awgn(sig, math.inf, dsp.make_rng(18))
+        assert np.array_equal(out.samples.view(np.uint64), sig.samples.view(np.uint64))
+        assert not np.shares_memory(out.samples, sig.samples)
+
 
 class TestSignalMetrics:
     def test_identical_signals_zero(self):

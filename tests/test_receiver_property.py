@@ -1,0 +1,86 @@
+"""Property tests of the receiver: the overlap-save channel filter against
+the direct convolution, and a frame decoder that never raises on a finite
+input."""
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from crossphy import dsp, zigbee  # noqa: E402
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(fs_hz=st.sampled_from([4e6, 20e6, 80e6, 200e6]), n=st.integers(0, 5000),
+       seed=st.integers(0, 2**32 - 1), real_only=st.booleans())
+def test_filter_matches_the_direct_convolution(fs_hz, n, seed, real_only):
+    # at 200 MHz the 1,291 taps are more than a 1,024-sample block holds
+    rng = dsp.make_rng(seed)
+    x = rng.standard_normal(n) + (0j if real_only else 1j * rng.standard_normal(n))
+    taps = zigbee._rx_taps(fs_hz, zigbee.RX_FILTER_CUTOFF_HZ)
+    half = (len(taps) - 1) // 2
+    got = zigbee.channel_filter(dsp.ComplexSignal(x, fs_hz)).samples
+    assert got.shape == (n,)
+    if not n:
+        return
+    want = np.convolve(x, taps)[half : half + n]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(taps)) * np.max(np.abs(x))
+    if real_only:
+        # a part that is all zero stays exactly zero, as in the direct sums
+        assert not np.any(got.imag)
+
+
+# Inputs reach every finite value whose filtered samples are finite too: a
+# filtered part is at most sum|taps| times the part's largest value.
+_TAPS = zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ)
+_MAX_PART = np.finfo(np.float64).max / np.sum(np.abs(_TAPS))
+_SCALES = st.sampled_from([1e-310, 1e-300, 1e-6, 1.0, 1e6, 1e300, _MAX_PART / 64])
+
+
+@st.composite
+def _frames(draw):
+    """Real frames, delayed, rotated, chip-flipped, noisy and cut short."""
+    payload = draw(st.binary(max_size=24))
+    chips = zigbee.symbols_to_chips(zigbee.build_frame(payload)).copy()
+    flips = draw(st.lists(st.integers(0, len(chips) - 1), max_size=60))
+    chips[flips] ^= 1
+    sig = zigbee.oqpsk_modulate(chips)
+    lead_in = draw(st.integers(0, 1000))
+    x = np.concatenate([np.zeros(lead_in), sig.samples])
+    x = x[: draw(st.one_of(st.just(20000), st.integers(0, 20000)))]
+    snr_db = draw(st.one_of(st.just(math.inf), st.floats(-10, 30)))
+    if snr_db != math.inf and np.any(x):
+        rng = dsp.make_rng(draw(st.integers(0, 99)))
+        x = dsp.awgn(dsp.ComplexSignal(x, 20e6), snr_db, rng).samples
+    return x * draw(st.sampled_from([1, 1j, -1, -1j])) * draw(_SCALES), payload
+
+
+@st.composite
+def _noise(draw):
+    n = draw(st.one_of(st.integers(0, 20000), st.sampled_from([3199, 3200, 3201, 20000])))
+    rng = dsp.make_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * draw(_SCALES), None
+
+
+_FINITE = st.complex_numbers(max_magnitude=_MAX_PART, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _arrays(draw):
+    return draw(arrays(np.complex128, st.integers(0, 400), elements=_FINITE)), None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=st.one_of(_frames(), _noise(), _arrays()), compare=st.booleans())
+def test_decode_frame_never_raises(case, compare):
+    x, payload = case
+    expected = payload if compare and payload is not None else None
+    res = zigbee.decode_frame(dsp.ComplexSignal(x, 20e6), expected_payload=expected)
+    if res.detected:
+        assert res.sync_corr >= zigbee.SYNC_THRESHOLD
+        assert res.payload is None or isinstance(res.payload, bytes)
+    else:
+        assert res.payload is None and 0.0 <= res.sync_corr < zigbee.SYNC_THRESHOLD
