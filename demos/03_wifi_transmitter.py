@@ -29,7 +29,8 @@ power = np.mean(np.abs(grid.bins[:, cols]) ** 2)
 print(f"mean data-bin power: {power:.4f} (normalized constellations)")
 
 print("\n== demodulating our own waveform reproduces the coded bits ==")
-_, bits = mcs.constellation.demap_hard(wifi.ofdm_analyze(sig).bins[:, cols])
+const = mcs.constellation
+bits = np.array(const.labels())[const.nearest(wifi.ofdm_analyze(sig).bins[:, cols])].reshape(-1)
 expected = wifi.coding_chain(wifi.psdu_to_bits(psdu), mcs, wifi.DEFAULT_SCRAMBLER_SEED)
 print(f"bit-exact: {np.array_equal(bits, expected)}")
 

@@ -31,7 +31,7 @@ print(f"violations: {len(rep.violated_positions)}  "
       f"perturbed subcarriers: {len(rep.perturbed_subcarriers)}")
 sig, grid = wifi.transmit_psdu(rep.psdu, mcs, seed, return_grid=True)
 cols = [m + 32 for m in subs]
-achieved, _ = mcs.constellation.demap_hard(grid.bins[:, cols])
+achieved = mcs.constellation.nearest(grid.bins[:, cols])
 print(f"transmitted grid carries the intended points: "
       f"{np.array_equal(achieved.reshape(intended.shape), intended)}")
 print(f"PSDU: {rep.psdu[:24].hex()}... ({len(rep.psdu)} bytes)")

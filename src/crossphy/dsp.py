@@ -39,14 +39,15 @@ class ComplexSignal:
     """Sampled complex baseband IQ with a sample rate.
 
     The samples array is treated as immutable by every consumer in this
-    package; operations always return new signals.
+    package; operations always return new signals.  A strided view is
+    stored as a C-contiguous copy.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = np.asarray(self.samples, dtype=np.complex128, order="C")
         object.__setattr__(self, "samples", samples)
         if not self.sample_rate_hz > 0:
             raise DomainError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
@@ -137,26 +138,37 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
     """Add circularly-symmetric complex Gaussian noise at the given SNR.
 
     ``snr_db = +inf`` is the noise-disabled sentinel and returns the signal
-    unchanged; NaN and ``-inf`` raise a ``DomainError``.  Noise variance is
-    ``signal_power / 10^(snr_db/10)`` split evenly between the real and
-    imaginary parts.  The noise is ``rng.standard_normal(n)`` for the real
-    parts, then another ``rng.standard_normal(n)`` for the imaginary parts,
-    each times ``sqrt(var / 2)``: bit for bit the samples of ``(re + 1j im)
-    * sqrt(var / 2)``, built in place.
+    unchanged; NaN and ``-inf`` raise a ``DomainError``, and so does an
+    ``snr_db`` whose noise variance ``signal_power / 10^(snr_db/10)`` is
+    beyond the float range.  That variance is split evenly between the real
+    and imaginary parts; where the mean power of a nonzero signal underflows,
+    it is taken relative to the signal's peak magnitude.  The noise is
+    ``rng.standard_normal(n)`` for the real parts, then another
+    ``rng.standard_normal(n)`` for the imaginary parts, each times
+    ``sqrt(var / 2)``: bit for bit the samples of ``(re + 1j im) *
+    sqrt(var / 2)``, built in place.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise DomainError(f"snr_db must be a number of dB or +inf, got {snr_db}")
     if snr_db == math.inf:
         return ComplexSignal(sig.samples.copy(), sig.sample_rate_hz)
-    p = sig.power
-    if p <= 0.0:
-        raise DomainError("awgn requires a signal with nonzero power")
-    var = p / 10.0 ** (snr_db / 10.0)
+    p, unit = sig.power, 1.0
+    if p == 0.0:
+        unit = float(np.max(np.abs(sig.samples)))
+        if unit == 0.0:
+            raise DomainError("awgn requires a signal with nonzero power")
+        p = float(np.mean(np.abs(sig.samples / unit) ** 2))
+    try:
+        var = p / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        var = math.inf
+    if math.isinf(var):
+        raise DomainError(f"snr_db out of range for a float noise variance, got {snr_db}")
     n = len(sig.samples)
     draws = np.empty((2, n))
     rng.standard_normal(out=draws[0])
     rng.standard_normal(out=draws[1])
-    scale = math.sqrt(var / 2.0)
+    scale = unit * math.sqrt(var / 2.0)
     noisy = np.empty(n, dtype=np.complex128)
     np.multiply(draws[0], scale, out=noisy.real)
     np.multiply(draws[1], scale, out=noisy.imag)

@@ -15,11 +15,11 @@ from a ``sim.ExperimentConfig`` and its objective from ``model.mode``.  The
 layers before the scale are fixed and so is the training input, so
 ``train`` runs them once; the layers after the quantizer are fixed and
 affine, so ``train`` runs them as one product plus the pilots' waveform.
-An epoch is then the scale, the two per-axis softmaxes of the soft
-quantizer and that product, forward and backward, with its waveform-sized
-arrays allocated once per ``train`` call.  The quantizer's forward
-also yields the epoch's hard decisions, and the hard grid is re-synthesized
-and re-scored only in epochs whose decisions differ from the previous
+An epoch is then the scale and the two per-axis softmaxes of the soft
+quantizer, forward and backward, and the objective of their points: in
+closed form in analog mode, through that product in digital mode.  The
+quantizer's forward also yields the epoch's hard decisions, and the hard
+grid is re-scored only in epochs whose decisions differ from the previous
 epoch's.  ``sim`` is the one caller.
 
 Inference is the one quantization rule every mode but ``wide`` shares:
@@ -79,6 +79,8 @@ class EmulationModel:
 
     def __init__(self, modulation: str, target_subcarriers, mode: str):
         self.const: Constellation = constellation(modulation)
+        if mode not in ("analog", "digital"):
+            raise ConfigError(f"mode must be 'analog' or 'digital', got {mode!r}")
         self.mode = mode
         bad = [m for m in target_subcarriers if m not in DATA_SUBCARRIERS]
         if bad:
@@ -227,7 +229,7 @@ def loss_and_grad(output, target, mode: str):
         diff = v - u
         return float(np.mean(np.abs(diff) ** 2)), (2.0 / n) * diff
     if mode == "digital":
-        e = np.angle(v * np.conj(u))
+        e = np.angle(np.multiply(v, np.conj(u)))  # one operand order at every length
         mag2 = np.maximum(np.abs(v) ** 2, MAG2_FLOOR)
         # d(angle v)/d(vr) = -vi/|v|^2, d/d(vi) = vr/|v|^2
         gr = (2.0 / n) * e * (-v.imag / mag2)
@@ -287,7 +289,7 @@ def gain_free_error_excluding_cp(output, target) -> float:
 def fit_loss_and_grad(output, target, mode: str):
     """The training objective and its gradient: ``gain_free_loss_and_grad``
     in analog mode, the phase loss of ``loss_and_grad`` in digital mode.
-    ``train`` computes it in place (``_Workspace.objective``)."""
+    ``train`` computes it at the points (``_GainFreeFit``, ``_PhaseFit``)."""
     if mode == "analog":
         return gain_free_loss_and_grad(output, target)
     return loss_and_grad(output, target, mode)
@@ -296,7 +298,7 @@ def fit_loss_and_grad(output, target, mode: str):
 def selection_metric(output, target, mode: str) -> float:
     """Hard-reconstruction quality used to pick the best training epoch:
     the gain-free body error in analog mode, the body phase MSE in digital
-    mode.  ``train`` computes it in place (``_Workspace.metric``)."""
+    mode.  ``train`` computes it at the points (``_GainFreeFit``, ``_PhaseFit``)."""
     if mode == "analog":
         return gain_free_error_excluding_cp(output, target)
     return phase_mse_excluding_cp(output, target)
@@ -333,61 +335,77 @@ def fused_tail(model: EmulationModel, n_rows: int) -> tuple[np.ndarray, np.ndarr
     return a, model.tail.forward(np.zeros((n_rows, model.assemble.in_dim)))
 
 
-# numpy evaluates ``x * f(y)`` into the temporary ``f(y)`` once that holds
-# 256 KiB or more (temporary elision), and so multiplies in the other order;
-# a complex product's rounding depends on the order of its operands
-_ELISION_BYTES = 256 * 1024
+_BODY_COLUMNS = np.r_[CP_LEN:SYMBOL_LEN, SYMBOL_LEN + CP_LEN:2 * SYMBOL_LEN]
 
 
-def _factors(x, temporary):
-    """The operands of ``x * temporary`` in the order numpy multiplies them."""
-    return (temporary, x) if temporary.nbytes >= _ELISION_BYTES else (x, temporary)
+class _GainFreeFit:
+    """``gain_free_loss_and_grad`` and ``gain_free_error_excluding_cp`` of
+    the waveform ``q @ a + pilots`` of stacked (S, 2m) points ``q``, in
+    closed form: ``c = <v,u> = sum(q B) + c0`` with ``B = conj(u) @ (a_re +
+    j a_im).T``, and ``|v|^2 = sum((q G + 2P) q) + |p|^2`` with ``G = a a.T``
+    and ``P = pilots a.T``.  Both forms (all samples for the objective, body
+    samples for the metric) are built once; no epoch synthesizes a waveform."""
+
+    def __init__(self, target, a, pilots):
+        u = target.reshape(len(pilots), SYMBOL_LEN)
+        self.n = u.size
+        self.whole = self._form(u, a, pilots)
+        self.body = self._form(u[:, CP_LEN:], a[:, _BODY_COLUMNS], pilots[:, _BODY_COLUMNS])
+
+    @staticmethod
+    def _form(u, a, pilots):
+        """``(B, c0, G, P, |p|^2, |u|^2)`` of target rows ``u``.  ``|p|^2`` is a
+        pairwise sum: a dot product over the repetitive pilots drifts by 20+ eps."""
+        w = u.shape[1]
+        return (np.conj(u) @ (a[:, :w] + 1j * a[:, w:]).T,
+                np.vdot(u, pilots[:, :w] + 1j * pilots[:, w:]), a @ a.T, pilots @ a.T,
+                np.sum(np.square(pilots)), np.vdot(u, u).real)
+
+    @staticmethod
+    def _terms(q, form):
+        """``c``, ``|v|^2`` and ``q G + P`` of points ``q``."""
+        b, c0, g, p, pp, _ = form
+        qg_p = q @ g + p
+        return np.sum(q * b) + c0, np.sum((qg_p + p) * q) + pp, qg_p
+
+    def objective(self, q):
+        """``gain_free_loss_and_grad`` of the waveform of ``q``, and the
+        gradient ``-(2/(n|v|^2))(Re(conj(c) B) - (|c|^2/|v|^2)(q G + P))``."""
+        b, *_, uu = self.whole
+        c, vv, qg_p = self._terms(q, self.whole)
+        cc = abs(c) ** 2
+        grad = (np.conj(c) * b).real - (cc / vv) * qg_p
+        grad *= -2.0 / (self.n * vv)
+        return float((uu - cc / vv) / self.n), grad
+
+    def metric(self, q) -> float:
+        """``gain_free_error_excluding_cp`` of the waveform of ``q``."""
+        c, vv, _ = self._terms(q, self.body)
+        return float(1.0 - abs(c) ** 2 / (vv * self.body[-1]))
 
 
-class _Workspace:
-    """The per-frame arrays of one ``train`` call, allocated once: the fused
-    tail's synthesis of its rows and the training objective and selection
-    metric of that synthesis against ``target`` (the rows' samples).
+class _PhaseFit:
+    """``loss_and_grad`` (digital) and ``phase_mse_excluding_cp`` of the
+    waveform ``points @ a + pilots``: the same ufuncs on the same operands
+    in buffers allocated once, so every float is bit-identical to theirs.
+    The metric synthesizes only the body columns, the samples it reads."""
 
-    ``objective`` is ``fit_loss_and_grad`` of the soft waveform and
-    ``metric`` is ``selection_metric`` of the hard one, each as the same
-    ufuncs on the same operands in the same order, writing into these
-    buffers, so every float is bit-identical to theirs.  The metric reads
-    only body samples, so the hard waveform is synthesized on the body
-    columns alone.
-    """
-
-    def __init__(self, target, a, pilots, mode: str):
+    def __init__(self, target, a, pilots):
         n_rows = len(pilots)
-        body = np.r_[CP_LEN:SYMBOL_LEN, SYMBOL_LEN + CP_LEN:2 * SYMBOL_LEN]
-        self.target, self.a, self.pilots, self.mode = target, a, pilots, mode
-        self.a_body = np.ascontiguousarray(a[:, body])
-        self.pilots_body = np.ascontiguousarray(pilots[:, body])
-        target_body = target.reshape(n_rows, SYMBOL_LEN)[:, CP_LEN:].reshape(-1)
+        self.a, self.pilots = a, pilots
+        self.a_body = np.ascontiguousarray(a[:, _BODY_COLUMNS])
+        self.pilots_body = np.ascontiguousarray(pilots[:, _BODY_COLUMNS])
+        self.conj_target = np.conj(target)
+        self.conj_body = np.conj(target.reshape(n_rows, SYMBOL_LEN)[:, CP_LEN:].reshape(-1))
         # h holds the stacked soft waveform until v is formed, then the
         # stacked gradient; v and g are the complex waveform and gradient
         self.h = np.empty((n_rows, 2 * SYMBOL_LEN))
         self.v = np.empty(n_rows * SYMBOL_LEN, dtype=np.complex128)
         self.g = np.empty_like(self.v)
+        self.e, self.mag2, self.w = (np.empty(len(self.v)) for _ in range(3))
         self.h_body = np.empty((n_rows, 2 * N_FFT))
         self.v_body = np.empty(n_rows * N_FFT, dtype=np.complex128)
-        if mode == "analog":
-            self.w = np.empty_like(self.v)
-            self.uu = np.vdot(target, target).real
-            self.target_body = target_body
-            self.uu_body = np.vdot(target_body, target_body).real
-        elif mode == "digital":
-            self.conj_target = np.conj(target)
-            self.conj_body = np.conj(target_body)
-            self.e, self.mag2, self.w = (np.empty(len(self.v)) for _ in range(3))
-            self.e_body = np.empty(len(self.v_body))
-        else:
-            raise ConfigError(f"unknown loss mode {mode!r}")
-
-    @property
-    def grad(self) -> np.ndarray:
-        """The last ``objective``'s gradient, stacked (n_rows, 160)."""
-        return self.h
+        self.e_body = np.empty(len(self.v_body))
 
     @staticmethod
     def _synthesize(points, a, pilots, h, v):
@@ -399,51 +417,33 @@ class _Workspace:
         np.multiply(1j, h[:, half:], out=v2)
         np.add(h[:, :half], v2, out=v2)
 
-    def objective(self, points) -> float:
-        """``fit_loss_and_grad`` of the soft waveform of stacked (n_rows, 2m)
-        points; leaves the stacked gradient in ``grad``."""
+    def objective(self, points):
+        """The loss and its gradient with respect to ``points``."""
         v, g = self.v, self.g
         self._synthesize(points, self.a, self.pilots, self.h, v)
-        n = len(v)
-        if self.mode == "analog":  # gain_free_loss_and_grad
-            u = self.target
-            c = np.vdot(u, v)
-            vv = np.vdot(v, v).real
-            cc = abs(c) ** 2
-            np.multiply(c / vv, u, out=g)
-            g -= np.multiply(cc / vv**2, v, out=self.w)
-            np.multiply(*_factors(-2.0 / n, g), out=g)
-            loss = float((self.uu - cc / vv) / n)
-        else:  # loss_and_grad, digital
-            p = np.multiply(*_factors(v, self.conj_target), out=g)
-            e = np.arctan2(p.imag, p.real, out=self.e)  # np.angle(p)
-            mag2 = np.abs(v, out=self.mag2)
-            np.square(mag2, out=mag2)
-            np.maximum(mag2, MAG2_FLOOR, out=mag2)
-            loss = float(np.mean(np.square(e, out=self.w)))
-            np.multiply(2.0 / n, e, out=e)
-            gr = np.negative(v.imag, out=self.w)
-            gr /= mag2
-            gi = np.divide(v.real, mag2, out=mag2)
-            np.multiply(e, gr, out=gr)
-            np.multiply(e, gi, out=gi)
-            np.multiply(1j, gi, out=g)
-            np.add(gr, g, out=g)
+        p = np.multiply(v, self.conj_target, out=g)
+        e = np.arctan2(p.imag, p.real, out=self.e)  # np.angle(p)
+        mag2 = np.abs(v, out=self.mag2)
+        np.square(mag2, out=mag2)
+        np.maximum(mag2, MAG2_FLOOR, out=mag2)
+        loss = float(np.mean(np.square(e, out=self.w)))
+        np.multiply(2.0 / len(v), e, out=e)
+        gr = np.negative(v.imag, out=self.w)
+        gr /= mag2
+        gi = np.divide(v.real, mag2, out=mag2)
+        np.multiply(e, gr, out=gr)
+        np.multiply(e, gi, out=gi)
+        np.multiply(1j, gi, out=g)
+        np.add(gr, g, out=g)
         g2 = g.reshape(len(self.h), SYMBOL_LEN)
         self.h[:, :SYMBOL_LEN] = g2.real
         self.h[:, SYMBOL_LEN:] = g2.imag
-        return loss
+        return loss, self.h @ self.a.T
 
     def metric(self, points) -> float:
-        """``selection_metric`` of the hard waveform of stacked (n_rows, 2m)
-        points."""
+        """``phase_mse_excluding_cp`` of the hard waveform of ``points``."""
         v = self.v_body
         self._synthesize(points, self.a_body, self.pilots_body, self.h_body, v)
-        if self.mode == "analog":  # gain_free_error_excluding_cp
-            u = self.target_body
-            return float(1.0 - abs(np.vdot(u, v)) ** 2 / (np.vdot(v, v).real * self.uu_body))
-        # phase_mse_excluding_cp: its v[m] * np.conj(u[m]) keeps this
-        # order whether numpy elides a temporary or not
         p = np.multiply(v, self.conj_body, out=v)
         e = np.arctan2(p.imag, p.real, out=self.e_body)
         return float(np.mean(np.square(e, out=e)))
@@ -462,32 +462,28 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     samples would be the whole objective.  Epoch 0, with scales at 1+0j,
     scores the plain normalize-then-nearest-point quantization.
 
-    The fixed prefix runs once on ``u``, and the fixed tail runs as
-    ``fused_tail``'s one product, for the soft waveform and the hard one
-    alike.  Every epoch runs the scale and the soft quantizer forward and
-    backward; the quantizer's forward gives the nearest points to the
-    scaled bins, and the hard reconstruction and its metric are recomputed
-    only when those decisions differ from the previous epoch's (otherwise
-    the metric is the same number).  The kept scales are the best epoch's
-    by the metric, so the result is never worse than that baseline.
-    Deterministic for a fixed config: no randomness enters the updates.
-
-    The waveform-sized arrays of an epoch (the soft and hard waveforms, the
-    objective's buffers and its gradient) live in one workspace, allocated
-    once per call for the frame's rows and dropped on return; each epoch
-    refills them and computes the floats ``fit_loss_and_grad`` and
-    ``selection_metric`` would, bit for bit.  The scale's and quantizer's
-    per-frame arrays are released on return too.
+    The fixed prefix runs once on ``u``; the fixed tail is ``fused_tail``'s
+    affine map of the points.  The fit, chosen once from ``model.mode``
+    (``_GainFreeFit`` or ``_PhaseFit``), gives the objective and its
+    gradient at the soft points and the metric of the hard ones.  Every
+    epoch runs the scale and the soft quantizer forward and backward; the
+    hard metric is recomputed only when the quantizer's decisions differ
+    from the previous epoch's.  The kept scales are the best epoch's by the
+    metric, so the result is never worse than that baseline.  Deterministic
+    for a fixed config; the scale's and quantizer's per-frame arrays are
+    released on return.
     """
     u = np.asarray(u, dtype=np.complex128)
     if len(u) != SYMBOL_LEN * len(z):
         raise DimensionError(f"target of {len(u)} samples for {len(z)} symbols of bins")
 
-    rows = kept_symbols(z) if model.mode == "analog" else np.ones(len(z), dtype=bool)
+    if model.mode == "analog":
+        rows, fit_class = kept_symbols(z), _GainFreeFit
+    else:
+        rows, fit_class = np.ones(len(z), dtype=bool), _PhaseFit
     bins = model._bins(u)[rows]
-    target = u.reshape(-1, SYMBOL_LEN)[rows].reshape(-1)
     a, pilots = fused_tail(model, len(z))
-    work = _Workspace(target, a, pilots[rows], model.mode)
+    fit = fit_class(u.reshape(-1, SYMBOL_LEN)[rows].reshape(-1), a, pilots[rows])
 
     sc, quantize = model.scale, model.quantize
     mom = np.zeros_like(sc.s)
@@ -495,21 +491,20 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     result = TrainResult()
     best_s = sc.s.copy()
     stale = 0
-    t = 0
     idx = None
 
     for epoch in range(cfg.epochs):
         model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
-        soft_loss = work.objective(quantize.forward(sc.forward(bins)))
+        soft_loss, grad = fit.objective(quantize.forward(sc.forward(bins)))
         if not math.isfinite(soft_loss):
             raise DomainError(f"non-finite training loss at epoch {epoch}: {soft_loss}")
-        sc.backward_scale(quantize.backward(work.grad @ a.T))
+        sc.backward_scale(quantize.backward(grad))
 
         # the hard grid, and so its metric, changes only with the decisions
         if idx is None or not np.array_equal(quantize.decisions, idx):
             idx = quantize.decisions
-            metric = work.metric(stack_complex(model.const.points[idx]))
+            metric = fit.metric(stack_complex(model.const.points[idx]))
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - PLATEAU_TOL:
@@ -522,11 +517,10 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
             if stale >= PLATEAU_PATIENCE:
                 break
 
-        t += 1
         mom = ADAM_BETA1 * mom + (1 - ADAM_BETA1) * sc.grad
         vel = ADAM_BETA2 * vel + (1 - ADAM_BETA2) * sc.grad**2
-        m_hat = mom / (1 - ADAM_BETA1**t)
-        v_hat = vel / (1 - ADAM_BETA2**t)
+        m_hat = mom / (1 - ADAM_BETA1 ** (epoch + 1))
+        v_hat = vel / (1 - ADAM_BETA2 ** (epoch + 1))
         sc.s = sc.s - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     sc.release()

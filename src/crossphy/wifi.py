@@ -97,13 +97,6 @@ class Constellation:
         ky = np.argmin(np.square(w.imag[..., None] - ly), axis=-1)
         return kx * len(ly) + ky
 
-    def demap_hard(self, symbols) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-point decisions; returns (indices, bits)."""
-        idx = self.nearest(np.asarray(symbols).reshape(-1))
-        b = self.bits_per_symbol
-        bits = ((idx[:, None] >> np.arange(b - 1, -1, -1)) & 1).reshape(-1)
-        return idx, bits
-
 
 @lru_cache(maxsize=8)
 def constellation(name: str) -> Constellation:

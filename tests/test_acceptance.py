@@ -69,7 +69,7 @@ def test_02_nn_vs_reference_dsp_equivalence():
                 )
                 bins_ref = (time_ref + noise) @ dsp.DFT_BASIS.T
                 bins_nn = db.unstack_complex(dft_blk.forward(db.stack_complex(time_nn + noise)))
-                _, bits_ref = const.demap_hard(bins_ref.reshape(-1))
+                bits_ref = np.array(const.labels())[const.nearest(bins_ref)].reshape(-1)
                 idx_nn = quant.hard_indices(db.stack_complex(bins_nn)).reshape(-1)
                 bits_nn = ((idx_nn[:, None] >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)
                 ber_ref = np.mean(bits_ref != bits)

@@ -124,6 +124,22 @@ class TestAwgn:
             dsp.awgn(sig, snr_db, dsp.make_rng(0))
 
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
+    def test_snr_beyond_the_float_range_rejected(self, snr_db):
+        # 10^(snr_db/10) was a ZeroDivisionError at -4000, an OverflowError at +4000
+        sig = random_signal(dsp.make_rng(19), 16)
+        with pytest.raises(DomainError, match="snr_db"):
+            dsp.awgn(sig, snr_db, dsp.make_rng(0))
+
+    def test_underflowing_power_is_not_zero_power(self):
+        # |1e-300|^2 underflows to 0; the noise is the unit signal's, scaled
+        tiny = dsp.ComplexSignal(np.full(1000, 1e-300 + 0j), 1e6)
+        unit = dsp.ComplexSignal(np.ones(1000, dtype=complex), 1e6)
+        got = dsp.awgn(tiny, 0.0, dsp.make_rng(20)).samples
+        want = dsp.awgn(unit, 0.0, dsp.make_rng(20)).samples
+        assert np.allclose((got - tiny.samples) / 1e-300, want - 1.0, rtol=1e-12, atol=1e-15)
+
+
 def formula_awgn(sig, snr_db, rng):
     """``dsp.awgn`` as the complex formula: the reference the in-place
     version must equal bit for bit."""
@@ -201,6 +217,16 @@ class TestComplexSignal:
     def test_rejects_bad_rate(self):
         with pytest.raises(DomainError):
             dsp.ComplexSignal(np.ones(4), 0.0)
+
+    def test_strided_view_is_stored_contiguous(self):
+        # was a bare numpy ValueError from the finiteness check's float view
+        sig = dsp.ComplexSignal(np.ones(10, complex)[::2], 20e6)
+        assert sig.samples.flags.c_contiguous
+        assert np.array_equal(sig.samples, np.ones(5))
+
+    def test_rejects_zero_dimensional(self):
+        with pytest.raises(DimensionError):
+            dsp.ComplexSignal(np.complex128(1.0), 1e6)
 
 
 class TestRng:

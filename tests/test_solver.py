@@ -94,8 +94,7 @@ class TestSolvePayload:
         psdu = bytes(rng.integers(0, 256, 18 * n_sym).tolist())
         _, grid = wifi.transmit_psdu(psdu, mcs, SEED, return_grid=True)
         cols = [m + 32 for m in SUBS]
-        intended, _ = mcs.constellation.demap_hard(grid.bins[:, cols])
-        intended = intended.reshape(n_sym, len(SUBS))
+        intended = mcs.constellation.nearest(grid.bins[:, cols])
         rep = solver.solve_payload(intended, mcs, SEED, SUBS)
         assert not rep.violated_positions
         assert not rep.perturbed_subcarriers
