@@ -39,7 +39,7 @@ for tau in (10.0, 1.0, 0.1, 0.01):
     ax, ay = blk.axis_weights
     top = np.max(ax) * np.max(ay)
     print(f"  tau={tau:5.2f}: output {out:.3f}, largest weight {top:.3f}")
-hard_idx = db.SoftQuantize(const, 1, tau=1.0).hard_indices(db.stack_complex(z))[0, 0]
+hard_idx = const.nearest(z)[0, 0]
 print(f"  hard decision: point index {hard_idx} = {const.points[hard_idx]:.3f}")
 print("As tau -> 0 the float one-hot collapses onto the nearest standard point.")
 

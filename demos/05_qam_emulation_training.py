@@ -60,6 +60,6 @@ print("scale with the trained gains): analog for the waveform up to a gain,")
 print("digital for phase, and the amplitude-invariant receiver rewards both.")
 
 print("\n== learned scales (exportable to the scaled-nearest rule) ==")
-s = results["digital"]["model"].export_scales()
+s = results["digital"]["model"].scale.scale
 with np.printoptions(precision=3, suppress=True):
     print(s)

@@ -216,7 +216,9 @@ class SoftQuantize(DiffBlock):
     and its derivative is ``(2/tau) Var_a(l)``, the weights' variance of the
     levels.  ``axis_weights`` is the last forward's ``(ax, ay)``, and
     ``decisions`` its nearest points ``kx*Ly + ky``, the argmin of the same
-    per-axis squares: ``Constellation.nearest`` of the input.
+    per-axis squares: they equal ``Constellation.nearest`` of the input,
+    ``const.nearest(unstack_complex(x))``, the hard decision
+    ``EmulationModel.decide`` takes.  The block has no other hard rule.
     """
     name = "soft_quantize"
 
@@ -266,10 +268,6 @@ class SoftQuantize(DiffBlock):
 
     def backward(self, gy):
         return gy * self._slope
-
-    def hard_indices(self, x) -> np.ndarray:
-        """argmin_j |w - c_j|^2 per element, ties to the lowest index."""
-        return self.const.nearest(unstack_complex(x))
 
 
 class GridAssemble(FixedLinear):

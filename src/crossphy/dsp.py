@@ -138,9 +138,9 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
     """Add circularly-symmetric complex Gaussian noise at the given SNR.
 
     ``snr_db = +inf`` is the noise-disabled sentinel and returns the signal
-    unchanged; NaN and ``-inf`` raise a ``DomainError``, and so does an
-    ``snr_db`` whose noise variance ``signal_power / 10^(snr_db/10)`` is
-    beyond the float range.  That variance is split evenly between the real
+    unchanged, as an empty signal is returned; NaN and ``-inf`` raise a
+    ``DomainError``, and so does an ``snr_db`` whose noise variance
+    ``signal_power / 10^(snr_db/10)`` is beyond the float range.  That variance is split evenly between the real
     and imaginary parts; where the mean power of a nonzero signal underflows,
     it is taken relative to the signal's peak magnitude.  The noise is
     ``rng.standard_normal(n)`` for the real parts, then another
@@ -150,7 +150,7 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise DomainError(f"snr_db must be a number of dB or +inf, got {snr_db}")
-    if snr_db == math.inf:
+    if snr_db == math.inf or not len(sig.samples):
         return ComplexSignal(sig.samples.copy(), sig.sample_rate_hz)
     p, unit = sig.power, 1.0
     if p == 0.0:
@@ -192,7 +192,7 @@ class SignalMetrics:
 
 
 def signal_metrics(u: ComplexSignal, v: ComplexSignal) -> SignalMetrics:
-    """Distance metrics between two equal-length signals.
+    """Distance metrics between two equal-length, non-empty signals.
 
     time_mse  : (1/N) sum |u-v|^2
     nmse      : sum |u-v|^2 / sum |u|^2
@@ -202,6 +202,8 @@ def signal_metrics(u: ComplexSignal, v: ComplexSignal) -> SignalMetrics:
     a, b = u.samples, v.samples
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
+    if not len(a):
+        raise DimensionError("signal_metrics needs non-empty signals")
     diff2 = np.abs(a - b) ** 2
     time_mse = float(np.mean(diff2))
     denom = float(np.sum(np.abs(a) ** 2))

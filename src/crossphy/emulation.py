@@ -150,14 +150,9 @@ class EmulationModel:
         """(S, m) point indices of a normalized waveform: its target bins,
         scaled, to the nearest point.  Unit scales give the ``webee`` rule,
         trained ones the best epoch's decisions."""
-        idx = self.quantize.hard_indices(self.scale.forward(self._bins(u)))
+        idx = self.const.nearest(unstack_complex(self.scale.forward(self._bins(u))))
         self.scale.release()
         return idx
-
-    def export_scales(self) -> np.ndarray:
-        """Per-subcarrier complex scales applied after the per-symbol max-abs
-        normalization, as ``decide`` applies them."""
-        return self.scale.scale.copy()
 
     @property
     def tau(self) -> float:
@@ -205,17 +200,14 @@ def build_passthrough_autoencoder() -> Sequential:
 # losses
 # ---------------------------------------------------------------------------
 
-def loss(output, target, mode: str) -> float:
-    """analog: mean |u-v|^2 over samples; digital: mean wrapped-phase-diff^2."""
-    return loss_and_grad(output, target, mode)[0]
-
-
 # floor of |v|^2 in the denominator of the phase loss's gradient
 MAG2_FLOOR = 1e-12
 
 
 def loss_and_grad(output, target, mode: str):
     """Loss plus its gradient with respect to the (complex) output.
+
+    analog: mean |u-v|^2 over samples; digital: mean wrapped-phase-diff^2.
 
     The gradient is returned as a complex array whose real/imag parts are
     the partials with respect to the output's real/imag parts.
@@ -590,10 +582,12 @@ def load_model(path) -> EmulationModel:
     subs = doc.get("target_subcarriers")
     if not isinstance(subs, list) or not all(type(m) is int for m in subs):
         raise bad("target_subcarriers", "a list of subcarrier integers")
+    # decide scales bins of magnitude at most 1: parts up to 1e300 keep them finite
     for key in ("scales_re", "scales_im"):
         v = doc.get(key)
-        if not (isinstance(v, list) and len(v) == len(subs) and all(map(_finite_number, v))):
-            raise bad(key, f"{len(subs)} finite numbers, one per target subcarrier")
+        if not (isinstance(v, list) and len(v) == len(subs)
+                and all(_finite_number(x) and abs(x) <= 1e300 for x in v)):
+            raise bad(key, f"{len(subs)} numbers in [-1e300, 1e300], one per target subcarrier")
     if not (_finite_number(doc.get("tau")) and doc["tau"] > 0):
         raise bad("tau", "a finite number > 0")
     try:

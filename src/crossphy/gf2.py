@@ -2,12 +2,11 @@
 
 Rows are banded: ``(lead, mask)``, where bit k of the int ``mask`` holds
 column ``lead + k`` and bit 0 is set (an empty row is ``(0, 0)``).  This
-is the one row format; a dense 0/1 array is accepted only as the oracle
-and test input, and is converted to bands on entry.  ``eliminate``
-inserts rows in a caller-chosen priority order into a row-echelon basis
-keyed by leading column; a row that reduces to 0 = 1 conflicts with
-higher-priority rows already accepted and is reported as violated
-(greedy maximal consistent subsystem).
+is the one row format: ``eliminate`` takes bands only.  It inserts rows
+in a caller-chosen priority order into a row-echelon basis keyed by
+leading column; a row that reduces to 0 = 1 conflicts with higher-priority
+rows already accepted and is reported as violated (greedy maximal
+consistent subsystem).
 
 If every input row lies within w columns of its lead, so does every basis
 row: a row meets only the basis row of its own lead c, both lie in
@@ -22,18 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import DimensionError
-
-
-def _dense_to_bands(dense) -> list[tuple[int, int]]:
-    dense = np.asarray(dense, dtype=np.uint8)
-    if dense.ndim != 2:
-        raise DimensionError(f"dense rows must be a 2-D array, got {dense.ndim}-D")
-    packed = np.packbits(dense, axis=1, bitorder="little")
-    ints = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    leads = [(v & -v).bit_length() - 1 if v else 0 for v in ints]
-    return [(lead, v >> lead) for lead, v in zip(leads, ints)]
 
 
 @dataclass
@@ -50,16 +37,13 @@ def eliminate(rows, rhs: np.ndarray, n_cols: int,
               order: np.ndarray | None = None) -> EliminationResult:
     """Greedy row-echelon elimination in priority order.
 
-    ``rows`` is a sequence of ``(lead, mask)`` rows, or a dense 0/1
-    (n_rows, n_cols) array, converted to bands once; ``rhs`` holds the
+    ``rows`` is a sequence of ``(lead, mask)`` rows and ``rhs`` holds the
     right-hand bits.  Rows are inserted in ``order`` (default: given
     order); each is reduced against the basis built so far, always at its
     lowest column.  A row reducing to 0 = 1 is recorded as violated and
     skipped, so the satisfied rows always form a consistent system solved
     exactly by the returned x.
     """
-    if isinstance(rows, np.ndarray):
-        rows = _dense_to_bands(rows)
     n_rows = len(rows)
     rhs = np.asarray(rhs).tolist()
     order = range(n_rows) if order is None else np.asarray(order).tolist()

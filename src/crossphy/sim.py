@@ -273,8 +273,9 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     if model is not None and (tuple(model.target_subcarriers) != subs
                               or model.const.name != mcs.constellation.name):
         raise ConfigError(
-            f"model ({model.const.name} on subcarriers {model.target_subcarriers}) does not "
-            f"match the configured {mcs.constellation.name} on {subs}")
+            f"model (constellation {model.const.name}, target_subcarriers "
+            f"{model.target_subcarriers}) does not match the configured {mcs.constellation.name} "
+            f"on {subs}")
 
     train_seconds, train_epochs = 0.0, 0
     needs_training = cfg.quantizer_mode in MODEL_MODES and model is None
@@ -342,7 +343,6 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     """All trials of one SNR point; deterministic for a fixed config."""
     cfg = plan.config
     expected_chips = reference_chips(cfg.payload)
-    n_det = 0
     n_ok = 0
     ser_sum = 0.0
     cer_sum = 0.0
@@ -355,7 +355,6 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
         rx = zigbee.channel_filter(frequency_shift(noisy, -cfg.delta_f_hz))
         res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None)
         if res.detected:
-            n_det += 1
             if res.payload == cfg.payload:
                 n_ok += 1
             ser_sum += res.ser

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dsp import N_FFT, ComplexSignal, FreqGrid
+from .dsp import DFT_BASIS, IDFT_BASIS, N_FFT, ComplexSignal, FreqGrid
 from .errors import ConfigError, DimensionError, DomainError
 
 SAMPLE_RATE_HZ = 20e6
@@ -90,11 +90,15 @@ class Constellation:
         The squared distance to a grid point is the sum of its per-axis
         squares, so the nearest point is ``kx*Ly + ky``, with ``kx`` and
         ``ky`` the nearest level on each axis by ``(w - level)**2``.  Ties go
-        to the lower label on each axis, and so to the lowest index."""
+        to the lower label on each axis, and so to the lowest index.  A value
+        more than 1 beyond an axis's outer level is clipped to 1 beyond it,
+        which keeps that level nearest and the squares finite."""
         w = np.asarray(values, dtype=np.complex128)
         lx, ly = self.levels
-        kx = np.argmin(np.square(w.real[..., None] - lx), axis=-1)
-        ky = np.argmin(np.square(w.imag[..., None] - ly), axis=-1)
+        re = np.clip(w.real, lx.min() - 1, lx.max() + 1)
+        im = np.clip(w.imag, ly.min() - 1, ly.max() + 1)
+        kx = np.argmin(np.square(re[..., None] - lx), axis=-1)
+        ky = np.argmin(np.square(im[..., None] - ly), axis=-1)
         return kx * len(ly) + ky
 
 
@@ -268,14 +272,10 @@ def deinterleave(bits, n_cbps: int, n_bpsc: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def pilot_polarity_sequence() -> np.ndarray:
-    """127-element +-1 polarity sequence (all-ones-seed scrambler stream)."""
+    """127-element +-1 polarity sequence (all-ones-seed scrambler stream).
+    Data symbol n takes element ``n % 127``; indexing starts at 0 because no
+    SIGNAL symbol precedes the data field here."""
     return (1.0 - 2.0 * scrambler_sequence(127, 0b1111111)).astype(np.float64)
-
-
-def pilot_polarity(symbol_index: int) -> float:
-    """Polarity for transmitted data symbol n; indexing starts at 0 because
-    no SIGNAL symbol precedes the data field here."""
-    return float(pilot_polarity_sequence()[symbol_index % 127])
 
 
 def pilot_values(n_symbols: int) -> np.ndarray:
@@ -302,8 +302,6 @@ def assemble_grid(data_symbols: np.ndarray) -> FreqGrid:
 
 def synthesize(grid: FreqGrid) -> ComplexSignal:
     """IDFT each symbol's bins and prepend the 16-sample cyclic prefix."""
-    from .dsp import IDFT_BASIS  # unnormalized-DFT pairing
-
     plain = np.fft.ifftshift(grid.bins, axes=1)  # column k-32 -> DFT index
     body = plain @ IDFT_BASIS.T
     sym = np.concatenate([body[:, -CP_LEN:], body], axis=1)
@@ -312,8 +310,6 @@ def synthesize(grid: FreqGrid) -> ComplexSignal:
 
 def ofdm_analyze(sig: ComplexSignal) -> FreqGrid:
     """Strip cyclic prefixes and DFT each 64-sample body (shifted order)."""
-    from .dsp import DFT_BASIS
-
     if len(sig.samples) % SYMBOL_LEN != 0:
         raise DimensionError(f"signal length {len(sig.samples)} not a multiple of {SYMBOL_LEN}")
     body = sig.samples.reshape(-1, SYMBOL_LEN)[:, CP_LEN:]

@@ -97,25 +97,14 @@ def symbols_to_bytes(symbols) -> bytes:
     return bytes(((hi << 4) | lo).astype(np.uint8).tolist())
 
 
-@dataclass(frozen=True)
-class ZigbeeFrame:
-    """PPDU structure: 8-symbol preamble, SFD 0xA7, length byte, payload."""
-
-    payload: bytes
-
-    def __post_init__(self):
-        if len(self.payload) > MAX_PAYLOAD_BYTES:
-            raise DomainError(f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD_BYTES}")
-
-    @property
-    def symbols(self) -> np.ndarray:
-        header = np.array(SYNC_SYMBOLS + (len(self.payload) & 0xF, len(self.payload) >> 4))
-        return np.concatenate([header, bytes_to_symbols(self.payload)])
-
-
 def build_frame(payload: bytes) -> np.ndarray:
-    """Full PPDU symbol sequence for a payload (<= 127 bytes)."""
-    return ZigbeeFrame(bytes(payload)).symbols
+    """Full PPDU symbol sequence for a payload (<= 127 bytes): 8-symbol
+    preamble, SFD 0xA7, length byte, payload."""
+    payload = bytes(payload)
+    if len(payload) > MAX_PAYLOAD_BYTES:
+        raise DomainError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD_BYTES}")
+    header = np.array(SYNC_SYMBOLS + (len(payload) & 0xF, len(payload) >> 4))
+    return np.concatenate([header, bytes_to_symbols(payload)])
 
 
 def symbols_to_chips(symbols) -> np.ndarray:

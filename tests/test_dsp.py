@@ -139,6 +139,14 @@ class TestAwgn:
         want = dsp.awgn(unit, 0.0, dsp.make_rng(20)).samples
         assert np.allclose((got - tiny.samples) / 1e-300, want - 1.0, rtol=1e-12, atol=1e-15)
 
+    def test_empty_signal_stays_empty(self):
+        # the mean power of no samples was a "Mean of empty slice" warning
+        empty = dsp.ComplexSignal(np.zeros(0, complex), 1e6)
+        rng = dsp.make_rng(0)
+        out = dsp.awgn(empty, 10.0, rng)
+        assert len(out) == 0 and out.sample_rate_hz == 1e6
+        assert rng.standard_normal() == dsp.make_rng(0).standard_normal()  # nothing drawn
+
 
 def formula_awgn(sig, snr_db, rng):
     """``dsp.awgn`` as the complex formula: the reference the in-place
@@ -203,6 +211,12 @@ class TestSignalMetrics:
         with pytest.raises(DimensionError):
             dsp.signal_metrics(random_signal(dsp.make_rng(0), 10),
                                random_signal(dsp.make_rng(0), 11))
+
+    def test_empty_signals_rejected(self):
+        # the means over no samples were "Mean of empty slice" warnings
+        empty = dsp.ComplexSignal(np.zeros(0, complex), 1e6)
+        with pytest.raises(DimensionError, match="non-empty"):
+            dsp.signal_metrics(empty, empty)
 
     def test_wrap_stays_principal(self):
         assert dsp.wrap_phase(np.pi + 0.1) == pytest.approx(-np.pi + 0.1)

@@ -7,7 +7,7 @@ import pytest
 from crossphy import diffblocks as db
 from crossphy import dsp, emulation as em, sim, zigbee
 from crossphy.errors import ConfigError, DimensionError
-from crossphy.wifi import constellation
+from crossphy.wifi import constellation, pilot_polarity_sequence
 from test_diffblocks import SoftQuantize64, held_rows
 
 SUBS = (-14, -13, -12, -11, -10, -9, -8)
@@ -78,11 +78,10 @@ class TestBuild:
                     model.quantize, model.assemble):
             h = blk.forward(h)
         grid = db.unstack_complex(h)
-        from crossphy.wifi import pilot_polarity
-
+        pols = pilot_polarity_sequence()
         for s in range(2):
-            assert grid[s, (-21) % 64] == pilot_polarity(s)
-            assert grid[s, 21] == -pilot_polarity(s)
+            assert grid[s, (-21) % 64] == pols[s % 127]
+            assert grid[s, 21] == -pols[s % 127]
 
     def test_infer_shape_and_range(self):
         model = em.EmulationModel("qam64", SUBS, "analog")
@@ -121,17 +120,17 @@ class TestLoss:
     def test_identical_zero_both_modes(self):
         rng = dsp.make_rng(6)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        assert em.loss(x, x, "analog") == 0.0
-        assert em.loss(x, x, "digital") < 1e-30
+        assert em.loss_and_grad(x, x, "analog")[0] == 0.0
+        assert em.loss_and_grad(x, x, "digital")[0] < 1e-30
 
     def test_quarter_turn_closed_forms(self):
         rng = dsp.make_rng(7)
         u = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         v = u * np.exp(1j * np.pi / 2)
-        analog = em.loss(v, u, "analog")
+        analog = em.loss_and_grad(v, u, "analog")[0]
         expected = abs(1 - np.exp(1j * np.pi / 2)) ** 2 * np.mean(np.abs(u) ** 2)
         assert abs(analog - expected) / expected < 1e-12
-        digital = em.loss(v, u, "digital")
+        digital = em.loss_and_grad(v, u, "digital")[0]
         assert abs(digital - (np.pi / 2) ** 2) < 1e-9
 
     def test_analog_equals_frequency_domain_form(self):
@@ -140,7 +139,7 @@ class TestLoss:
         for _ in range(20):
             u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-            lhs = em.loss(v, u, "analog")
+            lhs = em.loss_and_grad(v, u, "analog")[0]
             rhs = np.sum(np.abs(dsp.dft(u) - dsp.dft(v)) ** 2) / 64**2
             assert abs(lhs - rhs) / rhs < 1e-9
 
@@ -152,13 +151,14 @@ class TestLoss:
         for mode in ("analog", "digital"):
             _, g = em.loss_and_grad(v, u, mode)
             d = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-            num = (em.loss(v + h * d, u, mode) - em.loss(v - h * d, u, mode)) / (2 * h)
+            num = (em.loss_and_grad(v + h * d, u, mode)[0]
+                   - em.loss_and_grad(v - h * d, u, mode)[0]) / (2 * h)
             ana = np.sum(g.real * d.real + g.imag * d.imag)
             assert abs(num - ana) / max(abs(num), 1e-12) < 1e-5
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            em.loss(np.ones(3, dtype=complex), np.ones(4, dtype=complex), "analog")
+            em.loss_and_grad(np.ones(3, dtype=complex), np.ones(4, dtype=complex), "analog")
 
 
 class TestHardQuantize:
@@ -183,6 +183,18 @@ class TestHardQuantize:
         z = 10 * (rng.standard_normal(50) + 1j * rng.standard_normal(50))
         idx = const.nearest(z)
         assert set(idx.tolist()) <= set(range(16))
+
+    def test_hard_scale_invariance(self):
+        # the hard decision ignores the soft quantizer's temperature entirely
+        model = em.EmulationModel("qam64", SUBS, "analog")
+        model.scale.set_scale(1.3 * np.exp(0.4j) * np.ones(len(SUBS)))
+        u = model.normalize(zigbee_target(2).samples)[0]
+        i1 = model.decide(u)
+        i2 = model.decide(u)  # same input
+        model.quantize.tau = 17.0
+        i3 = model.decide(u)
+        assert np.array_equal(i1, i2)
+        assert np.array_equal(i1, i3)
 
 
 class TestTraining:
@@ -418,14 +430,27 @@ class TestTraining:
         with pytest.raises(ConfigError):
             em.load_model(path)
 
+    def test_overflowing_scales_rejected(self, tmp_path):
+        # both parts at 1.7e308 overflowed in decide's scaling of the bins
+        model = self.make()
+        path = tmp_path / "big.json"
+        u = model.normalize(zigbee_target(1).samples)[0]
+        model.scale.set_scale(np.full(len(SUBS), 1e300 + 1e300j))
+        em.save_model(model, path)
+        assert np.array_equal(em.load_model(path).decide(u), model.decide(u))
+        model.scale.set_scale(np.full(len(SUBS), 1.7e308 + 1.7e308j))
+        em.save_model(model, path)
+        with pytest.raises(ConfigError, match="key scales_re"):
+            em.load_model(path)
+
 
 def reference_train(model, target, cfg):
     """The epoch loop as it stood before ``train`` reused the quantizer's
     decisions and fused the tail, run on the specification's layers: the
     per-point soft quantizer, the layered tail on every symbol, and
-    ``hard_indices`` plus a hard synthesis every epoch.  In analog mode the
-    objective and the metric see the kept symbols' samples, and the dropped
-    symbols' gradient is zero."""
+    ``Constellation.nearest`` plus a hard synthesis every epoch.  In analog
+    mode the objective and the metric see the kept symbols' samples, and the
+    dropped symbols' gradient is zero."""
     quantize = SoftQuantize64(model.const, model.quantize.n, cfg.tau_start)
     head = db.Sequential([model.scale, quantize] + model.tail.blocks)
 
@@ -460,7 +485,7 @@ def reference_train(model, target, cfg):
         gy[rows] = db.stack_complex(g.reshape(-1, 80))
         head.backward(gy)
 
-        idx = model.quantize.hard_indices(model.scale.forward(z))
+        idx = model.const.nearest(db.unstack_complex(model.scale.forward(z)))
         v_hard = fit_samples(model.tail.forward(db.stack_complex(model.const.points[idx])))
         metric = em.selection_metric(v_hard, u_fit, model.mode)
         result.loss_history.append(soft_loss)

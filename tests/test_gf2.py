@@ -2,6 +2,7 @@ import numpy as np
 
 from crossphy import gf2
 from crossphy.dsp import make_rng
+from gf2_oracle import dense_to_bands
 
 
 def brute_force_best(dense, y):
@@ -20,7 +21,7 @@ class TestEliminate:
     def test_identity_full_mask(self):
         dense = np.eye(6, dtype=np.uint8)
         y = np.array([1, 0, 0, 1, 1, 0], dtype=np.uint8)
-        res = gf2.eliminate(dense, y, 6)
+        res = gf2.eliminate(dense_to_bands(dense), y, 6)
         assert np.array_equal(res.x, y)
         assert not res.violated
 
@@ -28,12 +29,12 @@ class TestEliminate:
         # rows (10, 11, 01): y = (1,0,1) is realized exactly by x = (1,1)
         dense = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
         y = np.array([1, 0, 1], dtype=np.uint8)
-        res = gf2.eliminate(dense, y, 2)
+        res = gf2.eliminate(dense_to_bands(dense), y, 2)
         assert len(res.violated) == brute_force_best(dense, y) == 0
         assert np.array_equal(res.x, [1, 1])
         # a genuinely unreachable y: best possible is one violation
         y2 = np.array([1, 1, 1], dtype=np.uint8)
-        res2 = gf2.eliminate(dense, y2, 2)
+        res2 = gf2.eliminate(dense_to_bands(dense), y2, 2)
         assert len(res2.violated) == brute_force_best(dense, y2) == 1
 
     def test_greedy_matches_bruteforce_when_rank_deficient(self):
@@ -43,7 +44,7 @@ class TestEliminate:
             rows = int(rng.integers(n, 2 * n + 4))
             dense = rng.integers(0, 2, (rows, n)).astype(np.uint8)
             y = rng.integers(0, 2, rows).astype(np.uint8)
-            res = gf2.eliminate(dense, y, n)
+            res = gf2.eliminate(dense_to_bands(dense), y, n)
             got = (dense @ res.x) % 2
             ok = np.ones(rows, dtype=bool)
             ok[res.violated] = False
@@ -59,13 +60,13 @@ class TestEliminate:
             dense = rng.integers(0, 2, (2 * n, n)).astype(np.uint8)
             x_true = rng.integers(0, 2, n).astype(np.uint8)
             y = (dense @ x_true) % 2
-            res = gf2.eliminate(dense, y, n)
+            res = gf2.eliminate(dense_to_bands(dense), y, n)
             assert not res.violated
             assert np.array_equal((dense @ res.x) % 2, y)
 
     def test_zero_rows_zero_violations_when_rhs_zero(self):
         dense = np.zeros((4, 10), dtype=np.uint8)
-        res = gf2.eliminate(dense, np.zeros(4, dtype=np.uint8), 10)
+        res = gf2.eliminate(dense_to_bands(dense), np.zeros(4, dtype=np.uint8), 10)
         assert not res.violated and not res.x.any() and res.rank == 0
 
     def test_rank_property(self):
@@ -75,21 +76,23 @@ class TestEliminate:
             n = int(rng.integers(4, 60))
             k = int(rng.integers(1, n + 1))
             dense = rng.integers(0, 2, (k, n)).astype(np.uint8)
-            if gf2.eliminate(dense, np.zeros(k, dtype=np.uint8), n).rank != k:
+            if gf2.eliminate(dense_to_bands(dense), np.zeros(k, dtype=np.uint8), n).rank != k:
                 continue
             y = rng.integers(0, 2, k).astype(np.uint8)
-            res = gf2.eliminate(dense, y, n)
+            res = gf2.eliminate(dense_to_bands(dense), y, n)
             assert not res.violated
 
     def test_priority_order_decides_winner(self):
         dense = np.array([[1, 0], [1, 0]], dtype=np.uint8)
         y = np.array([1, 0], dtype=np.uint8)
-        first = gf2.eliminate(dense, y, 2, order=np.array([0, 1]))
+        first = gf2.eliminate(dense_to_bands(dense), y, 2, order=np.array([0, 1]))
         assert first.violated == [1] and first.x[0] == 1
-        second = gf2.eliminate(dense, y, 2, order=np.array([1, 0]))
+        second = gf2.eliminate(dense_to_bands(dense), y, 2, order=np.array([1, 0]))
         assert second.violated == [0] and second.x[0] == 0
 
     def test_dense_and_banded_rows_agree(self):
+        # the dense oracle rows, through dense_to_bands, solve as the same
+        # system stated as bands directly
         rng = make_rng(7)
         n_rows, n = 60, 40
         lead = rng.integers(0, n - 6, n_rows)
@@ -103,7 +106,7 @@ class TestEliminate:
                     dense[r, lead[r] + k] = 1
         y = rng.integers(0, 2, n_rows).astype(np.uint8)
         order = rng.permutation(n_rows)
-        a = gf2.eliminate(dense, y, n, order=order)
+        a = gf2.eliminate(dense_to_bands(dense), y, n, order=order)
         b = gf2.eliminate(list(zip(lead.tolist(), mask.tolist())), y, n, order=order)
         assert a.violated  # more rows than columns, so the order matters
         assert np.array_equal(a.x, b.x)
@@ -118,6 +121,6 @@ class TestEliminate:
         dense = rng.integers(0, 2, (2 * n, n)).astype(np.uint8)
         y = (dense @ rng.integers(0, 2, n).astype(np.uint8)) % 2
         t0 = time.time()
-        res = gf2.eliminate(dense, y, n)
+        res = gf2.eliminate(dense_to_bands(dense), y, n)
         assert time.time() - t0 < 1.0
         assert not res.violated

@@ -173,7 +173,7 @@ class TestPipeline:
     def test_webee_plan_ignores_a_given_models_scales(self):
         cfg = small_cfg(emulation_mode="digital", payload=bytes(range(6)))
         model, _ = sim.train_model(cfg)
-        assert not np.array_equal(model.export_scales(), np.ones(len(model.target_subcarriers)))
+        assert not np.array_equal(model.scale.scale, np.ones(len(model.target_subcarriers)))
         given = sim.plan_frame(cfg, model=model)
         fresh = sim.plan_frame(cfg)
         assert np.array_equal(given.index_grid, fresh.index_grid)
@@ -216,13 +216,20 @@ class TestPipeline:
         model, res = sim.train_model(cfg)
         plan = sim.plan_frame(cfg)
         assert res.epochs_run == plan.train_epochs
-        assert np.array_equal(model.export_scales(), plan.model.export_scales())
+        assert np.array_equal(model.scale.scale, plan.model.scale.scale)
 
     def test_model_constellation_mismatch_rejected(self):
         cfg = small_cfg(quantizer_mode="trained")
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
         model = em.EmulationModel("qam16", subs, "analog")
         with pytest.raises(ConfigError):
+            sim.plan_frame(cfg, model=model)
+
+    def test_model_mismatch_names_the_model_file_keys(self):
+        # a mismatched model file exits 2; its message names the file's keys
+        cfg = small_cfg(quantizer_mode="trained")
+        model = em.EmulationModel("qam16", (-14, -13), "analog")
+        with pytest.raises(ConfigError, match=r"constellation qam16, target_subcarriers"):
             sim.plan_frame(cfg, model=model)
 
     def test_bad_quantizer_mode_rejected(self):
@@ -402,7 +409,7 @@ class TestDefaultModeTrains:
 
     def test_trained_grid_differs_from_webee(self, trained_plan, webee_plan):
         assert trained_plan.config.emulation_mode == sim.ExperimentConfig().emulation_mode
-        assert not np.all(trained_plan.model.export_scales() == 1)
+        assert not np.all(trained_plan.model.scale.scale == 1)
         assert not np.array_equal(trained_plan.index_grid, webee_plan.index_grid)
 
     @pytest.mark.parametrize("snr_db", [8.0, 4.0])

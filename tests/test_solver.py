@@ -4,6 +4,7 @@ import pytest
 from crossphy import gf2, solver, wifi
 from crossphy.dsp import make_rng
 from crossphy.errors import DimensionError
+from gf2_oracle import dense_to_bands
 
 SEED = wifi.DEFAULT_SCRAMBLER_SEED
 SUBS = (-14, -13, -12, -11, -10, -9, -8)
@@ -62,7 +63,7 @@ class TestGf2Solve:
     def test_identity_full_mask(self):
         y = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         c = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        res = gf2.eliminate(np.eye(8, dtype=np.uint8), y ^ c, 8)
+        res = gf2.eliminate(dense_to_bands(np.eye(8, dtype=np.uint8)), y ^ c, 8)
         assert np.array_equal(res.x, y ^ c)
         assert res.satisfied == 8 and not res.violated
 
@@ -71,7 +72,7 @@ class TestGf2Solve:
         G = rng.integers(0, 2, (12, 6)).astype(np.uint8)
         y = rng.integers(0, 2, 12).astype(np.uint8)
         mask = np.zeros(12, dtype=bool)
-        res = gf2.eliminate(G[mask], y[mask], 6)
+        res = gf2.eliminate(dense_to_bands(G[mask]), y[mask], 6)
         assert not res.x.any() and not res.violated
 
     def test_consistent_chain_target(self):
@@ -227,7 +228,8 @@ class TestBandedRows:
         prio[pos] = np.repeat(energy.reshape(-1), b)
         masked = np.nonzero(mask)[0]
         order = np.argsort(-prio[masked], kind="stable")
-        ref = gf2.eliminate(G[masked], (y ^ c)[masked], G.shape[1], order=order)
+        ref = gf2.eliminate(dense_to_bands(G[masked]), (y ^ c)[masked], G.shape[1],
+                            order=order)
 
         assert rep.violated_positions  # over-constrained, so the order matters
         assert np.array_equal(rep.x, ref.x)

@@ -174,6 +174,21 @@ class TestConstellation:
         assert c.nearest(0j) == {"bpsk": 0, "qpsk": 0, "qam16": 5, "qam64": 18}[name]
 
     @pytest.mark.parametrize("name", MODULATIONS)
+    def test_nearest_of_huge_values_is_the_outer_point(self, name):
+        # (1e182 - level)**2 overflowed to inf for every level, a warning
+        # and a tie that went to the lowest label instead of the outer level
+        c = wifi.constellation(name)
+        big = np.finfo(np.float64).max
+        w = np.array([1e182, -1e182, 1e182j, big + 0.5j, -big * 1j, 3 - big * 1j])
+        with np.errstate(over="raise"):
+            got = c.nearest(w)
+        # any value past the outer level has the nearest point of a value 10
+        ten = np.clip(w.real, -10, 10) + 1j * np.clip(w.imag, -10, 10)
+        want = np.argmin(np.abs(ten[:, None] - c.points), axis=1)
+        assert np.array_equal(got, want)
+        assert np.all(np.abs(c.points[got[[0, 1, 3]]].real) == np.max(np.abs(c.levels[0])))
+
+    @pytest.mark.parametrize("name", MODULATIONS)
     def test_levels_rebuild_points_bit_for_bit(self, name):
         c = wifi.constellation(name)
         lx, ly = c.levels
