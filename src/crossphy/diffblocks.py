@@ -247,9 +247,10 @@ class SoftQuantize(DiffBlock):
             col = levels[:, None, None]
             d = np.subtract(w, col)
             np.square(d, out=d)  # squared distances
-            nearest.append(np.argmin(d, axis=0))
+            mn = d.min(axis=0)  # the first equal is argmin's pick, without its copy
+            nearest.append(np.argmax(d == mn, axis=0))
             # the largest logit -d/tau is the one at the smallest distance
-            a = np.subtract(d.min(axis=0), d, out=d)
+            a = np.subtract(mn, d, out=d)
             a /= self.tau
             np.exp(a, out=a)
             a /= a.sum(axis=0)

@@ -61,7 +61,9 @@ class ComplexSignal:
 
     @property
     def power(self) -> float:
-        """Mean of |s[n]|^2."""
+        """Mean of |s[n]|^2; ``DimensionError`` for an empty signal."""
+        if not len(self.samples):
+            raise DimensionError("power needs a non-empty signal")
         return float(np.mean(np.abs(self.samples) ** 2))
 
 

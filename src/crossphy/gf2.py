@@ -1,19 +1,20 @@
 """GF(2) linear algebra for the payload solver.
 
-Rows are banded: ``(lead, mask)``, where bit k of the int ``mask`` holds
-column ``lead + k`` and bit 0 is set (an empty row is ``(0, 0)``).  This
-is the one row format: ``eliminate`` takes bands only.  It inserts rows
-in a caller-chosen priority order into a row-echelon basis keyed by
-leading column; a row that reduces to 0 = 1 conflicts with higher-priority
-rows already accepted and is reported as violated (greedy maximal
-consistent subsystem).
+Rows are banded: row i is ``(lead[i], mask[i])``, where bit k of the int
+``mask[i]`` holds column ``lead[i] + k`` and bit 0 is set (an empty row is
+``(0, 0)``).  This is the one row format: ``eliminate`` takes the two
+parallel sequences.  It inserts rows in a caller-chosen priority order
+into a row-echelon basis keyed by leading column; a row that reduces to
+0 = 1 conflicts with higher-priority rows already accepted and is reported
+as violated (greedy maximal consistent subsystem).
 
 If every input row lies within w columns of its lead, so does every basis
 row: a row meets only the basis row of its own lead c, both lie in
 [c, c + w - 1], and their XOR clears c.  A row thus takes at most w steps,
 each a dict lookup and a small-int XOR.  Rows of the 802.11 K=7 code span
 7 columns (both generators tap x[t] and x[t-6]), so eliminating them is
-linear in the row count.
+linear in the row count, and back-substitution is one shift, AND and
+popcount per pivot on a w-bit window of x.
 """
 
 from __future__ import annotations
@@ -27,36 +28,38 @@ import numpy as np
 class EliminationResult:
     x: np.ndarray  # one solution, free variables zero
     rank: int
-    violated: list  # indices (into `order`) of rows inconsistent with earlier ones
+    violated: list  # input row indices of rows inconsistent with earlier ones
     satisfied: int
     pivot_cols: list = field(default_factory=list)
     max_span: int = 0  # widest basis row, in columns
 
 
-def eliminate(rows, rhs: np.ndarray, n_cols: int,
+def eliminate(lead, mask, rhs, n_cols: int,
               order: np.ndarray | None = None) -> EliminationResult:
     """Greedy row-echelon elimination in priority order.
 
-    ``rows`` is a sequence of ``(lead, mask)`` rows and ``rhs`` holds the
-    right-hand bits.  Rows are inserted in ``order`` (default: given
-    order); each is reduced against the basis built so far, always at its
-    lowest column.  A row reducing to 0 = 1 is recorded as violated and
-    skipped, so the satisfied rows always form a consistent system solved
-    exactly by the returned x.
+    Row i is the band ``(lead[i], mask[i])`` with right-hand bit ``rhs[i]``.
+    Rows are inserted in ``order`` (default: given order); each is reduced
+    against the basis built so far, always at its lowest column.  A row
+    reducing to 0 = 1 is skipped and its index i (not its place in
+    ``order``) recorded in ``violated``, so the satisfied rows always form
+    a consistent system solved exactly by the returned x.
     """
-    n_rows = len(rows)
-    rhs = np.asarray(rhs).tolist()
-    order = range(n_rows) if order is None else np.asarray(order).tolist()
+    ids = np.arange(len(lead)) if order is None else np.asarray(order, dtype=np.intp)
+    # a list holding masks past 64 bits would become floats in a numpy array
+    lead, mask, rhs = (a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+                       for a in (lead, mask, rhs))
     basis: dict[int, tuple[int, int]] = {}  # pivot column -> (mask, rhs)
+    span = 0  # OR of the basis masks, as wide as the widest
     violated: list[int] = []
 
-    for ri in order:
-        col, m = rows[ri]
-        r = rhs[ri]
+    for ri, col, m, r in zip(ids.tolist(), lead[ids].tolist(), mask[ids].tolist(),
+                             rhs[ids].tolist()):
         while m:
             hit = basis.get(col)
             if hit is None:
                 basis[col] = (m, r)
+                span |= m
                 break
             m ^= hit[0]
             r ^= hit[1]
@@ -69,20 +72,21 @@ def eliminate(rows, rhs: np.ndarray, n_cols: int,
                 violated.append(ri)
 
     # a basis row's other columns all lie above its pivot, so in decreasing
-    # pivot order each is fixed before it is read; free columns stay zero
-    x = bytearray(n_cols)
-    for col in sorted(basis, reverse=True):
+    # pivot order each is fixed before it is read.  Bit k of win is x[col + k];
+    # the columns between two pivots are free and stay zero
+    x, win, prev, keep = bytearray(n_cols), 0, n_cols, (1 << span.bit_length()) - 1
+    for col in np.sort(np.fromiter(basis, np.int64, len(basis)))[::-1].tolist():
         m, r = basis[col]
-        for k in range(1, m.bit_length()):
-            if m >> k & 1:
-                r ^= x[col + k]
+        win = (win << (prev - col)) & keep
+        r ^= (win & m).bit_count() & 1
         x[col] = r
+        win, prev = win | r, col
 
     return EliminationResult(
         x=np.frombuffer(x, dtype=np.uint8).copy(),
         rank=len(basis),
         violated=violated,
-        satisfied=n_rows - len(violated),
+        satisfied=len(lead) - len(violated),
         pivot_cols=list(basis),
-        max_span=max((m.bit_length() for m, _ in basis.values()), default=0),
+        max_span=span.bit_length(),
     )

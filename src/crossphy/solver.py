@@ -11,10 +11,10 @@ reports every bit and subcarrier it could not hit.
 Rows of G come straight from the encoder taps.  Every coded bit, punctured
 or not, is the parity of x[t-6 .. t] under the g0 or g1 taps, and both
 generators tap x[t] and x[t-6]; so every row is a band of at most 7
-columns, held as ``(lead, mask)``.  Bands are the one row format: the
-eliminator keeps them within 7 columns (see ``gf2``), which makes the
-solve linear in the number of constrained bits, and ``solve_payload``,
-the one solve entry point, builds only the constrained rows.
+columns, held as two arrays of leads and masks.  The eliminator keeps
+bands within 7 columns (see ``gf2``): the solve is one reduction pass over
+the constrained bits, then one shift, AND and popcount per pivot.
+``solve_payload``, the one solve entry point, builds only those rows.
 ``build_generator`` scatters every band into the dense matrix G, which
 serves only as the specification's oracle.
 """
@@ -146,7 +146,6 @@ def solve_payload(
     c = coding_chain(np.zeros(n_bits, dtype=np.uint8), mcs, scrambler_seed)
     midx = np.nonzero(mask)[0]
     lead, band = coded_bit_rows(midx, mcs)
-    rows = list(zip(lead.tolist(), band.tolist()))
 
     if bin_energy is not None:
         prio = np.zeros(n_coded)
@@ -155,7 +154,7 @@ def solve_payload(
     else:
         order = None
 
-    res = eliminate(rows, (y ^ c)[midx], n_bits, order=order)
+    res = eliminate(lead, band, (y ^ c)[midx], n_bits, order=order)
     violated = sorted(int(midx[i]) for i in res.violated)
 
     # re-encode through the real chain and record every missed subcarrier

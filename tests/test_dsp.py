@@ -242,6 +242,12 @@ class TestComplexSignal:
         with pytest.raises(DimensionError):
             dsp.ComplexSignal(np.complex128(1.0), 1e6)
 
+    def test_power_of_empty_signal_raises(self):
+        # was NaN with numpy's "Mean of empty slice" warning
+        empty = dsp.ComplexSignal(np.zeros(0, complex), 1e6)
+        with pytest.raises(DimensionError, match="non-empty"):
+            empty.power
+
 
 class TestRng:
     def test_same_seed_same_stream(self):

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from crossphy import gf2
 from crossphy.dsp import make_rng
-from gf2_oracle import dense_to_bands
+from gf2_oracle import dense_to_bands, eliminate_per_bit
 
 
 def brute_force_best(dense, y):
@@ -21,7 +24,7 @@ class TestEliminate:
     def test_identity_full_mask(self):
         dense = np.eye(6, dtype=np.uint8)
         y = np.array([1, 0, 0, 1, 1, 0], dtype=np.uint8)
-        res = gf2.eliminate(dense_to_bands(dense), y, 6)
+        res = gf2.eliminate(*dense_to_bands(dense), y, 6)
         assert np.array_equal(res.x, y)
         assert not res.violated
 
@@ -29,12 +32,12 @@ class TestEliminate:
         # rows (10, 11, 01): y = (1,0,1) is realized exactly by x = (1,1)
         dense = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
         y = np.array([1, 0, 1], dtype=np.uint8)
-        res = gf2.eliminate(dense_to_bands(dense), y, 2)
+        res = gf2.eliminate(*dense_to_bands(dense), y, 2)
         assert len(res.violated) == brute_force_best(dense, y) == 0
         assert np.array_equal(res.x, [1, 1])
         # a genuinely unreachable y: best possible is one violation
         y2 = np.array([1, 1, 1], dtype=np.uint8)
-        res2 = gf2.eliminate(dense_to_bands(dense), y2, 2)
+        res2 = gf2.eliminate(*dense_to_bands(dense), y2, 2)
         assert len(res2.violated) == brute_force_best(dense, y2) == 1
 
     def test_greedy_matches_bruteforce_when_rank_deficient(self):
@@ -44,7 +47,7 @@ class TestEliminate:
             rows = int(rng.integers(n, 2 * n + 4))
             dense = rng.integers(0, 2, (rows, n)).astype(np.uint8)
             y = rng.integers(0, 2, rows).astype(np.uint8)
-            res = gf2.eliminate(dense_to_bands(dense), y, n)
+            res = gf2.eliminate(*dense_to_bands(dense), y, n)
             got = (dense @ res.x) % 2
             ok = np.ones(rows, dtype=bool)
             ok[res.violated] = False
@@ -60,13 +63,13 @@ class TestEliminate:
             dense = rng.integers(0, 2, (2 * n, n)).astype(np.uint8)
             x_true = rng.integers(0, 2, n).astype(np.uint8)
             y = (dense @ x_true) % 2
-            res = gf2.eliminate(dense_to_bands(dense), y, n)
+            res = gf2.eliminate(*dense_to_bands(dense), y, n)
             assert not res.violated
             assert np.array_equal((dense @ res.x) % 2, y)
 
     def test_zero_rows_zero_violations_when_rhs_zero(self):
         dense = np.zeros((4, 10), dtype=np.uint8)
-        res = gf2.eliminate(dense_to_bands(dense), np.zeros(4, dtype=np.uint8), 10)
+        res = gf2.eliminate(*dense_to_bands(dense), np.zeros(4, dtype=np.uint8), 10)
         assert not res.violated and not res.x.any() and res.rank == 0
 
     def test_rank_property(self):
@@ -76,18 +79,18 @@ class TestEliminate:
             n = int(rng.integers(4, 60))
             k = int(rng.integers(1, n + 1))
             dense = rng.integers(0, 2, (k, n)).astype(np.uint8)
-            if gf2.eliminate(dense_to_bands(dense), np.zeros(k, dtype=np.uint8), n).rank != k:
+            if gf2.eliminate(*dense_to_bands(dense), np.zeros(k, dtype=np.uint8), n).rank != k:
                 continue
             y = rng.integers(0, 2, k).astype(np.uint8)
-            res = gf2.eliminate(dense_to_bands(dense), y, n)
+            res = gf2.eliminate(*dense_to_bands(dense), y, n)
             assert not res.violated
 
     def test_priority_order_decides_winner(self):
         dense = np.array([[1, 0], [1, 0]], dtype=np.uint8)
         y = np.array([1, 0], dtype=np.uint8)
-        first = gf2.eliminate(dense_to_bands(dense), y, 2, order=np.array([0, 1]))
+        first = gf2.eliminate(*dense_to_bands(dense), y, 2, order=np.array([0, 1]))
         assert first.violated == [1] and first.x[0] == 1
-        second = gf2.eliminate(dense_to_bands(dense), y, 2, order=np.array([1, 0]))
+        second = gf2.eliminate(*dense_to_bands(dense), y, 2, order=np.array([1, 0]))
         assert second.violated == [0] and second.x[0] == 0
 
     def test_dense_and_banded_rows_agree(self):
@@ -106,8 +109,8 @@ class TestEliminate:
                     dense[r, lead[r] + k] = 1
         y = rng.integers(0, 2, n_rows).astype(np.uint8)
         order = rng.permutation(n_rows)
-        a = gf2.eliminate(dense_to_bands(dense), y, n, order=order)
-        b = gf2.eliminate(list(zip(lead.tolist(), mask.tolist())), y, n, order=order)
+        a = gf2.eliminate(*dense_to_bands(dense), y, n, order=order)
+        b = gf2.eliminate(lead, mask, y, n, order=order)
         assert a.violated  # more rows than columns, so the order matters
         assert np.array_equal(a.x, b.x)
         assert (a.rank, a.violated, a.satisfied, a.pivot_cols, a.max_span) == (
@@ -121,6 +124,53 @@ class TestEliminate:
         dense = rng.integers(0, 2, (2 * n, n)).astype(np.uint8)
         y = (dense @ rng.integers(0, 2, n).astype(np.uint8)) % 2
         t0 = time.time()
-        res = gf2.eliminate(dense_to_bands(dense), y, n)
+        res = gf2.eliminate(*dense_to_bands(dense), y, n)
         assert time.time() - t0 < 1.0
         assert not res.violated
+
+
+@st.composite
+def band_systems(draw):
+    """Bands of width 1-70 (past one 64-bit word) over up to 160 columns,
+    some empty, with a random insertion order or none; the right-hand side
+    is random (over-constrained in general) or the image of a hidden x."""
+    n_cols = draw(st.integers(1, 160))
+    widest = draw(st.integers(1, min(70, n_cols)))
+    n_rows = draw(st.integers(0, 2 * n_cols + 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lead, mask = [], []
+    for _ in range(n_rows):
+        if rng.random() < 0.05:
+            lead.append(0)
+            mask.append(0)
+            continue
+        w = rng.randint(1, widest)
+        lead.append(rng.randint(0, n_cols - w))
+        mask.append(rng.getrandbits(w) | 1 | 1 << (w - 1))
+    if draw(st.booleans()):  # consistent
+        hidden = rng.getrandbits(n_cols)
+        rhs = [((m << c) & hidden).bit_count() & 1 for c, m in zip(lead, mask)]
+    else:
+        rhs = [rng.getrandbits(1) for _ in range(n_rows)]
+    order = draw(st.none() | st.permutations(range(n_rows)))
+    return lead, mask, np.array(rhs, dtype=np.uint8), n_cols, order
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(system=band_systems())
+def test_sliding_window_equals_the_per_bit_back_substitution(system):
+    lead, mask, rhs, n_cols, order = system
+    got = gf2.eliminate(lead, mask, rhs, n_cols, order=order)
+    ref = eliminate_per_bit(lead, mask, rhs, n_cols, order=order)
+    assert np.array_equal(got.x, ref.x) and got.x.dtype == ref.x.dtype
+    assert (got.rank, got.violated, got.satisfied, got.pivot_cols, got.max_span) == (
+        ref.rank, ref.violated, ref.satisfied, ref.pivot_cols, ref.max_span)
+    # every row not reported violated holds for x, and free columns are 0
+    x = int.from_bytes(np.packbits(got.x, bitorder="little").tobytes(), "little")
+    bad = set(got.violated)
+    for i, (c, m) in enumerate(zip(lead, mask)):
+        if i not in bad:
+            assert ((m << c) & x).bit_count() & 1 == rhs[i]
+    free = np.ones(n_cols, dtype=bool)
+    free[got.pivot_cols] = False
+    assert not got.x[free].any()

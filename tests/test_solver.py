@@ -63,7 +63,7 @@ class TestGf2Solve:
     def test_identity_full_mask(self):
         y = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         c = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        res = gf2.eliminate(dense_to_bands(np.eye(8, dtype=np.uint8)), y ^ c, 8)
+        res = gf2.eliminate(*dense_to_bands(np.eye(8, dtype=np.uint8)), y ^ c, 8)
         assert np.array_equal(res.x, y ^ c)
         assert res.satisfied == 8 and not res.violated
 
@@ -72,7 +72,7 @@ class TestGf2Solve:
         G = rng.integers(0, 2, (12, 6)).astype(np.uint8)
         y = rng.integers(0, 2, 12).astype(np.uint8)
         mask = np.zeros(12, dtype=bool)
-        res = gf2.eliminate(dense_to_bands(G[mask]), y[mask], 6)
+        res = gf2.eliminate(*dense_to_bands(G[mask]), y[mask], 6)
         assert not res.x.any() and not res.violated
 
     def test_consistent_chain_target(self):
@@ -228,7 +228,7 @@ class TestBandedRows:
         prio[pos] = np.repeat(energy.reshape(-1), b)
         masked = np.nonzero(mask)[0]
         order = np.argsort(-prio[masked], kind="stable")
-        ref = gf2.eliminate(dense_to_bands(G[masked]), (y ^ c)[masked], G.shape[1],
+        ref = gf2.eliminate(*dense_to_bands(G[masked]), (y ^ c)[masked], G.shape[1],
                             order=order)
 
         assert rep.violated_positions  # over-constrained, so the order matters
@@ -250,6 +250,26 @@ class TestBandedRows:
         assert hashlib.sha256(rep.psdu).hexdigest() == (
             "377888f7900fb75934386670746200cb88a0bc823f1e62547e08d103ee4ae270")
         assert rep.rank == 18186 and not rep.violated_positions
+
+    def test_pinned_over_constrained_webee_plan(self):
+        # the plan of test_max_span_on_over_constrained_plan as solved by the
+        # per-bit back-substitution: the greedy order decides which bits are
+        # violated, so a change to it moves these pins
+        import hashlib
+
+        from crossphy import sim
+
+        cfg = sim.ExperimentConfig(payload=bytes(range(32)), quantizer_mode="webee",
+                                   target_subcarrier_count=30)
+        rep = sim.plan_frame(cfg).report
+        assert hashlib.sha256(rep.psdu).hexdigest() == (
+            "a9cfdc5802b16beba1a8097d25a7505abba029408ae86424dd4843b4d7749bec")
+        violated = np.asarray(rep.violated_positions, dtype="<i8")
+        assert len(violated) == 5542
+        assert violated[:5].tolist() == [0, 1, 2, 4, 5]
+        assert hashlib.sha256(violated.tobytes()).hexdigest() == (
+            "a941ccad25d8a3a203407be89c2433cca99aa902fc36f11939a2f2a46faaea15")
+        assert rep.max_span == 7 and rep.rank == 43917
 
     def test_reencode_mismatch_raises(self, monkeypatch):
         from crossphy.errors import CrossPhyError
