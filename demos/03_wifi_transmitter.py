@@ -1,6 +1,7 @@
 """The OFDM data-field transmitter: scrambling, convolutional coding,
 interleaving, Gray QAM, pilots, IDFT and cyclic prefix -- and the property
 the payload solver depends on: the whole bit chain is affine over GF(2).
+Bins are indexed in plain DFT order, subcarrier m at ``wifi.columns(m)``.
 
 Run:  python demos/03_wifi_transmitter.py
 """
@@ -14,23 +15,24 @@ print(f"MCS {mcs.name}: {mcs.n_bpsc} bits/subcarrier, {mcs.n_cbps} coded / "
 
 rng = dsp.make_rng(4)
 psdu = bytes(rng.integers(0, 256, 18 * 4).tolist())
-sig, grid = wifi.transmit_psdu(psdu, mcs, return_grid=True)
-print(f"{len(psdu)}-byte PSDU -> {grid.n_symbols} OFDM symbols -> {len(sig)} samples")
+grid = wifi.psdu_grid(psdu, mcs)
+sig = wifi.synthesize(grid)
+print(f"{len(psdu)}-byte PSDU -> {len(grid)} OFDM symbols -> {len(sig)} samples")
 
 blocks = sig.samples.reshape(-1, 80)
 print(f"cyclic prefix exact: max |s[0:16] - s[64:80]| = "
       f"{np.max(np.abs(blocks[:, :16] - blocks[:, 64:])):.1e}")
 
-pilots = grid.bins[:, [32 - 21, 32 - 7, 32 + 7, 32 + 21]]
+pilots = grid[:, wifi.columns(wifi.PILOT_SUBCARRIERS)]
 print(f"pilot values, first 4 symbols:\n{pilots[:4].real}")
 
-cols = [m + 32 for m in wifi.DATA_SUBCARRIERS]
-power = np.mean(np.abs(grid.bins[:, cols]) ** 2)
+cols = wifi.columns(wifi.DATA_SUBCARRIERS)
+power = np.mean(np.abs(grid[:, cols]) ** 2)
 print(f"mean data-bin power: {power:.4f} (normalized constellations)")
 
 print("\n== demodulating our own waveform reproduces the coded bits ==")
 const = mcs.constellation
-bits = np.array(const.labels())[const.nearest(wifi.ofdm_analyze(sig).bins[:, cols])].reshape(-1)
+bits = np.array(const.labels())[const.nearest(wifi.ofdm_analyze(sig)[:, cols])].reshape(-1)
 expected = wifi.coding_chain(wifi.psdu_to_bits(psdu), mcs, wifi.DEFAULT_SCRAMBLER_SEED)
 print(f"bit-exact: {np.array_equal(bits, expected)}")
 

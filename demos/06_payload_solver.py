@@ -29,9 +29,8 @@ print(f"{n_sym} OFDM symbols x {len(subs)} subcarriers = "
       f"{n_sym * mcs.n_dbps} unknowns")
 print(f"violations: {len(rep.violated_positions)}  "
       f"perturbed subcarriers: {len(rep.perturbed_subcarriers)}")
-sig, grid = wifi.transmit_psdu(rep.psdu, mcs, seed, return_grid=True)
-cols = [m + 32 for m in subs]
-achieved = mcs.constellation.nearest(grid.bins[:, cols])
+grid = wifi.psdu_grid(rep.psdu, mcs, seed)
+achieved = mcs.constellation.nearest(grid[:, wifi.columns(subs)])
 print(f"transmitted grid carries the intended points: "
       f"{np.array_equal(achieved.reshape(intended.shape), intended)}")
 print(f"PSDU: {rep.psdu[:24].hex()}... ({len(rep.psdu)} bytes)")

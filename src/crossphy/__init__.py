@@ -9,7 +9,6 @@ chain, a software O-QPSK/DSSS modem, and an end-to-end simulation harness.
 from . import diffblocks, dsp, emulation, gf2, iqfile, sim, solver, wifi, zigbee
 from .dsp import (
     ComplexSignal,
-    FreqGrid,
     SignalMetrics,
     awgn,
     dft,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexSignal",
-    "FreqGrid",
     "SignalMetrics",
     "awgn",
     "dft",

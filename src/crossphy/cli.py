@@ -43,17 +43,24 @@ _CONFIG_KEYS = {
 
 
 def _parse_snr(values) -> tuple:
+    """SNRs in dB.  +inf, the noiseless sentinel, is only ever spelled
+    'inf', '+inf' or 'noiseless': a number that overflows to infinity, such
+    as 1e400 in a flag or a JSON file, is an error."""
     out = []
     for v in values:
         if isinstance(v, str) and v.lower() in ("inf", "+inf", "noiseless"):
             out.append(math.inf)
-        elif isinstance(v, bool):
+            continue
+        if isinstance(v, bool):
             raise ConfigError(f"key snr_db: expected numbers, got {v!r}")
-        else:
-            try:
-                out.append(float(v))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"key snr_db: expected numbers, got {v!r}")
+        try:
+            x = float(v)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"key snr_db: expected numbers, got {v!r}")
+        if math.isinf(x):
+            raise ConfigError(f"key snr_db: {v!r} is not a finite number; "
+                              f"'inf' or 'noiseless' selects no noise")
+        out.append(x)
     return tuple(out)
 
 

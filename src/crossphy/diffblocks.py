@@ -22,7 +22,7 @@ import numpy as np
 
 from .dsp import DFT_BASIS, IDFT_BASIS, N_FFT
 from .errors import DimensionError
-from .wifi import CP_LEN, PILOT_SUBCARRIERS, Constellation, pilot_values
+from .wifi import CP_LEN, PILOT_SUBCARRIERS, Constellation, columns, pilot_values
 
 __all__ = [
     "DiffBlock",
@@ -141,11 +141,11 @@ def cp_remove_layer() -> FixedLinear:
     return FixedLinear(_two_rail(cp_remove_matrix()), "cp_remove")
 
 
-def bin_select_layer(columns, width: int = N_FFT) -> FixedLinear:
+def bin_select_layer(target_columns, width: int = N_FFT) -> FixedLinear:
     """0/1 selection keeping the given complex columns (one 1 per kept row)."""
-    columns = list(columns)
-    w = np.zeros((len(columns), width))
-    for r, c in enumerate(columns):
+    target_columns = list(target_columns)
+    w = np.zeros((len(target_columns), width))
+    for r, c in enumerate(target_columns):
         w[r, c] = 1.0
     return FixedLinear(_two_rail(w), "bin_select")
 
@@ -285,7 +285,7 @@ class GridAssemble(FixedLinear):
         for r, c in enumerate(self.target_columns):
             w[c, r] = 1.0
         super().__init__(_two_rail(w), "grid_assemble")
-        self._pilot_cols = [m_ % N_FFT for m_ in PILOT_SUBCARRIERS]
+        self._pilot_cols = columns(PILOT_SUBCARRIERS)
 
     def forward(self, x):
         y = super().forward(x)

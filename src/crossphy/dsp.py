@@ -8,6 +8,9 @@ trainable emulation layers are validated against this module.  ``dft`` and
 
 Conventions
 -----------
+* 64-bin arrays are in plain DFT order, the order ``dft`` returns and
+  ``idft`` reads: bin ``k`` is subcarrier ``k`` for ``k < 32`` and ``k - 64``
+  above (``wifi.columns`` maps subcarriers to columns).
 * The DFT is unnormalized, ``X[k] = sum_n x[n] exp(-j 2 pi n k / N)``; the
   IDFT carries the ``1/N`` factor.  With this pairing the time-domain MSE of
   two signals equals ``(1/N^2) sum |U[k]-V[k]|^2`` exactly (Parseval).
@@ -65,34 +68,6 @@ class ComplexSignal:
         if not len(self.samples):
             raise DimensionError("power needs a non-empty signal")
         return float(np.mean(np.abs(self.samples) ** 2))
-
-
-@dataclass(frozen=True)
-class FreqGrid:
-    """Per-OFDM-symbol array of 64 complex bins, DC at column 32.
-
-    Column ``k`` holds subcarrier ``k - 32``, i.e. the bins are stored in
-    fftshifted order so negative subcarriers sit left of DC.
-    """
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 2 or bins.shape[1] != N_FFT:
-            raise DimensionError(f"bins must have shape (n_symbols, 64), got {bins.shape}")
-        if not np.all(np.isfinite(bins.view(np.float64))):
-            raise DomainError("bins contain NaN or Inf")
-        object.__setattr__(self, "bins", bins)
-
-    @property
-    def n_symbols(self) -> int:
-        return self.bins.shape[0]
-
-    @staticmethod
-    def column(subcarrier: int) -> int:
-        """Column index of a subcarrier in [-32, 32)."""
-        return subcarrier + 32
 
 
 def make_rng(seed, *spawn_key) -> np.random.Generator:

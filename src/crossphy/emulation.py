@@ -59,6 +59,7 @@ from .wifi import (
     DATA_SUBCARRIERS,
     SYMBOL_LEN,
     Constellation,
+    columns,
     constellation,
 )
 
@@ -92,7 +93,7 @@ class EmulationModel:
                               f"repeat a subcarrier")
         self.target_subcarriers = tuple(sorted(target_subcarriers))
         m = len(self.target_subcarriers)
-        cols = [sc % N_FFT for sc in self.target_subcarriers]  # plain DFT order
+        cols = columns(self.target_subcarriers)
 
         self.cp_remove = cp_remove_layer()
         self.dft = dft_layer()

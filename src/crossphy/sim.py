@@ -41,6 +41,7 @@ from .wifi import (
     SUBCARRIER_SPACING_HZ,
     SYMBOL_LEN,
     McsConfig,
+    columns,
     mcs_config,
     ofdm_analyze,
     transmit_psdu,
@@ -298,7 +299,7 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     # quantizer actually solved: per-symbol max-abs normalized target,
     # against the reconstruction from the actually transmitted grid
     intended_pts = mcs.constellation.points[index_grid]
-    achieved_pts = ofdm_analyze(tx).bins[:, [sc + 32 for sc in subs]]
+    achieved_pts = ofdm_analyze(tx)[:, columns(subs)]
     emulated = model.synthesize(achieved_pts)
     nmse_body = nmse_excluding_cp(emulated, u)
     phase_mse_body = phase_mse_excluding_cp(emulated, u)

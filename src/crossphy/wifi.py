@@ -8,7 +8,9 @@ receiver that treats everything but the emulated span as noise, and keeping
 the payload-to-coded-bits map purely affine is what lets the GF(2) solver
 invert it.
 
-Bit order follows the standard: octets are serialized LSB first.
+Bit order follows the standard: octets are serialized LSB first.  Bin order
+is plain DFT order everywhere: a 64-bin array holds subcarrier m in
+[-32, 32) at column ``columns(m)``, ``m % 64``, the index the IDFT reads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dsp import DFT_BASIS, IDFT_BASIS, N_FFT, ComplexSignal, FreqGrid
+from .dsp import DFT_BASIS, IDFT_BASIS, N_FFT, ComplexSignal
 from .errors import ConfigError, DimensionError, DomainError
 
 SAMPLE_RATE_HZ = 20e6
@@ -285,36 +287,40 @@ def pilot_values(n_symbols: int) -> np.ndarray:
     return pol[:, None] * np.array(PILOT_TEMPLATE)
 
 
-def assemble_grid(data_symbols: np.ndarray) -> FreqGrid:
+def columns(subcarriers) -> np.ndarray:
+    """Column of each subcarrier in a 64-bin array: ``subcarriers % 64``."""
+    return np.asarray(subcarriers, dtype=np.intp) % N_FFT
+
+
+def assemble_grid(data_symbols: np.ndarray) -> np.ndarray:
     """Place (S, 48) data symbols on the data bins, insert pilots, zero the
-    rest.  Returns the shifted-order frequency grid (DC at column 32)."""
+    rest: the (S, 64) bins."""
     data_symbols = np.asarray(data_symbols, dtype=np.complex128)
     if data_symbols.ndim != 2 or data_symbols.shape[1] != N_DATA_SUBCARRIERS:
         raise DimensionError(f"expected (S, {N_DATA_SUBCARRIERS}) symbols, got {data_symbols.shape}")
     n_sym = data_symbols.shape[0]
     bins = np.zeros((n_sym, N_FFT), dtype=np.complex128)
-    data_cols = np.array([FreqGrid.column(m) for m in DATA_SUBCARRIERS])
-    bins[:, data_cols] = data_symbols
-    pilot_cols = np.array([FreqGrid.column(m) for m in PILOT_SUBCARRIERS])
-    bins[:, pilot_cols] = pilot_values(n_sym)
-    return FreqGrid(bins)
+    bins[:, columns(DATA_SUBCARRIERS)] = data_symbols
+    bins[:, columns(PILOT_SUBCARRIERS)] = pilot_values(n_sym)
+    return bins
 
 
-def synthesize(grid: FreqGrid) -> ComplexSignal:
-    """IDFT each symbol's bins and prepend the 16-sample cyclic prefix."""
-    plain = np.fft.ifftshift(grid.bins, axes=1)  # column k-32 -> DFT index
-    body = plain @ IDFT_BASIS.T
+def synthesize(grid) -> ComplexSignal:
+    """IDFT each symbol's (S, 64) bins and prepend the 16-sample cyclic prefix."""
+    grid = np.asarray(grid, dtype=np.complex128)
+    if grid.ndim != 2 or grid.shape[1] != N_FFT:
+        raise DimensionError(f"bins must have shape (S, {N_FFT}), got {grid.shape}")
+    body = grid @ IDFT_BASIS.T
     sym = np.concatenate([body[:, -CP_LEN:], body], axis=1)
     return ComplexSignal(sym.reshape(-1), SAMPLE_RATE_HZ)
 
 
-def ofdm_analyze(sig: ComplexSignal) -> FreqGrid:
-    """Strip cyclic prefixes and DFT each 64-sample body (shifted order)."""
+def ofdm_analyze(sig: ComplexSignal) -> np.ndarray:
+    """Strip cyclic prefixes and DFT each 64-sample body: the (S, 64) bins."""
     if len(sig.samples) % SYMBOL_LEN != 0:
         raise DimensionError(f"signal length {len(sig.samples)} not a multiple of {SYMBOL_LEN}")
     body = sig.samples.reshape(-1, SYMBOL_LEN)[:, CP_LEN:]
-    plain = body @ DFT_BASIS.T
-    return FreqGrid(np.fft.fftshift(plain, axes=1))
+    return body @ DFT_BASIS.T
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +357,19 @@ def coding_chain(payload_bits, mcs: McsConfig, scrambler_seed: int) -> np.ndarra
     return out.reshape(-1)
 
 
-def transmit_psdu(
-    psdu: bytes,
-    mcs: McsConfig,
-    scrambler_seed: int = DEFAULT_SCRAMBLER_SEED,
-    return_grid: bool = False,
-):
-    """Standard data-field transmit: coded bits onto 48 data bins, pilots,
-    IDFT, cyclic prefix.  PSDU bits are zero-padded to fill whole OFDM
-    symbols."""
+def psdu_grid(psdu: bytes, mcs: McsConfig,
+              scrambler_seed: int = DEFAULT_SCRAMBLER_SEED) -> np.ndarray:
+    """The (S, 64) bins of the data field: coded bits onto the 48 data bins,
+    and pilots.  PSDU bits are zero-padded to fill whole OFDM symbols."""
     bits = psdu_to_bits(psdu)
     pad = (-len(bits)) % mcs.n_dbps
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
     coded = coding_chain(bits, mcs, scrambler_seed)
-    symbols = mcs.constellation.map_bits(coded).reshape(-1, N_DATA_SUBCARRIERS)
-    grid = assemble_grid(symbols)
-    sig = synthesize(grid)
-    if return_grid:
-        return sig, grid
-    return sig
+    return assemble_grid(mcs.constellation.map_bits(coded).reshape(-1, N_DATA_SUBCARRIERS))
+
+
+def transmit_psdu(psdu: bytes, mcs: McsConfig,
+                  scrambler_seed: int = DEFAULT_SCRAMBLER_SEED) -> ComplexSignal:
+    """Standard data-field transmit: ``synthesize(psdu_grid(...))``."""
+    return synthesize(psdu_grid(psdu, mcs, scrambler_seed))

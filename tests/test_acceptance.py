@@ -89,10 +89,10 @@ def test_03_gradient_correctness():
             "idft": db.idft_layer(),
             "cp_add": db.cp_add_layer(),
             "cp_remove": db.cp_remove_layer(),
-            "bin_select": db.bin_select_layer([sc % 64 for sc in subs]),
+            "bin_select": db.bin_select_layer(wifi.columns(subs)),
             "complex_scale": db.ComplexScale(7),
             "soft_quantize": db.SoftQuantize(const, 7, tau=1.0),
-            "grid_assemble": db.GridAssemble([sc % 64 for sc in subs]),
+            "grid_assemble": db.GridAssemble(wifi.columns(subs)),
         }
         for name, blk in blocks.items():
             err = db.grad_check(blk, rng)

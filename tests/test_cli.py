@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -407,6 +408,27 @@ class TestConfigValidation:
         rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)
         assert rc == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1e400", "4,1e400", "-1e400", "infinity"])
+    def test_snr_flag_that_overflows_is_config_error(self, capsys, text):
+        # float() reads 1e400 as +inf, the noiseless sentinel, which only its
+        # own spellings select
+        rc = run_cli(["evaluate", "--payload-hex", "0011", "--quantizer-mode", "webee",
+                      f"--snr-db={text}"])
+        assert rc == cli.EXIT_CONFIG
+        assert "snr_db" in capsys.readouterr().err
+
+    def test_snr_in_config_file_that_overflows_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"snr_db": [1e400]}')  # json reads 1e400 as +inf
+        rc = run_cli(["evaluate", "--config", str(path), "--payload-hex", "0011",
+                      "--quantizer-mode", "webee"])
+        assert rc == cli.EXIT_CONFIG
+        assert "snr_db" in capsys.readouterr().err
+
+    def test_noiseless_spellings_accepted(self):
+        cfg = cli.experiment_config({"snr_db": ["inf", "+inf", "noiseless", "INF", 4]})
+        assert cfg.snr_db == (math.inf,) * 4 + (4.0,)
 
     def test_range_limits_accepted(self):
         cfg = cli.experiment_config({"seed": 0, "snr_db": [-1000, 1000, "inf"],

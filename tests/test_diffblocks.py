@@ -3,7 +3,7 @@ import pytest
 
 from crossphy import diffblocks as db
 from crossphy import dsp
-from crossphy.wifi import constellation, pilot_polarity_sequence
+from crossphy.wifi import columns, constellation, pilot_polarity_sequence
 
 MODULATIONS = ("bpsk", "qpsk", "qam16", "qam64")
 
@@ -249,10 +249,10 @@ class TestGridAssemble:
             grid = db.unstack_complex(out)
             for s in range(4):
                 pol = pols[s % 127]
-                assert grid[s, (-21) % 64] == pol
-                assert grid[s, (-7) % 64] == pol
-                assert grid[s, 7] == pol
-                assert grid[s, 21] == -pol
+                assert grid[s, columns(-21)] == pol
+                assert grid[s, columns(-7)] == pol
+                assert grid[s, columns(7)] == pol
+                assert grid[s, columns(21)] == -pol
 
     def test_pilots_follow_row_count_and_wrap_every_127_symbols(self):
         # each call takes the pilots of its own row count, and symbols 127 on
@@ -263,8 +263,8 @@ class TestGridAssemble:
             grid = db.unstack_complex(blk.forward(np.zeros((n, 2))))
             for s in range(n):
                 pol = pols[s % 127]
-                assert grid[s, (-21) % 64] == pol
-                assert grid[s, 21] == -pol
+                assert grid[s, columns(-21)] == pol
+                assert grid[s, columns(21)] == -pol
         wrapped = db.unstack_complex(blk.forward(np.zeros((130, 2))))
         assert np.array_equal(wrapped[127:], wrapped[:3])
 
@@ -275,7 +275,7 @@ class TestGridAssemble:
     def test_nontarget_data_bins_zero(self):
         blk = db.GridAssemble([50])
         out = db.unstack_complex(blk.forward(np.ones((1, 2))))
-        pilot_cols = {(-21) % 64, (-7) % 64, 7, 21}
+        pilot_cols = set(columns([-21, -7, 7, 21]).tolist())
         for col in range(64):
             if col == 50 or col in pilot_cols:
                 continue

@@ -7,7 +7,7 @@ import pytest
 from crossphy import diffblocks as db
 from crossphy import dsp, emulation as em, sim, zigbee
 from crossphy.errors import ConfigError, DimensionError
-from crossphy.wifi import constellation, pilot_polarity_sequence
+from crossphy.wifi import columns, constellation, pilot_polarity_sequence
 from test_diffblocks import SoftQuantize64, held_rows
 
 SUBS = (-14, -13, -12, -11, -10, -9, -8)
@@ -80,8 +80,8 @@ class TestBuild:
         grid = db.unstack_complex(h)
         pols = pilot_polarity_sequence()
         for s in range(2):
-            assert grid[s, (-21) % 64] == pols[s % 127]
-            assert grid[s, 21] == -pols[s % 127]
+            assert grid[s, columns(-21)] == pols[s % 127]
+            assert grid[s, columns(21)] == -pols[s % 127]
 
     def test_infer_shape_and_range(self):
         model = em.EmulationModel("qam64", SUBS, "analog")
@@ -329,9 +329,10 @@ class TestTraining:
 
     @pytest.mark.parametrize("mode", ["analog", "digital"])
     def test_epochs_allocate_no_waveform(self, mode):
-        # train's workspace holds every waveform-sized array of an epoch, so
-        # an epoch after the first allocates little beyond the quantizer's
-        # (L, S, m) weights; one soft waveform is S*80 complex128
+        # the analog fit synthesizes no waveform and the digital fit writes
+        # into buffers allocated once, so an epoch after the first allocates
+        # little beyond the quantizer's (L, S, m) weights; one soft waveform
+        # is S*80 complex128
         cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 16), emulation_mode=mode,
                                    epochs=12)
         model = em.EmulationModel(cfg.modulation, SUBS, mode)

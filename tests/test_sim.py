@@ -71,16 +71,13 @@ class TestBaselineQuantize:
     def test_webee_is_fixed_point_on_scaled_constellation(self):
         # bins already at (scaled) constellation points map back to the same
         # points: synthesize a waveform whose target bins are 0.4 * points
-        from crossphy.dsp import FreqGrid
-
         const = self.mcs.constellation
         rng = dsp.make_rng(0)
         idx = rng.integers(0, 64, (4, len(self.subs)))
         pts = const.points[idx]
         grid = np.zeros((4, 64), dtype=complex)
-        cols = [m + 32 for m in self.subs]
-        grid[:, cols] = 0.4 * pts
-        sig = wifi.synthesize(FreqGrid(grid))
+        grid[:, wifi.columns(self.subs)] = 0.4 * pts
+        sig = wifi.synthesize(grid)
         got = webee(sig, self.subs)
         peak = np.max(np.abs(pts), axis=1, keepdims=True)
         expect = const.nearest(pts / peak)

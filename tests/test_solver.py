@@ -93,15 +93,14 @@ class TestSolvePayload:
         rng = make_rng(4)
         n_sym = 6
         psdu = bytes(rng.integers(0, 256, 18 * n_sym).tolist())
-        _, grid = wifi.transmit_psdu(psdu, mcs, SEED, return_grid=True)
-        cols = [m + 32 for m in SUBS]
-        intended = mcs.constellation.nearest(grid.bins[:, cols])
+        cols = wifi.columns(SUBS)
+        sent = wifi.psdu_grid(psdu, mcs, SEED)[:, cols]
+        intended = mcs.constellation.nearest(sent)
         rep = solver.solve_payload(intended, mcs, SEED, SUBS)
         assert not rep.violated_positions
         assert not rep.perturbed_subcarriers
         # the derived PSDU reproduces the same target-bin points
-        _, grid2 = wifi.transmit_psdu(rep.psdu, mcs, SEED, return_grid=True)
-        assert np.allclose(grid2.bins[:, cols], grid.bins[:, cols])
+        assert np.allclose(wifi.psdu_grid(rep.psdu, mcs, SEED)[:, cols], sent)
 
     def test_random_grid_report_is_self_consistent(self):
         mcs = wifi.mcs_config("qam64", "1/2")

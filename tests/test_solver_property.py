@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from crossphy import solver, wifi  # noqa: E402
-from crossphy.dsp import FreqGrid, make_rng  # noqa: E402
+from crossphy.dsp import make_rng  # noqa: E402
 
 SEED = wifi.DEFAULT_SCRAMBLER_SEED
 _MCS = st.builds(wifi.mcs_config, st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"]),
@@ -46,9 +46,8 @@ def test_a_transmitted_grid_solves_with_no_violation(data, mcs, subs, scrambler_
     n_sym = _symbols(data.draw, mcs)
     psdu = data.draw(st.binary(min_size=n_sym * mcs.n_dbps // 8,
                                max_size=n_sym * mcs.n_dbps // 8))
-    _, sent = wifi.transmit_psdu(psdu, mcs, scrambler_seed, return_grid=True)
-    cols = [FreqGrid.column(sc) for sc in subs]
-    grid = mcs.constellation.nearest(sent.bins[:, cols])
+    sent = wifi.psdu_grid(psdu, mcs, scrambler_seed)
+    grid = mcs.constellation.nearest(sent[:, wifi.columns(subs)])
     rep = solver.solve_payload(grid, mcs, scrambler_seed, subs)
     assert not rep.violated_positions
     assert not rep.perturbed_subcarriers

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossphy import dsp, wifi
+from crossphy.emulation import EmulationModel
 from crossphy.errors import ConfigError, DimensionError, DomainError
 
 MODULATIONS = ("bpsk", "qpsk", "qam16", "qam64")
@@ -220,10 +221,8 @@ class TestTransmit:
         mcs = wifi.mcs_config("qam64", "1/2")
         rng = dsp.make_rng(5)
         psdu = bytes(rng.integers(0, 256, 36).tolist())
-        sig, grid = wifi.transmit_psdu(psdu, mcs, return_grid=True)
-        analyzed = wifi.ofdm_analyze(sig)
-        cols = [m + 32 for m in wifi.DATA_SUBCARRIERS]
-        data = analyzed.bins[:, cols].reshape(-1)
+        analyzed = wifi.ofdm_analyze(wifi.transmit_psdu(psdu, mcs))
+        data = analyzed[:, wifi.columns(wifi.DATA_SUBCARRIERS)].reshape(-1)
         c = mcs.constellation
         bits = np.array(c.labels())[c.nearest(data)].reshape(-1)
         expected = wifi.coding_chain(wifi.psdu_to_bits(psdu), mcs, wifi.DEFAULT_SCRAMBLER_SEED)
@@ -232,26 +231,25 @@ class TestTransmit:
     def test_pilot_values_follow_polarity_sequence(self):
         mcs = wifi.mcs_config("qpsk", "1/2")
         psdu = bytes(6 * 130)  # 130 symbols, wraps the 127-long sequence
-        _, grid = wifi.transmit_psdu(psdu, mcs, return_grid=True)
+        grid = wifi.psdu_grid(psdu, mcs)
         seq = 1.0 - 2.0 * lfsr_oracle(127, 0b1111111)  # transcription oracle
-        pilots = grid.bins[:, [32 - 21, 32 - 7, 32 + 7, 32 + 21]]
-        for n in range(grid.n_symbols):
+        pilots = grid[:, wifi.columns([-21, -7, 7, 21])]
+        for n in range(len(grid)):
             pol = seq[n % 127]
             assert np.allclose(pilots[n], pol * np.array([1, 1, 1, -1]))
 
     def test_null_bins_zero(self):
         mcs = wifi.mcs_config("qam64", "1/2")
-        _, grid = wifi.transmit_psdu(bytes(18), mcs, return_grid=True)
-        null_cols = [0, 1, 2, 3, 4, 5, 32, 59, 60, 61, 62, 63]
-        assert np.max(np.abs(grid.bins[:, null_cols])) == 0.0
+        grid = wifi.psdu_grid(bytes(18), mcs)
+        nulls = [*range(-32, -26), 0, *range(27, 32)]
+        assert np.max(np.abs(grid[:, wifi.columns(nulls)])) == 0.0
 
     def test_mean_data_power_near_one(self):
         mcs = wifi.mcs_config("qam64", "1/2")
         rng = dsp.make_rng(6)
         psdu = bytes(rng.integers(0, 256, 18 * 40).tolist())
-        _, grid = wifi.transmit_psdu(psdu, mcs, return_grid=True)
-        cols = [m + 32 for m in wifi.DATA_SUBCARRIERS]
-        power = np.mean(np.abs(grid.bins[:, cols]) ** 2)
+        grid = wifi.psdu_grid(psdu, mcs)
+        power = np.mean(np.abs(grid[:, wifi.columns(wifi.DATA_SUBCARRIERS)]) ** 2)
         assert abs(power - 1.0) < 0.02
 
     def test_coding_chain_is_affine_gf2(self):
@@ -281,3 +279,47 @@ class TestTransmit:
         # a config echoes the name it was given, so only the one spelling runs
         with pytest.raises(ConfigError, match="QAM64"):
             wifi.constellation("QAM64")
+
+
+class TestOneBinOrder:
+    """The transmitter, the receiver's analysis and the emulation model put
+    every subcarrier in the same column."""
+
+    @pytest.mark.parametrize("modulation,rate,subs", [
+        ("qam64", "1/2", (-14, -13, -12, -11, -10, -9, -8)),
+        ("qam16", "3/4", (-26, -1, 1, 26)),
+        ("qpsk", "1/2", (8, 9, 10, 11, 12)),
+        ("bpsk", "1/2", wifi.DATA_SUBCARRIERS),
+    ])
+    def test_transmitter_and_emulation_model_agree(self, modulation, rate, subs):
+        mcs = wifi.mcs_config(modulation, rate)
+        rng = dsp.make_rng(7)
+        n_sym = 4
+        points = mcs.constellation.points[rng.integers(0, mcs.constellation.size,
+                                                       (n_sym, len(subs)))]
+        grid = np.zeros((n_sym, 64), dtype=complex)
+        grid[:, wifi.columns(subs)] = points
+        grid[:, wifi.columns(wifi.PILOT_SUBCARRIERS)] = wifi.pilot_values(n_sym)
+        want = wifi.synthesize(grid).samples
+        got = EmulationModel(modulation, subs, "analog").synthesize(points)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+        # the transmitter's coded points and pilots sit in the model's columns
+        psdu = bytes(rng.integers(0, 256, n_sym * mcs.n_dbps // 8).tolist())
+        sent = wifi.psdu_grid(psdu, mcs, 0b1010101)
+        coded = wifi.coding_chain(wifi.psdu_to_bits(psdu), mcs, 0b1010101)
+        symbols = mcs.constellation.map_bits(coded).reshape(n_sym, -1)
+        slots = [wifi.DATA_SUBCARRIERS.index(m) for m in subs]
+        assert np.array_equal(sent[:, wifi.columns(subs)], symbols[:, slots])
+        assert np.array_equal(sent[:, wifi.columns(wifi.PILOT_SUBCARRIERS)],
+                              wifi.pilot_values(n_sym))
+        tx = wifi.transmit_psdu(psdu, mcs, 0b1010101)
+        assert np.array_equal(tx.samples, wifi.synthesize(sent).samples)
+
+        noise = rng.standard_normal((n_sym, 64)) + 1j * rng.standard_normal((n_sym, 64))
+        for g in (grid, sent, noise):
+            assert np.max(np.abs(wifi.ofdm_analyze(wifi.synthesize(g)) - g)) < 1e-13
+
+    def test_columns_are_dft_indices(self):
+        assert wifi.columns([-32, -21, -1, 0, 1, 21, 31]).tolist() == [32, 43, 63, 0, 1, 21, 31]
+        assert wifi.columns(-7) == 57
