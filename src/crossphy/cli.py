@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -287,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crossphy",
         description="WiFi-to-ZigBee cross-technology waveform emulation toolkit",
     )
+    # a token such as -3.125e6 or -4,8 is a flag's value, not an option
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("command", choices=sorted(_COMMANDS), help="subcommand to run")
     p.add_argument("--config", help="JSON config file")
     # values stay strings here: main converts them, so that a bad value is a

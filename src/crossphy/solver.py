@@ -148,9 +148,10 @@ def solve_payload(
     lead, band = coded_bit_rows(midx, mcs)
 
     if bin_energy is not None:
-        prio = np.zeros(n_coded)
-        prio[pos.reshape(-1)] = np.repeat(np.asarray(bin_energy, dtype=np.float64).reshape(-1), b)
-        order = np.argsort(-prio[midx], kind="stable")
+        # sort the bins in midx order, where each bin's b rows sit together
+        bins = np.argsort(pos[..., 0].reshape(-1))
+        energy = np.asarray(bin_energy, dtype=np.float64).reshape(-1)[bins]
+        order = (np.argsort(-energy, kind="stable")[:, None] * b + np.arange(b)).reshape(-1)
     else:
         order = None
 

@@ -441,6 +441,27 @@ class TestConfigValidation:
                       "--target-subcarrier-count", "48", "--metrics-out", str(out)])
         assert rc == cli.EXIT_OK
 
+    @pytest.mark.parametrize("command,flag,text,key,value", [
+        ("solve-payload", "--delta-f-hz", "-3.125e6", "delta_f_hz", -3.125e6),
+        ("evaluate", "--snr-db", "-1e3", "snr_db", [-1000.0]),
+        ("evaluate", "--snr-db", "-4,8", "snr_db", [-4.0, 8.0]),
+    ])
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_negative_values_in_exponent_form_are_values(self, tmp_path, command, flag,
+                                                          text, key, value, joined):
+        # argparse's own pattern reads -3.125e6 as an option, not as a number
+        out = tmp_path / "m.json"
+        flags = [f"{flag}={text}"] if joined else [flag, text]
+        rc = run_cli([command, "--payload-hex", "0011", "--quantizer-mode", "webee",
+                      "--trials", "1", "--metrics-out", str(out)] + flags)
+        assert rc == cli.EXIT_OK
+        assert json.loads(out.read_text())["deterministic"]["config"][key] == value
+
+    def test_unknown_flag_is_usage_error(self, capsys):
+        rc = run_cli(["solve-payload", "--quantizer-mode", "webee", "--offset-hz", "-3e6"])
+        assert rc == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 # one value per config key, away from its default
 _SAMPLE_VALUES = {
@@ -504,3 +525,21 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_import_adds_only_numpy():
+    """Importing crossphy in a fresh interpreter loads no third-party module
+    but numpy: set-up does no other work."""
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import crossphy
+        added = {m.partition(".")[0] for m in set(sys.modules) - before}
+        print(",".join(sorted(added - set(sys.stdlib_module_names))))
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    added = set(out.stdout.strip().split(","))
+    assert "crossphy" in added and added <= {"crossphy", "numpy"}, added

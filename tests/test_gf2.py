@@ -3,7 +3,7 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from crossphy import gf2
+from crossphy import gf2, solver, wifi
 from crossphy.dsp import make_rng
 from gf2_oracle import dense_to_bands, eliminate_per_bit
 
@@ -93,6 +93,21 @@ class TestEliminate:
         second = gf2.eliminate(*dense_to_bands(dense), y, 2, order=np.array([1, 0]))
         assert second.violated == [0] and second.x[0] == 0
 
+    def test_a_column_goes_to_the_first_row_to_reach_it(self):
+        # rows 11, 01 and 01 over two columns: a column's pivot is the first
+        # row, in priority order, to reach it, by its own lead or after a
+        # reduction.  In given order row 0 takes column 0 and row 1 reaches
+        # column 1 only after a reduction, which leaves row 2 nothing but
+        # 0 = 1; with row 2 first it takes column 1 by its lead, and row 1 is
+        # the conflict
+        lead, mask, rhs = [0, 0, 1], [0b11, 0b1, 0b1], [0, 1, 0]
+        for order, violated, pivot_cols, x in [(None, [2], [0, 1], [1, 1]),
+                                               ([2, 0, 1], [1], [1, 0], [0, 0])]:
+            got = gf2.eliminate(lead, mask, rhs, 2, order=order)
+            ref = eliminate_per_bit(lead, mask, rhs, 2, order=order)
+            assert (got.violated, got.pivot_cols, got.x.tolist()) == (violated, pivot_cols, x)
+            assert (ref.violated, ref.pivot_cols, ref.x.tolist()) == (violated, pivot_cols, x)
+
     def test_dense_and_banded_rows_agree(self):
         # the dense oracle rows, through dense_to_bands, solve as the same
         # system stated as bands directly
@@ -174,3 +189,32 @@ def test_sliding_window_equals_the_per_bit_back_substitution(system):
     free = np.ones(n_cols, dtype=bool)
     free[got.pivot_cols] = False
     assert not got.x[free].any()
+
+
+@st.composite
+def encoder_band_systems(draw):
+    """The encoder's own bands: rows of ``solver.coded_bit_rows`` at a random
+    set of coded positions, up to all of them (twice the columns at rate
+    1/2), with a random right-hand side and insertion order.  Dense sets of
+    these 7-column bands are where reduction walks run long."""
+    mcs = wifi.mcs_config(draw(st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"])),
+                          draw(st.sampled_from(["1/2", "3/4"])))
+    n_symbols = draw(st.integers(1, 4))
+    n_coded = n_symbols * mcs.n_cbps
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    positions = sorted(rng.sample(range(n_coded), draw(st.integers(0, n_coded))))
+    lead, mask = solver.coded_bit_rows(positions, mcs)
+    rhs = np.array([rng.getrandbits(1) for _ in positions], dtype=np.uint8)
+    order = draw(st.none() | st.permutations(range(len(positions))))
+    return lead, mask, rhs, n_symbols * mcs.n_dbps, order
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(system=encoder_band_systems())
+def test_encoder_bands_eliminate_as_the_per_bit_oracle(system):
+    lead, mask, rhs, n_cols, order = system
+    got = gf2.eliminate(lead, mask, rhs, n_cols, order=order)
+    ref = eliminate_per_bit(lead, mask, rhs, n_cols, order=order)
+    assert np.array_equal(got.x, ref.x) and got.x.dtype == ref.x.dtype
+    assert (got.rank, got.violated, got.satisfied, got.pivot_cols, got.max_span) == (
+        ref.rank, ref.violated, ref.satisfied, ref.pivot_cols, ref.max_span)
