@@ -7,7 +7,7 @@ Run:  python demos/04_differentiable_blocks.py
 import numpy as np
 
 from crossphy import diffblocks as db
-from crossphy import dsp, emulation as em
+from crossphy import dsp
 from crossphy.wifi import constellation
 
 rng = dsp.make_rng(5)
@@ -44,7 +44,9 @@ print(f"  hard decision: point index {hard_idx} = {const.points[hard_idx]:.3f}")
 print("As tau -> 0 the float one-hot collapses onto the nearest standard point.")
 
 print("\n== quantizer-bypassed autoencoder isolates the CP error ==")
-stack = em.build_passthrough_autoencoder()
+# no quantizer and all 64 bins kept: only the cyclic prefix is lost
+stack = db.Sequential([db.cp_remove_layer(), db.dft_layer(), db.idft_layer(),
+                       db.cp_add_layer()])
 x = rng.standard_normal(400) + 1j * rng.standard_normal(400)
 out = db.unstack_complex(stack.forward(db.stack_complex(x.reshape(-1, 80)))).reshape(-1)
 ib, ob = x.reshape(-1, 80), out.reshape(-1, 80)

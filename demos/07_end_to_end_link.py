@@ -33,8 +33,6 @@ plans = {"trained/digital": plan}
 for mode, emu in (("trained", "analog"), ("webee", "analog"), ("wide", "analog")):
     c = dataclasses.replace(cfg, quantizer_mode=mode, emulation_mode=emu)
     plans[f"{mode}/{emu}"] = sim.plan_frame(c)
-c = dataclasses.replace(cfg, quantizer_mode="nn-webee")
-plans["nn-webee"] = sim.plan_frame(c, model=plan.model)
 
 header = f"{'quantizer':18s}" + "".join(f"  snr {s:>4} dB" for s in (12, 8, 4, 0))
 print(header + "   (PRR)")

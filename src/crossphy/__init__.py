@@ -9,14 +9,11 @@ chain, a software O-QPSK/DSSS modem, and an end-to-end simulation harness.
 from . import diffblocks, dsp, emulation, gf2, iqfile, sim, solver, wifi, zigbee
 from .dsp import (
     ComplexSignal,
-    SignalMetrics,
     awgn,
     dft,
     frequency_shift,
     idft,
     make_rng,
-    signal_metrics,
-    wrap_phase,
 )
 from .errors import ConfigError, CrossPhyError, DimensionError, DomainError
 from .iqfile import read_cf32, write_cf32
@@ -25,14 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexSignal",
-    "SignalMetrics",
     "awgn",
     "dft",
     "frequency_shift",
     "idft",
     "make_rng",
-    "signal_metrics",
-    "wrap_phase",
     "ConfigError",
     "CrossPhyError",
     "DimensionError",

@@ -137,9 +137,9 @@ def _emit(doc: dict, path: str | None) -> None:
 
 
 def _model(cfg: sim.ExperimentConfig, doc: dict) -> EmulationModel | None:
-    """The model in model_file for the modes that quantize with one; None
-    otherwise, and plan_frame then trains one where the mode needs it."""
-    if doc.get("model_file") and cfg.quantizer_mode in sim.MODEL_MODES:
+    """The model in model_file for the ``trained`` mode; None otherwise, and
+    a ``trained`` plan then trains one."""
+    if doc.get("model_file") and cfg.quantizer_mode == "trained":
         return load_model(doc["model_file"])
     return None
 
@@ -284,12 +284,14 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag answers to its whole name only, as a config key does
     p = argparse.ArgumentParser(
         prog="crossphy",
         description="WiFi-to-ZigBee cross-technology waveform emulation toolkit",
+        allow_abbrev=False,
     )
-    # a token such as -3.125e6 or -4,8 is a flag's value, not an option
-    p._negative_number_matcher = re.compile(r"-\.?\d")
+    # a token such as -3.125e6, -4,8 or -inf is a flag's value, not an option
+    p._negative_number_matcher = re.compile(r"-(\.?\d|(?i:inf|nan))")
     p.add_argument("command", choices=sorted(_COMMANDS), help="subcommand to run")
     p.add_argument("--config", help="JSON config file")
     # values stay strings here: main converts them, so that a bad value is a

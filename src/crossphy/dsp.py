@@ -1,5 +1,4 @@
-"""Reference DSP primitives: 64-point DFT/IDFT, frequency shift, AWGN,
-and signal-distance metrics.
+"""Reference DSP primitives: 64-point DFT/IDFT, frequency shift and AWGN.
 
 Everything here is a plain realization of the defining formulas; the
 trainable emulation layers are validated against this module.  ``dft`` and
@@ -151,40 +150,3 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
     np.multiply(draws[1], scale, out=noisy.imag)
     noisy += sig.samples
     return ComplexSignal(noisy, sig.sample_rate_hz)
-
-
-def wrap_phase(x) -> np.ndarray:
-    """Wrap angles into the principal interval (-pi, pi]."""
-    return np.angle(np.exp(1j * np.asarray(x, dtype=np.float64)))
-
-
-@dataclass(frozen=True)
-class SignalMetrics:
-    time_mse: float
-    nmse: float
-    phase_mse: float
-
-    def as_dict(self) -> dict:
-        return {"time_mse": self.time_mse, "nmse": self.nmse, "phase_mse": self.phase_mse}
-
-
-def signal_metrics(u: ComplexSignal, v: ComplexSignal) -> SignalMetrics:
-    """Distance metrics between two equal-length, non-empty signals.
-
-    time_mse  : (1/N) sum |u-v|^2
-    nmse      : sum |u-v|^2 / sum |u|^2
-    phase_mse : (1/N) sum wrap(angle(u) - angle(v))^2, principal value taken
-                from angle(u * conj(v)) so no unwrapping ambiguity arises.
-    """
-    a, b = u.samples, v.samples
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    if not len(a):
-        raise DimensionError("signal_metrics needs non-empty signals")
-    diff2 = np.abs(a - b) ** 2
-    time_mse = float(np.mean(diff2))
-    denom = float(np.sum(np.abs(a) ** 2))
-    nmse = float(np.sum(diff2) / denom) if denom > 0 else math.inf
-    dphi = np.angle(a * np.conj(b))
-    phase_mse = float(np.mean(dphi**2))
-    return SignalMetrics(time_mse=time_mse, nmse=nmse, phase_mse=phase_mse)

@@ -20,15 +20,16 @@ quantizer, forward and backward, and the objective of their points: in
 closed form in analog mode, through that product in digital mode.  The
 quantizer's forward also yields the epoch's hard decisions, and the hard
 grid is re-scored only in epochs whose decisions differ from the previous
-epoch's.  ``sim`` is the one caller.
+epoch's.  ``sim`` is the one caller.  ``tests/emulation_oracle.py`` holds
+the objectives and metrics in waveform form, the specification the fits
+are checked against.
 
 Inference is the one quantization rule every mode but ``wide`` shares:
 ``normalize`` divides each OFDM symbol by the largest magnitude of its
 target bins (``symbol_peaks``) and ``decide`` scales the normalized bins and
 takes the nearest constellation point (``Constellation.nearest``).  With
 unit scales that is the ``webee`` rule; with trained scales it is the best
-epoch's decisions, so a ``trained`` or ``nn-webee`` plan is ``decide`` of a
-trained model.
+epoch's decisions, so a ``trained`` plan is ``decide`` of a trained model.
 """
 
 from __future__ import annotations
@@ -189,46 +190,12 @@ def kept_symbols(bins) -> np.ndarray:
     return symbol_peaks(bins) == np.max(np.abs(bins), axis=1)
 
 
-def build_passthrough_autoencoder() -> Sequential:
-    """Validation stack: CP-remove, DFT, IDFT, CP-add with no quantizer and
-    all 64 bins kept.  Isolates the cyclic-prefix contribution: the body of
-    every 80-sample block is reproduced exactly and each prefix region maps
-    to the block's tail."""
-    return Sequential([cp_remove_layer(), dft_layer(), idft_layer(), cp_add_layer()])
-
-
 # ---------------------------------------------------------------------------
-# losses
+# body metrics
 # ---------------------------------------------------------------------------
 
 # floor of |v|^2 in the denominator of the phase loss's gradient
 MAG2_FLOOR = 1e-12
-
-
-def loss_and_grad(output, target, mode: str):
-    """Loss plus its gradient with respect to the (complex) output.
-
-    analog: mean |u-v|^2 over samples; digital: mean wrapped-phase-diff^2.
-
-    The gradient is returned as a complex array whose real/imag parts are
-    the partials with respect to the output's real/imag parts.
-    """
-    u = np.asarray(target, dtype=np.complex128).reshape(-1)
-    v = np.asarray(output, dtype=np.complex128).reshape(-1)
-    if u.shape != v.shape:
-        raise DimensionError(f"length mismatch {u.shape} vs {v.shape}")
-    n = len(u)
-    if mode == "analog":
-        diff = v - u
-        return float(np.mean(np.abs(diff) ** 2)), (2.0 / n) * diff
-    if mode == "digital":
-        e = np.angle(np.multiply(v, np.conj(u)))  # one operand order at every length
-        mag2 = np.maximum(np.abs(v) ** 2, MAG2_FLOOR)
-        # d(angle v)/d(vr) = -vi/|v|^2, d/d(vi) = vr/|v|^2
-        gr = (2.0 / n) * e * (-v.imag / mag2)
-        gi = (2.0 / n) * e * (v.real / mag2)
-        return float(np.mean(e**2)), gr + 1j * gi
-    raise ConfigError(f"unknown loss mode {mode!r}")
 
 
 def body_mask(n_samples: int) -> np.ndarray:
@@ -250,51 +217,6 @@ def phase_mse_excluding_cp(output, target) -> float:
     v = np.asarray(output).reshape(-1)
     m = body_mask(len(u))
     return float(np.mean(np.angle(v[m] * np.conj(u[m])) ** 2))
-
-
-def gain_free_loss_and_grad(output, target):
-    """The waveform error left after the best complex gain on the output:
-    ``(|u|^2 - |c|^2/|v|^2)/n`` with ``c = <v,u> = sum v conj(u)``, and its
-    gradient ``-(2/n)(c u/|v|^2 - |c|^2 v/|v|^4)`` in the form of
-    ``loss_and_grad``.  The ZigBee receiver is amplitude-invariant, so this
-    is the error it sees; an absolute-scale MSE would also charge the
-    trainable scales for the gain of the fixed pilots."""
-    u = np.asarray(target, dtype=np.complex128).reshape(-1)
-    v = np.asarray(output, dtype=np.complex128).reshape(-1)
-    n = len(u)
-    c = np.vdot(u, v)
-    vv = np.vdot(v, v).real
-    cc = abs(c) ** 2
-    grad = (-2.0 / n) * (c / vv * u - cc / vv**2 * v)
-    return float((np.vdot(u, u).real - cc / vv) / n), grad
-
-
-def gain_free_error_excluding_cp(output, target) -> float:
-    """``1 - |<v,u>|^2/(|v|^2 |u|^2)`` over the body samples: the share of
-    the target's body energy that no complex gain on the output reaches."""
-    u = np.asarray(target).reshape(-1)
-    v = np.asarray(output).reshape(-1)
-    m = body_mask(len(u))
-    u, v = u[m], v[m]
-    return float(1.0 - abs(np.vdot(u, v)) ** 2 / (np.vdot(v, v).real * np.vdot(u, u).real))
-
-
-def fit_loss_and_grad(output, target, mode: str):
-    """The training objective and its gradient: ``gain_free_loss_and_grad``
-    in analog mode, the phase loss of ``loss_and_grad`` in digital mode.
-    ``train`` computes it at the points (``_GainFreeFit``, ``_PhaseFit``)."""
-    if mode == "analog":
-        return gain_free_loss_and_grad(output, target)
-    return loss_and_grad(output, target, mode)
-
-
-def selection_metric(output, target, mode: str) -> float:
-    """Hard-reconstruction quality used to pick the best training epoch:
-    the gain-free body error in analog mode, the body phase MSE in digital
-    mode.  ``train`` computes it at the points (``_GainFreeFit``, ``_PhaseFit``)."""
-    if mode == "analog":
-        return gain_free_error_excluding_cp(output, target)
-    return phase_mse_excluding_cp(output, target)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +254,15 @@ _BODY_COLUMNS = np.r_[CP_LEN:SYMBOL_LEN, SYMBOL_LEN + CP_LEN:2 * SYMBOL_LEN]
 
 
 class _GainFreeFit:
-    """``gain_free_loss_and_grad`` and ``gain_free_error_excluding_cp`` of
-    the waveform ``q @ a + pilots`` of stacked (S, 2m) points ``q``, in
-    closed form: ``c = <v,u> = sum(q B) + c0`` with ``B = conj(u) @ (a_re +
-    j a_im).T``, and ``|v|^2 = sum((q G + 2P) q) + |p|^2`` with ``G = a a.T``
-    and ``P = pilots a.T``.  Both forms (all samples for the objective, body
-    samples for the metric) are built once; no epoch synthesizes a waveform."""
+    """The analog objective and metric of the waveform ``q @ a + pilots`` of
+    stacked (S, 2m) points ``q``: the error left after the best complex gain
+    on the waveform, which is what an amplitude-invariant receiver sees
+    (``gain_free_loss_and_grad`` and ``gain_free_error_excluding_cp`` in
+    ``tests/emulation_oracle.py``).  In closed form: ``c = <v,u> = sum(q B)
+    + c0`` with ``B = conj(u) @ (a_re + j a_im).T``, and ``|v|^2 = sum((q G
+    + 2P) q) + |p|^2`` with ``G = a a.T`` and ``P = pilots a.T``.  Both
+    forms (all samples for the objective, body samples for the metric) are
+    built once; no epoch synthesizes a waveform."""
 
     def __init__(self, target, a, pilots):
         u = target.reshape(len(pilots), SYMBOL_LEN)
@@ -378,10 +303,12 @@ class _GainFreeFit:
 
 
 class _PhaseFit:
-    """``loss_and_grad`` (digital) and ``phase_mse_excluding_cp`` of the
-    waveform ``points @ a + pilots``: the same ufuncs on the same operands
-    in buffers allocated once, so every float is bit-identical to theirs.
-    The metric synthesizes only the body columns, the samples it reads."""
+    """The digital objective, the mean squared wrapped phase error and its
+    gradient (``loss_and_grad`` in ``tests/emulation_oracle.py``), and
+    ``phase_mse_excluding_cp`` of the waveform ``points @ a + pilots``: the
+    same ufuncs on the same operands in buffers allocated once, so every
+    float is bit-identical to theirs.  The metric synthesizes only the body
+    columns, the samples it reads."""
 
     def __init__(self, target, a, pilots):
         n_rows = len(pilots)
@@ -448,11 +375,11 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     ``(u, z)`` is ``model.normalize`` of the target: the normalized waveform
     and its raw (S, m) target bins.  ``cfg``, a ``sim.ExperimentConfig``,
     gives the schedule: ``epochs``, ``learning_rate`` and
-    ``tau_start``/``tau_decay``/``tau_floor``; the objective
-    (``fit_loss_and_grad``) and the hard-reconstruction metric
-    (``selection_metric``) follow ``model.mode``.  Analog mode fits only the
-    symbols that ``kept_symbols`` keeps: a floored symbol's normalized
-    samples would be the whole objective.  Epoch 0, with scales at 1+0j,
+    ``tau_start``/``tau_decay``/``tau_floor``; the objective and the
+    hard-reconstruction metric follow ``model.mode`` (``fit_loss_and_grad``
+    and ``selection_metric`` in ``tests/emulation_oracle.py``).  Analog
+    mode fits only the symbols that ``kept_symbols`` keeps: a floored
+    symbol's normalized samples would be the whole objective.  Epoch 0, with scales at 1+0j,
     scores the plain normalize-then-nearest-point quantization.
 
     The fixed prefix runs once on ``u``; the fixed tail is ``fused_tail``'s

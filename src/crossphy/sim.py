@@ -50,9 +50,7 @@ from .wifi import (
 ZIGBEE_HALF_BANDWIDTH_HZ = 1.5e6  # O-QPSK main lobe half-width
 WIFI_HALF_BANDWIDTH_HZ = 10e6
 
-QUANTIZER_MODES = ("trained", "webee", "wide", "nn-webee")
-# the modes that quantize with a trained model's scales
-MODEL_MODES = ("trained", "nn-webee")
+QUANTIZER_MODES = ("trained", "webee", "wide")
 
 # Dead-air samples prepended to the target by default: 6 samples puts only
 # one chip-peak sampling instant per OFDM symbol inside the cyclic prefix
@@ -232,8 +230,8 @@ def frame_target(cfg: ExperimentConfig) -> ComplexSignal:
 
 def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
     """Build the emulation model for a config and train it on
-    ``frame_target(cfg)``, as ``plan_frame`` does when a mode needs a model
-    and none is given.  Sweeps and the CLI train through here."""
+    ``frame_target(cfg)``, as ``plan_frame`` does for a ``trained`` plan
+    given no model.  The CLI's ``train`` command trains through here."""
     model = EmulationModel(cfg.modulation, target_subcarriers(
         cfg.delta_f_hz, cfg.target_subcarrier_count), cfg.emulation_mode)
     return model, train(model, *model.normalize(frame_target(cfg).samples), cfg)
@@ -263,9 +261,9 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     and transmit-waveform synthesis.  Deterministic for a fixed config.
 
     One ``EmulationModel`` analyses the target, once, and quantizes it:
-    ``model``, or one trained here on that analysis, in the ``trained`` and
-    ``nn-webee`` modes; an untrained one in ``webee`` and ``wide``, which
-    check a given model against the config and ignore its scales.  ``wide``
+    ``model``, or one trained here on that analysis, in the ``trained``
+    mode; an untrained one in ``webee`` and ``wide``, which check a given
+    model against the config and ignore its scales.  ``wide``
     takes ``wide_quantize`` of the raw bins, the others ``model.decide``."""
     cfg.validate()
     subs = target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
@@ -279,8 +277,8 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
             f"on {subs}")
 
     train_seconds, train_epochs = 0.0, 0
-    needs_training = cfg.quantizer_mode in MODEL_MODES and model is None
-    if cfg.quantizer_mode not in MODEL_MODES or model is None:
+    needs_training = cfg.quantizer_mode == "trained" and model is None
+    if cfg.quantizer_mode != "trained" or model is None:
         model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
     u, z = model.normalize(target.samples)
     if needs_training:
@@ -397,23 +395,16 @@ CSV_FIELDS = [
 
 def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
     """Grid over {snr (from cfg), payload length, quantizer mode}; one row
-    per point with the full metrics and a config echo.  The trained model
-    for a payload is fitted once and shared by the 'trained' and 'nn-webee'
-    rows."""
+    per point with the full metrics and a config echo.  Each ``trained``
+    row's plan trains its own model."""
     payload_lens = list(payload_lens or [len(cfg.payload)])
     modes = list(modes or [cfg.quantizer_mode])
     rows = []
     for plen in payload_lens:
         payload = random_payload(cfg.seed, plen)
-        trained_model = None
         for mode in modes:
             point_cfg = replace(cfg, payload=payload, quantizer_mode=mode)
-            model = None
-            if mode in MODEL_MODES:
-                if trained_model is None:
-                    trained_model, _ = train_model(point_cfg)
-                model = trained_model
-            for m in run_pipeline(point_cfg, model=model):
+            for m in run_pipeline(point_cfg):
                 rows.append({
                     "quantizer_mode": mode,
                     "emulation_mode": cfg.emulation_mode,
@@ -433,11 +424,6 @@ def write_csv(rows: list[dict], path) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in CSV_FIELDS})
-
-
-def read_csv(path) -> list[dict]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
 
 
 def summary_json(cfg: ExperimentConfig, metrics: list[Metrics], extra: dict | None = None) -> dict:

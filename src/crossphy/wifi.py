@@ -261,13 +261,6 @@ def interleave(bits, n_cbps: int, n_bpsc: int) -> np.ndarray:
     return out
 
 
-def deinterleave(bits, n_cbps: int, n_bpsc: int) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) != n_cbps:
-        raise DimensionError(f"deinterleaver block must be {n_cbps} bits, got {len(bits)}")
-    return bits[interleave_permutation(n_cbps, n_bpsc)]
-
-
 # ---------------------------------------------------------------------------
 # pilots and OFDM assembly
 # ---------------------------------------------------------------------------

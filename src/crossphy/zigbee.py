@@ -241,27 +241,6 @@ def _chip_samples(samples: np.ndarray, spc: int, n_chips: int,
     return u * rot
 
 
-def oqpsk_demodulate(sig: ComplexSignal, filter_cutoff_hz: float | None = RX_FILTER_CUTOFF_HZ):
-    """Per-chip soft scores and hard chip decisions.
-
-    Assumes the transmit chip grid is sample-aligned and unrotated (the
-    frame decoder searches timing and rotation; this primitive does not).
-    Returns ``(soft, hard)`` where ``hard = soft > 0``.  Scores scale
-    linearly with amplitude, so any positive gain leaves decisions intact.
-    ``filter_cutoff_hz=None`` skips the channel filter.
-    """
-    spc = _samples_per_chip(sig.sample_rate_hz)
-    if len(sig.samples) < 2 * spc:
-        raise DomainError("signal too short for even one chip")
-    x = (sig.samples if filter_cutoff_hz is None
-         else channel_filter(sig, filter_cutoff_hz).samples)
-    n_chips = len(x) // spc
-    w = _chip_samples(x, spc, n_chips)
-    soft = w.real
-    hard = (soft > 0).astype(np.uint8)
-    return soft, hard
-
-
 @dataclass
 class DecodeResult:
     detected: bool

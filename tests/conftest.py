@@ -44,5 +44,5 @@ def webee_plan(acceptance_cfg):
 
 @pytest.fixture(scope="session")
 def nn_webee_plan(acceptance_cfg, trained_plan):
-    cfg = dataclasses.replace(acceptance_cfg, quantizer_mode="nn-webee")
+    cfg = dataclasses.replace(acceptance_cfg, quantizer_mode="trained")
     return sim.plan_frame(cfg, model=trained_plan.model)

@@ -189,7 +189,7 @@ class TestSubcommands:
         assert run_cli(["train"] + base + ["--model-file", str(model),
                                            "--metrics-out", str(tmp_path / "t.json")]) == cli.EXIT_OK
         out = tmp_path / "m.json"
-        rc = run_cli(["evaluate"] + base + ["--quantizer-mode", "nn-webee",
+        rc = run_cli(["evaluate"] + base + ["--quantizer-mode", "trained",
                                             "--model-file", str(model),
                                             "--snr-db", "inf", "--trials", "1",
                                             "--metrics-out", str(out)])
@@ -403,6 +403,15 @@ class TestConfigValidation:
         (["--modes", "foo"], "modes"),
         # the config echo holds the name as given, so only the one spelling runs
         (["--modulation", "QAM64"], "modulation"),
+        # argparse's own pattern reads -inf and -nan as options, not as values
+        (["--snr-db", "-inf"], "snr_db"),
+        (["--snr-db", "-nan"], "snr_db"),
+        (["--snr-db=-nan"], "snr_db"),
+        (["--delta-f-hz", "-inf"], "delta_f_hz"),
+        (["--delta-f-hz=-inf"], "delta_f_hz"),
+        # nn-webee was trained under a second name
+        (["--quantizer-mode", "nn-webee"], "quantizer_mode"),
+        (["--modes", "trained,nn-webee"], "modes"),
     ])
     def test_bad_flags_are_config_errors(self, capsys, flags, key):
         rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)
@@ -461,6 +470,19 @@ class TestConfigValidation:
         rc = run_cli(["solve-payload", "--quantizer-mode", "webee", "--offset-hz", "-3e6"])
         assert rc == cli.EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--delta-f", "-3e6"], ["--payload", "00"]])
+    def test_flag_prefix_is_usage_error(self, capsys, flags):
+        # a prefix of a flag is no key, as "delta_f" is none in a config file
+        rc = run_cli(["solve-payload", "--quantizer-mode", "webee", "--payload-hex", "0011"]
+                     + flags)
+        assert rc == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_retired_nn_webee_config_is_config_error(self, tmp_path, capsys):
+        rc, err = _config_exit(tmp_path, capsys, {"quantizer_mode": "nn-webee"})
+        assert rc == cli.EXIT_CONFIG
+        assert "quantizer_mode" in err
 
 
 # one value per config key, away from its default

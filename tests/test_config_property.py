@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from crossphy import cli  # noqa: E402
+from crossphy import cli, sim  # noqa: E402
 
 _ANY_INT = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 _ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 1e-300, 1e300]))
@@ -28,7 +28,7 @@ _VALID = {
     "modulation": st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"]),
     "coding_rate": st.sampled_from(["1/2", "3/4"]),
     "emulation_mode": st.sampled_from(["analog", "digital"]),
-    "quantizer_mode": st.sampled_from(["trained", "webee", "wide", "nn-webee"]),
+    "quantizer_mode": st.sampled_from(sim.QUANTIZER_MODES),
     "snr_db": st.lists(st.one_of(st.floats(-1000, 1000), st.just("inf")), max_size=2),
     "trials": st.integers(1, 2),
     "seed": st.integers(0, 2**70),

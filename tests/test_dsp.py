@@ -183,46 +183,6 @@ class TestAwgnOracle:
         assert not np.shares_memory(out.samples, sig.samples)
 
 
-class TestSignalMetrics:
-    def test_identical_signals_zero(self):
-        sig = random_signal(dsp.make_rng(10), 64)
-        m = dsp.signal_metrics(sig, sig)
-        assert m.time_mse == 0.0 and m.nmse == 0.0
-        assert m.phase_mse < 1e-30  # complex-multiply rounding residue only
-
-    def test_constant_phase_offset(self):
-        sig = random_signal(dsp.make_rng(11), 64)
-        rotated = dsp.ComplexSignal(sig.samples * np.exp(1j * 0.1), sig.sample_rate_hz)
-        m = dsp.signal_metrics(sig, rotated)
-        assert abs(m.phase_mse - 0.01) < 1e-9
-
-    def test_parseval_links_time_and_frequency(self):
-        # N * time_mse == (1/N) * sum |U-V|^2 with the unnormalized DFT
-        rng = dsp.make_rng(12)
-        for _ in range(50):
-            u = random_signal(rng, 64)
-            v = random_signal(rng, 64)
-            m = dsp.signal_metrics(u, v)
-            lhs = 64 * m.time_mse
-            rhs = np.sum(np.abs(dsp.dft(u.samples) - dsp.dft(v.samples)) ** 2) / 64
-            assert abs(lhs - rhs) / rhs < 1e-9
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            dsp.signal_metrics(random_signal(dsp.make_rng(0), 10),
-                               random_signal(dsp.make_rng(0), 11))
-
-    def test_empty_signals_rejected(self):
-        # the means over no samples were "Mean of empty slice" warnings
-        empty = dsp.ComplexSignal(np.zeros(0, complex), 1e6)
-        with pytest.raises(DimensionError, match="non-empty"):
-            dsp.signal_metrics(empty, empty)
-
-    def test_wrap_stays_principal(self):
-        assert dsp.wrap_phase(np.pi + 0.1) == pytest.approx(-np.pi + 0.1)
-        assert dsp.wrap_phase(-np.pi - 0.1) == pytest.approx(np.pi - 0.1)
-
-
 class TestComplexSignal:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):

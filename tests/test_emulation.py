@@ -8,6 +8,12 @@ from crossphy import diffblocks as db
 from crossphy import dsp, emulation as em, sim, zigbee
 from crossphy.errors import ConfigError, DimensionError
 from crossphy.wifi import columns, constellation, pilot_polarity_sequence
+from emulation_oracle import (
+    build_passthrough_autoencoder,
+    fit_loss_and_grad,
+    loss_and_grad,
+    selection_metric,
+)
 from test_diffblocks import SoftQuantize64, held_rows
 
 SUBS = (-14, -13, -12, -11, -10, -9, -8)
@@ -100,7 +106,7 @@ class TestBuild:
 
 class TestPassthrough:
     def test_body_exact_and_cp_maps_to_tail(self):
-        stack = em.build_passthrough_autoencoder()
+        stack = build_passthrough_autoencoder()
         rng = dsp.make_rng(3)
         x = rng.standard_normal(400) + 1j * rng.standard_normal(400)
         out = db.unstack_complex(stack.forward(db.stack_complex(x.reshape(-1, 80)))).reshape(-1)
@@ -120,17 +126,17 @@ class TestLoss:
     def test_identical_zero_both_modes(self):
         rng = dsp.make_rng(6)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        assert em.loss_and_grad(x, x, "analog")[0] == 0.0
-        assert em.loss_and_grad(x, x, "digital")[0] < 1e-30
+        assert loss_and_grad(x, x, "analog")[0] == 0.0
+        assert loss_and_grad(x, x, "digital")[0] < 1e-30
 
     def test_quarter_turn_closed_forms(self):
         rng = dsp.make_rng(7)
         u = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         v = u * np.exp(1j * np.pi / 2)
-        analog = em.loss_and_grad(v, u, "analog")[0]
+        analog = loss_and_grad(v, u, "analog")[0]
         expected = abs(1 - np.exp(1j * np.pi / 2)) ** 2 * np.mean(np.abs(u) ** 2)
         assert abs(analog - expected) / expected < 1e-12
-        digital = em.loss_and_grad(v, u, "digital")[0]
+        digital = loss_and_grad(v, u, "digital")[0]
         assert abs(digital - (np.pi / 2) ** 2) < 1e-9
 
     def test_analog_equals_frequency_domain_form(self):
@@ -139,7 +145,7 @@ class TestLoss:
         for _ in range(20):
             u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-            lhs = em.loss_and_grad(v, u, "analog")[0]
+            lhs = loss_and_grad(v, u, "analog")[0]
             rhs = np.sum(np.abs(dsp.dft(u) - dsp.dft(v)) ** 2) / 64**2
             assert abs(lhs - rhs) / rhs < 1e-9
 
@@ -149,16 +155,16 @@ class TestLoss:
         v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         h = 1e-6
         for mode in ("analog", "digital"):
-            _, g = em.loss_and_grad(v, u, mode)
+            _, g = loss_and_grad(v, u, mode)
             d = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-            num = (em.loss_and_grad(v + h * d, u, mode)[0]
-                   - em.loss_and_grad(v - h * d, u, mode)[0]) / (2 * h)
+            num = (loss_and_grad(v + h * d, u, mode)[0]
+                   - loss_and_grad(v - h * d, u, mode)[0]) / (2 * h)
             ana = np.sum(g.real * d.real + g.imag * d.imag)
             assert abs(num - ana) / max(abs(num), 1e-12) < 1e-5
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            em.loss_and_grad(np.ones(3, dtype=complex), np.ones(4, dtype=complex), "analog")
+            loss_and_grad(np.ones(3, dtype=complex), np.ones(4, dtype=complex), "analog")
 
 
 class TestHardQuantize:
@@ -233,10 +239,10 @@ class TestTraining:
         h = model.idft.forward(h)
         h = model.cp_add.forward(h)
         v_base = db.unstack_complex(h).reshape(-1)
-        base = em.selection_metric(kept(model, u, z, v_base), kept(model, u, z), "analog")
+        base = selection_metric(kept(model, u, z, v_base), kept(model, u, z), "analog")
         train(model, target, sim.ExperimentConfig(epochs=120))
         v_hard = hard_reconstruction(model, target)
-        got = em.selection_metric(kept(model, u, z, v_hard), kept(model, u, z), "analog")
+        got = selection_metric(kept(model, u, z, v_hard), kept(model, u, z), "analog")
         assert got <= base + 1e-12
 
     def test_digital_mode_improves_phase(self):
@@ -286,7 +292,7 @@ class TestTraining:
         target = zigbee_target(2, seed=7)
         model = self.make()
         u, z = model.normalize(target.samples)
-        expect, _ = em.fit_loss_and_grad(kept(model, u, z, model.forward(u)), kept(model, u, z),
+        expect, _ = fit_loss_and_grad(kept(model, u, z, model.forward(u)), kept(model, u, z),
                                          "analog")
         res = train(model, target, sim.ExperimentConfig(epochs=5))
         assert res.loss_history[0] == pytest.approx(expect, rel=1e-12, abs=0)
@@ -394,7 +400,7 @@ class TestTraining:
         res = train(model, target, sim.ExperimentConfig(epochs=60))
         u, z = model.normalize(target.samples)
         v = hard_reconstruction(model, target)
-        got = em.selection_metric(kept(model, u, z, v), kept(model, u, z), mode)
+        got = selection_metric(kept(model, u, z, v), kept(model, u, z), mode)
         # layered synthesis against train's fused tail: qam64-digital is 1 ulp off
         assert got == pytest.approx(res.best_hard_metric, rel=1e-12, abs=0)
 
@@ -481,14 +487,14 @@ def reference_train(model, target, cfg):
         quantize.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
         v_soft = fit_samples(head.forward(z))
-        soft_loss, g = em.fit_loss_and_grad(v_soft, u_fit, model.mode)
+        soft_loss, g = fit_loss_and_grad(v_soft, u_fit, model.mode)
         gy = np.zeros((len(z), 160))
         gy[rows] = db.stack_complex(g.reshape(-1, 80))
         head.backward(gy)
 
         idx = model.const.nearest(db.unstack_complex(model.scale.forward(z)))
         v_hard = fit_samples(model.tail.forward(db.stack_complex(model.const.points[idx])))
-        metric = em.selection_metric(v_hard, u_fit, model.mode)
+        metric = selection_metric(v_hard, u_fit, model.mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - em.PLATEAU_TOL:
@@ -577,11 +583,11 @@ def test_workspace_equals_the_objective_and_metric(modulation, rate, mode, n_byt
         model.scale.set_scale(np.broadcast_to(scale, 7))
         model.tau = tau
         soft = model.quantize.forward(model.scale.forward(bins))
-        loss, grad = em.fit_loss_and_grad(em._waveform(soft @ a + pilots), target, mode)
+        loss, grad = fit_loss_and_grad(em._waveform(soft @ a + pilots), target, mode)
         stacked = db.stack_complex(grad.reshape(-1, 80))
         got_loss, got_grad = fit.objective(soft)
         hard = db.stack_complex(model.const.points[model.quantize.decisions])
-        want = em.selection_metric(em._waveform(hard @ a + pilots), target, mode)
+        want = selection_metric(em._waveform(hard @ a + pilots), target, mode)
         if mode == "digital":
             assert got_loss == loss
             assert np.array_equal(fit.h.view(np.uint64), stacked.view(np.uint64))

@@ -80,6 +80,15 @@ class TestConvolutionalEncoder:
         assert punct.tolist() == [full[0], full[1], full[2], full[5]]
 
 
+def deinterleave(bits, n_cbps: int, n_bpsc: int) -> np.ndarray:
+    """The inverse of ``wifi.interleave``: the receiver's side, which the
+    transmitter never runs."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if len(bits) != n_cbps:
+        raise DimensionError(f"deinterleaver block must be {n_cbps} bits, got {len(bits)}")
+    return bits[wifi.interleave_permutation(n_cbps, n_bpsc)]
+
+
 class TestInterleaver:
     @pytest.mark.parametrize("n_bpsc", [1, 2, 4, 6])
     def test_inverse(self, n_bpsc):
@@ -87,7 +96,7 @@ class TestInterleaver:
         rng = dsp.make_rng(2)
         bits = rng.integers(0, 2, n_cbps).astype(np.uint8)
         assert np.array_equal(
-            wifi.deinterleave(wifi.interleave(bits, n_cbps, n_bpsc), n_cbps, n_bpsc), bits
+            deinterleave(wifi.interleave(bits, n_cbps, n_bpsc), n_cbps, n_bpsc), bits
         )
 
     def test_bpsk_first_permutation_values(self):
