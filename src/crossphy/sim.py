@@ -263,8 +263,8 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     One ``EmulationModel`` analyses the target, once, and quantizes it:
     ``model``, or one trained here on that analysis, in the ``trained``
     mode; an untrained one in ``webee`` and ``wide``, which check a given
-    model against the config and ignore its scales.  ``wide``
-    takes ``wide_quantize`` of the raw bins, the others ``model.decide``."""
+    model against the config and ignore its scales.  ``wide`` takes
+    ``wide_quantize`` of the raw bins, the others ``model.decide``."""
     cfg.validate()
     subs = target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
     target = frame_target(cfg)

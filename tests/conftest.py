@@ -44,5 +44,7 @@ def webee_plan(acceptance_cfg):
 
 @pytest.fixture(scope="session")
 def nn_webee_plan(acceptance_cfg, trained_plan):
+    """The webee rule with the trained plan's scales: a trained plan given
+    that plan's model, the path of ``--model-file``."""
     cfg = dataclasses.replace(acceptance_cfg, quantizer_mode="trained")
     return sim.plan_frame(cfg, model=trained_plan.model)

@@ -1,9 +1,7 @@
-"""Oracle for the ZigBee receiver's chip sampling.
-
-``oqpsk_demodulate`` reads the chips of a signal whose chip grid is known,
-with no sync search: the modem's round trips and chip-error budgets are
-stated against it, apart from ``decode_frame``'s timing and quadrant
-search.
+"""Oracle for the ZigBee modem: ``oqpsk_demodulate`` reads the hard chips of
+a signal whose chip grid is known, with none of ``decode_frame``'s timing
+and quadrant search, so the modem's round-trip tests check the modulator
+and the chip sampling alone.
 """
 
 import numpy as np
