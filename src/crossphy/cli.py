@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from dataclasses import replace
 
@@ -49,7 +48,7 @@ def _parse_snr(values) -> tuple:
     as 1e400 in a flag or a JSON file, is an error."""
     out = []
     for v in values:
-        if isinstance(v, str) and v.lower() in ("inf", "+inf", "noiseless"):
+        if isinstance(v, str) and v.strip().lower() in ("inf", "+inf", "noiseless"):
             out.append(math.inf)
             continue
         if isinstance(v, bool):
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="WiFi-to-ZigBee cross-technology waveform emulation toolkit",
         allow_abbrev=False,
     )
-    # a token such as -3.125e6, -4,8 or -inf is a flag's value, not an option
-    p._negative_number_matcher = re.compile(r"-(\.?\d|(?i:inf|nan))")
     p.add_argument("command", choices=sorted(_COMMANDS), help="subcommand to run")
     p.add_argument("--config", help="JSON config file")
     # values stay strings here: main converts them, so that a bad value is a
@@ -301,24 +298,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _flag_value(key: str, text: str):
+def _flag_value(key: str, text):
     """A flag's text as its config key's JSON value: list keys split on
-    commas, and the payload_lens items are integers."""
+    commas (none in ""), and the payload_lens items are integers."""
     want = _CONFIG_KEYS[key]
+    text = text if isinstance(text, str) else "--"  # argparse reads "--" as []
     try:
         if want is not list:
             return want(text)
-        items = [s.strip() for s in text.split(",")]
+        items = [s.strip() for s in text.split(",")] if text else []
         return [int(s) for s in items] if key == "payload_lens" else items
     except ValueError:
         what = "integers" if want is list else want.__name__
         raise ConfigError(f"key {key}: expected {what}, got {text!r}")
 
 
+def _values_attached(argv) -> list:
+    """``--key value`` as ``--key=value`` for every flag: the next token is
+    the value even if it starts with '-', as it would be in a config file."""
+    flags, out = {"--config", *("--" + key.replace("_", "-") for key in _CONFIG_KEYS)}, []
+    for token in argv:
+        if out and out[-1] in flags:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_values_attached(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
     try:

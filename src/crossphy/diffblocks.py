@@ -143,11 +143,7 @@ def cp_remove_layer() -> FixedLinear:
 
 def bin_select_layer(target_columns, width: int = N_FFT) -> FixedLinear:
     """0/1 selection keeping the given complex columns (one 1 per kept row)."""
-    target_columns = list(target_columns)
-    w = np.zeros((len(target_columns), width))
-    for r, c in enumerate(target_columns):
-        w[r, c] = 1.0
-    return FixedLinear(_two_rail(w), "bin_select")
+    return FixedLinear(_two_rail(np.eye(width)[list(target_columns)]), "bin_select")
 
 
 class ComplexScale(DiffBlock):
@@ -172,29 +168,29 @@ class ComplexScale(DiffBlock):
     def set_scale(self, s: np.ndarray):
         self.s = np.concatenate([np.real(s), np.imag(s)]).astype(np.float64)
 
+    def _times(self, x, s):
+        """``x`` times the complex scale ``s`` per column: x sr + swap(x) (-si, si)."""
+        z, s = x.reshape(len(x), 2, self.n), s.reshape(2, self.n)
+        return (z * s[0] + z[:, ::-1] * np.multiply.outer((-1.0, 1.0), s[1])).reshape(x.shape)
+
     def forward(self, x):
         self._x = x
-        zr, zi = x[:, : self.n], x[:, self.n:]
-        sr, si = self.s[: self.n], self.s[self.n:]
-        return np.concatenate([sr * zr - si * zi, sr * zi + si * zr], axis=1)
+        return self._times(x, self.s)
 
     def backward(self, gy):
         self.backward_scale(gy)
-        gr, gi = gy[:, : self.n], gy[:, self.n:]
-        sr, si = self.s[: self.n], self.s[self.n:]
-        gzr = gr * sr + gi * si
-        gzi = -gr * si + gi * sr
-        return np.concatenate([gzr, gzi], axis=1)
+        return self._times(gy, self.s * np.repeat((1.0, -1.0), self.n))  # times conj(s)
 
     def backward_scale(self, gy):
         """The part of ``backward`` that sets ``grad``, for a caller that
-        needs no input gradient."""
-        x = self._x
-        zr, zi = x[:, : self.n], x[:, self.n:]
-        gr, gi = gy[:, : self.n], gy[:, self.n:]
-        gsr = np.sum(gr * zr + gi * zi, axis=0)
-        gsi = np.sum(-gr * zi + gi * zr, axis=0)
-        self.grad = np.concatenate([gsr, gsi])
+        needs no input gradient: the column sums of ``gr zr + gi zi`` and
+        ``gi zr - gr zi``."""
+        z, g = self._x.reshape(len(gy), 2, self.n), gy.reshape(len(gy), 2, self.n)
+        terms = g * z  # gr zr, gi zi
+        crossed = g * z[:, ::-1]  # gr zi, gi zr
+        terms[:, 0] += terms[:, 1]
+        np.subtract(crossed[:, 1], crossed[:, 0], out=terms[:, 1])
+        self.grad = terms.sum(axis=0).reshape(-1)
 
 
 class SoftQuantize(DiffBlock):
@@ -281,10 +277,7 @@ class GridAssemble(FixedLinear):
 
     def __init__(self, target_columns):
         self.target_columns = list(target_columns)
-        w = np.zeros((N_FFT, len(self.target_columns)))
-        for r, c in enumerate(self.target_columns):
-            w[c, r] = 1.0
-        super().__init__(_two_rail(w), "grid_assemble")
+        super().__init__(_two_rail(np.eye(N_FFT)[:, self.target_columns]), "grid_assemble")
         self._pilot_cols = columns(PILOT_SUBCARRIERS)
 
     def forward(self, x):

@@ -10,19 +10,15 @@ mode) or in the instantaneous-phase domain (digital mode).
 
 The only trainable state is the scale array of the ``ComplexScale`` layer;
 ``train(model, u, z, cfg)`` fits it to a target that ``normalize`` has
-analysed, and takes its epoch cap, learning rate and temperature schedule
-from a ``sim.ExperimentConfig`` and its objective from ``model.mode``.  The
-layers before the scale are fixed and so is the training input, so
-``train`` runs them once; the layers after the quantizer are fixed and
-affine, so ``train`` runs them as one product plus the pilots' waveform.
-An epoch is then the scale and the two per-axis softmaxes of the soft
-quantizer, forward and backward, and the objective of their points: in
-closed form in analog mode, through that product in digital mode.  The
-quantizer's forward also yields the epoch's hard decisions, and the hard
-grid is re-scored only in epochs whose decisions differ from the previous
-epoch's.  ``sim`` is the one caller.  ``tests/emulation_oracle.py`` holds
-the objectives and metrics in waveform form, the specification the fits
-are checked against.
+analysed (``sim`` is the one caller).  The layers before the scale run once
+on the fixed input, and the fixed affine layers after the quantizer run as
+one product plus the pilots' waveform.  An epoch is the scale and the two
+per-axis softmaxes of the quantizer, forward and backward, and the
+objective of their points: in closed form in analog mode, through that
+product in digital mode.  The hard grid is scored again only in epochs
+whose decisions changed, and in digital mode only in the rows that
+changed.  ``tests/emulation_oracle.py`` holds the objectives and metrics in
+waveform form, the specification the fits are checked against.
 
 Inference is the one quantization rule every mode but ``wide`` shares:
 ``normalize`` divides each OFDM symbol by the largest magnitude of its
@@ -250,9 +246,6 @@ def fused_tail(model: EmulationModel, n_rows: int) -> tuple[np.ndarray, np.ndarr
     return a, model.tail.forward(np.zeros((n_rows, model.assemble.in_dim)))
 
 
-_BODY_COLUMNS = np.r_[CP_LEN:SYMBOL_LEN, SYMBOL_LEN + CP_LEN:2 * SYMBOL_LEN]
-
-
 class _GainFreeFit:
     """The analog objective and metric of the waveform ``q @ a + pilots`` of
     stacked (S, 2m) points ``q``: the error left after the best complex gain
@@ -268,7 +261,8 @@ class _GainFreeFit:
         u = target.reshape(len(pilots), SYMBOL_LEN)
         self.n = u.size
         self.whole = self._form(u, a, pilots)
-        self.body = self._form(u[:, CP_LEN:], a[:, _BODY_COLUMNS], pilots[:, _BODY_COLUMNS])
+        body = np.r_[CP_LEN:SYMBOL_LEN, SYMBOL_LEN + CP_LEN:2 * SYMBOL_LEN]
+        self.body = self._form(u[:, CP_LEN:], a[:, body], pilots[:, body])
 
     @staticmethod
     def _form(u, a, pilots):
@@ -307,66 +301,73 @@ class _PhaseFit:
     gradient (``loss_and_grad`` in ``tests/emulation_oracle.py``), and
     ``phase_mse_excluding_cp`` of the waveform ``points @ a + pilots``: the
     same ufuncs on the same operands in buffers allocated once, so every
-    float is bit-identical to theirs.  The metric synthesizes only the body
-    columns, the samples it reads."""
+    float is bit-identical to theirs.  With ``a``'s columns interleaved (Re,
+    Im of each sample) the product is the complex waveform's memory.  Signs
+    of zero, which pick the phase error (±π or 0) at a zero target sample,
+    follow the complex path: ``re + 1j*im`` is ``re + 0*im``, ``im + 0.0``.
+    A product's sums start from +0.0 and a sum is -0.0 only when both terms
+    are, so ``points @ a + pilots`` holds those signs as it is.
+    The metric keeps every body sample's squared error and synthesizes
+    again only the rows whose points changed, never one alone: numpy sends
+    a one-row product to gemv, which rounds differently from gemm."""
 
     def __init__(self, target, a, pilots):
         n_rows = len(pilots)
-        self.a, self.pilots = a, pilots
-        self.a_body = np.ascontiguousarray(a[:, _BODY_COLUMNS])
-        self.pilots_body = np.ascontiguousarray(pilots[:, _BODY_COLUMNS])
-        self.conj_target = np.conj(target)
-        self.conj_body = np.conj(target.reshape(n_rows, SYMBOL_LEN)[:, CP_LEN:].reshape(-1))
-        # h holds the stacked soft waveform until v is formed, then the
-        # stacked gradient; v and g are the complex waveform and gradient
-        self.h = np.empty((n_rows, 2 * SYMBOL_LEN))
-        self.v = np.empty(n_rows * SYMBOL_LEN, dtype=np.complex128)
-        self.g = np.empty_like(self.v)
-        self.e, self.mag2, self.w = (np.empty(len(self.v)) for _ in range(3))
-        self.h_body = np.empty((n_rows, 2 * N_FFT))
-        self.v_body = np.empty(n_rows * N_FFT, dtype=np.complex128)
-        self.e_body = np.empty(len(self.v_body))
+        wave = np.arange(2 * SYMBOL_LEN).reshape(2, -1).T.reshape(-1)
+        self.a, self.a_wave, self.pilots_wave = a, a[:, wave].copy(), pilots[:, wave].copy()
+        self.conj_target = np.conj(target).reshape(n_rows, SYMBOL_LEN)
+        # the body samples: from CP_LEN on, from column 2*CP_LEN interleaved
+        self.a_body = self.a_wave[:, 2 * CP_LEN:].copy()
+        self.pilots_body = self.pilots_wave[:, 2 * CP_LEN:].copy()
+        self.conj_body = self.conj_target[:, CP_LEN:].copy()
+        # v: the soft waveform, then the metric's hard rows; g: v*conj(u),
+        # then gr, then h, the stacked gradient
+        self.v = np.empty((n_rows, SYMBOL_LEN), dtype=np.complex128)
+        self.g = np.empty(self.v.size, dtype=np.complex128)
+        self.h = self.g.view(np.float64).reshape(n_rows, 2 * SYMBOL_LEN)
+        self.e, self.mag2 = np.empty(self.v.size), np.empty(self.v.size)
+        # the last metric's points (none yet) and its squared body errors
+        self.last, self.e_body = np.full((n_rows, len(a)), np.nan), np.empty(n_rows * N_FFT)
 
     @staticmethod
-    def _synthesize(points, a, pilots, h, v):
-        """``_waveform(points @ a + pilots)`` into ``h`` and ``v``."""
-        np.matmul(points, a, out=h)
-        h += pilots
-        half = h.shape[1] // 2
-        v2 = v.reshape(len(h), half)
-        np.multiply(1j, h[:, half:], out=v2)
-        np.add(h[:, :half], v2, out=v2)
+    def _synthesize(points, a, pilots, v):
+        """``_waveform(points @ a + pilots)`` into the complex ``v``."""
+        np.matmul(points, a, out=v.view(np.float64))
+        v.view(np.float64)[...] += pilots
 
     def objective(self, points):
         """The loss and its gradient with respect to ``points``."""
-        v, g = self.v, self.g
-        self._synthesize(points, self.a, self.pilots, self.h, v)
-        p = np.multiply(v, self.conj_target, out=g)
+        self._synthesize(points, self.a_wave, self.pilots_wave, self.v)
+        v = self.v.reshape(-1)
+        p = np.multiply(v, self.conj_target.reshape(-1), out=self.g)
         e = np.arctan2(p.imag, p.real, out=self.e)  # np.angle(p)
-        mag2 = np.abs(v, out=self.mag2)
-        np.square(mag2, out=mag2)
+        mag2 = np.square(np.abs(v, out=self.mag2), out=self.mag2)
         np.maximum(mag2, MAG2_FLOOR, out=mag2)
-        loss = float(np.mean(np.square(e, out=self.w)))
-        np.multiply(2.0 / len(v), e, out=e)
-        gr = np.negative(v.imag, out=self.w)
-        gr /= mag2
+        gr = self.h.reshape(-1)[:len(v)]
+        loss = float(np.mean(np.square(e, out=gr)))
+        e *= 2.0 / len(v)
+        np.divide(np.negative(v.imag, out=gr), mag2, out=gr)
         gi = np.divide(v.real, mag2, out=mag2)
-        np.multiply(e, gr, out=gr)
-        np.multiply(e, gi, out=gi)
-        np.multiply(1j, gi, out=g)
-        np.add(gr, g, out=g)
-        g2 = g.reshape(len(self.h), SYMBOL_LEN)
-        self.h[:, :SYMBOL_LEN] = g2.real
-        self.h[:, SYMBOL_LEN:] = g2.imag
+        gr *= e
+        gi *= e
+        re = np.add(gr, np.multiply(gi, 0.0, out=e), out=e)  # Re(gr + 1j*gi)
+        gi += 0.0  # Im(gr + 1j*gi)
+        h = self.h.reshape(len(self.h), 2, SYMBOL_LEN)
+        h[:, 0], h[:, 1] = re.reshape(len(h), -1), gi.reshape(len(h), -1)
         return loss, self.h @ self.a.T
 
     def metric(self, points) -> float:
         """``phase_mse_excluding_cp`` of the hard waveform of ``points``."""
-        v = self.v_body
-        self._synthesize(points, self.a_body, self.pilots_body, self.h_body, v)
-        p = np.multiply(v, self.conj_body, out=v)
-        e = np.arctan2(p.imag, p.real, out=self.e_body)
-        return float(np.mean(np.square(e, out=e)))
+        changed = (points != self.last).any(axis=1)
+        changed[:2] |= np.count_nonzero(changed) < 2  # never one row: gemv rounds unlike gemm
+        rows = slice(None) if changed.all() else np.flatnonzero(changed)
+        self.last, points = points.copy(), points[rows]
+        v = self.v.reshape(-1)[:len(points) * N_FFT].reshape(len(points), N_FFT)
+        self._synthesize(points, self.a_body, self.pilots_body[rows], v)
+        p = np.multiply(v, self.conj_body[rows], out=v)
+        e = np.arctan2(p.imag, p.real, out=self.e[:v.size].reshape(v.shape))
+        self.e_body.reshape(-1, N_FFT)[rows] = np.square(e, out=e)
+        return float(np.mean(self.e_body))
 
 
 def train(model: EmulationModel, u, z, cfg) -> TrainResult:
@@ -374,44 +375,35 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
 
     ``(u, z)`` is ``model.normalize`` of the target: the normalized waveform
     and its raw (S, m) target bins.  ``cfg``, a ``sim.ExperimentConfig``,
-    gives the schedule: ``epochs``, ``learning_rate`` and
-    ``tau_start``/``tau_decay``/``tau_floor``; the objective and the
-    hard-reconstruction metric follow ``model.mode`` (``fit_loss_and_grad``
-    and ``selection_metric`` in ``tests/emulation_oracle.py``).  Analog
-    mode fits only the symbols that ``kept_symbols`` keeps: a floored
-    symbol's normalized samples would be the whole objective.  Epoch 0, with scales at 1+0j,
-    scores the plain normalize-then-nearest-point quantization.
-
-    The fixed prefix runs once on ``u``; the fixed tail is ``fused_tail``'s
-    affine map of the points.  The fit, chosen once from ``model.mode``
-    (``_GainFreeFit`` or ``_PhaseFit``), gives the objective and its
-    gradient at the soft points and the metric of the hard ones.  Every
-    epoch runs the scale and the soft quantizer forward and backward; the
-    hard metric is recomputed only when the quantizer's decisions differ
-    from the previous epoch's.  The kept scales are the best epoch's by the
-    metric, so the result is never worse than that baseline.  Deterministic
-    for a fixed config; the scale's and quantizer's per-frame arrays are
-    released on return.
+    gives ``epochs``, ``learning_rate`` and ``tau_start``/``tau_decay``/
+    ``tau_floor``.  The fit on ``fused_tail``'s map of the points follows
+    ``model.mode`` (``fit_loss_and_grad`` and ``selection_metric`` in
+    ``tests/emulation_oracle.py``): ``_PhaseFit``, or ``_GainFreeFit`` on
+    the symbols ``kept_symbols`` keeps (a floored symbol's samples would be
+    the whole objective).  Each epoch runs the scale and the soft quantizer
+    forward and backward; the hard metric is scored again only when the
+    decisions change, and ``_PhaseFit`` synthesizes only the changed rows.
+    Epoch 0, with scales at 1+0j, scores the plain nearest-point
+    quantization, and the kept scales are the best epoch's, so the result
+    is never worse.  Deterministic; the scale's and quantizer's per-frame
+    arrays are released on return.
     """
     u = np.asarray(u, dtype=np.complex128)
     if len(u) != SYMBOL_LEN * len(z):
         raise DimensionError(f"target of {len(u)} samples for {len(z)} symbols of bins")
 
-    if model.mode == "analog":
-        rows, fit_class = kept_symbols(z), _GainFreeFit
-    else:
-        rows, fit_class = np.ones(len(z), dtype=bool), _PhaseFit
+    analog = model.mode == "analog"
+    rows = kept_symbols(z) if analog else np.ones(len(z), dtype=bool)
+    fit_class = _GainFreeFit if analog else _PhaseFit
     bins = model._bins(u)[rows]
     a, pilots = fused_tail(model, len(z))
     fit = fit_class(u.reshape(-1, SYMBOL_LEN)[rows].reshape(-1), a, pilots[rows])
 
     sc, quantize = model.scale, model.quantize
-    mom = np.zeros_like(sc.s)
-    vel = np.zeros_like(sc.s)
+    mom, vel = np.zeros_like(sc.s), np.zeros_like(sc.s)
     result = TrainResult()
     best_s = sc.s.copy()
-    stale = 0
-    idx = None
+    stale, idx = 0, None
 
     for epoch in range(cfg.epochs):
         model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)

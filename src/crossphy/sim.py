@@ -232,9 +232,15 @@ def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
     """Build the emulation model for a config and train it on
     ``frame_target(cfg)``, as ``plan_frame`` does for a ``trained`` plan
     given no model.  The CLI's ``train`` command trains through here."""
+    return _trained(cfg, frame_target(cfg))[:2]
+
+
+def _trained(cfg: ExperimentConfig, target: ComplexSignal):
+    """``train_model`` on ``target``, also returning its analysis ``(u, z)``."""
     model = EmulationModel(cfg.modulation, target_subcarriers(
         cfg.delta_f_hz, cfg.target_subcarrier_count), cfg.emulation_mode)
-    return model, train(model, *model.normalize(frame_target(cfg).samples), cfg)
+    u, z = model.normalize(target.samples)
+    return model, train(model, u, z, cfg), (u, z)
 
 
 @dataclass
@@ -277,15 +283,14 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
             f"on {subs}")
 
     train_seconds, train_epochs = 0.0, 0
-    needs_training = cfg.quantizer_mode == "trained" and model is None
-    if cfg.quantizer_mode != "trained" or model is None:
-        model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
-    u, z = model.normalize(target.samples)
-    if needs_training:
+    if cfg.quantizer_mode == "trained" and model is None:
         t0 = time.perf_counter()
-        result = train(model, u, z, cfg)
-        train_seconds = time.perf_counter() - t0
-        train_epochs = result.epochs_run
+        model, result, (u, z) = _trained(cfg, target)
+        train_seconds, train_epochs = time.perf_counter() - t0, result.epochs_run
+    else:
+        if cfg.quantizer_mode != "trained":
+            model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
+        u, z = model.normalize(target.samples)
     index_grid = wide_quantize(z, mcs) if cfg.quantizer_mode == "wide" else model.decide(u)
     report = solve_payload(index_grid, mcs, cfg.scrambler_seed, subs,
                            bin_energy=np.abs(z) ** 2)

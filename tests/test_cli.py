@@ -418,6 +418,44 @@ class TestConfigValidation:
         assert rc == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,key", [
+        (["--modulation", "-x"], "modulation"),
+        (["--payload-hex", "-a"], "payload_hex"),
+        (["--modulation", "-h"], "modulation"),
+        (["--snr-db", "--"], "snr_db"),
+        (["--snr-db=--"], "snr_db"),
+    ])
+    def test_flag_value_starting_with_a_dash_is_its_value(self, capsys, flags, key):
+        # the next token is the value, as it is in a config file; these
+        # exited 1 as a flag without a value, and "--" raised an
+        # AttributeError from a list
+        rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)
+        assert rc == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_double_dash_value_is_named_as_given(self, capsys):
+        # argparse reads a lone "--" value as []; the error named '[]'
+        rc = run_cli(["solve-payload", "--quantizer-mode", "webee", "--modulation=--"])
+        assert rc == cli.EXIT_CONFIG
+        assert "'--'" in capsys.readouterr().err
+
+    def test_empty_list_flag_is_the_empty_list(self, tmp_path, monkeypatch):
+        # --snr-db "" exited 2 while {"snr_db": []} in a config file ran
+        path = tmp_path / "c.json"
+        path.write_text('{"snr_db": []}')
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "evaluate",
+                            lambda cfg, doc: seen.append(cfg) or cli.EXIT_OK)
+        assert run_cli(["evaluate", "--snr-db", ""]) == cli.EXIT_OK
+        assert run_cli(["evaluate", "--config", str(path)]) == cli.EXIT_OK
+        assert seen[0] == seen[1] and seen[0].snr_db == ()
+
+    def test_noiseless_spelling_with_spaces_in_a_config_file(self):
+        # a flag's list items are stripped, so " inf" ran as a flag and was
+        # an error (not a finite number) in a config file
+        cfg = cli.experiment_config({"snr_db": [" inf", "noiseless ", " INF "]})
+        assert cfg.snr_db == (math.inf,) * 3
+
     @pytest.mark.parametrize("text", ["1e400", "4,1e400", "-1e400", "infinity"])
     def test_snr_flag_that_overflows_is_config_error(self, capsys, text):
         # float() reads 1e400 as +inf, the noiseless sentinel, which only its

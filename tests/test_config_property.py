@@ -5,13 +5,15 @@ sets; no input escapes as a traceback (exit 1) or a runtime failure
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import tempfile
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
 from crossphy import cli, sim  # noqa: E402
 
@@ -91,3 +93,50 @@ def test_every_config_runs_or_names_its_bad_key(doc):
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (rc, err.getvalue())
     if rc == cli.EXIT_CONFIG:
         assert any(key in err.getvalue() for key in doc), err.getvalue()
+
+
+def _flag_text(value) -> str:
+    """A config value as the flag text that sets it: lists joined by commas.
+    A JSON number beyond the float range is read as infinity, which a flag
+    spells 1e400: 'inf' is the noiseless sentinel."""
+    if isinstance(value, list):
+        return ",".join(_flag_text(v) for v in value)
+    if isinstance(value, float) and math.isinf(value):
+        return "1e400" if value > 0 else "-1e400"
+    return value if isinstance(value, str) else repr(value)
+
+
+def _renderable(value) -> bool:
+    """False for the lists no flag text sets: an item holding a comma, and
+    the one empty item, whose text "" is the empty list."""
+    return not isinstance(value, list) or (
+        not any("," in v for v in value if isinstance(v, str)) and value != [""])
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+def _named_keys(doc, err) -> set:
+    return {key for key in doc if re.search(rf"\b{key}\b", err)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_flags_run_or_fail_as_the_config_file_does(doc):
+    # every config of the strategy above, as evaluate flags in both forms
+    assume(all(_renderable(v) for v in doc.values()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        rc, err = _run(["evaluate", "--config", path])
+    flags = [("--" + key.replace("_", "-"), _flag_text(value)) for key, value in doc.items()]
+    for argv in ([token for pair in flags for token in pair], [f"{k}={v}" for k, v in flags]):
+        flag_rc, flag_err = _run(["evaluate"] + argv)
+        assert (flag_rc, _named_keys(doc, flag_err)) == (rc, _named_keys(doc, err)), (argv, err,
+                                                                                       flag_err)

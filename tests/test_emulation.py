@@ -369,7 +369,11 @@ class TestTraining:
     def test_fits_allocate_no_waveform(self, mode):
         # an objective or metric call allocates less than one stacked
         # (S, 160) waveform: the analog fit synthesizes none, the digital one
-        # synthesizes into its buffers (measured: 0.44 and 0.34 of one)
+        # synthesizes into its buffers and writes complex values through
+        # .real and .imag, which costs no cast buffer (measured at 32 B:
+        # 0.44 of a waveform in analog mode; 36 KB in digital mode, where
+        # the four 128 KB cast buffers of complex-from-real ufuncs peaked at
+        # 132 KB)
         cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 32), emulation_mode=mode)
         model = em.EmulationModel(cfg.modulation, SUBS, mode)
         u, z = model.normalize(sim.frame_target(cfg).samples)
@@ -390,7 +394,7 @@ class TestTraining:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert max(peaks) < pilots.nbytes
+        assert max(peaks) < (96 * 1024 if mode == "digital" else pilots.nbytes)
 
     @pytest.mark.parametrize("mode", ["analog", "digital"])
     @pytest.mark.parametrize("modulation", ["qpsk", "qam16", "qam64"])
@@ -555,6 +559,26 @@ def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
     n_rows = len(target.samples) // 80
     assert [(type(b).__name__, held_rows(b, n_rows)) for b in model.stack.blocks
             if held_rows(b, n_rows)] == []
+
+
+def test_negative_zero_pilots_keep_the_complex_signs_of_zero():
+    # the phase fit adds the pilots to the product as reals, which holds the
+    # complex path's signs of zero (Re re + 0*im, Im im + 0.0) while the
+    # product has no -0.0, even where a pilot part is -0.0
+    cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 8), emulation_mode="digital")
+    model = em.EmulationModel(cfg.modulation, SUBS, "digital")
+    u, z = model.normalize(sim.frame_target(cfg).samples)
+    a, pilots = em.fused_tail(model, len(z))
+    pilots = np.where(pilots == 0, -0.0, pilots)
+    assert np.any(np.signbit(pilots) & (pilots == 0))
+    fit = em._PhaseFit(u, a, pilots)
+    soft = model.quantize.forward(model.scale.forward(model._bins(u)))
+    loss, grad = fit_loss_and_grad(em._waveform(soft @ a + pilots), u, "digital")
+    assert fit.objective(soft)[0] == loss
+    assert np.array_equal(fit.h.view(np.uint64),
+                          db.stack_complex(grad.reshape(-1, 80)).view(np.uint64))
+    hard = db.stack_complex(model.const.points[model.quantize.decisions])
+    assert fit.metric(hard) == selection_metric(em._waveform(hard @ a + pilots), u, "digital")
 
 
 # Digital frames keep their padded tail, whose exact-zero target samples make
