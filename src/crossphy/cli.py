@@ -73,6 +73,8 @@ def parse_config(path: str | None, overrides: dict) -> dict:
                 doc = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as e:  # a directory, an unreadable file
+            raise ConfigError(f"config file {path} cannot be read: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(doc, dict):
@@ -118,11 +120,12 @@ def experiment_config(doc: dict) -> sim.ExperimentConfig:
     for n in doc.get("payload_lens", []):
         if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= max_len:
             raise ConfigError(f"payload_lens values must be integers in 0..{max_len}, got {n!r}")
-    if "payload_len" in doc and "payload_hex" not in doc:
+    if "payload_len" in doc:
         n = doc["payload_len"]
         if not 0 <= n <= max_len:
             raise ConfigError(f"payload_len must be in 0..{max_len}, got {n}")
-        cfg = replace(cfg, payload=sim.random_payload(cfg.seed, n))
+        if "payload_hex" not in doc:
+            cfg = replace(cfg, payload=sim.random_payload(cfg.seed, n))
     return cfg
 
 

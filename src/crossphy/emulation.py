@@ -62,6 +62,8 @@ from .wifi import (
 
 MODEL_FORMAT_VERSION = 1
 
+EMULATION_MODES = ("analog", "digital")
+
 
 class EmulationModel:
     """The assembled block stack plus bookkeeping for training/inference.
@@ -77,8 +79,8 @@ class EmulationModel:
 
     def __init__(self, modulation: str, target_subcarriers, mode: str):
         self.const: Constellation = constellation(modulation)
-        if mode not in ("analog", "digital"):
-            raise ConfigError(f"mode must be 'analog' or 'digital', got {mode!r}")
+        if mode not in EMULATION_MODES:
+            raise ConfigError(f"mode must be one of {EMULATION_MODES}, got {mode!r}")
         self.mode = mode
         bad = [m for m in target_subcarriers if m not in DATA_SUBCARRIERS]
         if bad:
@@ -151,16 +153,6 @@ class EmulationModel:
         idx = self.const.nearest(unstack_complex(self.scale.forward(self._bins(u))))
         self.scale.release()
         return idx
-
-    @property
-    def tau(self) -> float:
-        return self.quantize.tau
-
-    @tau.setter
-    def tau(self, value: float):
-        if value <= 0:
-            raise DomainError("tau must be positive")
-        self.quantize.tau = float(value)
 
 
 def _waveform(h: np.ndarray) -> np.ndarray:
@@ -406,7 +398,7 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     stale, idx = 0, None
 
     for epoch in range(cfg.epochs):
-        model.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
+        quantize.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
         soft_loss, grad = fit.objective(quantize.forward(sc.forward(bins)))
         if not math.isfinite(soft_loss):
@@ -438,7 +430,7 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
     sc.release()
     quantize.release()
     sc.s = best_s
-    model.tau = cfg.tau_floor
+    quantize.tau = float(cfg.tau_floor)
     result.epochs_run = len(result.loss_history)
     return result
 
@@ -454,7 +446,7 @@ def save_model(model: EmulationModel, path) -> None:
         "constellation": model.const.name,
         "mode": model.mode,
         "target_subcarriers": list(model.target_subcarriers),
-        "tau": model.tau,
+        "tau": model.quantize.tau,
         "scales_re": s.real.tolist(),
         "scales_im": s.imag.tolist(),
     }
@@ -488,17 +480,18 @@ def load_model(path) -> EmulationModel:
     version = doc.get("format_version")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise bad("format_version", MODEL_FORMAT_VERSION)
-    if doc.get("start_symbol", 0) != 0:
+    start = doc.get("start_symbol", 0)
+    if type(start) is not int or start != 0:  # a bool or a float compares equal to 0
         raise ConfigError(f"model_file {path}: start_symbol must be 0 (the transmitter's "
-                          f"first pilot symbol), got {doc['start_symbol']!r}")
+                          f"first pilot symbol), got {start!r}")
     if not isinstance(doc.get("constellation"), str):
         raise bad("constellation", "a modulation name")
     try:
         constellation(doc["constellation"])
     except ConfigError as e:
         raise ConfigError(f"model_file {path}: key constellation: {e}")
-    if doc.get("mode") not in ("analog", "digital"):
-        raise bad("mode", "'analog' or 'digital'")
+    if doc.get("mode") not in EMULATION_MODES:
+        raise bad("mode", f"one of {EMULATION_MODES}")
     subs = doc.get("target_subcarriers")
     if not isinstance(subs, list) or not all(type(m) is int for m in subs):
         raise bad("target_subcarriers", "a list of subcarrier integers")
@@ -516,5 +509,5 @@ def load_model(path) -> EmulationModel:
         raise ConfigError(f"model_file {path}: key target_subcarriers: {e}")
     model.scale.set_scale(np.array(doc["scales_re"], dtype=np.float64)
                           + 1j * np.array(doc["scales_im"], dtype=np.float64))
-    model.tau = doc["tau"]
+    model.quantize.tau = float(doc["tau"])
     return model

@@ -26,6 +26,7 @@ import numpy as np
 from . import zigbee
 from .dsp import ComplexSignal, awgn, frequency_shift, make_rng
 from .emulation import (
+    EMULATION_MODES,
     EmulationModel,
     TrainResult,
     nmse_excluding_cp,
@@ -36,6 +37,7 @@ from .errors import ConfigError, DimensionError
 from .solver import SolveReport, solve_payload
 from .wifi import (
     DATA_SUBCARRIERS,
+    DEFAULT_SCRAMBLER_SEED,
     N_DATA_SUBCARRIERS,
     SAMPLE_RATE_HZ,
     SUBCARRIER_SPACING_HZ,
@@ -72,7 +74,7 @@ class ExperimentConfig:
     delta_f_hz: float = -10 * SUBCARRIER_SPACING_HZ
     modulation: str = "qam64"
     coding_rate: str = "1/2"
-    emulation_mode: str = "analog"  # 'analog' | 'digital'
+    emulation_mode: str = "analog"  # one of EMULATION_MODES
     quantizer_mode: str = "trained"
     snr_db: tuple = (math.inf,)
     trials: int = 1
@@ -84,7 +86,7 @@ class ExperimentConfig:
     tau_floor: float = 0.05
     target_subcarrier_count: int = 7
     lead_in_samples: int = DEFAULT_LEAD_IN
-    scrambler_seed: int = 0b1011101
+    scrambler_seed: int = DEFAULT_SCRAMBLER_SEED
 
     def validate(self) -> None:
         mcs_config(self.modulation, self.coding_rate)  # raises, naming the bad key
@@ -94,7 +96,7 @@ class ExperimentConfig:
                               f"lobe outside the band")
         if self.quantizer_mode not in QUANTIZER_MODES:
             raise ConfigError(f"unknown quantizer_mode {self.quantizer_mode!r}")
-        if self.emulation_mode not in ("analog", "digital"):
+        if self.emulation_mode not in EMULATION_MODES:
             raise ConfigError(f"unknown emulation_mode {self.emulation_mode!r}")
         if len(self.payload) > zigbee.MAX_PAYLOAD_BYTES:
             raise ConfigError(f"payload_hex: payload of {len(self.payload)} bytes is longer "
@@ -172,13 +174,12 @@ def target_subcarriers(delta_f_hz: float, count: int) -> tuple:
     return tuple(sorted(ranked[:count]))
 
 
-def make_target(payload: bytes, delta_f_hz: float, fs_hz: float = SAMPLE_RATE_HZ,
-                lead_in_samples: int = 0) -> ComplexSignal:
+def make_target(payload: bytes, delta_f_hz: float, lead_in_samples: int = 0) -> ComplexSignal:
     """ZigBee frame -> O-QPSK -> frequency shift, padded to whole OFDM blocks."""
     if abs(delta_f_hz) + ZIGBEE_HALF_BANDWIDTH_HZ > WIFI_HALF_BANDWIDTH_HZ:
         raise ConfigError(f"delta_f {delta_f_hz/1e6:g} MHz exceeds the band")
     chips = zigbee.symbols_to_chips(zigbee.build_frame(payload))
-    base = zigbee.oqpsk_modulate(chips, fs_hz)
+    base = zigbee.oqpsk_modulate(chips, SAMPLE_RATE_HZ)
     shifted = frequency_shift(base, delta_f_hz)
     x = shifted.samples
     if lead_in_samples:
@@ -186,11 +187,7 @@ def make_target(payload: bytes, delta_f_hz: float, fs_hz: float = SAMPLE_RATE_HZ
     pad = (-len(x)) % SYMBOL_LEN
     if pad:
         x = np.concatenate([x, np.zeros(pad, dtype=np.complex128)])
-    return ComplexSignal(x, fs_hz)
-
-
-def reference_chips(payload: bytes) -> np.ndarray:
-    return zigbee.symbols_to_chips(zigbee.build_frame(payload))
+    return ComplexSignal(x, SAMPLE_RATE_HZ)
 
 
 def wide_quantize(z: np.ndarray, mcs: McsConfig) -> np.ndarray:
@@ -231,7 +228,9 @@ def frame_target(cfg: ExperimentConfig) -> ComplexSignal:
 def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
     """Build the emulation model for a config and train it on
     ``frame_target(cfg)``, as ``plan_frame`` does for a ``trained`` plan
-    given no model.  The CLI's ``train`` command trains through here."""
+    given no model.  The CLI's ``train`` command trains through here.
+    The config is validated first, as ``plan_frame`` validates it."""
+    cfg.validate()
     return _trained(cfg, frame_target(cfg))[:2]
 
 
@@ -346,7 +345,7 @@ def _known_timing_chip_errors(rx: ComplexSignal, expected: np.ndarray,
 def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     """All trials of one SNR point; deterministic for a fixed config."""
     cfg = plan.config
-    expected_chips = reference_chips(cfg.payload)
+    expected_chips = zigbee.symbols_to_chips(zigbee.build_frame(cfg.payload))
     n_ok = 0
     ser_sum = 0.0
     cer_sum = 0.0

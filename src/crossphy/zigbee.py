@@ -39,7 +39,6 @@ from .dsp import ComplexSignal
 from .errors import ConfigError, DimensionError, DomainError
 
 CHIP_RATE_HZ = 2e6
-SYMBOL_RATE_HZ = 62500.0  # 16 us per symbol
 CHIPS_PER_SYMBOL = 32
 MAX_PAYLOAD_BYTES = 127
 
@@ -249,7 +248,6 @@ class DecodeResult:
     chip_error_rate: float
     sync_corr: float = 0.0
     start_chip: int = -1
-    timing_offset: int = 0
 
 
 def _sync_pattern() -> np.ndarray:
@@ -427,5 +425,4 @@ def decode_frame(
         chip_error_rate=cer,
         sync_corr=abs(c),
         start_chip=lag,
-        timing_offset=off,
     )

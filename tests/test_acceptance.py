@@ -183,6 +183,20 @@ def test_08_exported_scales_improve_webee(webee_plan, nn_webee_plan):
             assert mn.chip_error_rate <= mw.chip_error_rate + 1e-12, snr
 
 
+def test_08_exported_scales_transfer_to_other_payloads(acceptance_cfg, trained_plan):
+    with criterion(8, "trained scales borrowed by payloads they were not trained on: "
+                      "CER(borrowed) <= CER(webee) at every tested SNR, 100 trials each"):
+        for payload in (sim.random_payload(1, 32), sim.random_payload(4, 16)):
+            cfg = dataclasses.replace(acceptance_cfg, payload=payload, quantizer_mode="trained")
+            borrowed = sim.plan_frame(cfg, model=trained_plan.model)
+            webee = sim.plan_frame(dataclasses.replace(cfg, quantizer_mode="webee"))
+            for snr in (12.0, 8.0, 4.0, 0.0):
+                mb = sim.run_point(borrowed, snr)
+                mw = sim.run_point(webee, snr)
+                assert mb.trials >= 100 and mw.trials >= 100
+                assert mb.chip_error_rate <= mw.chip_error_rate + 1e-12, (len(payload), snr)
+
+
 def test_09_zigbee_modem_self_consistency():
     with criterion(9, "noiseless roundtrips exact for all 16 symbols and 100 random "
                       "payloads; <=5 chip errors per window never flip a symbol (1e4 trials)"):

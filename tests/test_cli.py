@@ -63,6 +63,12 @@ class TestSubcommands:
         assert run_cli(["evaluate", "--config", "/nonexistent.json"]) == cli.EXIT_CONFIG
         assert "config" in capsys.readouterr().err
 
+    def test_unreadable_config_file_exit(self, tmp_path, capsys):
+        # a directory opens with IsADirectoryError, an OSError like a missing file's
+        assert run_cli(["evaluate", "--config", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: config:" in err and str(tmp_path) in err
+
     def test_grad_check_passes(self, capsys):
         assert run_cli(["grad-check"]) == cli.EXIT_OK
         out = capsys.readouterr().out
@@ -258,7 +264,10 @@ class TestModelFile:
         plan = sim.plan_frame(cfg, model=emulation.load_model(model))
         assert psdu["emulate"] == plan.report.psdu.hex()
 
-    @pytest.mark.parametrize("start_symbol,rc", [(0, cli.EXIT_OK), (5, cli.EXIT_CONFIG)])
+    # False and 0.0 compare equal to 0 but are not the integer the key holds
+    @pytest.mark.parametrize("start_symbol,rc", [(0, cli.EXIT_OK), (5, cli.EXIT_CONFIG),
+                                                 (False, cli.EXIT_CONFIG),
+                                                 (0.0, cli.EXIT_CONFIG)])
     def test_model_start_symbol_must_be_zero(self, tmp_path, capsys, start_symbol, rc):
         cfg = sim.ExperimentConfig()
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
@@ -417,6 +426,14 @@ class TestConfigValidation:
         rc = run_cli(["solve-payload", "--quantizer-mode", "webee"] + flags)
         assert rc == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["-5", "128", "99999"])
+    def test_payload_len_out_of_range_beside_payload_hex(self, capsys, n):
+        # payload_hex sets the payload, but payload_len is still checked
+        rc = run_cli(["solve-payload", "--quantizer-mode", "webee", "--payload-hex", "01",
+                      "--payload-len", n])
+        assert rc == cli.EXIT_CONFIG
+        assert "payload_len" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,key", [
         (["--modulation", "-x"], "modulation"),

@@ -605,7 +605,7 @@ def test_workspace_equals_the_objective_and_metric(modulation, rate, mode, n_byt
     tol = 64 * np.finfo(float).eps
     for scale, tau in ((1.0, cfg.tau_start), (np.exp(0.3j) * np.linspace(0.8, 1.2, 7), 0.05)):
         model.scale.set_scale(np.broadcast_to(scale, 7))
-        model.tau = tau
+        model.quantize.tau = tau
         soft = model.quantize.forward(model.scale.forward(bins))
         loss, grad = fit_loss_and_grad(em._waveform(soft @ a + pilots), target, mode)
         stacked = db.stack_complex(grad.reshape(-1, 80))

@@ -270,7 +270,17 @@ def test_every_training_setting_reaches_the_trainer(key, value, digital_20_epoch
     model, got = sim.train_model(cfg)
     assert (got.loss_history, got.epochs_run) != (want.loss_history, want.epochs_run)
     if key == "tau_floor":
-        assert (model.tau, base_model.tau) == (0.9, base.tau_floor)
+        assert (model.quantize.tau, base_model.quantize.tau) == (0.9, base.tau_floor)
+
+
+# plan_frame rejects each of these; training alone must too, not run silently
+@pytest.mark.parametrize("key,value", [
+    ("epochs", 0), ("tau_start", 0.0), ("tau_decay", 2.0), ("learning_rate", 1e200),
+])
+def test_train_model_rejects_invalid_training_settings(key, value):
+    cfg = replace(sim.ExperimentConfig(payload=sim.random_payload(1, 8)), **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        sim.train_model(cfg)
 
 
 class TestMcsMatrix:
@@ -312,7 +322,7 @@ class TestNoiselessChipBudget:
         plan = sim.plan_frame(cfg)
         rx = dsp.frequency_shift(plan.tx, -cfg.delta_f_hz)
         x = zigbee.channel_filter(rx).samples
-        expected = sim.reference_chips(cfg.payload)
+        expected = zigbee.symbols_to_chips(zigbee.build_frame(cfg.payload))
         w = zigbee._chip_samples(x, 10, len(expected), offset=cfg.lead_in_samples)
         ref = 2.0 * expected.astype(float) - 1
         best = None
