@@ -26,9 +26,10 @@ def hard_reconstruction(model):
 
 results = {}
 for mode in ("analog", "digital"):
-    model = em.EmulationModel("qam64", subs, mode)
+    model = em.EmulationModel("qam64", subs)
     u, z = model.normalize(target.samples)
-    res = em.train(model, u, z, sim.ExperimentConfig(epochs=300, learning_rate=1e-2))
+    cfg = sim.ExperimentConfig(epochs=300, learning_rate=1e-2, emulation_mode=mode)
+    res = em.train(model, u, z, cfg)
     v = hard_reconstruction(model)
     results[mode] = dict(
         model=model,
@@ -45,7 +46,7 @@ for mode in ("analog", "digital"):
     print(f"  hard body NMSE {r['nmse']:.4f}, phase MSE {r['phase']:.4f}")
 
 print("\n== against the plain max-abs nearest-point rule ==")
-base = em.EmulationModel("qam64", subs, "analog")
+base = em.EmulationModel("qam64", subs)
 u, _ = base.normalize(target.samples)
 v0 = hard_reconstruction(base)  # scales still at 1+0j
 print(f"baseline       : NMSE {em.nmse_excluding_cp(v0, u):.4f}, "

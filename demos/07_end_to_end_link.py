@@ -22,7 +22,7 @@ cfg = sim.ExperimentConfig(
 
 print("== noiseless headline run (trained, digital mode) ==")
 plan = sim.plan_frame(cfg)
-print(f"trained {plan.train_epochs} epochs in {plan.train_seconds:.1f}s; "
+print(f"trained {plan.train.epochs_run} epochs in {plan.train_seconds:.1f}s; "
       f"solver violations: {len(plan.report.violated_positions)}")
 m = sim.run_point(plan, math.inf)
 print(f"SER={m.ser}  PRR={m.prr}  chip error rate={m.chip_error_rate:.4f}  "

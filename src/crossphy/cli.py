@@ -256,7 +256,7 @@ def cmd_grad_check(cfg, doc):
 
     rng = make_rng(cfg.seed)
     subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-    model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
+    model = EmulationModel(cfg.modulation, subs)
     checks = {**{b.name: b for b in model.stack.blocks}, "autoencoder": model.stack}
     worst = 0.0
     report = {}

@@ -6,7 +6,7 @@ scale, a soft quantizer onto standard constellation points, grid reassembly
 with fixed pilots, an inverse DFT and cyclic-prefix re-addition.  Training
 it to reconstruct its own input picks the constellation points whose OFDM
 synthesis best matches the target waveform, in the time domain (analog
-mode) or in the instantaneous-phase domain (digital mode).
+mode) or in the instantaneous-phase domain (digital mode), per the config.
 
 The only trainable state is the scale array of the ``ComplexScale`` layer;
 ``train(model, u, z, cfg)`` fits it to a target that ``normalize`` has
@@ -68,20 +68,16 @@ EMULATION_MODES = ("analog", "digital")
 class EmulationModel:
     """The assembled block stack plus bookkeeping for training/inference.
 
-    Built from what a model file stores: constellation, target subcarriers
-    and ``mode``, the objective ('analog' or 'digital').  ``stack`` is the
-    full eight-layer model: ``prefix`` (cyclic-prefix removal, DFT,
-    target-bin selection), ``scale``, ``quantize`` and ``tail`` (grid
-    assembly with the pilots, IDFT, cyclic prefix).  The layers are the
-    specification: ``forward``, ``synthesize`` and every plan's metrics run
-    them, and ``train`` runs the fixed tail as their product.
+    ``stack`` is the full eight-layer model: ``prefix`` (cyclic-prefix
+    removal, DFT, target-bin selection), ``scale``, ``quantize`` and
+    ``tail`` (grid assembly with the pilots, IDFT, cyclic prefix).  The
+    layers are the specification: ``forward``, ``synthesize`` and every
+    plan's metrics run them, and ``train`` runs the fixed tail as their
+    product.  The training objective is the config's ``emulation_mode``.
     """
 
-    def __init__(self, modulation: str, target_subcarriers, mode: str):
+    def __init__(self, modulation: str, target_subcarriers):
         self.const: Constellation = constellation(modulation)
-        if mode not in EMULATION_MODES:
-            raise ConfigError(f"mode must be one of {EMULATION_MODES}, got {mode!r}")
-        self.mode = mode
         bad = [m for m in target_subcarriers if m not in DATA_SUBCARRIERS]
         if bad:
             raise ConfigError(f"target subcarriers {bad} are not data subcarriers")
@@ -367,24 +363,26 @@ def train(model: EmulationModel, u, z, cfg) -> TrainResult:
 
     ``(u, z)`` is ``model.normalize`` of the target: the normalized waveform
     and its raw (S, m) target bins.  ``cfg``, a ``sim.ExperimentConfig``,
-    gives ``epochs``, ``learning_rate`` and ``tau_start``/``tau_decay``/
-    ``tau_floor``.  The fit on ``fused_tail``'s map of the points follows
-    ``model.mode`` (``fit_loss_and_grad`` and ``selection_metric`` in
-    ``tests/emulation_oracle.py``): ``_PhaseFit``, or ``_GainFreeFit`` on
-    the symbols ``kept_symbols`` keeps (a floored symbol's samples would be
-    the whole objective).  Each epoch runs the scale and the soft quantizer
-    forward and backward; the hard metric is scored again only when the
-    decisions change, and ``_PhaseFit`` synthesizes only the changed rows.
-    Epoch 0, with scales at 1+0j, scores the plain nearest-point
-    quantization, and the kept scales are the best epoch's, so the result
-    is never worse.  Deterministic; the scale's and quantizer's per-frame
-    arrays are released on return.
+    gives ``epochs``, ``learning_rate``, ``tau_start``/``tau_decay``/
+    ``tau_floor`` and the objective, ``emulation_mode``: the fit on
+    ``fused_tail``'s map of the points (``fit_loss_and_grad`` and
+    ``selection_metric`` in ``tests/emulation_oracle.py``) is ``_PhaseFit``,
+    or in analog mode ``_GainFreeFit`` on the symbols ``kept_symbols`` keeps
+    (a floored symbol's samples would be the whole objective).  Each epoch
+    runs the scale and the soft quantizer forward and backward; the hard
+    metric is scored again only when the decisions change, and ``_PhaseFit``
+    synthesizes only the changed rows.  Epoch 0, with scales at 1+0j, scores
+    the plain nearest-point quantization, and the kept scales are the best
+    epoch's, so the result is never worse.  Deterministic; the scale's and
+    quantizer's per-frame arrays are released on return.
     """
     u = np.asarray(u, dtype=np.complex128)
     if len(u) != SYMBOL_LEN * len(z):
         raise DimensionError(f"target of {len(u)} samples for {len(z)} symbols of bins")
 
-    analog = model.mode == "analog"
+    if cfg.emulation_mode not in EMULATION_MODES:
+        raise ConfigError(f"unknown emulation_mode {cfg.emulation_mode!r}")
+    analog = cfg.emulation_mode == "analog"
     rows = kept_symbols(z) if analog else np.ones(len(z), dtype=bool)
     fit_class = _GainFreeFit if analog else _PhaseFit
     bins = model._bins(u)[rows]
@@ -444,7 +442,6 @@ def save_model(model: EmulationModel, path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "constellation": model.const.name,
-        "mode": model.mode,
         "target_subcarriers": list(model.target_subcarriers),
         "tau": model.quantize.tau,
         "scales_re": s.real.tolist(),
@@ -490,8 +487,6 @@ def load_model(path) -> EmulationModel:
         constellation(doc["constellation"])
     except ConfigError as e:
         raise ConfigError(f"model_file {path}: key constellation: {e}")
-    if doc.get("mode") not in EMULATION_MODES:
-        raise bad("mode", f"one of {EMULATION_MODES}")
     subs = doc.get("target_subcarriers")
     if not isinstance(subs, list) or not all(type(m) is int for m in subs):
         raise bad("target_subcarriers", "a list of subcarrier integers")
@@ -504,7 +499,7 @@ def load_model(path) -> EmulationModel:
     if not (_finite_number(doc.get("tau")) and doc["tau"] > 0):
         raise bad("tau", "a finite number > 0")
     try:
-        model = EmulationModel(doc["constellation"], subs, doc["mode"])
+        model = EmulationModel(doc["constellation"], subs)
     except ConfigError as e:
         raise ConfigError(f"model_file {path}: key target_subcarriers: {e}")
     model.scale.set_scale(np.array(doc["scales_re"], dtype=np.float64)

@@ -236,8 +236,8 @@ def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
 
 def _trained(cfg: ExperimentConfig, target: ComplexSignal):
     """``train_model`` on ``target``, also returning its analysis ``(u, z)``."""
-    model = EmulationModel(cfg.modulation, target_subcarriers(
-        cfg.delta_f_hz, cfg.target_subcarrier_count), cfg.emulation_mode)
+    model = EmulationModel(cfg.modulation,
+                           target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count))
     u, z = model.normalize(target.samples)
     return model, train(model, u, z, cfg), (u, z)
 
@@ -258,7 +258,7 @@ class FramePlan:
     phase_mse_body: float
     evm: float
     train_seconds: float = 0.0
-    train_epochs: int = 0
+    train: TrainResult | None = None  # None when the plan did not train
 
 
 def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> FramePlan:
@@ -278,17 +278,17 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
                               or model.const.name != mcs.constellation.name):
         raise ConfigError(
             f"model (constellation {model.const.name}, target_subcarriers "
-            f"{model.target_subcarriers}) does not match the configured {mcs.constellation.name} "
-            f"on {subs}")
+            f"{model.target_subcarriers}) does not match the config's modulation {cfg.modulation} "
+            f"on {subs}, the subcarriers of delta_f_hz and target_subcarrier_count")
 
-    train_seconds, train_epochs = 0.0, 0
+    train_seconds, result = 0.0, None
     if cfg.quantizer_mode == "trained" and model is None:
         t0 = time.perf_counter()
         model, result, (u, z) = _trained(cfg, target)
-        train_seconds, train_epochs = time.perf_counter() - t0, result.epochs_run
+        train_seconds = time.perf_counter() - t0
     else:
         if cfg.quantizer_mode != "trained":
-            model = EmulationModel(cfg.modulation, subs, cfg.emulation_mode)
+            model = EmulationModel(cfg.modulation, subs)
         u, z = model.normalize(target.samples)
     index_grid = wide_quantize(z, mcs) if cfg.quantizer_mode == "wide" else model.decide(u)
     report = solve_payload(index_grid, mcs, cfg.scrambler_seed, subs,
@@ -319,7 +319,7 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
         phase_mse_body=phase_mse_body,
         evm=evm,
         train_seconds=train_seconds,
-        train_epochs=train_epochs,
+        train=result,
     )
 
 

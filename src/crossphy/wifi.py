@@ -253,11 +253,12 @@ def interleave_permutation(n_cbps: int, n_bpsc: int) -> np.ndarray:
 
 
 def interleave(bits, n_cbps: int, n_bpsc: int) -> np.ndarray:
+    """Each ``n_cbps``-bit block on the trailing axis, interleaved."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) != n_cbps:
-        raise DimensionError(f"interleaver block must be {n_cbps} bits, got {len(bits)}")
+    if bits.shape[-1:] != (n_cbps,):
+        raise DimensionError(f"interleaver blocks must be {n_cbps} bits, got shape {bits.shape}")
     out = np.empty_like(bits)
-    out[interleave_permutation(n_cbps, n_bpsc)] = bits
+    out[..., interleave_permutation(n_cbps, n_bpsc)] = bits
     return out
 
 
@@ -343,11 +344,7 @@ def coding_chain(payload_bits, mcs: McsConfig, scrambler_seed: int) -> np.ndarra
     if len(bits) % mcs.n_dbps != 0:
         raise DimensionError(f"payload bits {len(bits)} not a multiple of n_dbps {mcs.n_dbps}")
     coded = convolutional_encode(scramble(bits, scrambler_seed), mcs.coding_rate)
-    perm = interleave_permutation(mcs.n_cbps, mcs.n_bpsc)
-    blocks = coded.reshape(-1, mcs.n_cbps)
-    out = np.empty_like(blocks)
-    out[:, perm] = blocks
-    return out.reshape(-1)
+    return interleave(coded.reshape(-1, mcs.n_cbps), mcs.n_cbps, mcs.n_bpsc).reshape(-1)
 
 
 def psdu_grid(psdu: bytes, mcs: McsConfig,

@@ -99,7 +99,7 @@ def test_03_gradient_correctness():
         for name, blk in blocks.items():
             err = db.grad_check(blk, rng)
             assert err < 1e-4, (name, err)
-        model = em.EmulationModel("qam64", subs, "analog")
+        model = em.EmulationModel("qam64", subs)
         err = db.grad_check(model.stack, rng, x=rng.standard_normal((2, 160)))
         assert err < 1e-4, ("autoencoder", err)
         assert time.time() - t0 < 60.0

@@ -272,7 +272,7 @@ class TestModelFile:
         cfg = sim.ExperimentConfig()
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
         model = tmp_path / "model.json"
-        emulation.save_model(emulation.EmulationModel(cfg.modulation, subs, "analog"), model)
+        emulation.save_model(emulation.EmulationModel(cfg.modulation, subs), model)
         doc = json.loads(model.read_text())
         assert "start_symbol" not in doc
         model.write_text(json.dumps({**doc, "start_symbol": start_symbol}))
@@ -290,7 +290,6 @@ class TestModelFile:
         (lambda d: {**d, "scales_re": [10**400] * 7}, "scales_re"),
         (lambda d: {**d, "tau": 0}, "tau"),
         (lambda d: {**d, "tau": float("nan")}, "tau"),
-        (lambda d: {**d, "mode": "foo"}, "mode"),
         (lambda d: {**d, "constellation": "qam8"}, "constellation"),
         (lambda d: {**d, "constellation": "QAM64"}, "constellation"),
         (lambda d: {**d, "target_subcarriers": "-14"}, "target_subcarriers"),
@@ -300,17 +299,57 @@ class TestModelFile:
                     + d["target_subcarriers"][2:]}, "target_subcarriers"),
         (lambda d: {**d, "format_version": True}, "format_version"),
     ], ids=["version-only", "list", "two-scales", "string-scale", "eight-scales",
-            "bool-scales", "huge-scales", "zero-tau", "nan-tau", "mode", "constellation",
+            "bool-scales", "huge-scales", "zero-tau", "nan-tau", "constellation",
             "upper-case-constellation", "subcarriers-not-list", "null-subcarrier",
             "repeated-subcarrier", "bool-version"])
     def test_malformed_model_file_names_its_key(self, tmp_path, capsys, mutate, key):
         cfg = sim.ExperimentConfig()
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
         model = tmp_path / "model.json"
-        emulation.save_model(emulation.EmulationModel(cfg.modulation, subs, "analog"), model)
+        emulation.save_model(emulation.EmulationModel(cfg.modulation, subs), model)
         model.write_text(json.dumps(mutate(json.loads(model.read_text()))))
         assert run_cli(["emulate", "--payload-hex", "01", "--model-file", str(model)]) \
             == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["analog", "digital"])
+    def test_model_file_with_the_retired_mode_key_plans_as_without_it(self, tmp_path, mode):
+        # files written while the model kept its own training objective hold
+        # a "mode" key; the objective is the config's now, and load_model
+        # ignores the key as it ignores any unknown one
+        model, _ = sim.train_model(sim.ExperimentConfig(payload=bytes.fromhex("a1b2c3"),
+                                                        epochs=25, emulation_mode="digital"))
+        assert not np.array_equal(model.scale.scale, np.ones(len(model.target_subcarriers)))
+        path = tmp_path / "model.json"
+        emulation.save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "mode" not in doc
+        psdu = []
+        for saved in (doc, {"format_version": 1, "constellation": doc["constellation"],
+                            "mode": mode, **doc}):
+            path.write_text(json.dumps(saved, indent=2))
+            out = tmp_path / "emulate.json"
+            assert run_cli(["emulate", "--payload-hex", "a1b2c3", "--epochs", "3",
+                            "--model-file", str(path), "--metrics-out", str(out)]) == cli.EXIT_OK
+            psdu.append(json.loads(out.read_text())["deterministic"]["emulation"]["psdu_hex"])
+        assert psdu[0] == psdu[1]
+        plan = sim.plan_frame(cli.experiment_config({"payload_hex": "a1b2c3"}), model=model)
+        assert psdu[0] == plan.report.psdu.hex()
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--modulation", "qam16"], "modulation"),
+        (["--target-subcarrier-count", "5"], "target_subcarrier_count"),
+        (["--delta-f-hz", "0"], "delta_f_hz"),
+    ])
+    def test_model_mismatch_names_the_config_key(self, tmp_path, capsys, flags, key):
+        # a model file for the default config, planned under another
+        # constellation or other subcarriers
+        cfg = sim.ExperimentConfig()
+        subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
+        model = tmp_path / "model.json"
+        emulation.save_model(emulation.EmulationModel(cfg.modulation, subs), model)
+        assert run_cli(["emulate", "--payload-hex", "01", "--model-file", str(model)]
+                       + flags) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
     def test_model_file_not_json_is_config_error(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 sets; no input escapes as a traceback (exit 1) or a runtime failure
 (exit 3)."""
 import contextlib
+import functools
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
-from crossphy import cli, sim  # noqa: E402
+from crossphy import cli, emulation as em, sim  # noqa: E402
 
 _ANY_INT = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 _ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 1e-300, 1e300]))
@@ -79,20 +80,57 @@ def configs(draw):
     return doc
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(doc=configs())
-def test_every_config_runs_or_names_its_bad_key(doc):
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+@functools.lru_cache(maxsize=1)
+def _default_model() -> str:
+    """A model file for the default config's constellation and subcarriers."""
+    model, _ = sim.train_model(sim.ExperimentConfig(payload=bytes(8), epochs=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        em.save_model(model, path)
+        with open(path) as f:
+            return f.read()
+
+
+def _runs_or_names_its_bad_key(command, doc, files=False):
+    """Run ``command`` on ``doc`` as a config file.  With ``files``, its
+    model_file and metrics_out are in the temp dir, and the model file holds
+    ``_default_model`` until train writes its own."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as f:
             json.dump(doc, f)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = cli.main(["evaluate", "--config", path])
-    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (rc, err.getvalue())
+        argv = ["--config", path]
+        if files:
+            model = os.path.join(tmp, "m.json")
+            with open(model, "w") as f:
+                f.write(_default_model())
+            argv += ["--model-file", model, "--metrics-out", os.path.join(tmp, "out.json")]
+        rc, err = _run([command] + argv)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (rc, err)
     if rc == cli.EXIT_CONFIG:
-        assert any(key in err.getvalue() for key in doc), err.getvalue()
+        assert any(key in err for key in doc), err
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_every_config_runs_or_names_its_bad_key(doc):
+    _runs_or_names_its_bad_key("evaluate", doc)
+
+
+@pytest.mark.parametrize("command", ["emulate", "solve-payload", "train"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_every_config_runs_or_names_its_bad_key_in(command, doc):
+    _runs_or_names_its_bad_key(command, doc, files=True)
 
 
 def _flag_text(value) -> str:
@@ -111,13 +149,6 @@ def _renderable(value) -> bool:
     the one empty item, whose text "" is the empty list."""
     return not isinstance(value, list) or (
         not any("," in v for v in value if isinstance(v, str)) and value != [""])
-
-
-def _run(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
-    return rc, err.getvalue()
 
 
 def _named_keys(doc, err) -> set:

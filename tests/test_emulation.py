@@ -40,11 +40,11 @@ def train(model, target, cfg):
     return em.train(model, *model.normalize(target.samples), cfg)
 
 
-def kept(model, u, z, v=None):
+def kept(mode, u, z, v=None):
     """The samples the analog objective sees: ``u`` (or ``v``) on the
     symbols ``kept_symbols`` keeps; every sample in digital mode."""
     w = u if v is None else v
-    if model.mode != "analog":
+    if mode != "analog":
         return w
     return w.reshape(-1, 80)[em.kept_symbols(z)].reshape(-1)
 
@@ -52,31 +52,26 @@ def kept(model, u, z, v=None):
 class TestBuild:
     def test_pilot_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            em.EmulationModel("qam64", (-7, -8), "analog")
+            em.EmulationModel("qam64", (-7, -8))
 
     def test_null_overlap_rejected(self):
         with pytest.raises(ConfigError):
-            em.EmulationModel("qam64", (0,), "analog")
-
-    def test_unknown_mode_rejected(self):
-        # train picks its fit from the mode, and would fit any other as digital
-        with pytest.raises(ConfigError, match="mode"):
-            em.EmulationModel("qam64", SUBS, "bogus")
+            em.EmulationModel("qam64", (0,))
 
     def test_output_length_equals_input_length(self):
-        model = em.EmulationModel("qam64", SUBS, "analog")
+        model = em.EmulationModel("qam64", SUBS)
         rng = dsp.make_rng(1)
         for blocks in (1, 3, 7):
             x = rng.standard_normal(80 * blocks) + 1j * rng.standard_normal(80 * blocks)
             assert len(model.forward(x)) == 80 * blocks
 
     def test_non_multiple_length_rejected(self):
-        model = em.EmulationModel("qam64", SUBS, "analog")
+        model = em.EmulationModel("qam64", SUBS)
         with pytest.raises(DimensionError):
             model.forward(np.ones(81, dtype=complex))
 
     def test_internal_grid_pilots_fixed(self):
-        model = em.EmulationModel("qam64", SUBS, "analog")
+        model = em.EmulationModel("qam64", SUBS)
         rng = dsp.make_rng(2)
         x = rng.standard_normal(160) + 1j * rng.standard_normal(160)
         h = model._to_blocks(x)
@@ -90,14 +85,14 @@ class TestBuild:
             assert grid[s, columns(21)] == -pols[s % 127]
 
     def test_infer_shape_and_range(self):
-        model = em.EmulationModel("qam64", SUBS, "analog")
+        model = em.EmulationModel("qam64", SUBS)
         target = zigbee_target(2)
         idx = model_indices(model, target)
         assert idx.shape == (len(target.samples) // 80, len(SUBS))
         assert idx.min() >= 0 and idx.max() < 64
 
     def test_infer_deterministic(self):
-        model = em.EmulationModel("qam64", SUBS, "analog")
+        model = em.EmulationModel("qam64", SUBS)
         target = zigbee_target(2)
         a = model_indices(model, target)
         b = model_indices(model, target)
@@ -116,7 +111,7 @@ class TestPassthrough:
         assert np.max(np.abs(ob[:, :16] - ib[:, 64:])) < 1e-9
 
     def test_full_autoencoder_grad_check(self):
-        model = em.EmulationModel("qam64", SUBS, "analog")
+        model = em.EmulationModel("qam64", SUBS)
         err = db.grad_check(model.stack, dsp.make_rng(4),
                             x=dsp.make_rng(5).standard_normal((2, 160)))
         assert err < 1e-4
@@ -192,7 +187,7 @@ class TestHardQuantize:
 
     def test_hard_scale_invariance(self):
         # the hard decision ignores the soft quantizer's temperature entirely
-        model = em.EmulationModel("qam64", SUBS, "analog")
+        model = em.EmulationModel("qam64", SUBS)
         model.scale.set_scale(1.3 * np.exp(0.4j) * np.ones(len(SUBS)))
         u = model.normalize(zigbee_target(2).samples)[0]
         i1 = model.decide(u)
@@ -204,8 +199,14 @@ class TestHardQuantize:
 
 
 class TestTraining:
-    def make(self, mode="analog"):
-        return em.EmulationModel("qam64", SUBS, mode)
+    def make(self):
+        return em.EmulationModel("qam64", SUBS)
+
+    def test_unknown_mode_rejected(self):
+        # train picks its fit from the mode, and would fit any other as digital
+        cfg = replace(sim.ExperimentConfig(epochs=1), emulation_mode="bogus")
+        with pytest.raises(ConfigError, match="mode"):
+            train(self.make(), zigbee_target(1), cfg)
 
     def test_deterministic(self):
         target = zigbee_target(1)
@@ -239,18 +240,18 @@ class TestTraining:
         h = model.idft.forward(h)
         h = model.cp_add.forward(h)
         v_base = db.unstack_complex(h).reshape(-1)
-        base = selection_metric(kept(model, u, z, v_base), kept(model, u, z), "analog")
+        base = selection_metric(kept("analog", u, z, v_base), kept("analog", u, z), "analog")
         train(model, target, sim.ExperimentConfig(epochs=120))
         v_hard = hard_reconstruction(model, target)
-        got = selection_metric(kept(model, u, z, v_hard), kept(model, u, z), "analog")
+        got = selection_metric(kept("analog", u, z, v_hard), kept("analog", u, z), "analog")
         assert got <= base + 1e-12
 
     def test_digital_mode_improves_phase(self):
         target = zigbee_target(2, seed=4)
-        analog = self.make("analog")
+        analog = self.make()
         train(analog, target, sim.ExperimentConfig(epochs=150))
-        digital = self.make("digital")
-        train(digital, target, sim.ExperimentConfig(epochs=150))
+        digital = self.make()
+        train(digital, target, sim.ExperimentConfig(epochs=150, emulation_mode="digital"))
         u, _ = analog.normalize(target.samples)
         pa = em.phase_mse_excluding_cp(hard_reconstruction(analog, target), u)
         pd = em.phase_mse_excluding_cp(hard_reconstruction(digital, target), u)
@@ -260,7 +261,7 @@ class TestTraining:
         # the trainer runs the fixed prefix once and backpropagates from the
         # scale on; the prefix in front of the scale cannot change the scale
         # gradient
-        model = self.make("digital")
+        model = self.make()
         u, _ = model.normalize(zigbee_target(2, seed=6).samples)
         model.scale.set_scale(np.exp(0.3j) * np.linspace(0.8, 1.2, len(SUBS)))
         blocks = model._to_blocks(u)
@@ -292,8 +293,8 @@ class TestTraining:
         target = zigbee_target(2, seed=7)
         model = self.make()
         u, z = model.normalize(target.samples)
-        expect, _ = fit_loss_and_grad(kept(model, u, z, model.forward(u)), kept(model, u, z),
-                                         "analog")
+        expect, _ = fit_loss_and_grad(kept("analog", u, z, model.forward(u)),
+                                      kept("analog", u, z), "analog")
         res = train(model, target, sim.ExperimentConfig(epochs=5))
         assert res.loss_history[0] == pytest.approx(expect, rel=1e-12, abs=0)
 
@@ -341,7 +342,7 @@ class TestTraining:
         # is S*80 complex128
         cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 16), emulation_mode=mode,
                                    epochs=12)
-        model = em.EmulationModel(cfg.modulation, SUBS, mode)
+        model = em.EmulationModel(cfg.modulation, SUBS)
         u, z = model.normalize(sim.frame_target(cfg).samples)
         forward = model.quantize.forward
         marks = []  # (live, peak since the last mark) at each epoch's start
@@ -375,7 +376,7 @@ class TestTraining:
         # the four 128 KB cast buffers of complex-from-real ufuncs peaked at
         # 132 KB)
         cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 32), emulation_mode=mode)
-        model = em.EmulationModel(cfg.modulation, SUBS, mode)
+        model = em.EmulationModel(cfg.modulation, SUBS)
         u, z = model.normalize(sim.frame_target(cfg).samples)
         a, pilots = em.fused_tail(model, len(z))
         fit = (em._GainFreeFit if mode == "analog" else em._PhaseFit)(u, a, pilots)
@@ -400,11 +401,11 @@ class TestTraining:
     @pytest.mark.parametrize("modulation", ["qpsk", "qam16", "qam64"])
     def test_best_hard_metric_is_the_nn_webee_reconstruction(self, modulation, mode):
         target = zigbee_target(2, seed=8)
-        model = em.EmulationModel(modulation, SUBS, mode)
-        res = train(model, target, sim.ExperimentConfig(epochs=60))
+        model = em.EmulationModel(modulation, SUBS)
+        res = train(model, target, sim.ExperimentConfig(epochs=60, emulation_mode=mode))
         u, z = model.normalize(target.samples)
         v = hard_reconstruction(model, target)
-        got = selection_metric(kept(model, u, z, v), kept(model, u, z), mode)
+        got = selection_metric(kept(mode, u, z, v), kept(mode, u, z), mode)
         # layered synthesis against train's fused tail: qam64-digital is 1 ulp off
         assert got == pytest.approx(res.best_hard_metric, rel=1e-12, abs=0)
 
@@ -413,7 +414,7 @@ class TestTraining:
         monkeypatch.setattr(em, "PLATEAU_PATIENCE", 10**9)
         from crossphy import cli
 
-        res = train(self.make("digital"), zigbee_target(1), sim.ExperimentConfig())
+        res = train(self.make(), zigbee_target(1), sim.ExperimentConfig(emulation_mode="digital"))
         assert res.epochs_run == cli.experiment_config({}).epochs == 300
 
     def test_nonfinite_loss_aborts(self):
@@ -473,7 +474,7 @@ def reference_train(model, target, cfg):
     g = em.symbol_peaks(raw)
     u = (x.reshape(-1, 80) / g[:, None]).reshape(-1)
     z = bins(u)
-    rows = em.kept_symbols(raw) if model.mode == "analog" else np.ones(len(z), dtype=bool)
+    rows = em.kept_symbols(raw) if cfg.emulation_mode == "analog" else np.ones(len(z), dtype=bool)
     u_fit = u.reshape(-1, 80)[rows].reshape(-1)
 
     def fit_samples(h):
@@ -491,14 +492,14 @@ def reference_train(model, target, cfg):
         quantize.tau = max(cfg.tau_floor, cfg.tau_start * cfg.tau_decay**epoch)
 
         v_soft = fit_samples(head.forward(z))
-        soft_loss, g = fit_loss_and_grad(v_soft, u_fit, model.mode)
+        soft_loss, g = fit_loss_and_grad(v_soft, u_fit, cfg.emulation_mode)
         gy = np.zeros((len(z), 160))
         gy[rows] = db.stack_complex(g.reshape(-1, 80))
         head.backward(gy)
 
         idx = model.const.nearest(db.unstack_complex(model.scale.forward(z)))
         v_hard = fit_samples(model.tail.forward(db.stack_complex(model.const.points[idx])))
-        metric = selection_metric(v_hard, u_fit, model.mode)
+        metric = selection_metric(v_hard, u_fit, cfg.emulation_mode)
         result.loss_history.append(soft_loss)
         result.hard_metric_history.append(metric)
         if metric < result.best_hard_metric - em.PLATEAU_TOL:
@@ -537,7 +538,7 @@ def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
                                emulation_mode=mode)
     model, got = sim.train_model(cfg)
 
-    ref_model = em.EmulationModel(model.const.name, model.target_subcarriers, model.mode)
+    ref_model = em.EmulationModel(model.const.name, model.target_subcarriers)
     target = sim.frame_target(cfg)
     want, n = reference_train(ref_model, target, cfg)
 
@@ -566,7 +567,7 @@ def test_negative_zero_pilots_keep_the_complex_signs_of_zero():
     # complex path's signs of zero (Re re + 0*im, Im im + 0.0) while the
     # product has no -0.0, even where a pilot part is -0.0
     cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 8), emulation_mode="digital")
-    model = em.EmulationModel(cfg.modulation, SUBS, "digital")
+    model = em.EmulationModel(cfg.modulation, SUBS)
     u, z = model.normalize(sim.frame_target(cfg).samples)
     a, pilots = em.fused_tail(model, len(z))
     pilots = np.where(pilots == 0, -0.0, pilots)
@@ -593,7 +594,7 @@ def test_negative_zero_pilots_keep_the_complex_signs_of_zero():
 def test_workspace_equals_the_objective_and_metric(modulation, rate, mode, n_bytes):
     cfg = sim.ExperimentConfig(payload=sim.random_payload(1, n_bytes), modulation=modulation,
                                coding_rate=rate, emulation_mode=mode)
-    model = em.EmulationModel(modulation, SUBS, mode)
+    model = em.EmulationModel(modulation, SUBS)
     u, z = model.normalize(sim.frame_target(cfg).samples)
     rows = em.kept_symbols(z) if mode == "analog" else np.ones(len(z), dtype=bool)
     target = u.reshape(-1, 80)[rows].reshape(-1)

@@ -54,12 +54,12 @@ class TestTargetSubcarriers:
 def normalized(sig, subs):
     """``EmulationModel.normalize`` of a waveform on ``subs``: the
     normalized waveform and the raw target bins."""
-    return em.EmulationModel("qam64", subs, "analog").normalize(sig.samples)
+    return em.EmulationModel("qam64", subs).normalize(sig.samples)
 
 
 def webee(sig, subs):
     """The webee rule: ``decide`` of an untrained model."""
-    model = em.EmulationModel("qam64", subs, "analog")
+    model = em.EmulationModel("qam64", subs)
     return model.decide(model.normalize(sig.samples)[0])
 
 
@@ -109,7 +109,7 @@ class TestBaselineQuantize:
 
     def test_nn_webee_with_unit_scales_equals_webee(self):
         ones = np.ones(len(self.subs), dtype=complex)
-        model = em.EmulationModel("qam64", self.subs, "digital")
+        model = em.EmulationModel("qam64", self.subs)
         model.scale.set_scale(ones)
         a = model.decide(model.normalize(self.target.samples)[0])
         b = webee(self.target, self.subs)
@@ -163,8 +163,15 @@ class TestPipeline:
         monkeypatch.setattr(em.EmulationModel, "normalize",
                             lambda self, x: calls.append(x) or normalize(self, x))
         plan = sim.plan_frame(small_cfg(quantizer_mode="trained", epochs=3))
-        assert plan.train_epochs == 3
+        assert plan.train.epochs_run == 3
         assert len(calls) == 1 and calls[0] is plan.target.samples
+
+    def test_only_a_plan_that_trains_carries_its_training_record(self):
+        cfg = small_cfg(quantizer_mode="trained", epochs=3)
+        plan = sim.plan_frame(cfg)
+        assert plan.train == sim.train_model(cfg)[1]
+        assert sim.plan_frame(cfg, model=plan.model).train is None
+        assert sim.plan_frame(small_cfg()).train is None
 
     def test_webee_plan_ignores_a_given_models_scales(self):
         cfg = small_cfg(emulation_mode="digital", payload=bytes(range(6)))
@@ -194,7 +201,7 @@ class TestPipeline:
         cfg = small_cfg(quantizer_mode="trained", payload=bytes([9, 9]))
         plan = sim.plan_frame(cfg)
         assert plan.model is not None
-        assert plan.train_epochs > 0
+        assert plan.train.epochs_run > 0
 
     def test_trained_plan_is_nn_webee_with_its_scales(self):
         # the webee rule with trained scales: a trained plan given its own
@@ -213,20 +220,20 @@ class TestPipeline:
         assert len(sim.frame_target(cfg)) == len(plain) + 80
         model, res = sim.train_model(cfg)
         plan = sim.plan_frame(cfg)
-        assert res.epochs_run == plan.train_epochs
+        assert res.epochs_run == plan.train.epochs_run
         assert np.array_equal(model.scale.scale, plan.model.scale.scale)
 
     def test_model_constellation_mismatch_rejected(self):
         cfg = small_cfg(quantizer_mode="trained")
         subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-        model = em.EmulationModel("qam16", subs, "analog")
+        model = em.EmulationModel("qam16", subs)
         with pytest.raises(ConfigError):
             sim.plan_frame(cfg, model=model)
 
     def test_model_mismatch_names_the_model_file_keys(self):
         # a mismatched model file exits 2; its message names the file's keys
         cfg = small_cfg(quantizer_mode="trained")
-        model = em.EmulationModel("qam16", (-14, -13), "analog")
+        model = em.EmulationModel("qam16", (-14, -13))
         with pytest.raises(ConfigError, match=r"constellation qam16, target_subcarriers"):
             sim.plan_frame(cfg, model=model)
 
@@ -236,7 +243,7 @@ class TestPipeline:
 
     def test_mismatched_model_subcarriers_rejected(self):
         cfg = small_cfg(quantizer_mode="trained")
-        model = em.EmulationModel("qam64", (8, 9, 10), "analog")
+        model = em.EmulationModel("qam64", (8, 9, 10))
         with pytest.raises(ConfigError):
             sim.plan_frame(cfg, model=model)
 

@@ -310,7 +310,7 @@ class TestOneBinOrder:
         grid[:, wifi.columns(subs)] = points
         grid[:, wifi.columns(wifi.PILOT_SUBCARRIERS)] = wifi.pilot_values(n_sym)
         want = wifi.synthesize(grid).samples
-        got = EmulationModel(modulation, subs, "analog").synthesize(points)
+        got = EmulationModel(modulation, subs).synthesize(points)
         assert np.max(np.abs(got - want)) < 1e-13
 
         # the transmitter's coded points and pilots sit in the model's columns
