@@ -12,8 +12,11 @@ Rows of G come straight from the encoder taps.  Every coded bit, punctured
 or not, is the parity of x[t-6 .. t] under the g0 or g1 taps, and both
 generators tap x[t] and x[t-6]; so every row is a band of at most 7
 columns, held as two arrays of leads and masks.  The eliminator keeps
-bands within 7 columns (see ``gf2``): the solve is one reduction pass over
-the constrained bits, then one shift, AND and popcount per pivot.
+bands within 7 columns (see ``gf2``).  A default 7-bin plan's constrained
+bits all insert in at most one reduction step, in numpy at once, and only
+the pivots whose rows reach another pivot column are walked one by one
+(2,671-2,953 of 18,186 in 48-byte plans); wider plans also reduce their
+later rows one by one.
 ``solve_payload``, the one solve entry point, builds only those rows.
 ``build_generator`` scatters every band into the dense matrix G, which
 serves only as the specification's oracle.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CrossPhyError, DimensionError
+from .errors import CrossPhyError, DimensionError, DomainError
 from .gf2 import eliminate
 from .wifi import (
     DATA_SUBCARRIERS,
@@ -117,8 +120,9 @@ def solve_payload(
 ) -> SolveReport:
     """Payload bits realizing a grid of intended constellation indices.
 
-    ``index_grid`` is (n_symbols, m) from the emulation model;
-    ``bin_energy`` (same shape) ranks constraints, largest first.  Positions
+    ``index_grid`` is (n_symbols, m) from the emulation model, integers in
+    [0, 2**n_bpsc) (else ``DomainError``); ``bin_energy``, of the same shape
+    (else ``DimensionError``), ranks constraints, largest first.  Positions
     feeding other subcarriers are unconstrained.  The report's achieved
     indices come from re-encoding the solution through the actual coding
     chain, so it is self-verifying.
@@ -127,6 +131,21 @@ def solve_payload(
     if index_grid.ndim != 2 or index_grid.shape[1] != len(target_subcarriers):
         raise DimensionError(f"index grid {index_grid.shape} does not match "
                              f"{len(target_subcarriers)} target subcarriers")
+    n_points = 1 << mcs.n_bpsc
+    if index_grid.dtype.kind not in "iu":
+        raise DomainError(f"index grid holds {index_grid.dtype} values, not indices "
+                          f"of the {n_points}-point constellation")
+    outside = (index_grid < 0) | (index_grid >= n_points)
+    if outside.any():
+        s, t = np.argwhere(outside)[0]
+        raise DomainError(f"index grid value {index_grid[s, t]} (symbol {s}, subcarrier "
+                          f"{target_subcarriers[t]}) is not an index of the "
+                          f"{n_points}-point constellation, 0..{n_points - 1}")
+    if bin_energy is not None:
+        bin_energy = np.asarray(bin_energy, dtype=np.float64)
+        if bin_energy.shape != index_grid.shape:
+            raise DimensionError(f"bin_energy {bin_energy.shape} does not match "
+                                 f"the index grid {index_grid.shape}")
     n_symbols, m = index_grid.shape
     n_bits = n_symbols * mcs.n_dbps
     if n_bits % 8 != 0:
@@ -150,7 +169,7 @@ def solve_payload(
     if bin_energy is not None:
         # sort the bins in midx order, where each bin's b rows sit together
         bins = np.argsort(pos[..., 0].reshape(-1))
-        energy = np.asarray(bin_energy, dtype=np.float64).reshape(-1)[bins]
+        energy = bin_energy.reshape(-1)[bins]
         order = (np.argsort(-energy, kind="stable")[:, None] * b + np.arange(b)).reshape(-1)
     else:
         order = None

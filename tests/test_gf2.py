@@ -218,3 +218,72 @@ def test_encoder_bands_eliminate_as_the_per_bit_oracle(system):
     assert np.array_equal(got.x, ref.x) and got.x.dtype == ref.x.dtype
     assert (got.rank, got.violated, got.satisfied, got.pivot_cols, got.max_span) == (
         ref.rank, ref.violated, ref.satisfied, ref.pivot_cols, ref.max_span)
+
+
+@st.composite
+def int64_band_systems(draw):
+    """Bands as int64 arrays, of width 1-62 over up to 160 columns, which
+    ``eliminate`` inserts in numpy as far as it can.  Half are random, as
+    in ``band_systems``: the numpy run stops somewhere and the loop inserts
+    the rest.  The other half are built so that rows insert in at most
+    one step: each row is the first on a lead that no earlier row holds,
+    or reduces once against the first row of its lead and lands on a
+    column that no earlier row holds.  Most of these go through numpy
+    whole, the split back-substitution included; in some, a row takes a
+    held column (by its lead or where it lands), which ends the numpy run
+    there.  The rows are stored shuffled, and ``order`` inserts them as
+    built."""
+    n_cols = draw(st.integers(1, 160))
+    widest = draw(st.integers(1, min(62, n_cols)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lead, mask = [], []
+    if draw(st.booleans()):
+        held, first = set(), {}  # columns held; the first row's mask by lead
+        p_clash = draw(st.sampled_from([0.0, 0.05]))
+        for _ in range(draw(st.integers(0, n_cols))):
+            clash = rng.random() < p_clash  # this row takes a held column
+            if first and rng.random() < 0.5:  # reduce once against a first row
+                c = rng.choice(sorted(first))
+                offsets = [k for k in range(1, min(widest, n_cols - c))
+                           if (c + k in held) == clash]
+                if not offsets:
+                    continue
+                k = rng.choice(offsets)  # where it lands
+                w = rng.randint(k + 1, min(widest, n_cols - c))
+                lead.append(c)
+                mask.append(first[c] ^ (rng.getrandbits(w - k) << k | 1 << k))
+                held.add(c + k)
+            else:  # the first row on its lead
+                landed = sorted(held - first.keys())
+                c = rng.choice(landed) if clash and landed else rng.randrange(n_cols)
+                if c in first or (c in held) != clash:
+                    continue
+                w = rng.randint(1, min(widest, n_cols - c))
+                first[c] = rng.getrandbits(w) | 1 | 1 << (w - 1)
+                lead.append(c)
+                mask.append(first[c])
+                held.add(c)
+    else:
+        for _ in range(draw(st.integers(0, 2 * n_cols + 8))):
+            w = rng.randint(1, widest)
+            lead.append(rng.randint(0, n_cols - w))
+            mask.append(rng.getrandbits(w) | 1 | 1 << (w - 1))
+    if draw(st.booleans()):  # consistent
+        hidden = rng.getrandbits(n_cols)
+        rhs = [((m << c) & hidden).bit_count() & 1 for c, m in zip(lead, mask)]
+    else:
+        rhs = [rng.getrandbits(1) for _ in lead]
+    perm = np.array(rng.sample(range(len(lead)), len(lead)), dtype=np.intp)
+    return (np.array(lead, dtype=np.int64)[perm], np.array(mask, dtype=np.int64)[perm],
+            np.array(rhs, dtype=np.uint8)[perm], n_cols, np.argsort(perm))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(system=int64_band_systems())
+def test_int64_bands_eliminate_as_the_per_bit_oracle(system):
+    lead, mask, rhs, n_cols, order = system
+    got = gf2.eliminate(lead, mask, rhs, n_cols, order=order)
+    ref = eliminate_per_bit(lead, mask, rhs, n_cols, order=order)
+    assert np.array_equal(got.x, ref.x) and got.x.dtype == ref.x.dtype
+    assert (got.rank, got.violated, got.satisfied, got.pivot_cols, got.max_span) == (
+        ref.rank, ref.violated, ref.satisfied, ref.pivot_cols, ref.max_span)

@@ -3,7 +3,7 @@ import pytest
 
 from crossphy import gf2, solver, wifi
 from crossphy.dsp import make_rng
-from crossphy.errors import DimensionError
+from crossphy.errors import DimensionError, DomainError
 from gf2_oracle import dense_to_bands
 
 SEED = wifi.DEFAULT_SCRAMBLER_SEED
@@ -174,6 +174,26 @@ class TestSolvePayload:
         with pytest.raises(DimensionError):
             solver.solve_payload(np.zeros((3, 5), dtype=int), mcs, SEED, SUBS)
 
+    @pytest.mark.parametrize("bad", [64, -1])
+    def test_index_outside_the_constellation_rejected(self, bad):
+        # QAM-64 indices are 0..63; 64 would solve as point 0 and -1 as 63
+        grid = np.zeros((2, len(SUBS)), dtype=int)
+        grid[1, 3] = bad
+        with pytest.raises(DomainError, match=f"value {bad} "):
+            solver.solve_payload(grid, wifi.mcs_config("qam64", "1/2"), SEED, SUBS)
+
+    def test_float_grid_rejected(self):
+        grid = np.zeros((2, len(SUBS)))
+        with pytest.raises(DomainError, match="float64"):
+            solver.solve_payload(grid, wifi.mcs_config("qam64", "1/2"), SEED, SUBS)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_bin_energy_of_another_shape_rejected(self, rows):
+        grid = np.zeros((2, len(SUBS)), dtype=int)
+        with pytest.raises(DimensionError, match="bin_energy"):
+            solver.solve_payload(grid, wifi.mcs_config("qam64", "1/2"), SEED, SUBS,
+                                 bin_energy=np.ones((rows, len(SUBS))))
+
 
 class TestBandedRows:
     @pytest.mark.parametrize("modulation", ["bpsk", "qpsk", "qam16", "qam64"])
@@ -234,6 +254,28 @@ class TestBandedRows:
         assert np.array_equal(rep.x, ref.x)
         assert rep.rank == ref.rank
         assert rep.violated_positions == sorted(masked[ref.violated].tolist())
+
+    @pytest.mark.parametrize("payload_len", [8, 48, 127])
+    def test_default_plan_rows_all_insert_in_numpy(self, payload_len, monkeypatch):
+        # every constrained bit of a default 7-bin plan inserts in at most
+        # one reduction step, so gf2's numpy run takes every row and the
+        # per-row loop none
+        from crossphy import sim
+
+        calls = []
+
+        def spy(lead, mask, rhs, n_cols, order=None):
+            calls.append((lead[order], mask[order], rhs[order], n_cols))
+            return gf2.eliminate(lead, mask, rhs, n_cols, order=order)
+
+        monkeypatch.setattr(solver, "eliminate", spy)
+        for seed in (4, 8191):
+            rng = make_rng(seed, 0xBEEF, payload_len)
+            payload = bytes(rng.integers(0, 256, payload_len).tolist())
+            sim.plan_frame(sim.ExperimentConfig(payload=payload, quantizer_mode="webee"))
+        assert len(calls) == 2
+        for lead, mask, rhs, n_cols in calls:
+            assert gf2._one_step_rows(lead, mask, rhs, n_cols)[0] == len(lead) > 0
 
     def test_pinned_webee_psdu(self):
         # PSDU of this plan as produced by the dense eliminator the banded
