@@ -102,7 +102,8 @@ def eliminate(lead, mask, rhs, n_cols: int,
     table, pr, cols = np.zeros(n_cols, mask.dtype), bytearray(n_cols), []
     prv, x = np.frombuffer(pr, np.uint8), bytearray(n_cols)
     span = 0  # OR of the basis masks, as wide as the widest
-    # lists and object arrays (masks past 63 bits) go to the loop whole
+    # signed int arrays only: lists and object arrays (masks past 63 bits)
+    # go to the loop whole
     batched = mask.dtype.kind == "i"
     done = 0
     if batched:
@@ -114,7 +115,9 @@ def eliminate(lead, mask, rhs, n_cols: int,
 
     if batched and done == len(ids):
         # a pivot whose row reaches no other pivot column is its right-hand
-        # bit; the others fold those bits into theirs and are walked alone
+        # bit; the others fold those bits into theirs and are walked alone.
+        # Where the loop runs, nearly every pivot reaches another (43,771 of
+        # 43,917 in a 30-bin plan), so there the window walks them all
         c = np.sort(c)[::-1]
         m = table[c]
         held = np.zeros(n_cols, np.uint8)
