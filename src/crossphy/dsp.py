@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,9 +61,10 @@ class ComplexSignal:
     def __len__(self):
         return len(self.samples)
 
-    @property
+    @cached_property
     def power(self) -> float:
-        """Mean of |s[n]|^2; ``DimensionError`` for an empty signal."""
+        """Mean of |s[n]|^2; ``DimensionError`` for an empty signal.  Computed
+        once per signal, since the samples never change."""
         if not len(self.samples):
             raise DimensionError("power needs a non-empty signal")
         return float(np.mean(np.abs(self.samples) ** 2))
@@ -141,12 +142,11 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
     if math.isinf(var):
         raise DomainError(f"snr_db out of range for a float noise variance, got {snr_db}")
     n = len(sig.samples)
-    draws = np.empty((2, n))
-    rng.standard_normal(out=draws[0])
-    rng.standard_normal(out=draws[1])
     scale = unit * math.sqrt(var / 2.0)
     noisy = np.empty(n, dtype=np.complex128)
-    np.multiply(draws[0], scale, out=noisy.real)
-    np.multiply(draws[1], scale, out=noisy.imag)
+    draws = np.empty(n)  # the real parts' draws, then the imaginary parts'
+    for part in (noisy.real, noisy.imag):
+        rng.standard_normal(out=draws)
+        np.multiply(draws, scale, out=part)
     noisy += sig.samples
     return ComplexSignal(noisy, sig.sample_rate_hz)

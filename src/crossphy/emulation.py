@@ -328,7 +328,11 @@ class _PhaseFit:
         self._synthesize(points, self.a_wave, self.pilots_wave, self.v)
         v = self.v.reshape(-1)
         p = np.multiply(v, self.conj_target.reshape(-1), out=self.g)
-        e = np.arctan2(p.imag, p.real, out=self.e)  # np.angle(p)
+        # np.angle(p), from contiguous copies of its parts in buffers not yet
+        # in use: the same floats as from the strided views, in less time
+        np.copyto(self.e, p.real)
+        np.copyto(self.mag2, p.imag)
+        e = np.arctan2(self.mag2, self.e, out=self.e)
         mag2 = np.square(np.abs(v, out=self.mag2), out=self.mag2)
         np.maximum(mag2, MAG2_FLOOR, out=mag2)
         gr = self.h.reshape(-1)[:len(v)]

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import platform
+import threading
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import zigbee
-from .dsp import ComplexSignal, awgn, frequency_shift, make_rng
+from .dsp import ComplexSignal, _rotation, awgn, frequency_shift, make_rng
 from .emulation import (
     EMULATION_MODES,
     EmulationModel,
@@ -342,28 +344,126 @@ def _known_timing_chip_errors(rx: ComplexSignal, expected: np.ndarray,
     return float(np.mean(hard != expected.astype(bool)))
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: a point's trials run on the calling
+    thread and one helper thread for each further CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _HelperPool:
+    """Daemon threads, started as needed and kept, that run a callable
+    beside the calling thread."""
+
+    def __init__(self):
+        from queue import SimpleQueue  # only a point that fans out needs it
+        self.pid, self.size, self._tasks = os.getpid(), 0, SimpleQueue()
+
+    def _serve(self):
+        while True:
+            work, done = self._tasks.get()
+            try:
+                work()
+            finally:
+                done.release()
+
+    def run(self, work, helpers: int) -> None:
+        """``work()`` here and on ``helpers`` pool threads at once; returns
+        when every call has returned or raised."""
+        for _ in range(self.size, helpers):
+            threading.Thread(target=self._serve, name="crossphy-trial", daemon=True).start()
+            self.size += 1
+        done = threading.Semaphore(0)
+        for _ in range(helpers):
+            self._tasks.put((work, done))
+        try:
+            work()
+        finally:
+            for _ in range(helpers):
+                done.acquire()
+
+
+_pool = None  # made by the first point that fans out; again in a forked child
+
+
+def _each_trial(run, n: int) -> list:
+    """``[run(t) for t in range(n)]``, with the trials spread over the
+    calling thread and up to ``_cpu_count() - 1`` helpers.
+
+    Each thread claims the next unclaimed trial until none is left.  A trial
+    that raises ends the claims; its exception is raised once every thread
+    has finished its trial, so no trial runs after the call returns.  One
+    trial, or one CPU, runs inline and starts no thread.
+    """
+    global _pool
+    helpers = min(n, _cpu_count()) - 1
+    if helpers < 1:
+        return [run(t) for t in range(n)]
+    out, errors = [None] * n, []
+    lock = threading.Lock()
+    claimed = 0
+
+    def work():
+        nonlocal claimed
+        while True:
+            with lock:
+                t, claimed = claimed, claimed + 1
+            if t >= n:
+                return
+            try:
+                out[t] = run(t)
+            except BaseException as exc:
+                with lock:
+                    claimed = n
+                    errors.append(exc)
+                return
+
+    if _pool is None or _pool.pid != os.getpid():
+        _pool = _HelperPool()
+    _pool.run(work, helpers)
+    if errors:
+        raise errors[0]
+    return out
+
+
 def run_point(plan: FramePlan, snr_db: float) -> Metrics:
-    """All trials of one SNR point; deterministic for a fixed config."""
+    """All trials of one SNR point; deterministic for a fixed config.
+
+    Trial ``t`` draws its noise from its own stream, ``make_rng(seed,
+    payload length, snr key, t)``, so the trials are independent: they run
+    on every CPU the process may use (``_each_trial``), and their outcomes
+    are summed in trial order, so every metric is the same float whatever
+    the CPU count.
+    """
     cfg = plan.config
+    # the point's invariants, on this thread, so each cache misses once
     expected_chips = zigbee.symbols_to_chips(zigbee.build_frame(cfg.payload))
+    _rotation(len(plan.tx), -cfg.delta_f_hz, plan.tx.sample_rate_hz)  # frequency_shift's
+    if math.isfinite(snr_db):
+        plan.tx.power  # awgn's, cached on the signal
+    # spawn keys must be non-negative; offset covers any sane negative SNR
+    snr_key = 2**31 if math.isinf(snr_db) else 2**20 + int(round(snr_db * 1000))
+
+    def trial(t: int) -> tuple[bool, float, float]:
+        """(payload received, symbol errors, genie chip errors) of trial t."""
+        rng = make_rng(cfg.seed, len(cfg.payload), snr_key, t)
+        # one filter pass serves both the decoder and the genie chip errors
+        rx = zigbee.channel_filter(frequency_shift(awgn(plan.tx, snr_db, rng),
+                                                   -cfg.delta_f_hz))
+        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None)
+        return (res.detected and res.payload == cfg.payload,
+                res.ser if res.detected else 1.0,
+                _known_timing_chip_errors(rx, expected_chips, cfg.lead_in_samples))
+
     n_ok = 0
     ser_sum = 0.0
     cer_sum = 0.0
-    # spawn keys must be non-negative; offset covers any sane negative SNR
-    snr_key = 2**31 if math.isinf(snr_db) else 2**20 + int(round(snr_db * 1000))
-    for trial in range(cfg.trials):
-        rng = make_rng(cfg.seed, len(cfg.payload), snr_key, trial)
-        noisy = awgn(plan.tx, snr_db, rng)
-        # one filter pass serves both the decoder and the genie chip errors
-        rx = zigbee.channel_filter(frequency_shift(noisy, -cfg.delta_f_hz))
-        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None)
-        if res.detected:
-            if res.payload == cfg.payload:
-                n_ok += 1
-            ser_sum += res.ser
-        else:
-            ser_sum += 1.0
-        cer_sum += _known_timing_chip_errors(rx, expected_chips, cfg.lead_in_samples)
+    for ok, ser, cer in _each_trial(trial, cfg.trials):
+        n_ok += ok
+        ser_sum += ser
+        cer_sum += cer
     prr = n_ok / cfg.trials
     airtime_s = len(plan.tx) / plan.tx.sample_rate_hz
     return Metrics(

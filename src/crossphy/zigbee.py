@@ -215,8 +215,10 @@ def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ) -
     np.multiply(x.real, 1.0 / scale, out=padded[0, overlap // 2 : overlap // 2 + len(x)])
     np.multiply(x.imag, 1.0 / scale, out=padded[1, overlap // 2 : overlap // 2 + len(x)])
     spectra = rfft(sliding_window_view(padded, block, axis=-1)[:, ::step])
+    del padded  # each work array goes before the next is allocated
     spectra *= spectrum
     y = irfft(spectra, block)[..., overlap:]
+    del spectra
     out = np.empty(y.shape[1:], dtype=np.complex128)
     np.multiply(y[0], scale, out=out.real)
     np.multiply(y[1], scale, out=out.imag)

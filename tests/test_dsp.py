@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ class TestAwgnOracle:
         formula_awgn(sig, 4.0, b)
         assert a.standard_normal() == b.standard_normal()
 
+    def test_draws_share_one_buffer(self):
+        # the real parts' draws, then the imaginary parts', in one n-sample
+        # buffer: the (2, n) draws held a whole signal, 2.1 signals at peak
+        sig = random_signal(dsp.make_rng(21), 24400)
+        dsp.awgn(sig, 4.0, dsp.make_rng(22))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            dsp.awgn(sig, 4.0, dsp.make_rng(22))
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1.75 * sig.samples.nbytes
+
     @pytest.mark.parametrize("n", [1, 24400])
     def test_infinite_snr_returns_a_copy(self, n):
         sig = random_signal(dsp.make_rng(17, n), n)
@@ -201,6 +219,13 @@ class TestComplexSignal:
     def test_rejects_zero_dimensional(self):
         with pytest.raises(DimensionError):
             dsp.ComplexSignal(np.complex128(1.0), 1e6)
+
+    def test_power_computed_once(self, monkeypatch):
+        # awgn reads the power of the same transmit signal every trial
+        sig = random_signal(dsp.make_rng(23), 100)
+        first = sig.power
+        monkeypatch.setattr(np, "mean", lambda *a, **k: pytest.fail("power recomputed"))
+        assert sig.power == first
 
     def test_power_of_empty_signal_raises(self):
         # was NaN with numpy's "Mean of empty slice" warning

@@ -1,6 +1,12 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +387,88 @@ class TestLinkMetricsPinned:
             for key in self.PLAN_KEYS:
                 assert got.pop(key) == pytest.approx(want[key], rel=1e-9, abs=1e-12)
             assert got == {k: v for k, v in want.items() if k not in self.PLAN_KEYS}
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_same_metrics_on_any_cpu_count(self, monkeypatch, cpus):
+        # outcomes are summed in trial order, whichever thread ran a trial
+        cfg = small_cfg(payload=bytes(range(8)), snr_db=(4.0, 0.0), trials=40)
+        plan = sim.plan_frame(cfg)
+        runs = {}
+        for n in (1, cpus):
+            monkeypatch.setattr(sim, "_cpu_count", lambda n=n: n)
+            runs[n] = [sim.run_point(plan, snr).as_dict() for snr in cfg.snr_db]
+        assert runs[cpus] == runs[1]
+
+
+class TestTrialThreads:
+    @pytest.mark.parametrize("failing", [0, 5, 38])
+    def test_a_failing_trial_raises_and_stops_the_claims(self, monkeypatch, failing):
+        plan = sim.plan_frame(small_cfg(trials=40))
+        started, finished = [], []
+        make_rng, chip_errors = sim.make_rng, sim._known_timing_chip_errors
+
+        def counted_rng(*key):
+            started.append(key[-1])
+            if key[-1] == failing:
+                raise RuntimeError("trial failed")
+            return make_rng(*key)
+
+        def counted_errors(*args):
+            finished.append(None)
+            return chip_errors(*args)
+
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(sim, "make_rng", counted_rng)
+        monkeypatch.setattr(sim, "_known_timing_chip_errors", counted_errors)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            sim.run_point(plan, 4.0)
+        seen = (len(started), len(finished))
+        assert seen[1] == seen[0] - 1  # every other trial that started has ended
+        time.sleep(0.05)
+        assert (len(started), len(finished)) == seen  # and none starts after the return
+        if failing < 30:
+            assert seen[0] < 40  # the claims stopped
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helpers(self, monkeypatch):
+        # a child inherits the pool but not its threads; without its own it
+        # would wait for ever on helpers that do not exist
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+        plan = sim.plan_frame(small_cfg(trials=4))
+        want = sim.run_point(plan, 4.0)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if sim.run_point(plan, 4.0) == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_one_trial_or_one_cpu_runs_inline(self):
+        script = textwrap.dedent("""
+            import sys, threading
+            from dataclasses import replace
+            from crossphy import sim
+            plan = sim.plan_frame(sim.ExperimentConfig(
+                payload=bytes(range(8)), quantizer_mode="webee", trials=1))
+            sim.run_point(plan, 4.0)
+            one_trial = (threading.active_count(), "concurrent.futures" in sys.modules)
+            sim._cpu_count = lambda: 1
+            sim.run_point(replace(plan, config=replace(plan.config, trials=3)), 4.0)
+            print(one_trial, (threading.active_count(), "concurrent.futures" in sys.modules))
+        """)
+        src = str(Path(sim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["(1,", "False)"] * 2
 
 
 class TestMonotonicity:
