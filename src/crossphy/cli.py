@@ -222,7 +222,8 @@ def cmd_zigbee_demod(cfg, doc):
         sig = read_cf32(doc["iq_out"], SAMPLE_RATE_HZ)
     except (DimensionError, DomainError) as e:
         raise ConfigError(f"key iq_out: {e}")
-    expected = cfg.payload if "payload_hex" in doc else None
+    # the payload zigbee-mod sends for the same payload_hex or payload_len
+    expected = cfg.payload if "payload_hex" in doc or "payload_len" in doc else None
     res = zigbee.decode_frame(sig, expected_payload=expected)
     _emit(sim.summary_json(cfg, [], extra={
         "zigbee_demod": {

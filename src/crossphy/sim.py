@@ -22,6 +22,7 @@ import platform
 import threading
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -435,7 +436,9 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     payload length, snr key, t)``, so the trials are independent: they run
     on every CPU the process may use (``_each_trial``), and their outcomes
     are summed in trial order, so every metric is the same float whatever
-    the CPU count.
+    the CPU count.  A noiseless point (``snr_db`` +inf, where ``awgn`` adds
+    nothing) receives the same samples in every trial: it decodes once, on
+    the calling thread, and sums that one outcome once per trial.
     """
     cfg = plan.config
     # the point's invariants, on this thread, so each cache misses once
@@ -460,7 +463,9 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     n_ok = 0
     ser_sum = 0.0
     cer_sum = 0.0
-    for ok, ser, cer in _each_trial(trial, cfg.trials):
+    outcomes = (repeat(trial(0), cfg.trials) if snr_db == math.inf
+                else _each_trial(trial, cfg.trials))
+    for ok, ser, cer in outcomes:
         n_ok += ok
         ser_sum += ser
         cer_sum += cer

@@ -104,6 +104,18 @@ class TestSubcommands:
         demod = json.loads(out_json.read_text())["deterministic"]["zigbee_demod"]
         assert demod["detected"] is False and demod["sync_corr"] == 0.0
 
+    @pytest.mark.parametrize("payload", [["--payload-len", "5"], ["--payload-len", "5", "--seed", "3"],
+                                         ["--payload-hex", "0102030405"]])
+    def test_zigbee_demod_compares_the_payload_zigbee_mod_sent(self, tmp_path, capsys, payload):
+        # payload_len selects the payload as payload_hex does, for both commands
+        iq, out_json = tmp_path / "z.cf32", tmp_path / "d.json"
+        assert run_cli(["zigbee-mod", "--iq-out", str(iq)] + payload) == cli.EXIT_OK
+        assert run_cli(["zigbee-demod", "--iq-out", str(iq), "--metrics-out", str(out_json)]
+                       + payload) == cli.EXIT_OK
+        demod = json.loads(out_json.read_text())["deterministic"]["zigbee_demod"]
+        assert demod["detected"] is True
+        assert demod["ser"] == demod["chip_error_rate"] == 0.0
+
     @pytest.mark.parametrize("case", ["empty", "detected", "no-payload"])
     def test_zigbee_demod_writes_strict_json(self, tmp_path, capsys, case):
         # a missing error rate is null: NaN is not JSON (RFC 8259)

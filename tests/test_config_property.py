@@ -11,12 +11,13 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
-from crossphy import cli, emulation as em, sim  # noqa: E402
+from crossphy import cli, emulation as em, sim, zigbee  # noqa: E402
 
 _ANY_INT = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 _ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 1e-300, 1e300]))
@@ -70,14 +71,28 @@ _ANY = {
 
 
 @st.composite
-def configs(draw):
+def configs(draw, valid=_VALID, any_value=_ANY, required=("epochs",)):
     # epochs is always set: the default of 300 would make trained examples slow
-    optional = {k: v for k, v in _VALID.items() if k != "epochs"}
-    doc = draw(st.fixed_dictionaries({"epochs": _VALID["epochs"]}, optional=optional))
-    key = draw(st.none() | st.sampled_from(sorted(_ANY)))
+    optional = {k: v for k, v in valid.items() if k not in required}
+    doc = draw(st.fixed_dictionaries({k: valid[k] for k in required}, optional=optional))
+    key = draw(st.none() | st.sampled_from(sorted(any_value)))
     if key is not None:
-        doc[key] = draw(_ANY[key])
+        doc[key] = draw(any_value[key])
     return doc
+
+
+# sweep's own keys, and SNR lists that always hold the noiseless point
+_SWEEP_VALID = {
+    **_VALID,
+    "snr_db": _VALID["snr_db"].map(lambda snrs: snrs + ["inf"]),
+    "payload_lens": st.lists(st.integers(0, 3), max_size=2),
+    "modes": st.lists(st.sampled_from(sim.QUANTIZER_MODES), max_size=3),
+}
+_SWEEP_ANY = {
+    **_ANY,
+    "payload_lens": st.lists(st.one_of(_ANY_INT, _ANY_FLOAT, _ANY_TEXT), max_size=3),
+    "modes": st.lists(st.one_of(_ANY_TEXT, _ANY_INT), max_size=3),
+}
 
 
 def _run(argv):
@@ -98,12 +113,19 @@ def _default_model() -> str:
             return f.read()
 
 
-def _runs_or_names_its_bad_key(command, doc, files=False):
+def _runs_or_names_its_bad_key(command, doc, files=False, iq=None):
     """Run ``command`` on ``doc`` as a config file.  With ``files``, its
     model_file and metrics_out are in the temp dir, and the model file holds
-    ``_default_model`` until train writes its own."""
+    ``_default_model`` until train writes its own.  With ``iq``, the config's
+    iq_out is a file of those bytes, and the metrics written must be strict
+    JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
+        out = os.path.join(tmp, "out.json")
+        if iq is not None:
+            doc = {**doc, "iq_out": os.path.join(tmp, "in.cf32")}
+            with open(doc["iq_out"], "wb") as f:
+                f.write(iq)
         with open(path, "w") as f:
             json.dump(doc, f)
         argv = ["--config", path]
@@ -111,11 +133,18 @@ def _runs_or_names_its_bad_key(command, doc, files=False):
             model = os.path.join(tmp, "m.json")
             with open(model, "w") as f:
                 f.write(_default_model())
-            argv += ["--model-file", model, "--metrics-out", os.path.join(tmp, "out.json")]
+            argv += ["--model-file", model, "--metrics-out", out]
         rc, err = _run([command] + argv)
+        if iq is not None and rc == cli.EXIT_OK:
+            with open(out) as f:
+                json.load(f, parse_constant=_not_json)
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (rc, err)
     if rc == cli.EXIT_CONFIG:
         assert any(key in err for key in doc), err
+
+
+def _not_json(name):
+    raise AssertionError(f"{name} is not JSON (RFC 8259)")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120,
@@ -131,6 +160,43 @@ def test_every_config_runs_or_names_its_bad_key(doc):
 @given(doc=configs())
 def test_every_config_runs_or_names_its_bad_key_in(command, doc):
     _runs_or_names_its_bad_key(command, doc, files=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs(valid=_SWEEP_VALID, any_value=_SWEEP_ANY,
+                   required=("epochs", "snr_db", "payload_lens", "modes")))
+def test_every_config_runs_or_names_its_bad_key_in_sweep(doc):
+    _runs_or_names_its_bad_key("sweep", doc, files=True)
+
+
+@st.composite
+def cf32_files(draw):
+    """Any bytes (the empty file and lengths that are no whole sample
+    included), random bit patterns long enough for the sync search (NaN,
+    infinities and subnormals among them), and a frame some of whose
+    samples are set to any float32."""
+    kind = draw(st.sampled_from(["bytes", "random", "frame"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "random":
+        n = draw(st.integers(0, 8 * 6000))
+        return np.random.default_rng(draw(st.integers(0, 2**32))).bytes(n)
+    frame = zigbee.build_frame(draw(st.binary(max_size=3)))
+    x = zigbee.oqpsk_modulate(zigbee.symbols_to_chips(frame)).samples
+    flat = np.empty(2 * len(x), dtype="<f4")
+    flat[0::2], flat[1::2] = x.real, x.imag
+    for i, v in draw(st.lists(st.tuples(st.integers(0, len(flat) - 1), st.floats(width=32)),
+                              max_size=4)):
+        flat[i] = v
+    return flat.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs(), iq=cf32_files())
+def test_every_config_runs_or_names_its_bad_key_in_zigbee_demod(doc, iq):
+    _runs_or_names_its_bad_key("zigbee-demod", doc, files=True, iq=iq)
 
 
 def _flag_text(value) -> str:

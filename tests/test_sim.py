@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -469,6 +470,59 @@ class TestTrialThreads:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.split() == ["(1,", "False)"] * 2
+
+
+class TestNoiselessPoint:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("trials", [5, 40])
+    def test_decodes_once_and_counts_its_outcome_per_trial(self, monkeypatch, trials, cpus):
+        # every trial of a noiseless point receives the same samples
+        cfg = small_cfg(payload=bytes(range(8)), trials=trials)
+        plan = sim.plan_frame(cfg)
+
+        # one trial's outcome from the public receiver calls
+        rx = zigbee.channel_filter(dsp.frequency_shift(plan.tx, -cfg.delta_f_hz))
+        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None)
+        ok = res.detected and res.payload == cfg.payload
+        ser = res.ser if res.detected else 1.0
+        # genie timing: chip k peaks at lead-in + (k+1) samples per chip
+        expected = zigbee.symbols_to_chips(zigbee.build_frame(cfg.payload)).astype(bool)
+        spc = int(sim.SAMPLE_RATE_HZ // zigbee.CHIP_RATE_HZ)
+        peaks = rx.samples[cfg.lead_in_samples + spc * np.arange(1, len(expected) + 1)]
+        peaks[1::2] *= -1j
+        cer = min(float(np.mean((s * stream > 0) != expected))
+                  for stream in (peaks.real, peaks.imag) for s in (1.0, -1.0))
+        assert ok and ser == 0.0 and 0.0 < cer < 0.5
+
+        n_ok, ser_sum, cer_sum = 0, 0.0, 0.0
+        for _ in range(trials):
+            n_ok, ser_sum, cer_sum = n_ok + ok, ser_sum + ser, cer_sum + cer
+        prr = n_ok / trials
+        airtime_s = len(plan.tx) / plan.tx.sample_rate_hz
+        want = {"snr_db": math.inf, "ser": ser_sum / trials, "prr": prr,
+                "chip_error_rate": cer_sum / trials, "nmse_body": plan.nmse_body,
+                "phase_mse_body": plan.phase_mse_body,
+                "violated_bit_count": len(plan.report.violated_positions), "evm": plan.evm,
+                "goodput_kbps": 8 * len(cfg.payload) * prr / airtime_s / 1000.0, "trials": trials}
+
+        calls, started = [], []
+        filt, decode, start = zigbee.channel_filter, zigbee.decode_frame, threading.Thread.start
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(zigbee, "channel_filter", counted("filter", filt))
+        monkeypatch.setattr(zigbee, "decode_frame", counted("decode", decode))
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        got = sim.run_point(plan, math.inf).as_dict()
+        here = threading.current_thread()
+        assert calls == [("filter", here), ("decode", here)]
+        assert started == []
+        assert got == want
 
 
 class TestMonotonicity:
