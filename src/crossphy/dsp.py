@@ -41,8 +41,8 @@ class ComplexSignal:
     """Sampled complex baseband IQ with a sample rate.
 
     The samples array is treated as immutable by every consumer in this
-    package; operations always return new signals.  A strided view is
-    stored as a C-contiguous copy.
+    package; operations always return new signals, over a ``WorkArrays``'
+    memory when given one.  A strided view is stored as a C-contiguous copy.
     """
 
     samples: np.ndarray
@@ -68,6 +68,41 @@ class ComplexSignal:
         if not len(self.samples):
             raise DimensionError("power needs a non-empty signal")
         return float(np.mean(np.abs(self.samples) ** 2))
+
+
+class WorkArrays:
+    """Three flat float64 regions that one thread's channel trials
+    (``awgn``, ``zigbee.channel_filter``, ``zigbee.decode_frame``) write
+    their large arrays into, so that trial after trial reuses the same
+    memory instead of allocating, and faulting in, a dozen frame-sized
+    arrays.
+
+    Arrays whose lifetimes do not overlap share a region: region 0 holds
+    the noisy signal, then the filter's spectra, then the filtered signal;
+    region 1 the noise draws, then the filter's padded parts and, over
+    them, its inverse FFT blocks, then the hard chips, the sync product and
+    ``|corr|``;
+    region 2 the hard chips' spectra, then the correlations.  A region
+    grows to the largest size asked of it.  A signal returned over this
+    memory is valid only until the next call given the same object, and
+    one object serves one thread.
+    """
+
+    def __init__(self):
+        self._regions = [np.empty(0)] * 3
+
+    def empty(self, region: int, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialized C-contiguous array over the start of ``region``."""
+        n = math.prod(shape) * np.dtype(dtype).itemsize // 8
+        if len(self._regions[region]) < n:
+            self._regions[region] = np.empty(n)
+        return self._regions[region][:n].view(dtype).reshape(shape)
+
+
+def work_empty(work: WorkArrays | None, region: int, shape, dtype=np.float64) -> np.ndarray:
+    """``np.empty(shape, dtype)``, or, given ``work``, the same array over
+    the start of one of its regions."""
+    return np.empty(shape, dtype) if work is None else work.empty(region, shape, dtype)
 
 
 def make_rng(seed, *spawn_key) -> np.random.Generator:
@@ -111,7 +146,8 @@ def frequency_shift(sig: ComplexSignal, delta_f_hz: float) -> ComplexSignal:
     return ComplexSignal(sig.samples * rot, sig.sample_rate_hz)
 
 
-def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> ComplexSignal:
+def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator,
+         work: WorkArrays | None = None) -> ComplexSignal:
     """Add circularly-symmetric complex Gaussian noise at the given SNR.
 
     ``snr_db = +inf`` is the noise-disabled sentinel and returns the signal
@@ -123,7 +159,8 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
     ``rng.standard_normal(n)`` for the real parts, then another
     ``rng.standard_normal(n)`` for the imaginary parts, each times
     ``sqrt(var / 2)``: bit for bit the samples of ``(re + 1j im) *
-    sqrt(var / 2)``, built in place.
+    sqrt(var / 2)``, built in place: in ``work``'s memory when given
+    (valid until its next use), else in a new array.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise DomainError(f"snr_db must be a number of dB or +inf, got {snr_db}")
@@ -143,8 +180,8 @@ def awgn(sig: ComplexSignal, snr_db: float, rng: np.random.Generator) -> Complex
         raise DomainError(f"snr_db out of range for a float noise variance, got {snr_db}")
     n = len(sig.samples)
     scale = unit * math.sqrt(var / 2.0)
-    noisy = np.empty(n, dtype=np.complex128)
-    draws = np.empty(n)  # the real parts' draws, then the imaginary parts'
+    noisy = work_empty(work, 0, (n,), np.complex128)
+    draws = work_empty(work, 1, (n,))  # the real parts' draws, then the imaginary parts'
     for part in (noisy.real, noisy.imag):
         rng.standard_normal(out=draws)
         np.multiply(draws, scale, out=part)

@@ -14,19 +14,15 @@ basis row: a row meets only the basis row of its own lead c, both lie in
 small-int XOR, raises the lead, but w does not bound the steps: each basis
 row met can reach w - 1 columns past the row's end.  Rows of the 802.11
 K=7 code span 7 columns (both generators tap x[t] and x[t-6]).  Consistent
-7-bin plans take at most one step a row (48 bytes: 10,392 of 18,186 rows
-insert at once, the rest after one step); consistent 12- to 30-bin ones
-took up to 8, and an over-constrained 30-bin 32-byte one up to 58.
+7-bin plans take at most one step a row; more bins, or an over-constrained
+ask, take more.
 
 Numpy inserts the leading run of rows that take at most one step, all at
-once.  That run is every row of a default 7-bin plan at 8, 48 and 127
-bytes, and about 9,300 of the 21,960 rows of a 12-bin 32-byte one; a loop
-of list lookups and small-int XORs inserts the rest, from the basis the
-run built.  Back-substitution is one shift, AND and popcount per pivot on
-a w-bit window of x sliding down the pivots.  When the run took every row,
-a pivot whose row reaches no other pivot column is its own right-hand bit,
-set in one numpy step (at 48 bytes all but 2,671-2,953 of the 18,186
-pivots), and the window walks only the rest.
+once; a loop of list lookups and small-int XORs inserts the rest, from the
+basis the run built.  Back-substitution is one shift, AND and popcount per
+pivot on a w-bit window of x sliding down the pivots.  When the run took
+every row, a pivot whose row reaches no other pivot column is its own
+right-hand bit, set in one numpy step, and the window walks only the rest.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from . import zigbee
-from .dsp import ComplexSignal, _rotation, awgn, frequency_shift, make_rng
+from .dsp import ComplexSignal, WorkArrays, _rotation, awgn, frequency_shift, make_rng
 from .emulation import (
     EMULATION_MODES,
     EmulationModel,
@@ -209,7 +209,7 @@ def wide_quantize(z: np.ndarray, mcs: McsConfig) -> np.ndarray:
 
 def random_payload(seed: int, n: int) -> bytes:
     """The ``n``-byte payload drawn from ``seed``: the CLI's ``payload_len``
-    and every ``sweep`` row."""
+    and every ``sweep`` row of its ``payload_lens``."""
     return bytes(make_rng(seed, 0xBEEF, n).integers(0, 256, n).tolist())
 
 
@@ -368,6 +368,7 @@ class _HelperPool:
             try:
                 work()
             finally:
+                del work  # and with it the point's work arrays, before the point returns
                 done.release()
 
     def run(self, work, helpers: int) -> None:
@@ -439,6 +440,10 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     the CPU count.  A noiseless point (``snr_db`` +inf, where ``awgn`` adds
     nothing) receives the same samples in every trial: it decodes once, on
     the calling thread, and sums that one outcome once per trial.
+
+    Each thread runs its trials in one ``WorkArrays``, made on its first
+    trial and dropped when the point returns, so that after its first
+    trial a thread's noise, filter and sync search allocate nothing large.
     """
     cfg = plan.config
     # the point's invariants, on this thread, so each cache misses once
@@ -448,14 +453,19 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
         plan.tx.power  # awgn's, cached on the signal
     # spawn keys must be non-negative; offset covers any sane negative SNR
     snr_key = 2**31 if math.isinf(snr_db) else 2**20 + int(round(snr_db * 1000))
+    per_thread = threading.local()
 
     def trial(t: int) -> tuple[bool, float, float]:
         """(payload received, symbol errors, genie chip errors) of trial t."""
         rng = make_rng(cfg.seed, len(cfg.payload), snr_key, t)
+        if not hasattr(per_thread, "work"):
+            per_thread.work = WorkArrays()
+        work = per_thread.work
         # one filter pass serves both the decoder and the genie chip errors
-        rx = zigbee.channel_filter(frequency_shift(awgn(plan.tx, snr_db, rng),
-                                                   -cfg.delta_f_hz))
-        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None)
+        rx = zigbee.channel_filter(frequency_shift(awgn(plan.tx, snr_db, rng, work),
+                                                   -cfg.delta_f_hz), work=work)
+        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None,
+                                  work=work)
         return (res.detected and res.payload == cfg.payload,
                 res.ser if res.detected else 1.0,
                 _known_timing_chip_errors(rx, expected_chips, cfg.lead_in_samples))
@@ -503,14 +513,17 @@ CSV_FIELDS = [
 
 
 def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
-    """Grid over {snr (from cfg), payload length, quantizer mode}; one row
-    per point with the full metrics and a config echo.  Each ``trained``
-    row's plan trains its own model."""
-    payload_lens = list(payload_lens or [len(cfg.payload)])
+    """Grid over {snr (from cfg), payload, quantizer mode}; one row per
+    point with the full metrics and a config echo.  The payloads are
+    ``random_payload(cfg.seed, n)`` for each of ``payload_lens``, or
+    ``cfg.payload`` alone.  Each ``trained`` row's plan trains its own
+    model."""
+    payloads = ([random_payload(cfg.seed, n) for n in payload_lens] if payload_lens
+                else [cfg.payload])
     modes = list(modes or [cfg.quantizer_mode])
     rows = []
-    for plen in payload_lens:
-        payload = random_payload(cfg.seed, plen)
+    for payload in payloads:
+        plen = len(payload)
         for mode in modes:
             point_cfg = replace(cfg, payload=payload, quantizer_mode=mode)
             for m in run_pipeline(point_cfg):

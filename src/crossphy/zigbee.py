@@ -21,6 +21,10 @@ pass.  Each correlation is a sum of 320 products of +-1, an integer, and
 the FFT's rounding error is around 1e-12, so rounding the FFT output to the
 nearest integer gives exactly the values a direct correlation would.
 
+Given a ``dsp.WorkArrays``, the filter and the sync search write their
+frame-sized arrays into its memory with the same numpy calls, so the same
+floats; ``sim.run_point`` gives one to each thread of a point's trials.
+
 The chip sequences are transcribed from the 2450 MHz O-QPSK symbol-to-chip
 table of IEEE Std 802.15.4 (Table 12-1 in the 2020 revision), chip c0 first.
 """
@@ -35,7 +39,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import ComplexSignal
+from .dsp import ComplexSignal, WorkArrays, work_empty
 from .errors import ConfigError, DimensionError, DomainError
 
 CHIP_RATE_HZ = 2e6
@@ -169,6 +173,7 @@ def _rx_taps(fs_hz: float, cutoff_hz: float) -> np.ndarray:
     h = f * np.sinc(f * m)
     h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n))
     h /= np.sum(h)
+    h.flags.writeable = False  # shared by every later filter, in every thread
     return h
 
 
@@ -189,7 +194,8 @@ def _rx_blocks(fs_hz: float, cutoff_hz: float) -> tuple[int, int, np.ndarray]:
     return block, overlap, spectrum
 
 
-def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ) -> ComplexSignal:
+def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ,
+                   work: WorkArrays | None = None) -> ComplexSignal:
     """Receiver channel-selection low-pass (zero-delay symmetric FIR).
 
     Returns the centred ``len(sig)`` samples of the full convolution with
@@ -201,25 +207,34 @@ def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ) -
     samples, the ones no wrap-around reaches.  The samples match the direct
     sums to about 1e-15 of ``sum|taps| max|x|``, far below the chip-peak
     amplitudes whose signs the receiver reads, and a part that is all zero
-    stays exactly zero, as it does in the direct sums.
+    stays exactly zero, as it does in the direct sums.  Given ``work``, the
+    work arrays and the returned samples lie in its memory, and the samples
+    are valid only until its next use; the floats are the same.
     """
     block, overlap, spectrum = _rx_blocks(sig.sample_rate_hz, cutoff_hz)
     x = sig.samples
     # the unnormalized FFT sums reach block^2 times the largest sample, so
     # the FFTs run at a power-of-two scale near 1: that changes no rounding
     # above the subnormals, and only an output past the float range overflows
-    peak = np.max(np.abs(x.view(np.float64)), initial=0.0)
+    v = x.view(np.float64)
+    peak = max(np.max(v, initial=0.0), -np.min(v, initial=0.0))
     scale = 2.0 ** min(max(math.frexp(peak)[1], -1000), 1000)
-    step = block - overlap
-    padded = np.zeros((2, (len(x) // step + 1) * step + overlap))
-    np.multiply(x.real, 1.0 / scale, out=padded[0, overlap // 2 : overlap // 2 + len(x)])
-    np.multiply(x.imag, 1.0 / scale, out=padded[1, overlap // 2 : overlap // 2 + len(x)])
-    spectra = rfft(sliding_window_view(padded, block, axis=-1)[:, ::step])
-    del padded  # each work array goes before the next is allocated
+    step, head = block - overlap, overlap // 2
+    n_blocks = len(x) // step + 1
+    # the padded parts, then over the same memory the inverse FFT's blocks,
+    # which are no fewer floats
+    blocks = work_empty(work, 1, (2, n_blocks, block))
+    padded = blocks.reshape(-1)[: 2 * (n_blocks * step + overlap)].reshape(2, -1)
+    padded[:, :head] = 0.0
+    padded[:, head + len(x) :] = 0.0
+    np.multiply(x.real, 1.0 / scale, out=padded[0, head : head + len(x)])
+    np.multiply(x.imag, 1.0 / scale, out=padded[1, head : head + len(x)])
+    spectra = rfft(sliding_window_view(padded, block, axis=-1)[:, ::step],
+                   out=work_empty(work, 0, (2, n_blocks, block // 2 + 1), np.complex128))
     spectra *= spectrum
-    y = irfft(spectra, block)[..., overlap:]
-    del spectra
-    out = np.empty(y.shape[1:], dtype=np.complex128)
+    y = irfft(spectra, block, out=blocks)[..., overlap:]
+    del spectra  # before the output is allocated
+    out = work_empty(work, 0, (n_blocks, step), np.complex128)
     np.multiply(y[0], scale, out=out.real)
     np.multiply(y[1], scale, out=out.imag)
     return ComplexSignal(out.reshape(-1)[: len(x)], sig.sample_rate_hz)
@@ -293,7 +308,8 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _hard_halves(x: np.ndarray, spc: int, n_half: int) -> np.ndarray:
+def _hard_halves(x: np.ndarray, spc: int, n_half: int,
+                 work: WorkArrays | None = None) -> np.ndarray:
     """Hard chips of every timing offset as +-1 (``sign``, with 0 -> +1).
 
     Axes are ``(offset, rail, phase, i)`` for chip ``2i + phase`` of the
@@ -306,9 +322,9 @@ def _hard_halves(x: np.ndarray, spc: int, n_half: int) -> np.ndarray:
     offset, re/im)`` floats with no copy; the few past the end read the
     last sample.  Derotating by ``(-j)^k`` only picks a part: even chips
     read (re, im) and odd chips (im, -re), so rail 1 of an odd chip is
-    ``re <= 0``.
+    ``re <= 0``.  Given ``work``, the array lies in its region 1.
     """
-    out = np.empty((spc, 2, 2, n_half))
+    out = work_empty(work, 1, (spc, 2, 2, n_half))
     row = 2 * spc  # samples per i
     n_inside = max(0, min(n_half, (len(x) - spc) // row))
     tail = np.full((n_half - n_inside) * row, x[-1])
@@ -325,7 +341,7 @@ def _hard_halves(x: np.ndarray, spc: int, n_half: int) -> np.ndarray:
     return out
 
 
-def _sync_search(x: np.ndarray, spc: int):
+def _sync_search(x: np.ndarray, spc: int, work: WorkArrays | None = None):
     """Best preamble+SFD match of the filtered samples ``x``.
 
     Searches every timing offset in one chip period, both chip rails and
@@ -337,7 +353,8 @@ def _sync_search(x: np.ndarray, spc: int):
 
     Returns ``(corr, offset, lag, use_imag, alternated)`` for the largest
     ``|corr|``, the first in ``(offset, rail, parity, lag)`` order on ties,
-    or None when no offset holds a full pattern of chips.
+    or None when no offset holds a full pattern of chips.  Given ``work``,
+    the arrays lie in its regions 1 and 2 (see ``dsp.WorkArrays``).
     """
     n_chips = -((np.arange(spc) - len(x)) // spc)  # per offset; ceil, tail chip clamps
     if n_chips[0] < SYNC_CHIPS:
@@ -347,11 +364,15 @@ def _sync_search(x: np.ndarray, spc: int):
     n_half = (int(n_chips[0]) + 1) // 2
     last = (n_chips[:, None] - SYNC_CHIPS - np.arange(2)) // 2  # last valid m per parity
     n_fft = _next_fast_len(n_half)
+    bins = (spc, 2, 2, n_fft // 2 + 1)
     # (offset, rail, parity, m) for lag 2m + parity
-    corr = irfft(np.einsum("orcb,pcb->orpb", rfft(_hard_halves(x, spc, n_half), n_fft),
-                           _sync_spectra(n_fft)), n_fft)[..., : int(last.max()) + 1]
+    corr = irfft(np.einsum("orcb,pcb->orpb",
+                           rfft(_hard_halves(x, spc, n_half, work), n_fft,
+                                out=work_empty(work, 2, bins, np.complex128)),
+                           _sync_spectra(n_fft), out=work_empty(work, 1, bins, np.complex128)),
+                 n_fft, out=work_empty(work, 2, bins[:3] + (n_fft,)))[..., : int(last.max()) + 1]
     np.rint(corr, out=corr)
-    score = np.abs(corr)
+    score = np.abs(corr, out=work_empty(work, 1, corr.shape))
     np.copyto(score, -1.0, where=np.arange(corr.shape[-1]) > last[:, None, :, None])
     best = int(np.argmax(score))
     off, rail, parity, half_lag = np.unravel_index(best, corr.shape)
@@ -363,6 +384,7 @@ def decode_frame(
     sig: ComplexSignal,
     expected_payload: bytes | None = None,
     filter_cutoff_hz: float | None = RX_FILTER_CUTOFF_HZ,
+    work: WorkArrays | None = None,
 ) -> DecodeResult:
     """Correlate for preamble+SFD, then demap 32-chip windows to symbols.
 
@@ -376,12 +398,13 @@ def decode_frame(
     pattern is not detected and reports ``sync_corr`` 0.  ``ser`` and
     ``chip_error_rate`` are computed against ``expected_payload`` when
     given, else reported as NaN.  Pass ``filter_cutoff_hz=None`` for a
-    signal already through ``channel_filter``.
+    signal already through ``channel_filter``.  Given ``work``, the filter
+    and the sync search run in it, with the same result.
     """
     spc = _samples_per_chip(sig.sample_rate_hz)
     x = (sig.samples if filter_cutoff_hz is None
-         else channel_filter(sig, filter_cutoff_hz).samples)
-    best = _sync_search(x, spc)
+         else channel_filter(sig, filter_cutoff_hz, work).samples)
+    best = _sync_search(x, spc, work)
     if best is None or abs(best[0]) < SYNC_THRESHOLD:
         return DecodeResult(False, None, float("nan"), float("nan"),
                             sync_corr=0.0 if best is None else abs(best[0]))

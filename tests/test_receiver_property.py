@@ -84,3 +84,47 @@ def test_decode_frame_never_raises(case, compare):
         assert res.payload is None or isinstance(res.payload, bytes)
     else:
         assert res.payload is None and 0.0 <= res.sync_corr < zigbee.SYNC_THRESHOLD
+
+
+@st.composite
+def _one_length(draw):
+    """Several inputs of one length: frames at any delay, cut anywhere (the
+    offsets past the cut hold one chip fewer), noisy or not, rotated or
+    real-only, and lengths below the 320-chip pattern."""
+    n = draw(st.one_of(st.integers(0, 3199), st.integers(3200, 10000),
+                       st.sampled_from([3201, 3209, 5003])))
+    inputs = []
+    for _ in range(draw(st.integers(2, 5))):
+        payload = draw(st.binary(max_size=8))
+        frame = zigbee.oqpsk_modulate(zigbee.symbols_to_chips(zigbee.build_frame(payload))).samples
+        lead_in = draw(st.integers(0, 400))
+        x = np.concatenate([np.zeros(lead_in), frame, np.zeros(n)])[:n]
+        rng = dsp.make_rng(draw(st.integers(0, 2**32 - 1)))
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = x * draw(st.sampled_from([1, 1j, -1])) + draw(st.sampled_from([0.0, 0.3, 1.0])) * noise
+        if draw(st.booleans()):
+            x = x.real + 0j
+        inputs.append((x, payload))
+    return inputs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(inputs=_one_length())
+def test_reused_work_arrays_change_no_output(inputs):
+    # one work object across every input, as a trial thread reuses it; each
+    # call finds the stale arrays of the one before
+    work = dsp.WorkArrays()
+    for k, (x, payload) in enumerate(inputs):
+        sig = dsp.ComplexSignal(x, 20e6)
+        if np.any(x):
+            want = dsp.awgn(sig, 4.0, dsp.make_rng(k)).samples
+            got = dsp.awgn(sig, 4.0, dsp.make_rng(k), work).samples
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = zigbee.channel_filter(sig)
+        rx = zigbee.channel_filter(sig, work=work)  # in the work, as run_point filters
+        assert np.array_equal(rx.samples.view(np.uint64), want.samples.view(np.uint64))
+        if not np.any(x.imag):
+            assert not np.any(rx.samples.imag)
+        assert (repr(zigbee.decode_frame(rx, payload, None, work=work))
+                == repr(zigbee.decode_frame(want, payload, None)))
+        assert repr(zigbee.decode_frame(sig, payload, work=work)) == repr(zigbee.decode_frame(sig, payload))

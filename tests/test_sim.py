@@ -6,6 +6,8 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -525,6 +527,55 @@ class TestNoiselessPoint:
         assert got == want
 
 
+class TestTrialWorkArrays:
+    def test_a_trial_after_the_first_allocates_little(self, monkeypatch):
+        # a thread's first noisy trial makes its work arrays; later trials
+        # allocate frequency_shift's output and small arrays.  With a dozen
+        # frame-sized arrays a trial, the peak was about 3.4 signals
+        plan = sim.plan_frame(small_cfg(payload=bytes(range(32)), trials=4))
+        peaks, make_rng, chip_errors = [], sim.make_rng, sim._known_timing_chip_errors
+
+        def started(*key):
+            tracemalloc.reset_peak()
+            peaks.append(tracemalloc.get_traced_memory()[0])
+            return make_rng(*key)
+
+        def ended(*args):
+            out = chip_errors(*args)
+            peaks[-1] = tracemalloc.get_traced_memory()[1] - peaks[-1]
+            return out
+
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(sim, "make_rng", started)
+        monkeypatch.setattr(sim, "_known_timing_chip_errors", ended)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            sim.run_point(plan, 4.0)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks[1:]) < 1.5 * plan.tx.samples.nbytes
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("snr_db", [math.inf, 4.0])
+    def test_one_set_a_thread_dropped_on_return(self, monkeypatch, cpus, snr_db):
+        made = []
+
+        class Recorded(dsp.WorkArrays):
+            def __init__(self):
+                super().__init__()
+                made.append((weakref.ref(self), threading.current_thread()))
+
+        monkeypatch.setattr(sim, "WorkArrays", Recorded)
+        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        sim.run_point(sim.plan_frame(small_cfg(trials=12)), snr_db)
+        threads = [t for _, t in made]
+        assert 1 <= len(threads) == len(set(threads)) <= (1 if snr_db == math.inf else cpus)
+        assert all(ref() is None for ref, _ in made)
+
+
 class TestMonotonicity:
     def test_prr_non_increasing_as_snr_drops(self):
         # allow one inversion across the sweep at Monte Carlo resolution
@@ -551,6 +602,19 @@ class TestSweep:
             assert int(got["payload_len"]) == want["payload_len"]
             assert float(got["ser"]) == pytest.approx(want["ser"])
             assert float(got["prr"]) == pytest.approx(want["prr"])
+
+    def test_swept_plan_is_the_one_evaluate_plans(self, monkeypatch):
+        # with no payload_lens the sweep plans the config's own payload, not
+        # another payload of its length
+        cfg = small_cfg(payload=bytes([1, 2]))
+        plans, plan_frame = [], sim.plan_frame
+        monkeypatch.setattr(sim, "plan_frame",
+                            lambda *args, **kw: plans.append(plan_frame(*args, **kw)) or plans[-1])
+        rows = sim.sweep(cfg)
+        sim.run_pipeline(cfg)  # the plan of `crossphy evaluate`
+        swept, evaluated = plans
+        assert swept.report.psdu == evaluated.report.psdu
+        assert swept.config.payload == cfg.payload and rows[0]["payload_len"] == 2
 
     def test_summary_json_blocks(self):
         cfg = small_cfg()

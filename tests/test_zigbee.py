@@ -290,6 +290,12 @@ class TestNoScipyReceiver:
         with pytest.raises(DomainError, match="cutoff"):
             zigbee.channel_filter(_frame(b"\x01"), cutoff)
 
+    def test_rx_taps_are_read_only(self):
+        # cached, so a write would change every later filter, in every thread
+        taps = zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ)
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] = 0.0
+
     def test_hard_halves_contiguous(self):
         x = _frame(b"\x01\x02", lead_in=7).samples
         assert zigbee._hard_halves(x, 10, 200).flags.c_contiguous
@@ -444,7 +450,8 @@ class TestSyncSearchOracle:
         got = zigbee.decode_frame(sig, expected_payload=payload, filter_cutoff_hz=cutoff)
         x = zigbee.channel_filter(sig).samples if cutoff else sig.samples
         assert repr(zigbee._sync_search(x, 10)) == repr(loop_sync_search(x, 10)[0])
-        monkeypatch.setattr(zigbee, "_sync_search", lambda x, spc: loop_sync_search(x, spc)[0])
+        monkeypatch.setattr(zigbee, "_sync_search",
+                            lambda x, spc, work=None: loop_sync_search(x, spc)[0])
         want = zigbee.decode_frame(sig, expected_payload=payload, filter_cutoff_hz=cutoff)
         assert repr(got) == repr(want)
 
