@@ -347,84 +347,53 @@ def _known_timing_chip_errors(rx: ComplexSignal, expected: np.ndarray,
 
 def _cpu_count() -> int:
     """The CPUs this process may run on: a point's trials run on the calling
-    thread and one helper thread for each further CPU."""
+    thread and on one thread, started for the point, for each further CPU."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
 
 
-class _HelperPool:
-    """Daemon threads, started as needed and kept, that run a callable
-    beside the calling thread."""
-
-    def __init__(self):
-        from queue import SimpleQueue  # only a point that fans out needs it
-        self.pid, self.size, self._tasks = os.getpid(), 0, SimpleQueue()
-
-    def _serve(self):
-        while True:
-            work, done = self._tasks.get()
-            try:
-                work()
-            finally:
-                del work  # and with it the point's work arrays, before the point returns
-                done.release()
-
-    def run(self, work, helpers: int) -> None:
-        """``work()`` here and on ``helpers`` pool threads at once; returns
-        when every call has returned or raised."""
-        for _ in range(self.size, helpers):
-            threading.Thread(target=self._serve, name="crossphy-trial", daemon=True).start()
-            self.size += 1
-        done = threading.Semaphore(0)
-        for _ in range(helpers):
-            self._tasks.put((work, done))
-        try:
-            work()
-        finally:
-            for _ in range(helpers):
-                done.acquire()
-
-
-_pool = None  # made by the first point that fans out; again in a forked child
-
-
-def _each_trial(run, n: int) -> list:
-    """``[run(t) for t in range(n)]``, with the trials spread over the
-    calling thread and up to ``_cpu_count() - 1`` helpers.
+def _each_trial(trial, n: int) -> list:
+    """``[trial(t, work) for t in range(n)]``, spread over the calling thread
+    and ``min(n, _cpu_count()) - 1`` threads started for the call and joined
+    before it returns, each thread passing its own ``WorkArrays`` as ``work``.
 
     Each thread claims the next unclaimed trial until none is left.  A trial
     that raises ends the claims; its exception is raised once every thread
     has finished its trial, so no trial runs after the call returns.  One
-    trial, or one CPU, runs inline and starts no thread.
+    trial, or one CPU, starts no thread: the calling thread claims them all.
     """
-    global _pool
-    helpers = min(n, _cpu_count()) - 1
-    if helpers < 1:
-        return [run(t) for t in range(n)]
     out, errors = [None] * n, []
     lock = threading.Lock()
     claimed = 0
 
-    def work():
+    def claim():
         nonlocal claimed
+        work = WorkArrays()
         while True:
             with lock:
                 t, claimed = claimed, claimed + 1
             if t >= n:
                 return
             try:
-                out[t] = run(t)
+                out[t] = trial(t, work)
             except BaseException as exc:
                 with lock:
                     claimed = n
                     errors.append(exc)
                 return
 
-    if _pool is None or _pool.pid != os.getpid():
-        _pool = _HelperPool()
-    _pool.run(work, helpers)
+    threads = []
+    try:
+        for _ in range(min(n, _cpu_count()) - 1):
+            thread = threading.Thread(target=claim, name="crossphy-trial")
+            thread.start()
+            threads.append(thread)
+        claim()
+    finally:
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
     return out
@@ -441,9 +410,9 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     nothing) receives the same samples in every trial: it decodes once, on
     the calling thread, and sums that one outcome once per trial.
 
-    Each thread runs its trials in one ``WorkArrays``, made on its first
-    trial and dropped when the point returns, so that after its first
-    trial a thread's noise, filter and sync search allocate nothing large.
+    Each thread, started for the point and joined before it returns, runs
+    its trials in its own ``WorkArrays``, so that after its first trial
+    its noise, filter and sync search allocate nothing large.
     """
     cfg = plan.config
     # the point's invariants, on this thread, so each cache misses once
@@ -453,14 +422,10 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
         plan.tx.power  # awgn's, cached on the signal
     # spawn keys must be non-negative; offset covers any sane negative SNR
     snr_key = 2**31 if math.isinf(snr_db) else 2**20 + int(round(snr_db * 1000))
-    per_thread = threading.local()
 
-    def trial(t: int) -> tuple[bool, float, float]:
+    def trial(t: int, work: WorkArrays) -> tuple[bool, float, float]:
         """(payload received, symbol errors, genie chip errors) of trial t."""
         rng = make_rng(cfg.seed, len(cfg.payload), snr_key, t)
-        if not hasattr(per_thread, "work"):
-            per_thread.work = WorkArrays()
-        work = per_thread.work
         # one filter pass serves both the decoder and the genie chip errors
         rx = zigbee.channel_filter(frequency_shift(awgn(plan.tx, snr_db, rng, work),
                                                    -cfg.delta_f_hz), work=work)
@@ -473,7 +438,7 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
     n_ok = 0
     ser_sum = 0.0
     cer_sum = 0.0
-    outcomes = (repeat(trial(0), cfg.trials) if snr_db == math.inf
+    outcomes = (repeat(trial(0, WorkArrays()), cfg.trials) if snr_db == math.inf
                 else _each_trial(trial, cfg.trials))
     for ok, ser, cer in outcomes:
         n_ok += ok

@@ -23,7 +23,8 @@ nearest integer gives exactly the values a direct correlation would.
 
 Given a ``dsp.WorkArrays``, the filter and the sync search write their
 frame-sized arrays into its memory with the same numpy calls, so the same
-floats; ``sim.run_point`` gives one to each thread of a point's trials.
+floats; each thread of ``sim.run_point``'s trials, started for the point
+and joined before it returns, makes its own.
 
 The chip sequences are transcribed from the 2450 MHz O-QPSK symbol-to-chip
 table of IEEE Std 802.15.4 (Table 12-1 in the 2020 revision), chip c0 first.

@@ -115,10 +115,10 @@ def _default_model() -> str:
 
 def _runs_or_names_its_bad_key(command, doc, files=False, iq=None):
     """Run ``command`` on ``doc`` as a config file.  With ``files``, its
-    model_file and metrics_out are in the temp dir, and the model file holds
-    ``_default_model`` until train writes its own.  With ``iq``, the config's
-    iq_out is a file of those bytes, and the metrics written must be strict
-    JSON."""
+    model_file, metrics_out and iq_out are in the temp dir, and the model
+    file holds ``_default_model`` until train writes its own.  With ``iq``,
+    the config's iq_out is a file of those bytes, and the metrics written
+    must be strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         out = os.path.join(tmp, "out.json")
@@ -134,6 +134,8 @@ def _runs_or_names_its_bad_key(command, doc, files=False, iq=None):
             with open(model, "w") as f:
                 f.write(_default_model())
             argv += ["--model-file", model, "--metrics-out", out]
+            if iq is None:  # transmit and zigbee-mod write one even when unset
+                argv += ["--iq-out", os.path.join(tmp, "out.cf32")]
         rc, err = _run([command] + argv)
         if iq is not None and rc == cli.EXIT_OK:
             with open(out) as f:
@@ -154,7 +156,8 @@ def test_every_config_runs_or_names_its_bad_key(doc):
     _runs_or_names_its_bad_key("evaluate", doc)
 
 
-@pytest.mark.parametrize("command", ["emulate", "solve-payload", "train"])
+@pytest.mark.parametrize("command", ["emulate", "solve-payload", "train", "transmit",
+                                     "zigbee-mod", "grad-check"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=configs())

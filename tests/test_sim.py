@@ -404,8 +404,9 @@ class TestLinkMetricsPinned:
 
 
 class TestTrialThreads:
+    @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("failing", [0, 5, 38])
-    def test_a_failing_trial_raises_and_stops_the_claims(self, monkeypatch, failing):
+    def test_a_failing_trial_raises_and_stops_the_claims(self, monkeypatch, failing, cpus):
         plan = sim.plan_frame(small_cfg(trials=40))
         started, finished = [], []
         make_rng, chip_errors = sim.make_rng, sim._known_timing_chip_errors
@@ -420,7 +421,7 @@ class TestTrialThreads:
             finished.append(None)
             return chip_errors(*args)
 
-        monkeypatch.setattr(sim, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(sim, "make_rng", counted_rng)
         monkeypatch.setattr(sim, "_known_timing_chip_errors", counted_errors)
         with pytest.raises(RuntimeError, match="trial failed"):
@@ -434,8 +435,8 @@ class TestTrialThreads:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_helpers(self, monkeypatch):
-        # a child inherits the pool but not its threads; without its own it
-        # would wait for ever on helpers that do not exist
+        # a child inherits none of the parent's threads; each point it runs
+        # starts and joins its own, so it never waits on one that is missing
         monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
         plan = sim.plan_frame(small_cfg(trials=4))
         want = sim.run_point(plan, 4.0)
@@ -466,6 +467,9 @@ class TestTrialThreads:
             sim._cpu_count = lambda: 1
             sim.run_point(replace(plan, config=replace(plan.config, trials=3)), 4.0)
             print(one_trial, (threading.active_count(), "concurrent.futures" in sys.modules))
+            sim._cpu_count = lambda: 2  # a noisy point on two CPUs joins its thread
+            sim.run_point(replace(plan, config=replace(plan.config, trials=3)), 4.0)
+            assert threading.active_count() == 1, threading.enumerate()
         """)
         src = str(Path(sim.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
