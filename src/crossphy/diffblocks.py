@@ -7,7 +7,8 @@ parts of a width-wide complex vector in the left half, imaginary parts in
 the right half.  Complex linear operators become real block matrices
 [[A, -B], [B, A]]; operators that act identically on both rails (cyclic
 prefix add/remove, bin selection) become block-diagonal.  Every fixed layer
-runs as its matrix.
+runs as its matrix.  The four that depend on nothing (DFT, IDFT, cyclic
+prefix add and remove) are built once and shared, with read-only weights.
 
 Fixed layers carry no trainable state.  The only trainable state in the
 whole stack is one array: ``ComplexScale.s``, the per-subcarrier complex
@@ -17,6 +18,8 @@ central finite differences.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,21 +124,32 @@ def cp_remove_matrix() -> np.ndarray:
     return w
 
 
+def _shared(weight: np.ndarray, name: str) -> FixedLinear:
+    """A layer built once and shared by every caller: its weight is read-only,
+    and a ``FixedLinear`` keeps no other state."""
+    weight.flags.writeable = False
+    return FixedLinear(weight, name)
+
+
+@lru_cache(maxsize=1)
 def dft_layer() -> FixedLinear:
     """64-point DFT as a 128x128 real layer (basis re/im decomposition)."""
-    return FixedLinear(_complex_to_real_matrix(DFT_BASIS), "dft")
+    return _shared(_complex_to_real_matrix(DFT_BASIS), "dft")
 
 
+@lru_cache(maxsize=1)
 def idft_layer() -> FixedLinear:
-    return FixedLinear(_complex_to_real_matrix(IDFT_BASIS), "idft")
+    return _shared(_complex_to_real_matrix(IDFT_BASIS), "idft")
 
 
+@lru_cache(maxsize=1)
 def cp_add_layer() -> FixedLinear:
-    return FixedLinear(_two_rail(cp_add_matrix()), "cp_add")
+    return _shared(_two_rail(cp_add_matrix()), "cp_add")
 
 
+@lru_cache(maxsize=1)
 def cp_remove_layer() -> FixedLinear:
-    return FixedLinear(_two_rail(cp_remove_matrix()), "cp_remove")
+    return _shared(_two_rail(cp_remove_matrix()), "cp_remove")
 
 
 def bin_select_layer(target_columns) -> FixedLinear:

@@ -55,7 +55,10 @@ class ComplexSignal:
             raise DomainError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         if samples.ndim != 1:
             raise DimensionError(f"samples must be 1-D, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples.view(np.float64))):
+        # NaN propagates through max and min, and +-inf is the max or min, so
+        # two reductions check every part without an n-sized temporary
+        parts = samples.view(np.float64)
+        if len(parts) and not (math.isfinite(parts.max()) and math.isfinite(parts.min())):
             raise DomainError("samples contain NaN or Inf")
 
     def __len__(self):

@@ -46,10 +46,11 @@ from .wifi import (
     SUBCARRIER_SPACING_HZ,
     SYMBOL_LEN,
     McsConfig,
+    coded_grid,
     columns,
     mcs_config,
     ofdm_analyze,
-    transmit_psdu,
+    synthesize,
 )
 
 ZIGBEE_HALF_BANDWIDTH_HZ = 1.5e6  # O-QPSK main lobe half-width
@@ -296,7 +297,8 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     index_grid = wide_quantize(z, mcs) if cfg.quantizer_mode == "wide" else model.decide(u)
     report = solve_payload(index_grid, mcs, cfg.scrambler_seed, subs,
                            bin_energy=np.abs(z) ** 2)
-    tx = transmit_psdu(report.psdu, mcs, cfg.scrambler_seed)
+    # the coded bits the solver checked, as wifi.transmit_psdu sends its PSDU
+    tx = synthesize(coded_grid(report.coded, mcs))
     if len(tx) != len(target):
         raise DimensionError(f"transmit length {len(tx)} != target length {len(target)}")
 

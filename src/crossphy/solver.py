@@ -20,11 +20,23 @@ later rows one by one.
 ``solve_payload``, the one solve entry point, builds only those rows.
 ``build_generator`` scatters every band into the dense matrix G, which
 serves only as the specification's oracle.
+
+The constraint system depends only on the frame's shape, not on the
+points asked for: the constrained positions, their rows, the offset c at
+those positions and the bins' order.  ``_constraint_system`` builds it
+once per shape, keyed by the symbol count, the modulation name and coding
+rate, the scrambler seed and the target subcarriers, and keeps the last
+shape as read-only arrays, 1.5 MB for a 127-byte 7-bin frame: every
+caller plans one shape after another.  A solve then codes its payload
+once, for the re-encode check, and the report carries those coded bits,
+which ``sim.plan_frame`` transmits (``wifi.coded_grid``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +48,7 @@ from .wifi import (
     bits_to_psdu,
     coding_chain,
     interleave_permutation,
+    mcs_config,
 )
 from .wifi import G0_TAPS, G1_TAPS, _PUNCTURE_34_KEEP
 
@@ -49,6 +62,7 @@ class SolveReport:
     psdu: bytes | None = None
     rank: int = 0
     max_span: int = 0  # widest basis row of the elimination, in columns
+    coded: np.ndarray | None = None  # coding_chain(x), the checked coded bits
 
 
 # tap masks over x[t-6] .. x[t]: bit 6 - d holds the tap on x[t-d]
@@ -111,6 +125,35 @@ def target_bit_positions(mcs: McsConfig, target_subcarriers, n_symbols: int) -> 
     return sym + slots[None, :, None] * b + np.arange(b)[None, None, :]
 
 
+class _System(NamedTuple):
+    """One frame shape's constraint system: ``pos``, the (S, m, b) target
+    bit positions; ``midx``, the same positions ascending, one row each;
+    ``lead`` and ``band``, the rows' bands; ``offset``, c at ``midx``; and
+    ``bins``, the (S, m) bins in ``midx`` order, whose b rows sit together."""
+    pos: np.ndarray
+    midx: np.ndarray
+    lead: np.ndarray
+    band: np.ndarray
+    offset: np.ndarray
+    bins: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _constraint_system(n_symbols: int, modulation: str, coding_rate: str,
+                       scrambler_seed: int, target_subcarriers: tuple) -> _System:
+    """The constraint system of a frame shape, built once and read-only.
+    Keyed by hashable values, since ``McsConfig`` holds arrays."""
+    mcs = mcs_config(modulation, coding_rate)
+    pos = target_bit_positions(mcs, target_subcarriers, n_symbols)  # (S, m, b)
+    midx = np.sort(pos.reshape(-1))
+    lead, band = coded_bit_rows(midx, mcs)
+    c = coding_chain(np.zeros(n_symbols * mcs.n_dbps, dtype=np.uint8), mcs, scrambler_seed)
+    system = _System(pos, midx, lead, band, c[midx], np.argsort(pos[..., 0].reshape(-1)))
+    for a in system:
+        a.flags.writeable = False
+    return system
+
+
 def solve_payload(
     index_grid: np.ndarray,
     mcs: McsConfig,
@@ -121,8 +164,9 @@ def solve_payload(
     """Payload bits realizing a grid of intended constellation indices.
 
     ``index_grid`` is (n_symbols, m) from the emulation model, integers in
-    [0, 2**n_bpsc) (else ``DomainError``); ``bin_energy``, of the same shape
-    (else ``DimensionError``), ranks constraints, largest first.  Positions
+    [0, 2**n_bpsc) (else ``DomainError``), for m distinct target subcarriers
+    (else ``DimensionError``); ``bin_energy``, of the same shape (else
+    ``DimensionError``), ranks constraints, largest first.  Positions
     feeding other subcarriers are unconstrained.  The report's achieved
     indices come from re-encoding the solution through the actual coding
     chain, so it is self-verifying.
@@ -131,6 +175,9 @@ def solve_payload(
     if index_grid.ndim != 2 or index_grid.shape[1] != len(target_subcarriers):
         raise DimensionError(f"index grid {index_grid.shape} does not match "
                              f"{len(target_subcarriers)} target subcarriers")
+    if len(set(target_subcarriers)) != len(target_subcarriers):
+        raise DimensionError(f"target subcarriers {list(target_subcarriers)} "
+                             f"repeat a subcarrier")
     n_points = 1 << mcs.n_bpsc
     if index_grid.dtype.kind not in "iu":
         raise DomainError(f"index grid holds {index_grid.dtype} values, not indices "
@@ -146,46 +193,38 @@ def solve_payload(
         if bin_energy.shape != index_grid.shape:
             raise DimensionError(f"bin_energy {bin_energy.shape} does not match "
                                  f"the index grid {index_grid.shape}")
-    n_symbols, m = index_grid.shape
+    n_symbols = index_grid.shape[0]
     n_bits = n_symbols * mcs.n_dbps
     if n_bits % 8 != 0:
         raise DimensionError(
             f"{n_symbols} symbols x {mcs.n_dbps} bits = {n_bits} payload bits, "
             "not a whole number of PSDU bytes; pad the grid to more symbols")
-    n_coded = n_symbols * mcs.n_cbps
+    sys_ = _constraint_system(n_symbols, mcs.constellation.name, mcs.coding_rate,
+                              scrambler_seed, tuple(target_subcarriers))
     b = mcs.n_bpsc
 
-    pos = target_bit_positions(mcs, target_subcarriers, n_symbols)  # (S, m, b)
-    y = np.zeros(n_coded, dtype=np.uint8)
+    # each bin's b label bits, MSB first, sit together in midx order
     label_bits = ((index_grid[..., None] >> np.arange(b - 1, -1, -1)) & 1).astype(np.uint8)
-    y[pos.reshape(-1)] = label_bits.reshape(-1)
-    mask = np.zeros(n_coded, dtype=bool)
-    mask[pos.reshape(-1)] = True
-
-    c = coding_chain(np.zeros(n_bits, dtype=np.uint8), mcs, scrambler_seed)
-    midx = np.nonzero(mask)[0]
-    lead, band = coded_bit_rows(midx, mcs)
+    y = label_bits.reshape(-1, b)[sys_.bins].reshape(-1)
 
     if bin_energy is not None:
-        # sort the bins in midx order, where each bin's b rows sit together
-        bins = np.argsort(pos[..., 0].reshape(-1))
-        energy = bin_energy.reshape(-1)[bins]
+        energy = bin_energy.reshape(-1)[sys_.bins]
         order = (np.argsort(-energy, kind="stable")[:, None] * b + np.arange(b)).reshape(-1)
     else:
         order = None
 
-    res = eliminate(lead, band, (y ^ c)[midx], n_bits, order=order)
-    violated = sorted(int(midx[i]) for i in res.violated)
+    res = eliminate(sys_.lead, sys_.band, y ^ sys_.offset, n_bits, order=order)
+    violated = sorted(int(sys_.midx[i]) for i in res.violated)
 
     # re-encode through the real chain and record every missed subcarrier
     achieved_coded = coding_chain(res.x, mcs, scrambler_seed)
-    ok = np.ones(n_coded, dtype=bool)
-    ok[violated] = False
-    if not np.array_equal(achieved_coded[mask & ok], y[mask & ok]):
+    ok = np.ones(len(y), dtype=bool)
+    ok[res.violated] = False
+    if not np.array_equal(achieved_coded[sys_.midx[ok]], y[ok]):
         raise CrossPhyError("payload solve failed its re-encode check: the "
                             "coding chain misses positions reported satisfied")
 
-    achieved_bits = achieved_coded[pos]  # (S, m, b)
+    achieved_bits = achieved_coded[sys_.pos]  # (S, m, b)
     weights = 1 << np.arange(b - 1, -1, -1)
     achieved_idx = (achieved_bits * weights).sum(axis=2)
     perturbed = [
@@ -195,10 +234,11 @@ def solve_payload(
 
     return SolveReport(
         x=res.x,
-        satisfied=int(np.sum(mask)) - len(violated),
+        satisfied=len(y) - len(violated),
         violated_positions=violated,
         perturbed_subcarriers=perturbed,
         psdu=bits_to_psdu(res.x),
         rank=res.rank,
         max_span=res.max_span,
+        coded=achieved_coded,
     )

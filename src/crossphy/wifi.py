@@ -347,16 +347,21 @@ def coding_chain(payload_bits, mcs: McsConfig, scrambler_seed: int) -> np.ndarra
     return interleave(coded.reshape(-1, mcs.n_cbps), mcs.n_cbps, mcs.n_bpsc).reshape(-1)
 
 
+def coded_grid(coded, mcs: McsConfig) -> np.ndarray:
+    """The (S, 64) bins of interleaved coded bits, ``coding_chain``'s
+    output: mapped onto the 48 data bins, with pilots."""
+    return assemble_grid(mcs.constellation.map_bits(coded).reshape(-1, N_DATA_SUBCARRIERS))
+
+
 def psdu_grid(psdu: bytes, mcs: McsConfig,
               scrambler_seed: int = DEFAULT_SCRAMBLER_SEED) -> np.ndarray:
-    """The (S, 64) bins of the data field: coded bits onto the 48 data bins,
-    and pilots.  PSDU bits are zero-padded to fill whole OFDM symbols."""
+    """The (S, 64) bins of the data field: ``coded_grid`` of the PSDU's
+    coded bits.  PSDU bits are zero-padded to fill whole OFDM symbols."""
     bits = psdu_to_bits(psdu)
     pad = (-len(bits)) % mcs.n_dbps
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    coded = coding_chain(bits, mcs, scrambler_seed)
-    return assemble_grid(mcs.constellation.map_bits(coded).reshape(-1, N_DATA_SUBCARRIERS))
+    return coded_grid(coding_chain(bits, mcs, scrambler_seed), mcs)
 
 
 def transmit_psdu(psdu: bytes, mcs: McsConfig,

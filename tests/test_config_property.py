@@ -224,19 +224,34 @@ def _named_keys(doc, err) -> set:
     return {key for key in doc if re.search(rf"\b{key}\b", err)}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=50,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(doc=configs())
-def test_flags_run_or_fail_as_the_config_file_does(doc):
-    # every config of the strategy above, as evaluate flags in both forms
+def _flags_run_or_fail_as_the_config_file_does(command, doc):
+    """``doc`` as ``command``'s flags, in both forms, exits as its config
+    file does and names the same keys."""
     assume(all(_renderable(v) for v in doc.values()))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as f:
             json.dump(doc, f)
-        rc, err = _run(["evaluate", "--config", path])
+        rc, err = _run([command, "--config", path])
     flags = [("--" + key.replace("_", "-"), _flag_text(value)) for key, value in doc.items()]
     for argv in ([token for pair in flags for token in pair], [f"{k}={v}" for k, v in flags]):
-        flag_rc, flag_err = _run(["evaluate"] + argv)
+        flag_rc, flag_err = _run([command] + argv)
         assert (flag_rc, _named_keys(doc, flag_err)) == (rc, _named_keys(doc, err)), (argv, err,
                                                                                        flag_err)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_flags_run_or_fail_as_the_config_file_does(doc):
+    # every config of the strategy above, as evaluate flags in both forms
+    _flags_run_or_fail_as_the_config_file_does("evaluate", doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_flags_run_or_fail_as_the_config_file_does_in_solve_payload(doc):
+    # solve-payload plans without a channel: the solver, its per-shape
+    # constraint systems and the transmit, from flags as from a file
+    _flags_run_or_fail_as_the_config_file_does("solve-payload", doc)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossphy import dsp, emulation as em, sim, wifi, zigbee
+from crossphy import diffblocks, dsp, emulation as em, sim, solver, wifi, zigbee
 from crossphy.errors import ConfigError
 
 
@@ -320,6 +320,80 @@ class TestMcsMatrix:
         cfg = small_cfg(modulation="bpsk")
         m = sim.run_pipeline(cfg)[0]
         assert m.nmse_body > 0.5
+
+
+_MCS = [(m, r) for m in ("bpsk", "qpsk", "qam16", "qam64") for r in ("1/2", "3/4")]
+
+
+class TestTransmit:
+    """``plan_frame`` transmits the coded bits its solve checked; they must
+    be the waveform the standard transmitter sends for the plan's PSDU."""
+
+    @pytest.mark.parametrize("mode", sim.QUANTIZER_MODES)
+    @pytest.mark.parametrize("modulation,rate", _MCS)
+    def test_plan_tx_is_the_standard_transmit_of_its_psdu(self, modulation, rate, mode):
+        cfg = small_cfg(payload=sim.random_payload(3, 8), modulation=modulation,
+                        coding_rate=rate, quantizer_mode=mode, epochs=3)
+        plan = sim.plan_frame(cfg)
+        sent = wifi.transmit_psdu(plan.report.psdu, cfg.mcs, cfg.scrambler_seed)
+        assert np.array_equal(plan.tx.samples, sent.samples)
+
+    def test_127_byte_webee_plan_tx_is_the_standard_transmit(self):
+        cfg = small_cfg(payload=sim.random_payload(3, 127))
+        plan = sim.plan_frame(cfg)
+        sent = wifi.transmit_psdu(plan.report.psdu, cfg.mcs, cfg.scrambler_seed)
+        assert np.array_equal(plan.tx.samples, sent.samples)
+
+
+def _plan_outputs(cfg):
+    plan = sim.plan_frame(cfg)
+    r = plan.report
+    return (r.psdu, r.x.tobytes(), r.coded.tobytes(), r.satisfied, r.violated_positions,
+            r.perturbed_subcarriers, r.rank, r.max_span, plan.index_grid.tobytes(),
+            plan.tx.samples.tobytes(), plan.phase_mse_body)
+
+
+def _clear_shape_caches():
+    solver._constraint_system.cache_clear()
+    for layer in (diffblocks.dft_layer, diffblocks.idft_layer, diffblocks.cp_add_layer,
+                  diffblocks.cp_remove_layer):
+        layer.cache_clear()
+
+
+class TestShapeCaches:
+    """Each frame shape's constraint system and the fixed layers are built
+    once; a plan must not depend on which shapes were planned before it."""
+
+    def test_plans_do_not_depend_on_the_shapes_planned_before(self):
+        payload = sim.random_payload(5, 16)
+        first = small_cfg(payload=payload)
+        others = [small_cfg(payload=payload, modulation="qpsk", coding_rate="3/4"),
+                  small_cfg(payload=payload, target_subcarrier_count=12),
+                  small_cfg(payload=payload, scrambler_seed=1),
+                  small_cfg(payload=sim.random_payload(5, 32)),
+                  small_cfg(payload=sim.random_payload(6, 16)),
+                  small_cfg(payload=payload, quantizer_mode="wide")]
+        fresh = []  # each config planned right after the caches were cleared
+        for cfg in [first] + others:
+            _clear_shape_caches()
+            fresh.append(_plan_outputs(cfg))
+        _clear_shape_caches()
+        assert _plan_outputs(first) == fresh[0]
+        for cfg, want in zip(others, fresh[1:]):
+            assert _plan_outputs(cfg) == want
+            assert _plan_outputs(cfg) == want  # from the cached system
+            assert _plan_outputs(first) == fresh[0]
+        assert solver._constraint_system.cache_info().hits >= len(others)
+
+    def test_cached_arrays_are_read_only(self):
+        shape = (4, "qam64", "1/2", wifi.DEFAULT_SCRAMBLER_SEED, (-14, -13, -12, -11, -10, -9, -8))
+        system = solver._constraint_system(*shape)
+        assert system is solver._constraint_system(*shape)
+        layers = [diffblocks.dft_layer(), diffblocks.idft_layer(), diffblocks.cp_add_layer(),
+                  diffblocks.cp_remove_layer()]
+        for a in list(system) + [layer.weight for layer in layers]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
 
 
 class TestNoiselessChipBudget:

@@ -182,6 +182,14 @@ class TestSolvePayload:
         with pytest.raises(DomainError, match=f"value {bad} "):
             solver.solve_payload(grid, wifi.mcs_config("qam64", "1/2"), SEED, SUBS)
 
+    @pytest.mark.parametrize("energy", [None, np.ones((2, 2))])
+    def test_repeated_subcarrier_rejected(self, energy):
+        # was a report of every bit satisfied beside perturbed bins, or an
+        # IndexError given bin_energy
+        with pytest.raises(DimensionError, match="repeat"):
+            solver.solve_payload(np.array([[1, 2], [3, 4]]), wifi.mcs_config("qam64", "1/2"),
+                                 SEED, (-8, -8), bin_energy=energy)
+
     def test_float_grid_rejected(self):
         grid = np.zeros((2, len(SUBS)))
         with pytest.raises(DomainError, match="float64"):
@@ -319,12 +327,10 @@ class TestBandedRows:
         intended = make_rng(11).integers(0, 64, (4, len(SUBS)))
         first_pos = int(solver.target_bit_positions(mcs, SUBS, 4)[0, 0, 0])
         real_chain = solver.coding_chain
-        calls = []
 
         def flip_on_reencode(bits, mcs, seed):
             out = real_chain(bits, mcs, seed)
-            calls.append(1)
-            if len(calls) == 2:  # the first call builds the offset c
+            if np.any(bits):  # not the offset c = chain(0), built once per shape
                 out[first_pos] ^= 1
             return out
 
