@@ -7,31 +7,5 @@ chain, a software O-QPSK/DSSS modem, and an end-to-end simulation harness.
 """
 
 from . import diffblocks, dsp, emulation, gf2, iqfile, sim, solver, wifi, zigbee
-from .dsp import (
-    ComplexSignal,
-    awgn,
-    dft,
-    frequency_shift,
-    idft,
-    make_rng,
-)
-from .errors import ConfigError, CrossPhyError, DimensionError, DomainError
-from .iqfile import read_cf32, write_cf32
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComplexSignal",
-    "awgn",
-    "dft",
-    "frequency_shift",
-    "idft",
-    "make_rng",
-    "ConfigError",
-    "CrossPhyError",
-    "DimensionError",
-    "DomainError",
-    "read_cf32",
-    "write_cf32",
-    "__version__",
-]

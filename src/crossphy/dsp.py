@@ -1,15 +1,15 @@
-"""Reference DSP primitives: 64-point DFT/IDFT, frequency shift and AWGN.
+"""Reference DSP primitives: the 64-point DFT pair, frequency shift and AWGN.
 
-Everything here is a plain realization of the defining formulas; the
-trainable emulation layers are validated against this module.  ``dft`` and
-``idft`` run numpy's FFT, which computes the same unnormalized pair as the
-``DFT_BASIS``/``IDFT_BASIS`` matrices without a BLAS product per call.
+Everything here is a plain realization of the defining formulas.  The
+module's DFT pair is the ``DFT_BASIS``/``IDFT_BASIS`` matrices, which
+``wifi.synthesize``, ``wifi.ofdm_analyze`` and the ``diffblocks`` DFT layers
+run; the tests check the pair against numpy's FFT.
 
 Conventions
 -----------
-* 64-bin arrays are in plain DFT order, the order ``dft`` returns and
-  ``idft`` reads: bin ``k`` is subcarrier ``k`` for ``k < 32`` and ``k - 64``
-  above (``wifi.columns`` maps subcarriers to columns).
+* 64-bin arrays are in plain DFT order, the order ``DFT_BASIS`` returns and
+  ``IDFT_BASIS`` reads: bin ``k`` is subcarrier ``k`` for ``k < 32`` and
+  ``k - 64`` above (``wifi.columns`` maps subcarriers to columns).
 * The DFT is unnormalized, ``X[k] = sum_n x[n] exp(-j 2 pi n k / N)``; the
   IDFT carries the ``1/N`` factor.  With this pairing the time-domain MSE of
   two signals equals ``(1/N^2) sum |U[k]-V[k]|^2`` exactly (Parseval).
@@ -115,22 +115,6 @@ def make_rng(seed, *spawn_key) -> np.random.Generator:
     from one experiment seed (e.g. per trial) without correlation.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
-
-
-def dft(block) -> np.ndarray:
-    """64-point DFT, ``X[k] = sum_n x[n] exp(-j 2 pi n k / 64)``."""
-    block = np.asarray(block, dtype=np.complex128)
-    if block.shape != (N_FFT,):
-        raise DimensionError(f"dft expects {N_FFT} samples, got shape {block.shape}")
-    return np.fft.fft(block)
-
-
-def idft(bins) -> np.ndarray:
-    """64-point inverse DFT, ``x[n] = (1/64) sum_k X[k] exp(j 2 pi n k / 64)``."""
-    bins = np.asarray(bins, dtype=np.complex128)
-    if bins.shape != (N_FFT,):
-        raise DimensionError(f"idft expects {N_FFT} bins, got shape {bins.shape}")
-    return np.fft.ifft(bins)
 
 
 @lru_cache(maxsize=8)

@@ -286,19 +286,6 @@ def columns(subcarriers) -> np.ndarray:
     return np.asarray(subcarriers, dtype=np.intp) % N_FFT
 
 
-def assemble_grid(data_symbols: np.ndarray) -> np.ndarray:
-    """Place (S, 48) data symbols on the data bins, insert pilots, zero the
-    rest: the (S, 64) bins."""
-    data_symbols = np.asarray(data_symbols, dtype=np.complex128)
-    if data_symbols.ndim != 2 or data_symbols.shape[1] != N_DATA_SUBCARRIERS:
-        raise DimensionError(f"expected (S, {N_DATA_SUBCARRIERS}) symbols, got {data_symbols.shape}")
-    n_sym = data_symbols.shape[0]
-    bins = np.zeros((n_sym, N_FFT), dtype=np.complex128)
-    bins[:, columns(DATA_SUBCARRIERS)] = data_symbols
-    bins[:, columns(PILOT_SUBCARRIERS)] = pilot_values(n_sym)
-    return bins
-
-
 def synthesize(grid) -> ComplexSignal:
     """IDFT each symbol's (S, 64) bins and prepend the 16-sample cyclic prefix."""
     grid = np.asarray(grid, dtype=np.complex128)
@@ -349,8 +336,12 @@ def coding_chain(payload_bits, mcs: McsConfig, scrambler_seed: int) -> np.ndarra
 
 def coded_grid(coded, mcs: McsConfig) -> np.ndarray:
     """The (S, 64) bins of interleaved coded bits, ``coding_chain``'s
-    output: mapped onto the 48 data bins, with pilots."""
-    return assemble_grid(mcs.constellation.map_bits(coded).reshape(-1, N_DATA_SUBCARRIERS))
+    output: mapped onto the 48 data bins, with pilots, the rest zero."""
+    data = mcs.constellation.map_bits(coded).reshape(-1, N_DATA_SUBCARRIERS)
+    bins = np.zeros((len(data), N_FFT), dtype=np.complex128)
+    bins[:, columns(DATA_SUBCARRIERS)] = data
+    bins[:, columns(PILOT_SUBCARRIERS)] = pilot_values(len(data))
+    return bins
 
 
 def psdu_grid(psdu: bytes, mcs: McsConfig,

@@ -226,18 +226,20 @@ def _named_keys(doc, err) -> set:
 
 def _flags_run_or_fail_as_the_config_file_does(command, doc):
     """``doc`` as ``command``'s flags, in both forms, exits as its config
-    file does and names the same keys."""
+    file does and names the same keys.  Every run writes its metrics into
+    the temp dir."""
     assume(all(_renderable(v) for v in doc.values()))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as f:
             json.dump(doc, f)
-        rc, err = _run([command, "--config", path])
-    flags = [("--" + key.replace("_", "-"), _flag_text(value)) for key, value in doc.items()]
-    for argv in ([token for pair in flags for token in pair], [f"{k}={v}" for k, v in flags]):
-        flag_rc, flag_err = _run([command] + argv)
-        assert (flag_rc, _named_keys(doc, flag_err)) == (rc, _named_keys(doc, err)), (argv, err,
-                                                                                       flag_err)
+        out = ["--metrics-out", os.path.join(tmp, "out")]
+        rc, err = _run([command, "--config", path] + out)
+        flags = [("--" + key.replace("_", "-"), _flag_text(value)) for key, value in doc.items()]
+        for argv in ([token for pair in flags for token in pair], [f"{k}={v}" for k, v in flags]):
+            flag_rc, flag_err = _run([command] + argv + out)
+            assert (flag_rc, _named_keys(doc, flag_err)) == (rc, _named_keys(doc, err)), (
+                argv, err, flag_err)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50,
@@ -255,3 +257,20 @@ def test_flags_run_or_fail_as_the_config_file_does_in_solve_payload(doc):
     # solve-payload plans without a channel: the solver, its per-shape
     # constraint systems and the transmit, from flags as from a file
     _flags_run_or_fail_as_the_config_file_does("solve-payload", doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_flags_run_or_fail_as_the_config_file_does_in_emulate(doc):
+    # emulate plans and trains without a channel, from flags as from a file
+    _flags_run_or_fail_as_the_config_file_does("emulate", doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs(valid=_SWEEP_VALID, any_value=_SWEEP_ANY,
+                   required=("epochs", "snr_db", "payload_lens", "modes")))
+def test_flags_run_or_fail_as_the_config_file_does_in_sweep(doc):
+    # sweep's own list keys, payload_lens and modes, as comma-joined flags
+    _flags_run_or_fail_as_the_config_file_does("sweep", doc)

@@ -113,14 +113,14 @@ class TestFixedLinearBlocks:
         for _ in range(20):
             z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             got = db.unstack_complex(blk.forward(db.stack_complex(z[None, :])))[0]
-            assert np.max(np.abs(got - dsp.dft(z))) < 1e-9
+            assert np.max(np.abs(got - np.fft.fft(z))) < 1e-9
 
     def test_idft_layer_matches_reference(self):
         rng = dsp.make_rng(2)
         blk = db.idft_layer()
         z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         got = db.unstack_complex(blk.forward(db.stack_complex(z[None, :])))[0]
-        assert np.max(np.abs(got - dsp.idft(z))) < 1e-9
+        assert np.max(np.abs(got - np.fft.ifft(z))) < 1e-9
 
     @pytest.mark.parametrize("factory", [db.dft_layer, db.idft_layer,
                                          db.cp_add_layer, db.cp_remove_layer])
