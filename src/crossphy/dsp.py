@@ -81,14 +81,16 @@ class WorkArrays:
     arrays.
 
     Arrays whose lifetimes do not overlap share a region: region 0 holds
-    the noisy signal, then the filter's spectra, then the filtered signal;
-    region 1 the noise draws, then the filter's padded parts and, over
-    them, its inverse FFT blocks, then the hard chips, the sync product and
-    ``|corr|``;
-    region 2 the hard chips' spectra, then the correlations.  A region
-    grows to the largest size asked of it.  A signal returned over this
-    memory is valid only until the next call given the same object, and
-    one object serves one thread.
+    the noisy signal, then the filter's spectra, then the filtered signal,
+    which the decoder reads to the end; region 1 the noise draws, then the
+    filter's padded parts and, over them, its inverse FFT blocks, then the
+    sync search's hard chips and their 8-chip windows, then its 16-chip
+    step's scratch and its 32-chip words; region 2 the sync search's sign
+    comparisons, then its 8-chip step's scratch and its 16-chip windows,
+    then its pattern differences, bit counts and scores.  A region grows
+    to the largest size asked of it, in whole float64s whatever the dtype.
+    A signal returned over this memory is valid only until the next call
+    given the same object, and one object serves one thread.
     """
 
     def __init__(self):
@@ -96,10 +98,11 @@ class WorkArrays:
 
     def empty(self, region: int, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialized C-contiguous array over the start of ``region``."""
-        n = math.prod(shape) * np.dtype(dtype).itemsize // 8
+        size = math.prod(shape)
+        n = -(-size * np.dtype(dtype).itemsize // 8)  # whole float64s
         if len(self._regions[region]) < n:
             self._regions[region] = np.empty(n)
-        return self._regions[region][:n].view(dtype).reshape(shape)
+        return self._regions[region][:n].view(dtype)[:size].reshape(shape)
 
 
 def work_empty(work: WorkArrays | None, region: int, shape, dtype=np.float64) -> np.ndarray:

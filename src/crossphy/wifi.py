@@ -317,7 +317,7 @@ def bits_to_psdu(bits) -> bytes:
     bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) % 8 != 0:
         raise DimensionError("bit count must be a multiple of 8")
-    return bytes((bits.reshape(-1, 8) @ (1 << np.arange(8))).astype(np.uint8).tolist())
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def coding_chain(payload_bits, mcs: McsConfig, scrambler_seed: int) -> np.ndarray:

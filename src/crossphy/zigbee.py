@@ -15,15 +15,16 @@ the signal scale.  The receiver reads only their signs at chip peaks, which
 sit far from zero in any decodable frame, and a part that is all zero stays
 exactly zero, so no decision moves.
 
-The sync search correlates the hard-chip streams of every timing offset
-and both rails with the 320-chip preamble+SFD pattern in one real-FFT
-pass.  Each correlation is a sum of 320 products of +-1, an integer, and
-the FFT's rounding error is around 1e-12, so rounding the FFT output to the
-nearest integer gives exactly the values a direct correlation would.
+The sync search scores the hard-chip streams of every timing offset, both
+rails and both lag parities against the 320-chip preamble+SFD pattern the
+way a DSSS chip correlator does: a correlation of +-1 chips is ``320 - 2d``
+for ``d`` differing chips, and ``d`` is the bit count of packed 16-chip
+words XORed with the pattern's words.  Every value is an exact integer, so
+the search gives the direct correlations' result with no rounding step.
 
 Given a ``dsp.WorkArrays``, the filter and the sync search write their
 frame-sized arrays into its memory with the same numpy calls, so the same
-floats; each thread of ``sim.run_point``'s trials, started for the point
+values; each thread of ``sim.run_point``'s trials, started for the point
 and joined before it returns, makes its own.
 
 The chip sequences are transcribed from the 2450 MHz O-QPSK symbol-to-chip
@@ -272,25 +273,18 @@ def _sync_pattern() -> np.ndarray:
     return 2.0 * symbols_to_chips(np.array(SYNC_SYMBOLS)) - 1.0
 
 
-@lru_cache(maxsize=8)
-def _sync_spectra(n_fft: int) -> np.ndarray:
-    """Spectral weights ``(parity, chip phase, bin)`` of the sync search.
+def _sync_words() -> np.ndarray:
+    """One word per sync symbol: its 16 even chips in the low half and its
+    16 odd chips in the high half, chip ``2j`` (or ``2j + 1``) at bit ``j``
+    (or ``16 + j``), 1 for a +1 chip (see ``_sync_search``)."""
+    halves = (_sync_pattern() > 0).reshape(len(SYNC_SYMBOLS), 16, 2)
+    even, odd = np.moveaxis(halves, 2, 0) @ 2 ** np.arange(16, dtype=np.uint32)
+    words = even | odd << 16
+    words.flags.writeable = False
+    return words
 
-    Split a hard-chip stream into its even chips ``e`` and odd chips ``o``,
-    and the pattern into ``pe`` and ``po``.  At even lag ``2m`` the plain
-    pattern scores ``sum_i e[m+i] pe[i] + o[m+i] po[i]``; at odd lag
-    ``2m+1`` the alternated pattern (odd chips negated) scores
-    ``sum_i o[m+i] pe[i] - e[m+1+i] po[i]``.  Both are sums of half-length
-    correlations, so they come from the spectra of ``e`` and ``o`` times
-    these conjugate pattern spectra; the phase ramp is the one-chip
-    advance of ``e``.
-    """
-    pattern = _sync_pattern()
-    pe, po = np.conj(rfft(np.stack([pattern[0::2], pattern[1::2]]), n_fft))
-    advance = np.exp(2j * np.pi * np.arange(len(pe)) / n_fft)
-    spectra = np.array([[pe, po], [-po * advance, pe]])
-    spectra.flags.writeable = False
-    return spectra
+
+_SYNC_WORDS = _sync_words()
 
 
 @lru_cache(maxsize=8)
@@ -311,35 +305,35 @@ def _next_fast_len(n: int) -> int:
 
 def _hard_halves(x: np.ndarray, spc: int, n_half: int,
                  work: WorkArrays | None = None) -> np.ndarray:
-    """Hard chips of every timing offset as +-1 (``sign``, with 0 -> +1).
+    """Hard chips of every timing offset as bools, True for a +1 chip.
 
     Axes are ``(offset, rail, phase, i)`` for chip ``2i + phase`` of the
     real (rail 0) or imaginary (rail 1) part of the derotated chip samples
-    (see ``_chip_samples``).  The array is C-contiguous, which keeps the FFT
-    over ``i`` fast.
+    (see ``_chip_samples``), over memory in ``(phase, offset, rail, i)``
+    order, so each phase is one flat run of rows.
 
     Chip ``k`` of offset ``o`` is sample ``(k+1) spc + o``, so the chips of
-    all offsets are the samples from ``spc`` on, read as ``(i, phase,
-    offset, re/im)`` floats with no copy; the few past the end read the
-    last sample.  Derotating by ``(-j)^k`` only picks a part: even chips
-    read (re, im) and odd chips (im, -re), so rail 1 of an odd chip is
-    ``re <= 0``.  Given ``work``, the array lies in its region 1.
+    all offsets are the samples from ``spc`` on, in ``(k, o)`` order; the
+    few past the end read the last sample.  Derotating by ``(-j)^k`` only
+    picks a part: even chips read (re, im) and odd chips (im, -re), so rail
+    1 of an odd chip is ``re <= 0``.  Two comparisons run over the samples
+    as they lie and three copies put their bits in place.  Given ``work``,
+    the comparisons lie in its region 2 and the chips in its region 1.
     """
-    out = work_empty(work, 1, (spc, 2, 2, n_half))
-    row = 2 * spc  # samples per i
-    n_inside = max(0, min(n_half, (len(x) - spc) // row))
-    tail = np.full((n_half - n_inside) * row, x[-1])
-    rest = x[spc + n_inside * row : spc + n_half * row]
-    tail[: len(rest)] = rest
-    for cols, chips in ((slice(None, n_inside), x[spc : spc + n_inside * row]),
-                        (slice(n_inside, None), tail)):
-        v = chips.view(np.float64).reshape(-1, 2, spc, 2).transpose(2, 1, 3, 0)
-        o = out[..., cols]
-        o[:, 0, 0] = np.where(v[:, 0, 0] >= 0, 1.0, -1.0)
-        o[:, 1, 0] = np.where(v[:, 0, 1] >= 0, 1.0, -1.0)
-        o[:, 0, 1] = np.where(v[:, 1, 1] >= 0, 1.0, -1.0)
-        o[:, 1, 1] = np.where(v[:, 1, 0] <= 0, 1.0, -1.0)
-    return out
+    n_pos = 2 * n_half * spc  # chip positions (k, o)
+    n_in = max(0, min(n_pos, len(x) - spc))
+    ge, le = work_empty(work, 2, (2, n_pos, 2), np.bool_)  # (k o, re/im)
+    parts = x[spc : spc + n_in].view(np.float64)
+    np.greater_equal(parts, 0.0, out=ge[:n_in].reshape(-1))
+    np.less_equal(parts, 0.0, out=le[:n_in].reshape(-1))
+    ge[n_in:] = x[-1].real >= 0, x[-1].imag >= 0
+    le[n_in:] = x[-1].real <= 0, x[-1].imag <= 0
+    out = work_empty(work, 1, (2, spc, 2, n_half), np.bool_)
+    ge = ge.reshape(n_half, 2, spc, 2)  # (i, phase, o, re/im)
+    np.copyto(out[0], ge[:, 0].transpose(1, 2, 0))
+    np.copyto(out[1, :, 0], ge[:, 1, :, 1].T)
+    np.copyto(out[1, :, 1], le.reshape(n_half, 2, spc, 2)[:, 1, :, 0].T)
+    return out.transpose(1, 2, 0, 3)
 
 
 def _sync_search(x: np.ndarray, spc: int, work: WorkArrays | None = None):
@@ -347,10 +341,21 @@ def _sync_search(x: np.ndarray, spc: int, work: WorkArrays | None = None):
 
     Searches every timing offset in one chip period, both chip rails and
     both pattern parities: the plain pattern at even lags, the alternated
-    one at odd lags (the I/Q lattice).  All ``(offset, rail, parity,
-    lag // 2)`` correlations come from one real-FFT pass over the hard
-    chips (see ``_sync_spectra``), rounded to the integers they are and
-    divided by the pattern length.
+    one at odd lags (the I/Q lattice).  A correlation of 320 hard chips
+    with the +-1 pattern is ``320 - 2 d``, where ``d`` counts the chips
+    that differ, so it is an exact integer count on packed bits.
+
+    Split a stream of hard chips into its even chips ``e`` and odd chips
+    ``o``.  The word of lag ``2m`` holds ``e[m:m+16]`` in its low half and
+    ``o[m:m+16]`` in its high half; the word of lag ``2m + 1`` holds
+    ``o[m:m+16]`` and the complement of ``e[m+1:m+17]``, the chips the
+    alternated pattern negates.  Then ``d`` is ``popcount(word[m + 16k] ^
+    sync_word[k])`` summed over the ten sync symbols (see ``_sync_words``);
+    the eight preamble symbols share one word, so their counts add up in
+    three doubling sums.  Each step is one numpy call over the flat
+    ``(parity, offset, rail, m)`` rows of every stream, shifted along them:
+    a row's last positions read into the next row, and only masked lags
+    read those.
 
     Returns ``(corr, offset, lag, use_imag, alternated)`` for the largest
     ``|corr|``, the first in ``(offset, rail, parity, lag)`` order on ties,
@@ -362,23 +367,59 @@ def _sync_search(x: np.ndarray, spc: int, work: WorkArrays | None = None):
         return None
     # offsets may hold one chip fewer than offset 0; chips past an offset's
     # own count read the clamped last sample and only enter masked lags
-    n_half = (int(n_chips[0]) + 1) // 2
     last = (n_chips[:, None] - SYNC_CHIPS - np.arange(2)) // 2  # last valid m per parity
-    n_fft = _next_fast_len(n_half)
-    bins = (spc, 2, 2, n_fft // 2 + 1)
-    # (offset, rail, parity, m) for lag 2m + parity
-    corr = irfft(np.einsum("orcb,pcb->orpb",
-                           rfft(_hard_halves(x, spc, n_half, work), n_fft,
-                                out=work_empty(work, 2, bins, np.complex128)),
-                           _sync_spectra(n_fft), out=work_empty(work, 1, bins, np.complex128)),
-                 n_fft, out=work_empty(work, 2, bins[:3] + (n_fft,)))[..., : int(last.max()) + 1]
-    np.rint(corr, out=corr)
-    score = np.abs(corr, out=work_empty(work, 1, corr.shape))
-    np.copyto(score, -1.0, where=np.arange(corr.shape[-1]) > last[:, None, :, None])
-    best = int(np.argmax(score))
-    off, rail, parity, half_lag = np.unravel_index(best, corr.shape)
-    return (float(corr.flat[best]) / SYNC_CHIPS, int(off), int(2 * half_lag + parity),
-            bool(rail), bool(parity))
+    n_lags = int(last.max()) + 1
+    row = n_lags + 16 * len(SYNC_SYMBOLS)  # a lag's last word starts 144 on and reads 16 more
+    # (phase, offset, rail, m) bits -> windows of chips m..m+7, then m..m+15
+    bits = _hard_halves(x, spc, row, work).transpose(2, 0, 1, 3).reshape(-1).view(np.uint8)
+    size = len(bits)
+    spare = work_empty(work, 2, (size,), np.uint8)
+    for step in (1, 2, 4):
+        np.multiply(bits[step:], 1 << step, out=spare[:-step])
+        np.bitwise_or(bits[:-step], spare[:-step], out=bits[:-step])
+    halves = work_empty(work, 2, (size,), np.uint16)
+    np.copyto(halves, bits)
+    words = work_empty(work, 1, (size,), np.uint32)
+    spare = words.view(np.uint16)[:size]
+    np.multiply(halves[8:], 1 << 8, out=spare[:-8])
+    np.bitwise_or(halves[:-8], spare[:-8], out=halves[:-8])
+    # (parity, offset, rail, m) words: e[m] with o[m], and o[m] with ~e[m+1]
+    n = size // 2
+    np.left_shift(halves[n:], 16, out=words[:n], dtype=np.uint32)
+    np.left_shift(halves[1 : n + 1], 16, out=words[n:], dtype=np.uint32)
+    np.bitwise_or(words, halves, out=words)
+    np.bitwise_xor(words[n:], 0xFFFF0000, out=words[n:])
+    # per lag, the differing chips of one symbol (uint8), then of all ten
+    scratch = work_empty(work, 2, (7, size), np.uint8)
+    diff = scratch[:4].reshape(-1).view(np.uint32)
+    ones = scratch[4]
+    counts = scratch[5:].reshape(-1).view(np.uint16)
+    np.bitwise_count(np.bitwise_xor(words, _SYNC_WORDS[0], out=diff), out=ones)
+    np.add(ones[:-16], ones[16:], out=ones[:-16])  # 2 symbols, up to 64
+    np.add(ones[:-32], ones[32:], out=ones[:-32])  # 4, up to 128
+    np.add(ones[:-64], ones[64:], out=counts[:-64], dtype=np.uint16)  # the 8 of the preamble
+    for k in range(len(PREAMBLE_SYMBOLS), len(SYNC_SYMBOLS)):
+        end = size - 16 * k
+        d = np.bitwise_xor(words[16 * k :], _SYNC_WORDS[k], out=diff[:end])
+        np.add(counts[:end], np.bitwise_count(d, out=ones[:end]), out=counts[:end])
+    # |corr| = |320 - 2 d| is largest where max(d, 320 - d) is, which is at
+    # least 160, so 0 masks the lags past an offset's chips
+    score = np.subtract(SYNC_CHIPS, counts, out=diff.view(np.uint16)[:size])
+    np.maximum(score, counts, out=score)
+    score = score.reshape(2, spc, 2, row)
+    lo = int(last.min()) + 1  # every offset holds the lags before
+    score[..., n_lags:] = 0
+    np.copyto(score[..., lo:n_lags], 0, where=np.arange(lo, n_lags) > last.T[:, :, None, None])
+    # each parity's first maximum, then the first of the two in (offset,
+    # rail, parity, m) order
+    firsts = []
+    for parity in (0, 1):
+        j = int(np.argmax(score[parity]))
+        off, rail, m = np.unravel_index(j, score.shape[1:])
+        firsts.append((-int(score[parity].flat[j]), int(off), int(rail), parity, int(m)))
+    _, off, rail, parity, m = min(firsts)
+    d = int(counts.reshape(score.shape)[parity, off, rail, m])
+    return (SYNC_CHIPS - 2 * d) / SYNC_CHIPS, off, 2 * m + parity, bool(rail), bool(parity)
 
 
 def decode_frame(
@@ -391,9 +432,9 @@ def decode_frame(
 
     The sync search covers sample-level timing (one chip period), the even/
     odd chip-rail pairing, and the four-fold O-QPSK phase ambiguity (I/Q
-    rail swap and sign).  It computes all of these hard-chip correlations
-    with one real-FFT correlation and rounds them to integers, which makes
-    them exactly equal to direct correlation sums (see ``_sync_search``).
+    rail swap and sign).  It counts the hard chips that differ from the
+    pattern at every one of these lags on packed bits, which gives the
+    direct correlation sums exactly (see ``_sync_search``).
     Detection requires the best normalized correlation over the 320-chip
     sync pattern to reach ``SYNC_THRESHOLD``; a signal too short for the
     pattern is not detected and reports ``sync_corr`` 0.  ``ser`` and

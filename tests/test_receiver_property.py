@@ -1,6 +1,6 @@
 """Property tests of the receiver: the overlap-save channel filter against
-the direct convolution, and a frame decoder that never raises on a finite
-input."""
+the direct convolution, a frame decoder that never raises on a finite
+input, and the bit-count sync search against the direct correlations."""
 import math
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from crossphy import dsp, zigbee  # noqa: E402
+from zigbee_oracle import loop_sync_search  # noqa: E402
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -128,3 +129,45 @@ def test_reused_work_arrays_change_no_output(inputs):
         assert (repr(zigbee.decode_frame(rx, payload, None, work=work))
                 == repr(zigbee.decode_frame(want, payload, None)))
         assert repr(zigbee.decode_frame(sig, payload, work=work)) == repr(zigbee.decode_frame(sig, payload))
+
+
+@st.composite
+def _sync_inputs(draw):
+    """``(x, spc)``: frames at 2, 4 and 10 samples a chip, delayed, rotated,
+    noisy, filtered or not and cut anywhere near the 320-chip pattern length
+    or up to 6,000 samples, with exact +0.0 and -0.0 parts; or constant
+    signals, whose correlations all tie."""
+    spc = draw(st.sampled_from([2, 4, 10]))
+    n = draw(st.one_of(st.integers(3190, 3260), st.integers(0, 6000),
+                       st.integers(320 * spc - 12, 321 * spc + 12)))
+    rng = dsp.make_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = np.full(n, draw(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1j, complex(-0.0, 3.0)])),
+                    dtype=complex)
+        return x, spc
+    payload = bytes(rng.integers(0, 256, draw(st.integers(0, 6))).tolist())
+    # a whole frame, or the sync fields alone: cut a chip late, the odd-lag
+    # match lacks a chip at the late offsets
+    symbols = draw(st.sampled_from([zigbee.build_frame(payload), np.array(zigbee.SYNC_SYMBOLS)]))
+    frame = zigbee.oqpsk_modulate(zigbee.symbols_to_chips(symbols), 2e6 * spc).samples
+    x = np.concatenate([np.zeros(draw(st.integers(0, 3 * spc))), frame, np.zeros(n)])[:n]
+    x = x * draw(st.sampled_from([1, 1j, -1, -1j]))
+    x = x + draw(st.sampled_from([0.0, 0.5, 2.0])) * (rng.standard_normal(n)
+                                                      + 1j * rng.standard_normal(n))
+    if n and draw(st.booleans()):
+        x = zigbee.channel_filter(dsp.ComplexSignal(x, 2e6 * spc)).samples
+    for part in (x.real, x.imag):
+        part[rng.integers(0, max(n, 1), n // 50)] = 0.0
+        part[rng.integers(0, max(n, 1), n // 50)] = -0.0
+    return x, spc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_sync_inputs(), stale=st.integers(0, 4000))
+def test_sync_search_matches_the_direct_correlations(case, stale):
+    x, spc = case
+    # a work object a larger call left full of its own arrays
+    work = dsp.WorkArrays()
+    rng = dsp.make_rng(stale)
+    zigbee._sync_search(rng.standard_normal(len(x) + stale) + 1j, spc, work)
+    assert repr(zigbee._sync_search(x, spc, work)) == repr(loop_sync_search(x, spc)[0])

@@ -280,6 +280,18 @@ class TestTransmit:
         assert bits[8:].tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
         assert wifi.bits_to_psdu(bits) == bytes([1, 128])
 
+    def test_bits_to_psdu_equals_the_weighted_sum(self):
+        # packbits, LSB first, against each byte as its bits' weighted sum
+        rng = dsp.make_rng(36)
+        for n in range(0, 1017, 8):
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            want = bytes((bits.reshape(-1, 8) @ (1 << np.arange(8))).astype(np.uint8).tolist())
+            assert wifi.bits_to_psdu(bits) == want, n
+
+    def test_bits_to_psdu_rejects_a_partial_byte(self):
+        with pytest.raises(DimensionError, match="multiple of 8"):
+            wifi.bits_to_psdu(np.ones(12, dtype=np.uint8))
+
     def test_unknown_constellation_rejected(self):
         with pytest.raises(ConfigError):
             wifi.constellation("qam1024")

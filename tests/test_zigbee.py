@@ -5,7 +5,7 @@ import pytest
 
 from crossphy import dsp, zigbee
 from crossphy.errors import ConfigError, DomainError
-from zigbee_oracle import oqpsk_demodulate
+from zigbee_oracle import gather_hard_halves, loop_sync_search, oqpsk_demodulate
 
 
 class TestFrame:
@@ -297,8 +297,9 @@ class TestNoScipyReceiver:
             taps[0] = 0.0
 
     def test_hard_halves_contiguous(self):
+        # phase-major memory: the sync search packs each phase as one flat run
         x = _frame(b"\x01\x02", lead_in=7).samples
-        assert zigbee._hard_halves(x, 10, 200).flags.c_contiguous
+        assert zigbee._hard_halves(x, 10, 200).transpose(2, 0, 1, 3).flags.c_contiguous
 
 
 class TestZeroCutoff:
@@ -313,72 +314,27 @@ class TestZeroCutoff:
             oqpsk_demodulate(_frame(b"\x01\x02"), filter_cutoff_hz=0.0)
 
 
-def gather_hard_halves(x, spc, n_half):
-    """``zigbee._hard_halves`` as an index gather of the derotated chip
-    samples: the reference the view-based version must equal."""
-    chips = zigbee._chip_samples(x, spc, 2 * n_half, offset=np.arange(spc)[:, None])
-    hard = np.stack([chips.real >= 0, chips.imag >= 0], axis=1)
-    hard = np.ascontiguousarray(hard.reshape(spc, 2, n_half, 2).swapaxes(2, 3))
-    return np.where(hard, 1.0, -1.0)
-
-
 class TestHardHalvesOracle:
     @pytest.mark.parametrize("n", [3200, 3203, 3209, 5000, 5003, 5009, 24570, 24573, 24579])
     def test_equals_the_gather(self, n):
         rng = dsp.make_rng(40, n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        # exact zeros of either sign in either part: +0 and -0 both read +1
+        # exact zeros of either sign in either part: +0 and -0 both read +1 (True)
         x[rng.integers(0, n, 50)] = 0.0
         x.real[rng.integers(0, n, 50)] = -0.0
         x.imag[rng.integers(0, n, 50)] = -0.0
         x[-3:] = [0.0, -0.0, complex(-0.0, -0.0)]
-        n_half = (-(-n // 10) + 1) // 2  # as _sync_search sizes it
-        for nh in (n_half, n_half + 2, 1, 160):
+        n_half = (-(-n // 10) + 1) // 2  # _sync_search asks for this or one more
+        for nh in (n_half, n_half + 1, n_half + 2, 1, 160):
             assert np.array_equal(zigbee._hard_halves(x, 10, nh),
-                                  gather_hard_halves(x, 10, nh)), nh
+                                  gather_hard_halves(x, 10, nh) > 0), nh
 
     @pytest.mark.parametrize("spc", [2, 4, 10])
     def test_other_rates(self, spc):
         x = _frame(bytes([9, 8, 7]), lead_in=3, tail=spc + 1).samples
         n_half = (-(-len(x) // spc) + 1) // 2
         assert np.array_equal(zigbee._hard_halves(x, spc, n_half),
-                              gather_hard_halves(x, spc, n_half))
-
-
-def loop_sync_search(x, spc):
-    """The sync search as one direct correlation per (offset, rail,
-    pattern), keeping the first strict maximum: the reference that
-    ``zigbee._sync_search`` must match exactly.
-
-    Returns ``(best, peaks)``: ``best`` in ``_sync_search``'s format and
-    the peak ``|corr|`` of every correlation, in search order.
-    """
-    pattern = zigbee._sync_pattern()
-    n_pat = len(pattern)
-    alt = np.where(np.arange(n_pat) % 2 == 0, 1.0, -1.0)
-    best = None  # (corr_mag, corr_signed, offset, lag, use_imag, alternated)
-    peaks = []
-    for off in range(spc):
-        n_chips = max(0, -((off - len(x)) // spc))  # ceil; tail chip clamps
-        if n_chips < n_pat:
-            continue
-        w = zigbee._chip_samples(x, spc, n_chips, offset=off)
-        for use_imag, stream in ((False, np.sign(w.real)), (True, np.sign(w.imag))):
-            stream = np.where(stream == 0, 1.0, stream)
-            for alternated, pat in ((False, pattern), (True, pattern * alt)):
-                corr = np.correlate(stream, pat) / n_pat
-                # pattern parity must match lag parity (I/Q lattice)
-                lag0 = 1 if alternated else 0
-                if len(corr) <= lag0:
-                    continue
-                sub = corr[lag0::2]
-                i = int(np.argmax(np.abs(sub)))
-                lag = lag0 + 2 * i
-                c = float(sub[i])
-                peaks.append(abs(c))
-                if best is None or abs(c) > best[0]:
-                    best = (abs(c), c, off, lag, use_imag, alternated)
-    return (None if best is None else best[1:]), peaks
+                              gather_hard_halves(x, spc, n_half) > 0)
 
 
 def _frame(payload, lead_in=0, tail=0):
@@ -468,3 +424,25 @@ class TestSyncSearchOracle:
     def test_tie_cases_tie(self, plen):
         _, peaks = loop_sync_search(_frame(bytes(range(plen))).samples, 10)
         assert sum(p == max(peaks) for p in peaks) > 1
+
+
+class TestSyncSearchWork:
+    def test_a_warm_search_allocates_little(self):
+        # the hard chips, words and counts lie in the work regions; the
+        # comparisons and np.where temporaries of the FFT search peaked at
+        # 112 KB here
+        x = zigbee.channel_filter(_noisy(_frame(bytes(range(32)), lead_in=400), 4.0, 32)).samples
+        work = dsp.WorkArrays()
+        want = zigbee._sync_search(x, 10, work)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            got = zigbee._sync_search(x, 10, work)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert got == want and want[0] > zigbee.SYNC_THRESHOLD
+        assert peak < 64 * 1024
