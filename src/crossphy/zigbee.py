@@ -325,6 +325,7 @@ def _hard_halves(x: np.ndarray, spc: int, n_half: int,
     ge, le = work_empty(work, 2, (2, n_pos, 2), np.bool_)  # (k o, re/im)
     parts = x[spc : spc + n_in].view(np.float64)
     np.greater_equal(parts, 0.0, out=ge[:n_in].reshape(-1))
+    # only the real parts are used: one contiguous pass is faster than those
     np.less_equal(parts, 0.0, out=le[:n_in].reshape(-1))
     ge[n_in:] = x[-1].real >= 0, x[-1].imag >= 0
     le[n_in:] = x[-1].real <= 0, x[-1].imag <= 0
@@ -370,19 +371,16 @@ def _sync_search(x: np.ndarray, spc: int, work: WorkArrays | None = None):
     last = (n_chips[:, None] - SYNC_CHIPS - np.arange(2)) // 2  # last valid m per parity
     n_lags = int(last.max()) + 1
     row = n_lags + 16 * len(SYNC_SYMBOLS)  # a lag's last word starts 144 on and reads 16 more
-    # (phase, offset, rail, m) bits -> windows of chips m..m+7, then m..m+15
-    bits = _hard_halves(x, spc, row, work).transpose(2, 0, 1, 3).reshape(-1).view(np.uint8)
+    # (phase, offset, rail, m) bits -> windows of chips m..m+15, by doubling
+    bits = _hard_halves(x, spc, row, work).transpose(2, 0, 1, 3).reshape(-1)
     size = len(bits)
-    spare = work_empty(work, 2, (size,), np.uint8)
-    for step in (1, 2, 4):
-        np.multiply(bits[step:], 1 << step, out=spare[:-step])
-        np.bitwise_or(bits[:-step], spare[:-step], out=bits[:-step])
     halves = work_empty(work, 2, (size,), np.uint16)
     np.copyto(halves, bits)
     words = work_empty(work, 1, (size,), np.uint32)
-    spare = words.view(np.uint16)[:size]
-    np.multiply(halves[8:], 1 << 8, out=spare[:-8])
-    np.bitwise_or(halves[:-8], spare[:-8], out=halves[:-8])
+    spare = words.view(np.uint16)[:size]  # over the bits, read now
+    for step in (1, 2, 4, 8):
+        np.multiply(halves[step:], 1 << step, out=spare[:-step])
+        np.bitwise_or(halves[:-step], spare[:-step], out=halves[:-step])
     # (parity, offset, rail, m) words: e[m] with o[m], and o[m] with ~e[m+1]
     n = size // 2
     np.left_shift(halves[n:], 16, out=words[:n], dtype=np.uint32)

@@ -133,11 +133,12 @@ def test_reused_work_arrays_change_no_output(inputs):
 
 @st.composite
 def _sync_inputs(draw):
-    """``(x, spc)``: frames at 2, 4 and 10 samples a chip, delayed, rotated,
-    noisy, filtered or not and cut anywhere near the 320-chip pattern length
-    or up to 6,000 samples, with exact +0.0 and -0.0 parts; or constant
-    signals, whose correlations all tie."""
-    spc = draw(st.sampled_from([2, 4, 10]))
+    """``(x, spc)``: frames at 2, 3, 4 and 10 samples a chip (at 3 the work
+    arrays' byte sizes are no multiple of 8), delayed, rotated, noisy,
+    filtered or not and cut anywhere near the 320-chip pattern length or up
+    to 6,000 samples, with exact +0.0 and -0.0 parts; or constant signals,
+    whose correlations all tie."""
+    spc = draw(st.sampled_from([2, 3, 4, 10]))
     n = draw(st.one_of(st.integers(3190, 3260), st.integers(0, 6000),
                        st.integers(320 * spc - 12, 321 * spc + 12)))
     rng = dsp.make_rng(draw(st.integers(0, 2**32 - 1)))
