@@ -86,10 +86,11 @@ class WorkArrays:
     filter's padded parts and, over them, its inverse FFT blocks, then the
     sync search's hard chips, then its doubling scratch and its 32-chip
     words; region 2 the sync search's sign comparisons, then its 16-chip
-    windows, then its pattern differences, bit counts and scores.  A region grows
-    to the largest size asked of it, in whole float64s whatever the dtype.
-    A signal returned over this memory is valid only until the next call
-    given the same object, and one object serves one thread.
+    windows, then its pattern differences, bit counts and scores.  A
+    region grows to the largest size asked of it, in whole float64s
+    whatever the dtype.  A signal returned over this memory is valid only
+    until the next call given the same object, and one object serves one
+    thread.
     """
 
     def __init__(self):

@@ -428,9 +428,8 @@ class TestSyncSearchOracle:
 
 class TestSyncSearchWork:
     def test_a_warm_search_allocates_little(self):
-        # the hard chips, words and counts lie in the work regions; the
-        # comparisons and np.where temporaries of the FFT search peaked at
-        # 112 KB here
+        # the hard chips, words and counts lie in the work regions, so only
+        # numpy's cast buffers are left, about 35 KB
         x = zigbee.channel_filter(_noisy(_frame(bytes(range(32)), lead_in=400), 4.0, 32)).samples
         work = dsp.WorkArrays()
         want = zigbee._sync_search(x, 10, work)
