@@ -1,10 +1,13 @@
 """Differentiable-block engine.
 
 Each block is a layer with an explicit forward and an explicit backward that
-is the exact adjoint of the forward's linearization.  Signals travel through
-the stack as real matrices of shape (n_ofdm_symbols, 2*width): the real
-parts of a width-wide complex vector in the left half, imaginary parts in
-the right half.  Complex linear operators become real block matrices
+is the exact adjoint of the forward's linearization: ``forward(x)`` keeps
+what ``backward`` needs, and ``backward(gy)`` maps the upstream gradient to
+the input gradient.  A block's ``in_dim`` and ``out_dim`` are the widths of
+its input and output rows, and ``Sequential`` chains blocks.  Signals travel
+through the stack as real matrices of shape (n_ofdm_symbols, 2*width): the
+real parts of a width-wide complex vector in the left half, imaginary parts
+in the right half.  Complex linear operators become real block matrices
 [[A, -B], [B, A]]; operators that act identically on both rails (cyclic
 prefix add/remove, bin selection) become block-diagonal.  Every fixed layer
 runs as its matrix.  The four that depend on nothing (DFT, IDFT, cyclic
@@ -28,7 +31,6 @@ from .errors import DimensionError
 from .wifi import CP_LEN, PILOT_SUBCARRIERS, Constellation, columns, pilot_values
 
 __all__ = [
-    "DiffBlock",
     "FixedLinear",
     "ComplexScale",
     "SoftQuantize",
@@ -71,28 +73,7 @@ def _two_rail(w: np.ndarray) -> np.ndarray:
     return np.block([[w, z], [z, w]])
 
 
-class DiffBlock:
-    """Forward/backward layer contract.
-
-    ``forward`` caches whatever ``backward`` needs; ``backward`` maps the
-    upstream gradient to the input gradient (``ComplexScale`` also keeps the
-    gradient of its scale).  ``release`` drops those caches.
-    """
-
-    in_dim: int
-    out_dim: int
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def release(self):
-        """Drop every array kept from the last forward."""
-
-
-class FixedLinear(DiffBlock):
+class FixedLinear:
     """y = x @ W.T with a frozen weight matrix; backward is x @ W."""
 
     def __init__(self, weight: np.ndarray, name: str = "fixed_linear"):
@@ -157,7 +138,7 @@ def bin_select_layer(target_columns) -> FixedLinear:
     return FixedLinear(_two_rail(np.eye(N_FFT)[list(target_columns)]), "bin_select")
 
 
-class ComplexScale(DiffBlock):
+class ComplexScale:
     """Trainable per-column complex gain: y_k = s_k * z_k.  ``s`` holds the
     scale as [Re | Im]; ``backward`` sets ``grad``, the gradient for ``s``."""
     name = "complex_scale"
@@ -204,7 +185,7 @@ class ComplexScale(DiffBlock):
         self.grad = terms.sum(axis=0).reshape(-1)
 
 
-class SoftQuantize(DiffBlock):
+class SoftQuantize:
     """Softmax assignment to constellation points.
 
     For every scaled bin value w the quantizer forms the weights
@@ -294,7 +275,7 @@ class GridAssemble(FixedLinear):
         return y
 
 
-class Sequential(DiffBlock):
+class Sequential:
     """Chain of blocks."""
 
     def __init__(self, blocks: list):
@@ -312,12 +293,8 @@ class Sequential(DiffBlock):
             gy = b.backward(gy)
         return gy
 
-    def release(self):
-        for b in self.blocks:
-            b.release()
 
-
-def grad_check(block: DiffBlock, rng: np.random.Generator, x: np.ndarray | None = None) -> float:
+def grad_check(block, rng: np.random.Generator, x: np.ndarray | None = None) -> float:
     """Central finite differences (step 1e-5) vs the analytic backward.
 
     Probes four random directions through random upstream gradients on both

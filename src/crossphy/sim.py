@@ -431,8 +431,7 @@ def run_point(plan: FramePlan, snr_db: float) -> Metrics:
         # one filter pass serves both the decoder and the genie chip errors
         rx = zigbee.channel_filter(frequency_shift(awgn(plan.tx, snr_db, rng, work),
                                                    -cfg.delta_f_hz), work=work)
-        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None,
-                                  work=work)
+        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, prefiltered=True, work=work)
         return (res.detected and res.payload == cfg.payload,
                 res.ser if res.detected else 1.0,
                 _known_timing_chip_errors(rx, expected_chips, cfg.lead_in_samples))

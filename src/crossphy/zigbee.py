@@ -8,9 +8,10 @@ quadrant-ambiguity search, and chip-correlation symbol decisions.
 
 The channel filter is an overlap-save FFT convolution: the zero-padded
 real and imaginary parts are cut into overlapping blocks of ``B`` samples,
-where ``B`` is the fast FFT length at or above ``8 (taps - 1)`` (1,024 at
+where ``B`` is the power of two at or above ``8 (taps - 1)`` (1,024 at
 20 MHz), and one batched real FFT multiplies every block by the cached tap
-spectrum.  Its samples differ from a direct convolution by about 1e-15 of
+spectrum.  Overlap-save needs only a block longer than the filter, so any
+such length serves; the cutoff is ``RX_FILTER_CUTOFF_HZ`` at every rate.  Its samples differ from a direct convolution by about 1e-15 of
 the signal scale.  The receiver reads only their signs at chip peaks, which
 sit far from zero in any decodable frame, and a part that is all zero stays
 exactly zero, so no decision moves.
@@ -154,20 +155,21 @@ def oqpsk_modulate(chips, fs_hz: float = 20e6) -> ComplexSignal:
     return ComplexSignal(out, fs_hz)
 
 
-@lru_cache(maxsize=8)
-def _rx_taps(fs_hz: float, cutoff_hz: float) -> np.ndarray:
-    """Hamming-windowed-sinc low-pass with unit DC gain.
+def _rx_taps(fs_hz: float) -> np.ndarray:
+    """Hamming-windowed-sinc low-pass at ``RX_FILTER_CUTOFF_HZ``, unit DC gain.
 
     The floating-point steps are those of ``scipy.signal.firwin(n,
-    cutoff_hz, fs=fs_hz)``, so the taps are the same floats: the ideal
-    low-pass ``f sinc(f m)`` at ``f = cutoff / (fs/2)``, times the symmetric
-    Hamming window accumulated as ``0.54 + (1 - 0.54) cos`` (``1 - 0.54`` is
-    not the float ``0.46``), divided by its sum (the response at DC).
+    RX_FILTER_CUTOFF_HZ, fs=fs_hz)``, so the taps are the same floats: the
+    ideal low-pass ``f sinc(f m)`` at ``f = cutoff / (fs/2)``, times the
+    symmetric Hamming window accumulated as ``0.54 + (1 - 0.54) cos`` (``1 -
+    0.54`` is not the float ``0.46``), divided by its sum (the response at
+    DC).  A rate whose half does not lie above the cutoff, or an infinite
+    one, raises ``DomainError``.
     """
-    f = cutoff_hz / (0.5 * fs_hz)
+    f = RX_FILTER_CUTOFF_HZ / (0.5 * fs_hz)
     if not 0 < f < 1:
-        raise DomainError(f"filter cutoff {cutoff_hz} Hz must lie strictly between 0 and "
-                          f"half the sample rate, {0.5 * fs_hz} Hz")
+        raise DomainError(f"sample rate {fs_hz} Hz must exceed twice the filter cutoff, "
+                          f"{2 * RX_FILTER_CUTOFF_HZ} Hz, and be finite")
     # ~6.4 us span regardless of rate; odd length keeps zero group delay
     n = int(round(129 * fs_hz / 20e6))
     n += 1 - n % 2
@@ -175,30 +177,30 @@ def _rx_taps(fs_hz: float, cutoff_hz: float) -> np.ndarray:
     h = f * np.sinc(f * m)
     h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n))
     h /= np.sum(h)
-    h.flags.writeable = False  # shared by every later filter, in every thread
     return h
 
 
 @lru_cache(maxsize=8)
-def _rx_blocks(fs_hz: float, cutoff_hz: float) -> tuple[int, int, np.ndarray]:
+def _rx_blocks(fs_hz: float) -> tuple[int, int, np.ndarray]:
     """``(block, overlap, spectrum)`` of the overlap-save channel filter.
 
-    ``overlap`` is ``len(_rx_taps) - 1``, and ``block`` the fast FFT length
-    at or above ``8 overlap`` (1,024 at 20 MHz), so about 7/8 of every block
+    ``overlap`` is ``len(_rx_taps) - 1``, and ``block`` the power of two at
+    or above ``8 overlap`` (1,024 at 20 MHz), so at least 7/8 of every block
     is new output whatever the sample rate.  ``spectrum`` is the real FFT of
-    the taps over one block, read-only because shared.
+    the taps over one block, read-only because shared by every later
+    filter, in every thread.
     """
-    taps = _rx_taps(fs_hz, cutoff_hz)
+    taps = _rx_taps(fs_hz)
     overlap = len(taps) - 1
-    block = _next_fast_len(max(1, 8 * overlap))
+    block = 1 << (8 * overlap - 1).bit_length()
     spectrum = rfft(taps, block)
     spectrum.flags.writeable = False
     return block, overlap, spectrum
 
 
-def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ,
-                   work: WorkArrays | None = None) -> ComplexSignal:
-    """Receiver channel-selection low-pass (zero-delay symmetric FIR).
+def channel_filter(sig: ComplexSignal, work: WorkArrays | None = None) -> ComplexSignal:
+    """Receiver channel-selection low-pass (zero-delay symmetric FIR) at
+    ``RX_FILTER_CUTOFF_HZ``.
 
     Returns the centred ``len(sig)`` samples of the full convolution with
     ``_rx_taps`` for every input length, the empty signal included.  The
@@ -211,9 +213,10 @@ def channel_filter(sig: ComplexSignal, cutoff_hz: float = RX_FILTER_CUTOFF_HZ,
     amplitudes whose signs the receiver reads, and a part that is all zero
     stays exactly zero, as it does in the direct sums.  Given ``work``, the
     work arrays and the returned samples lie in its memory, and the samples
-    are valid only until its next use; the floats are the same.
+    are valid only until its next use; the floats are the same.  A sample
+    rate of twice the cutoff or less raises ``DomainError``.
     """
-    block, overlap, spectrum = _rx_blocks(sig.sample_rate_hz, cutoff_hz)
+    block, overlap, spectrum = _rx_blocks(sig.sample_rate_hz)
     x = sig.samples
     # the unnormalized FFT sums reach block^2 times the largest sample, so
     # the FFTs run at a power-of-two scale near 1: that changes no rounding
@@ -285,22 +288,6 @@ def _sync_words() -> np.ndarray:
 
 
 _SYNC_WORDS = _sync_words()
-
-
-@lru_cache(maxsize=8)
-def _next_fast_len(n: int) -> int:
-    """The smallest ``2^a 3^b 5^c >= n``: a length the real FFT runs fast
-    on (``scipy.fft.next_fast_len(n, real=True)``)."""
-    best = 1 << (n - 1).bit_length()  # n >= 1
-    odd = 1  # 3^b 5^c
-    while odd < best:
-        factor = odd
-        while factor < best:
-            # the smallest power-of-two multiple of factor that reaches n
-            best = min(best, factor << (-(-n // factor) - 1).bit_length())
-            factor *= 3
-        odd *= 5
-    return best
 
 
 def _hard_halves(x: np.ndarray, spc: int, n_half: int,
@@ -423,7 +410,8 @@ def _sync_search(x: np.ndarray, spc: int, work: WorkArrays | None = None):
 def decode_frame(
     sig: ComplexSignal,
     expected_payload: bytes | None = None,
-    filter_cutoff_hz: float | None = RX_FILTER_CUTOFF_HZ,
+    *,
+    prefiltered: bool = False,
     work: WorkArrays | None = None,
 ) -> DecodeResult:
     """Correlate for preamble+SFD, then demap 32-chip windows to symbols.
@@ -437,13 +425,13 @@ def decode_frame(
     sync pattern to reach ``SYNC_THRESHOLD``; a signal too short for the
     pattern is not detected and reports ``sync_corr`` 0.  ``ser`` and
     ``chip_error_rate`` are computed against ``expected_payload`` when
-    given, else reported as NaN.  Pass ``filter_cutoff_hz=None`` for a
-    signal already through ``channel_filter``.  Given ``work``, the filter
-    and the sync search run in it, with the same result.
+    given, else reported as NaN.  ``sig`` goes through ``channel_filter``
+    first, unless ``prefiltered`` says it is that filter's output already.
+    Given ``work``, the filter and the sync search run in it, with the same
+    result.
     """
     spc = _samples_per_chip(sig.sample_rate_hz)
-    x = (sig.samples if filter_cutoff_hz is None
-         else channel_filter(sig, filter_cutoff_hz, work).samples)
+    x = sig.samples if prefiltered else channel_filter(sig, work).samples
     best = _sync_search(x, spc, work)
     if best is None or abs(best[0]) < SYNC_THRESHOLD:
         return DecodeResult(False, None, float("nan"), float("nan"),

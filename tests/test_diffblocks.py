@@ -8,7 +8,7 @@ from crossphy.wifi import columns, constellation, pilot_polarity_sequence
 MODULATIONS = ("bpsk", "qpsk", "qam16", "qam64")
 
 
-class SoftQuantize64(db.DiffBlock):
+class SoftQuantize64:
     """The soft quantizer by its per-point formula: (S, n, C) distances to
     every constellation point, softmax over them, and the gradient summed
     over the points.  ``SoftQuantize`` factors the softmax into two

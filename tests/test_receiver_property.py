@@ -21,7 +21,7 @@ def test_filter_matches_the_direct_convolution(fs_hz, n, seed, real_only):
     # at 200 MHz the 1,291 taps are more than a 1,024-sample block holds
     rng = dsp.make_rng(seed)
     x = rng.standard_normal(n) + (0j if real_only else 1j * rng.standard_normal(n))
-    taps = zigbee._rx_taps(fs_hz, zigbee.RX_FILTER_CUTOFF_HZ)
+    taps = zigbee._rx_taps(fs_hz)
     half = (len(taps) - 1) // 2
     got = zigbee.channel_filter(dsp.ComplexSignal(x, fs_hz)).samples
     assert got.shape == (n,)
@@ -36,7 +36,7 @@ def test_filter_matches_the_direct_convolution(fs_hz, n, seed, real_only):
 
 # Inputs reach every finite value whose filtered samples are finite too: a
 # filtered part is at most sum|taps| times the part's largest value.
-_TAPS = zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ)
+_TAPS = zigbee._rx_taps(20e6)
 _MAX_PART = np.finfo(np.float64).max / np.sum(np.abs(_TAPS))
 _SCALES = st.sampled_from([1e-310, 1e-300, 1e-6, 1.0, 1e6, 1e300, _MAX_PART / 64])
 
@@ -126,8 +126,8 @@ def test_reused_work_arrays_change_no_output(inputs):
         assert np.array_equal(rx.samples.view(np.uint64), want.samples.view(np.uint64))
         if not np.any(x.imag):
             assert not np.any(rx.samples.imag)
-        assert (repr(zigbee.decode_frame(rx, payload, None, work=work))
-                == repr(zigbee.decode_frame(want, payload, None)))
+        assert (repr(zigbee.decode_frame(rx, payload, prefiltered=True, work=work))
+                == repr(zigbee.decode_frame(want, payload, prefiltered=True)))
         assert repr(zigbee.decode_frame(sig, payload, work=work)) == repr(zigbee.decode_frame(sig, payload))
 
 

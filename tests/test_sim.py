@@ -562,7 +562,7 @@ class TestNoiselessPoint:
 
         # one trial's outcome from the public receiver calls
         rx = zigbee.channel_filter(dsp.frequency_shift(plan.tx, -cfg.delta_f_hz))
-        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, filter_cutoff_hz=None)
+        res = zigbee.decode_frame(rx, expected_payload=cfg.payload, prefiltered=True)
         ok = res.detected and res.payload == cfg.payload
         ser = res.ser if res.detected else 1.0
         # genie timing: chip k peaks at lead-in + (k+1) samples per chip

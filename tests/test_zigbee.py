@@ -222,8 +222,7 @@ class TestChannelFilterLength:
     def test_short_input_is_the_zero_padded_filter(self, n):
         x = dsp.make_rng(21, n).standard_normal(n) + 1j * dsp.make_rng(22, n).standard_normal(n)
         padded = np.concatenate([np.zeros(200), x, np.zeros(200)])
-        want = np.convolve(padded, zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ),
-                           mode="same")[200 : 200 + n]
+        want = np.convolve(padded, zigbee._rx_taps(20e6), mode="same")[200 : 200 + n]
         got = zigbee.channel_filter(dsp.ComplexSignal(x, 20e6)).samples
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -232,7 +231,7 @@ class TestChannelFilterLength:
         # overlap-save FFT filtering rounds differently from the direct sums
         # (measured at most 2.8e-16 of the bound's scale, 4 to 200 MHz)
         x = dsp.make_rng(23, n).standard_normal(n) + 0.5j
-        taps = zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ)
+        taps = zigbee._rx_taps(20e6)
         got = zigbee.channel_filter(dsp.ComplexSignal(x, 20e6)).samples
         want = np.convolve(x, taps, mode="same")
         assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(taps)) * np.max(np.abs(x))
@@ -264,54 +263,38 @@ class TestChannelFilterLength:
 
 
 class TestNoScipyReceiver:
-    """The receiver's filter design and FFT length are numpy-only; scipy is
-    their oracle."""
+    """The receiver's filter design is numpy-only; scipy is its oracle."""
 
     @pytest.mark.parametrize("fs_hz", [2e6 * k for k in range(2, 41, 2)])
     def test_rx_taps_equal_firwin(self, fs_hz):
         from scipy.signal import firwin
-        nyquist = fs_hz / 2
-        rx = zigbee.RX_FILTER_CUTOFF_HZ
-        cutoffs = [rx, 0.5 * rx, 1.5 * rx, 0.999 * rx] + [nyquist * k / 37 for k in range(1, 37)]
-        for cutoff in [c for c in cutoffs if c < nyquist]:
-            taps = zigbee._rx_taps(fs_hz, cutoff)
-            want = firwin(len(taps), cutoff, fs=fs_hz)
-            assert taps.tobytes() == want.tobytes(), (fs_hz, cutoff)
+        taps = zigbee._rx_taps(fs_hz)
+        want = firwin(len(taps), zigbee.RX_FILTER_CUTOFF_HZ, fs=fs_hz)
+        assert taps.tobytes() == want.tobytes(), fs_hz
 
-    def test_next_fast_len_equals_scipy(self):
-        from scipy.fft import next_fast_len
-        got = [zigbee._next_fast_len(n) for n in range(1, 20001)]
-        assert got == [next_fast_len(n, real=True) for n in range(1, 20001)]
+    @pytest.mark.parametrize("fs_hz", [1e6, 2e6, float("inf")])
+    def test_rate_outside_the_band_raises(self, fs_hz):
+        # at or below twice the cutoff the taps would be garbage, and an
+        # infinite rate would overflow the tap count
+        with pytest.raises(DomainError, match="sample rate"):
+            zigbee._rx_taps(fs_hz)
+        with pytest.raises(DomainError, match="sample rate"):
+            zigbee.channel_filter(dsp.ComplexSignal(np.ones(64, dtype=complex), fs_hz))
 
-    @pytest.mark.parametrize("cutoff", [10e6, 10.5e6, 0.0, -1e6, float("nan")])
-    def test_cutoff_outside_the_band_raises(self, cutoff):
-        with pytest.raises(DomainError, match="cutoff"):
-            zigbee._rx_taps(20e6, cutoff)
-        with pytest.raises(DomainError, match="cutoff"):
-            zigbee.channel_filter(_frame(b"\x01"), cutoff)
-
-    def test_rx_taps_are_read_only(self):
-        # cached, so a write would change every later filter, in every thread
-        taps = zigbee._rx_taps(20e6, zigbee.RX_FILTER_CUTOFF_HZ)
-        with pytest.raises(ValueError, match="read-only"):
-            taps[0] = 0.0
+    @pytest.mark.parametrize("fs_hz", [4e6, 20e6, 80e6, 200e6])
+    def test_block_is_a_power_of_two_past_the_overlap(self, fs_hz):
+        # overlap-save needs only a block longer than the filter
+        block, overlap, spectrum = zigbee._rx_blocks(fs_hz)
+        assert overlap == len(zigbee._rx_taps(fs_hz)) - 1
+        assert block & (block - 1) == 0 and block >= 8 * overlap
+        assert len(spectrum) == block // 2 + 1 and not spectrum.flags.writeable
+        if fs_hz == 20e6:
+            assert block == 1024
 
     def test_hard_halves_contiguous(self):
         # phase-major memory: the sync search packs each phase as one flat run
         x = _frame(b"\x01\x02", lead_in=7).samples
         assert zigbee._hard_halves(x, 10, 200).transpose(2, 0, 1, 3).flags.c_contiguous
-
-
-class TestZeroCutoff:
-    """A cutoff of 0 Hz is a bad setting, not "no filter" (that is None)."""
-
-    def test_decode_frame_raises(self):
-        with pytest.raises(DomainError, match="cutoff"):
-            zigbee.decode_frame(_frame(b"\x01\x02"), filter_cutoff_hz=0.0)
-
-    def test_oqpsk_demodulate_raises(self):
-        with pytest.raises(DomainError, match="cutoff"):
-            oqpsk_demodulate(_frame(b"\x01\x02"), filter_cutoff_hz=0.0)
 
 
 class TestHardHalvesOracle:
@@ -348,7 +331,8 @@ def _noisy(sig, snr_db, *key):
 
 
 def _oracle_cases():
-    """(id, signal, expected payload, filter cutoff) for the oracle test."""
+    """(id, signal, expected payload, prefiltered) for the oracle test; a
+    prefiltered signal is raw chips the decoder reads unfiltered."""
     payload = bytes(dsp.make_rng(31).integers(0, 256, 16).tolist())
     frame = _frame(payload, lead_in=415, tail=300)  # 41.5 chips: an odd lag
     cases = []
@@ -356,25 +340,25 @@ def _oracle_cases():
     # the ladder goes below the link's SNRs to reach the failing paths
     for k, snr in enumerate((np.inf, 8.0, 4.0, 0.0, -3.0, -8.0, -12.0, -16.0)):
         for trial in range(4):
-            cases.append((f"snr{snr:g}-{trial}", _noisy(frame, snr, k, trial), payload, 1e6))
+            cases.append((f"snr{snr:g}-{trial}", _noisy(frame, snr, k, trial), payload, False))
     short = _frame(bytes([0x5A]))
     for n in (3201, 3209):
         cut = dsp.ComplexSignal(short.samples[:n], short.sample_rate_hz)
-        cases.append((f"len{n}", cut, bytes([0x5A]), 1e6))
-        cases.append((f"len{n}-noisy", _noisy(cut, 4.0, n), bytes([0x5A]), 1e6))
+        cases.append((f"len{n}", cut, bytes([0x5A]), False))
+        cases.append((f"len{n}-noisy", _noisy(cut, 4.0, n), bytes([0x5A]), False))
     cut = dsp.ComplexSignal(_frame(bytes(5)).samples[:5003], 20e6)
-    cases.append(("len5003-noisy", _noisy(cut, 4.0, 5003), bytes(5), 1e6))
+    cases.append(("len5003-noisy", _noisy(cut, 4.0, 5003), bytes(5), False))
     for q, rot in enumerate((1, 1j, -1, -1j)):
         rotated = dsp.ComplexSignal(frame.samples * rot, frame.sample_rate_hz)
-        cases.append((f"rot{90 * q}", rotated, payload, 1e6))
-        cases.append((f"rot{90 * q}-noisy", _noisy(rotated, 4.0, 99, q), payload, 1e6))
+        cases.append((f"rot{90 * q}", rotated, payload, False))
+        cases.append((f"rot{90 * q}-noisy", _noisy(rotated, 4.0, 99, q), payload, False))
     delayed = _frame(bytes([1, 2, 3]), lead_in=737)
-    cases.append(("delay737", delayed, bytes([1, 2, 3]), 1e6))
-    cases.append(("delay737-noisy", _noisy(delayed, 4.0, 737), bytes([1, 2, 3]), 1e6))
+    cases.append(("delay737", delayed, bytes([1, 2, 3]), False))
+    cases.append(("delay737-noisy", _noisy(delayed, 4.0, 737), bytes([1, 2, 3]), False))
     for trial in range(4):
         rng = dsp.make_rng(32, trial)
         noise = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-        cases.append((f"noise-{trial}", dsp.ComplexSignal(noise, 20e6), None, 1e6))
+        cases.append((f"noise-{trial}", dsp.ComplexSignal(noise, 20e6), None, False))
     # sync fields one chip late and cut short of the frame's last chip:
     # the late offsets lack the chip the odd-lag match needs
     sync = zigbee.oqpsk_modulate(zigbee.symbols_to_chips(np.array(zigbee.SYNC_SYMBOLS)))
@@ -383,16 +367,16 @@ def _oracle_cases():
         cut = dsp.ComplexSignal(late.samples[:n], 20e6)
         for trial in range(3):
             noisy = _noisy(cut, 6.0, n, trial)
-            cases.append((f"late-len{n}-{trial}", noisy, None, None))
-            cases.append((f"late-len{n}-{trial}-filtered", noisy, None, 1e6))
+            cases.append((f"late-len{n}-{trial}", noisy, None, True))
+            cases.append((f"late-len{n}-{trial}-filtered", noisy, None, False))
     # exact zeros count as +1 chips: blank part of an unfiltered preamble
     blanked = _frame(bytes([7, 7]), lead_in=300).samples.copy()
     blanked[300:1900] = 0.0
-    cases.append(("zeros", dsp.ComplexSignal(blanked, 20e6), bytes([7, 7]), None))
+    cases.append(("zeros", dsp.ComplexSignal(blanked, 20e6), bytes([7, 7]), True))
     # unfiltered noiseless chips: every offset inside a chip's pulse peak
     # reads the same signs, so several offsets tie at the top correlation
     for plen in (0, 4):
-        cases.append((f"ties-{plen}", _frame(bytes(range(plen))), bytes(range(plen)), None))
+        cases.append((f"ties-{plen}", _frame(bytes(range(plen))), bytes(range(plen)), True))
     return cases
 
 
@@ -402,18 +386,24 @@ _ORACLE_CASES = _oracle_cases()
 class TestSyncSearchOracle:
     @pytest.mark.parametrize("case", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES])
     def test_decode_matches_the_loop(self, case, monkeypatch):
-        _, sig, payload, cutoff = case
-        got = zigbee.decode_frame(sig, expected_payload=payload, filter_cutoff_hz=cutoff)
-        x = zigbee.channel_filter(sig).samples if cutoff else sig.samples
+        _, sig, payload, prefiltered = case
+        got = zigbee.decode_frame(sig, expected_payload=payload, prefiltered=prefiltered)
+        x = sig.samples if prefiltered else zigbee.channel_filter(sig).samples
         assert repr(zigbee._sync_search(x, 10)) == repr(loop_sync_search(x, 10)[0])
         monkeypatch.setattr(zigbee, "_sync_search",
                             lambda x, spc, work=None: loop_sync_search(x, spc)[0])
-        want = zigbee.decode_frame(sig, expected_payload=payload, filter_cutoff_hz=cutoff)
+        want = zigbee.decode_frame(sig, expected_payload=payload, prefiltered=prefiltered)
         assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("case", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES])
+    def test_prefiltered_is_the_filter_skipped(self, case):
+        _, sig, payload, _ = case
+        assert (repr(zigbee.decode_frame(zigbee.channel_filter(sig), payload, prefiltered=True))
+                == repr(zigbee.decode_frame(sig, payload)))
+
     def test_cases_reach_every_decode_path(self):
-        results = [zigbee.decode_frame(sig, expected_payload=p, filter_cutoff_hz=c)
-                   for _, sig, p, c in _ORACLE_CASES]
+        results = [zigbee.decode_frame(sig, expected_payload=p, prefiltered=f)
+                   for _, sig, p, f in _ORACLE_CASES]
         assert any(r.detected and r.payload is not None and r.ser == 0.0 for r in results)
         assert any(r.detected and r.payload is not None and r.ser > 0.0 for r in results)
         assert any(r.detected and r.payload is None for r in results)
