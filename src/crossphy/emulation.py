@@ -255,11 +255,13 @@ class _GainFreeFit:
     @staticmethod
     def _form(u, a, pilots):
         """``(B, c0, G, P, |p|^2, |u|^2)`` of target rows ``u``.  ``|p|^2`` is a
-        pairwise sum: a dot product over the repetitive pilots drifts by 20+ eps."""
+        pairwise sum: a dot product over the repetitive pilots drifts by 20+ eps.
+        ``c0`` and ``|u|^2`` are numpy sums too, not BLAS dot products, which
+        split their sums by the BLAS thread count."""
         w = u.shape[1]
         return (np.conj(u) @ (a[:, :w] + 1j * a[:, w:]).T,
-                np.vdot(u, pilots[:, :w] + 1j * pilots[:, w:]), a @ a.T, pilots @ a.T,
-                np.sum(np.square(pilots)), np.vdot(u, u).real)
+                np.sum(np.conj(u) * (pilots[:, :w] + 1j * pilots[:, w:])), a @ a.T, pilots @ a.T,
+                np.sum(np.square(pilots)), np.sum(np.square(u.real)) + np.sum(np.square(u.imag)))
 
     @staticmethod
     def _terms(q, form):

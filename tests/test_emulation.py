@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,3 +628,28 @@ def test_workspace_equals_the_objective_and_metric(modulation, rate, mode, n_byt
             err = np.max(np.abs(got_grad - stacked @ a.T))
             assert err <= tol * np.max(np.abs(stacked @ a.T))
             assert fit.metric(hard) == pytest.approx(want, rel=tol, abs=0)
+
+
+def test_training_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS dot product splits its sum across threads, so its last bits
+    # follow the thread count; the fit's sums are numpy's, the same on any
+    script = textwrap.dedent("""
+        import sys
+        from crossphy import sim
+        from crossphy.emulation import save_model
+        model, result = sim.train_model(sim.ExperimentConfig())
+        save_model(model, sys.argv[1])
+        print(repr(result))
+    """)
+    src = str(Path(sim.__file__).resolve().parent.parent)
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = tmp_path / f"model-{threads}.json"
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append((out.stdout, path.read_bytes()))
+    assert "TrainResult(" in runs[0][0]
+    assert runs[0] == runs[1]

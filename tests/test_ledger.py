@@ -7,11 +7,11 @@ and a sha256 of each history's float64 bytes.  The 32-byte entries pin
 ``Metrics.as_dict()`` at +inf and 4 dB over 20 trials as well.
 
 The outputs are computed in a fresh interpreter with BLAS on one thread,
-as the benchmark's digests are: a trained plan's loss history moves in its
-last bits with the BLAS thread count.  ``tests/ledger.json`` holds the
-recorded values; the test compares and never writes.  A change that moves
-an output re-records the ledger and commits the diff, which names the
-entries it moved:
+as the benchmark's digests are; no entry moves at two threads either (the
+training's sums are numpy's, not BLAS dot products).  ``tests/ledger.json``
+holds the recorded values; the test compares and never writes.  A change
+that moves an output re-records the ledger and commits the diff, which
+names the entries it moved:
 
     PYTHONPATH=src python tests/test_ledger.py --record
 """
