@@ -224,16 +224,24 @@ def _named_keys(doc, err) -> set:
     return {key for key in doc if re.search(rf"\b{key}\b", err)}
 
 
+# the file each command writes besides its metrics
+_OUTPUT_FILES = {"train": ("--model-file", "m.json"), "transmit": ("--iq-out", "out.cf32"),
+                 "zigbee-mod": ("--iq-out", "out.cf32")}
+
+
 def _flags_run_or_fail_as_the_config_file_does(command, doc):
     """``doc`` as ``command``'s flags, in both forms, exits as its config
-    file does and names the same keys.  Every run writes its metrics into
-    the temp dir."""
+    file does and names the same keys.  Every run writes its metrics, and
+    the model file or IQ samples of ``_OUTPUT_FILES``, into the temp dir."""
     assume(all(_renderable(v) for v in doc.values()))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as f:
             json.dump(doc, f)
         out = ["--metrics-out", os.path.join(tmp, "out")]
+        if command in _OUTPUT_FILES:
+            flag, name = _OUTPUT_FILES[command]
+            out += [flag, os.path.join(tmp, name)]
         rc, err = _run([command, "--config", path] + out)
         flags = [("--" + key.replace("_", "-"), _flag_text(value)) for key, value in doc.items()]
         for argv in ([token for pair in flags for token in pair], [f"{k}={v}" for k, v in flags]):
@@ -274,3 +282,13 @@ def test_flags_run_or_fail_as_the_config_file_does_in_emulate(doc):
 def test_flags_run_or_fail_as_the_config_file_does_in_sweep(doc):
     # sweep's own list keys, payload_lens and modes, as comma-joined flags
     _flags_run_or_fail_as_the_config_file_does("sweep", doc)
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_FILES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=configs())
+def test_flags_run_or_fail_as_the_config_file_does_in(command, doc):
+    # the commands that write a file, into the temp dir; configs() always
+    # sets epochs, at most 2, so train stays quick
+    _flags_run_or_fail_as_the_config_file_does(command, doc)
