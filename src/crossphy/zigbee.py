@@ -11,9 +11,10 @@ real and imaginary parts are cut into overlapping blocks of ``B`` samples,
 where ``B`` is the power of two at or above ``8 (taps - 1)`` (1,024 at
 20 MHz), and one batched real FFT multiplies every block by the cached tap
 spectrum.  Overlap-save needs only a block longer than the filter, so any
-such length serves; the cutoff is ``RX_FILTER_CUTOFF_HZ`` at every rate.  Its samples differ from a direct convolution by about 1e-15 of
-the signal scale.  The receiver reads only their signs at chip peaks, which
-sit far from zero in any decodable frame, and a part that is all zero stays
+such length serves; the cutoff is ``RX_FILTER_CUTOFF_HZ`` at every rate.
+Its samples differ from a direct convolution by about 1e-15 of the signal
+scale.  The receiver reads only their signs at chip peaks, which sit far
+from zero in any decodable frame, and a part that is all zero stays
 exactly zero, so no decision moves.
 
 The sync search scores the hard-chip streams of every timing offset, both
