@@ -12,7 +12,7 @@ from crossphy import emulation as em, sim
 
 # a short ZigBee chip sequence placed 10 subcarriers below band center
 payload = bytes.fromhex("a1b2c3d4")
-target = sim.make_target(payload, -3.125e6, lead_in_samples=6)
+target = sim.make_target(sim.ExperimentConfig(payload=payload, delta_f_hz=-3.125e6))
 subs = sim.target_subcarriers(-3.125e6, 7)
 print(f"target: {len(target)} samples, emulated on subcarriers {subs}")
 

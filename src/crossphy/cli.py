@@ -146,60 +146,61 @@ def _model(cfg: sim.ExperimentConfig, doc: dict) -> EmulationModel | None:
     return None
 
 
+def _plan(cfg: sim.ExperimentConfig, doc: dict) -> sim.FramePlan:
+    """The config's plan, with ``_model``; its waveform goes to iq_out if set."""
+    plan = sim.plan_frame(cfg, model=_model(cfg, doc))
+    if doc.get("iq_out"):
+        write_cf32(doc["iq_out"], plan.tx)
+    return plan
+
+
+def _summary(cfg: sim.ExperimentConfig, doc: dict, metrics=(), **blocks) -> int:
+    """A command's result: ``sim.summary_json`` with ``blocks`` beside the
+    metrics, written to metrics_out or printed."""
+    _emit(sim.summary_json(cfg, metrics, extra=blocks), doc.get("metrics_out"))
+    return EXIT_OK
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_train(cfg, doc):
     model, result = sim.train_model(cfg)
     out = doc.get("model_file", "model.json")
     save_model(model, out)
-    _emit(sim.summary_json(cfg, [], extra={
-        "train": {"epochs_run": result.epochs_run, "best_epoch": result.best_epoch,
-                  "best_hard_metric": result.best_hard_metric, "model_file": out},
-    }), doc.get("metrics_out"))
-    return EXIT_OK
+    return _summary(cfg, doc, train={
+        "epochs_run": result.epochs_run, "best_epoch": result.best_epoch,
+        "best_hard_metric": result.best_hard_metric, "model_file": out})
 
 
 def cmd_emulate(cfg, doc):
-    plan = sim.plan_frame(cfg, model=_model(cfg, doc))
-    if doc.get("iq_out"):
-        write_cf32(doc["iq_out"], plan.tx)
-    _emit(sim.summary_json(cfg, [], extra={
-        "emulation": {
-            "nmse_body": plan.nmse_body,
-            "phase_mse_body": plan.phase_mse_body,
-            "evm": plan.evm,
-            "violated_bit_count": len(plan.report.violated_positions),
-            "psdu_hex": plan.report.psdu.hex(),
-        },
-    }), doc.get("metrics_out"))
-    return EXIT_OK
+    plan = _plan(cfg, doc)
+    return _summary(cfg, doc, emulation={
+        "nmse_body": plan.nmse_body,
+        "phase_mse_body": plan.phase_mse_body,
+        "evm": plan.evm,
+        "violated_bit_count": len(plan.report.violated_positions),
+        "psdu_hex": plan.report.psdu.hex(),
+    })
 
 
 def cmd_solve_payload(cfg, doc):
-    plan = sim.plan_frame(cfg, model=_model(cfg, doc))
-    if doc.get("iq_out"):
-        write_cf32(doc["iq_out"], plan.tx)
-    _emit(sim.summary_json(cfg, [], extra={
-        "solve": {
-            "psdu_hex": plan.report.psdu.hex(),
-            "satisfied": plan.report.satisfied,
-            "violated_positions": plan.report.violated_positions,
-            "perturbed_subcarriers": plan.report.perturbed_subcarriers[:64],
-            "rank": plan.report.rank,
-            "max_span": plan.report.max_span,
-        },
-    }), doc.get("metrics_out"))
-    return EXIT_OK
+    report = _plan(cfg, doc).report
+    return _summary(cfg, doc, solve={
+        "psdu_hex": report.psdu.hex(),
+        "satisfied": report.satisfied,
+        "violated_positions": report.violated_positions,
+        "perturbed_subcarriers": report.perturbed_subcarriers[:64],
+        "rank": report.rank,
+        "max_span": report.max_span,
+    })
 
 
 def cmd_transmit(cfg, doc):
     sig = transmit_psdu(cfg.payload, cfg.mcs, cfg.scrambler_seed)
     out = doc.get("iq_out", "tx.cf32")
     write_cf32(out, sig)
-    _emit(sim.summary_json(cfg, [], extra={
-        "transmit": {"samples": len(sig), "sample_rate_hz": SAMPLE_RATE_HZ, "iq_out": out},
-    }), doc.get("metrics_out"))
-    return EXIT_OK
+    return _summary(cfg, doc, transmit={
+        "samples": len(sig), "sample_rate_hz": SAMPLE_RATE_HZ, "iq_out": out})
 
 
 def cmd_zigbee_mod(cfg, doc):
@@ -208,11 +209,9 @@ def cmd_zigbee_mod(cfg, doc):
     sig = zigbee.oqpsk_modulate(chips)
     out = doc.get("iq_out", "zigbee.cf32")
     write_cf32(out, sig)
-    _emit(sim.summary_json(cfg, [], extra={
-        "zigbee_mod": {"symbols": int(len(frame)),
-                       "chips": int(len(chips)), "samples": len(sig), "iq_out": out},
-    }), doc.get("metrics_out"))
-    return EXIT_OK
+    return _summary(cfg, doc, zigbee_mod={
+        "symbols": int(len(frame)), "chips": int(len(chips)), "samples": len(sig),
+        "iq_out": out})
 
 
 def cmd_zigbee_demod(cfg, doc):
@@ -225,23 +224,18 @@ def cmd_zigbee_demod(cfg, doc):
     # the payload zigbee-mod sends for the same payload_hex or payload_len
     expected = cfg.payload if "payload_hex" in doc or "payload_len" in doc else None
     res = zigbee.decode_frame(sig, expected_payload=expected)
-    _emit(sim.summary_json(cfg, [], extra={
-        "zigbee_demod": {
-            "detected": res.detected,
-            "payload_hex": res.payload.hex() if res.payload is not None else None,
-            # NaN (no expected payload, or nothing detected) is not JSON
-            "ser": None if math.isnan(res.ser) else res.ser,
-            "chip_error_rate": None if math.isnan(res.chip_error_rate) else res.chip_error_rate,
-            "sync_corr": res.sync_corr,
-        },
-    }), doc.get("metrics_out"))
-    return EXIT_OK
+    return _summary(cfg, doc, zigbee_demod={
+        "detected": res.detected,
+        "payload_hex": res.payload.hex() if res.payload is not None else None,
+        # NaN (no expected payload, or nothing detected) is not JSON
+        "ser": None if math.isnan(res.ser) else res.ser,
+        "chip_error_rate": None if math.isnan(res.chip_error_rate) else res.chip_error_rate,
+        "sync_corr": res.sync_corr,
+    })
 
 
 def cmd_evaluate(cfg, doc):
-    metrics = sim.run_pipeline(cfg, model=_model(cfg, doc))
-    _emit(sim.summary_json(cfg, metrics), doc.get("metrics_out"))
-    return EXIT_OK
+    return _summary(cfg, doc, sim.run_pipeline(cfg, model=_model(cfg, doc)))
 
 
 def cmd_sweep(cfg, doc):

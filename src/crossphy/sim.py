@@ -178,19 +178,19 @@ def target_subcarriers(delta_f_hz: float, count: int) -> tuple:
     return tuple(sorted(ranked[:count]))
 
 
-def make_target(payload: bytes, delta_f_hz: float, lead_in_samples: int = 0) -> ComplexSignal:
-    """ZigBee frame -> O-QPSK -> frequency shift, padded to whole OFDM blocks."""
-    if abs(delta_f_hz) + ZIGBEE_HALF_BANDWIDTH_HZ > WIFI_HALF_BANDWIDTH_HZ:
-        raise ConfigError(f"delta_f {delta_f_hz/1e6:g} MHz exceeds the band")
-    chips = zigbee.symbols_to_chips(zigbee.build_frame(payload))
-    base = zigbee.oqpsk_modulate(chips, SAMPLE_RATE_HZ)
-    shifted = frequency_shift(base, delta_f_hz)
-    x = shifted.samples
-    if lead_in_samples:
-        x = np.concatenate([np.zeros(lead_in_samples, dtype=np.complex128), x])
-    pad = (-len(x)) % SYMBOL_LEN
-    if pad:
-        x = np.concatenate([x, np.zeros(pad, dtype=np.complex128)])
+def make_target(cfg: ExperimentConfig) -> ComplexSignal:
+    """The target a frame is planned for, once the config validates: the
+    ZigBee frame, O-QPSK modulated and shifted by ``delta_f_hz``, after
+    ``lead_in_samples`` of silence, in one zero array of a symbol count whose
+    payload bits fill whole bytes (n_dbps is not byte-aligned for every MCS,
+    e.g. BPSK rate 3/4 carries 36)."""
+    cfg.validate()
+    chips = zigbee.symbols_to_chips(zigbee.build_frame(cfg.payload))
+    frame = frequency_shift(zigbee.oqpsk_modulate(chips, SAMPLE_RATE_HZ), cfg.delta_f_hz).samples
+    block = SYMBOL_LEN * (8 // math.gcd(cfg.mcs.n_dbps, 8))
+    start, end = cfg.lead_in_samples, cfg.lead_in_samples + len(frame)
+    x = np.zeros(-(-end // block) * block, dtype=np.complex128)
+    x[start:end] = frame
     return ComplexSignal(x, SAMPLE_RATE_HZ)
 
 
@@ -214,28 +214,11 @@ def random_payload(seed: int, n: int) -> bytes:
     return bytes(make_rng(seed, 0xBEEF, n).integers(0, 256, n).tolist())
 
 
-def frame_target(cfg: ExperimentConfig) -> ComplexSignal:
-    """The target a frame is planned for: ``make_target``, padded to a
-    symbol count whose payload bits fill whole bytes (n_dbps is not
-    byte-aligned for every MCS, e.g. BPSK rate 3/4 carries 36)."""
-    target = make_target(cfg.payload, cfg.delta_f_hz, lead_in_samples=cfg.lead_in_samples)
-    mcs = cfg.mcs
-    align = 8 // math.gcd(mcs.n_dbps, 8)
-    extra = (-(len(target) // SYMBOL_LEN)) % align
-    if extra:
-        pad = np.zeros(extra * SYMBOL_LEN, dtype=np.complex128)
-        target = ComplexSignal(np.concatenate([target.samples, pad]),
-                               target.sample_rate_hz)
-    return target
-
-
 def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
     """Build the emulation model for a config and train it on
-    ``frame_target(cfg)``, as ``plan_frame`` does for a ``trained`` plan
-    given no model.  The CLI's ``train`` command trains through here.
-    The config is validated first, as ``plan_frame`` validates it."""
-    cfg.validate()
-    return _trained(cfg, frame_target(cfg))[:2]
+    ``make_target(cfg)``, as ``plan_frame`` does for a ``trained`` plan
+    given no model.  The CLI's ``train`` command trains through here."""
+    return _trained(cfg, make_target(cfg))[:2]
 
 
 def _trained(cfg: ExperimentConfig, target: ComplexSignal):
@@ -274,9 +257,8 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
     mode; an untrained one in ``webee`` and ``wide``, which check a given
     model against the config and ignore its scales.  ``wide`` takes
     ``wide_quantize`` of the raw bins, the others ``model.decide``."""
-    cfg.validate()
+    target = make_target(cfg)
     subs = target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
-    target = frame_target(cfg)
     mcs = cfg.mcs
     if model is not None and (tuple(model.target_subcarriers) != subs
                               or model.const.name != mcs.constellation.name):
@@ -480,7 +462,8 @@ CSV_FIELDS = [
 
 def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
     """Grid over {snr (from cfg), payload, quantizer mode}; one row per
-    point with the full metrics and a config echo.  The payloads are
+    point: the point's ``settings()``, its ``payload_len`` and its metrics
+    (``write_csv`` keeps the ``CSV_FIELDS`` of them).  The payloads are
     ``random_payload(cfg.seed, n)`` for each of ``payload_lens``, or
     ``cfg.payload`` alone.  Each ``trained`` row's plan trains its own
     model."""
@@ -489,20 +472,11 @@ def sweep(cfg: ExperimentConfig, payload_lens=None, modes=None) -> list[dict]:
     modes = list(modes or [cfg.quantizer_mode])
     rows = []
     for payload in payloads:
-        plen = len(payload)
         for mode in modes:
             point_cfg = replace(cfg, payload=payload, quantizer_mode=mode)
             for m in run_pipeline(point_cfg):
-                rows.append({
-                    "quantizer_mode": mode,
-                    "emulation_mode": cfg.emulation_mode,
-                    "payload_len": plen,
-                    "modulation": cfg.modulation,
-                    "coding_rate": cfg.coding_rate,
-                    "delta_f_hz": cfg.delta_f_hz,
-                    "seed": cfg.seed,
-                    **m.as_dict(),
-                })
+                rows.append({**point_cfg.settings(), "payload_len": len(payload),
+                             **m.as_dict()})
     return rows
 
 

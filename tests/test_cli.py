@@ -172,6 +172,28 @@ class TestSubcommands:
         assert (echoes[0]["tau_start"], echoes[1]["tau_start"]) == (0.5, 0.9)
         assert echoes[0] != echoes[1]
 
+    @pytest.mark.parametrize("command, block", [
+        ("train", "train"), ("emulate", "emulation"), ("solve-payload", "solve"),
+        ("transmit", "transmit"), ("zigbee-mod", "zigbee_mod"),
+        ("zigbee-demod", "zigbee_demod"), ("evaluate", None)])
+    def test_deterministic_block_holds_its_command_block_alone(self, tmp_path, capsys,
+                                                               command, block):
+        # one writer for every result: the config echo, the notes, the
+        # metrics (evaluate's alone) and the command's own block, if any
+        iq = tmp_path / "z.cf32"
+        if command == "zigbee-demod":
+            assert run_cli(["zigbee-mod", "--payload-hex", "0011", "--iq-out", str(iq),
+                            "--metrics-out", str(tmp_path / "mod.json")]) == cli.EXIT_OK
+        out = tmp_path / "out.json"
+        rc = run_cli([command, "--payload-hex", "0011", "--quantizer-mode", "webee",
+                      "--epochs", "3", "--snr-db", "inf", "--model-file", str(tmp_path / "m.json"),
+                      "--iq-out", str(iq), "--metrics-out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert capsys.readouterr().out == ""
+        det = json.loads(out.read_text())["deterministic"]
+        assert list(det) == ["version", "config", "notes", "metrics"] + ([block] if block else [])
+        assert len(det["metrics"]) == (1 if command == "evaluate" else 0)
+
     def test_transmit_writes_cf32(self, tmp_path, capsys):
         iq = tmp_path / "tx.cf32"
         rc = run_cli(["transmit", "--payload-hex", "00" * 18, "--iq-out", str(iq)])

@@ -18,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
 from crossphy import cli, emulation as em, sim, zigbee  # noqa: E402
+from crossphy.iqfile import write_cf32  # noqa: E402
 
 _ANY_INT = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 _ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 1e-300, 1e300]))
@@ -232,7 +233,8 @@ _OUTPUT_FILES = {"train": ("--model-file", "m.json"), "transmit": ("--iq-out", "
 def _flags_run_or_fail_as_the_config_file_does(command, doc):
     """``doc`` as ``command``'s flags, in both forms, exits as its config
     file does and names the same keys.  Every run writes its metrics, and
-    the model file or IQ samples of ``_OUTPUT_FILES``, into the temp dir."""
+    the model file or IQ samples of ``_OUTPUT_FILES``, into the temp dir;
+    zigbee-demod decodes a frame written there first."""
     assume(all(_renderable(v) for v in doc.values()))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -242,6 +244,11 @@ def _flags_run_or_fail_as_the_config_file_does(command, doc):
         if command in _OUTPUT_FILES:
             flag, name = _OUTPUT_FILES[command]
             out += [flag, os.path.join(tmp, name)]
+        if command == "zigbee-demod":
+            frame = os.path.join(tmp, "in.cf32")
+            write_cf32(frame, zigbee.oqpsk_modulate(zigbee.symbols_to_chips(
+                zigbee.build_frame(bytes.fromhex("0011aa")))))
+            out += ["--iq-out", frame]
         rc, err = _run([command, "--config", path] + out)
         flags = [("--" + key.replace("_", "-"), _flag_text(value)) for key, value in doc.items()]
         for argv in ([token for pair in flags for token in pair], [f"{k}={v}" for k, v in flags]):
@@ -284,11 +291,12 @@ def test_flags_run_or_fail_as_the_config_file_does_in_sweep(doc):
     _flags_run_or_fail_as_the_config_file_does("sweep", doc)
 
 
-@pytest.mark.parametrize("command", sorted(_OUTPUT_FILES))
+@pytest.mark.parametrize("command", sorted([*_OUTPUT_FILES, "grad-check", "zigbee-demod"]))
 @settings(derandomize=True, database=None, deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=configs())
 def test_flags_run_or_fail_as_the_config_file_does_in(command, doc):
-    # the commands that write a file, into the temp dir; configs() always
-    # sets epochs, at most 2, so train stays quick
+    # the commands that write a file, into the temp dir, zigbee-demod on a
+    # frame written there, and grad-check; configs() always sets epochs, at
+    # most 2, so train stays quick
     _flags_run_or_fail_as_the_config_file_does(command, doc)

@@ -308,7 +308,7 @@ class TestTraining:
         # prefix; normalize floors its peak and scales it by about 1e9
         cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 8), epochs=4)
         model, _ = sim.train_model(replace(cfg, epochs=1))
-        u, z = model.normalize(sim.frame_target(cfg).samples)
+        u, z = model.normalize(sim.make_target(cfg).samples)
         floored = ~em.kept_symbols(z)
         assert np.flatnonzero(floored).tolist() == [len(z) - 1]
         assert np.max(np.abs(u.reshape(-1, 80)[floored])) > 1e6
@@ -348,7 +348,7 @@ class TestTraining:
         cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 16), emulation_mode=mode,
                                    epochs=12)
         model = em.EmulationModel(cfg.modulation, SUBS)
-        u, z = model.normalize(sim.frame_target(cfg).samples)
+        u, z = model.normalize(sim.make_target(cfg).samples)
         forward = model.quantize.forward
         marks = []  # (live, peak since the last mark) at each epoch's start
 
@@ -382,7 +382,7 @@ class TestTraining:
         # 132 KB)
         cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 32), emulation_mode=mode)
         model = em.EmulationModel(cfg.modulation, SUBS)
-        u, z = model.normalize(sim.frame_target(cfg).samples)
+        u, z = model.normalize(sim.make_target(cfg).samples)
         a, pilots = em.fused_tail(model, len(z))
         fit = (em._GainFreeFit if mode == "analog" else em._PhaseFit)(u, a, pilots)
         soft = model.quantize.forward(model.scale.forward(model._bins(u)))
@@ -544,7 +544,7 @@ def test_train_equals_the_reference_loop(modulation, rate, mode, n_bytes):
     model, got = sim.train_model(cfg)
 
     ref_model = em.EmulationModel(model.const.name, model.target_subcarriers)
-    target = sim.frame_target(cfg)
+    target = sim.make_target(cfg)
     want, n = reference_train(ref_model, target, cfg)
 
     assert got.epochs_run == want.epochs_run
@@ -573,7 +573,7 @@ def test_negative_zero_pilots_keep_the_complex_signs_of_zero():
     # product has no -0.0, even where a pilot part is -0.0
     cfg = sim.ExperimentConfig(payload=sim.random_payload(1, 8), emulation_mode="digital")
     model = em.EmulationModel(cfg.modulation, SUBS)
-    u, z = model.normalize(sim.frame_target(cfg).samples)
+    u, z = model.normalize(sim.make_target(cfg).samples)
     a, pilots = em.fused_tail(model, len(z))
     pilots = np.where(pilots == 0, -0.0, pilots)
     assert np.any(np.signbit(pilots) & (pilots == 0))
@@ -600,7 +600,7 @@ def test_workspace_equals_the_objective_and_metric(modulation, rate, mode, n_byt
     cfg = sim.ExperimentConfig(payload=sim.random_payload(1, n_bytes), modulation=modulation,
                                coding_rate=rate, emulation_mode=mode)
     model = em.EmulationModel(modulation, SUBS)
-    u, z = model.normalize(sim.frame_target(cfg).samples)
+    u, z = model.normalize(sim.make_target(cfg).samples)
     rows = em.kept_symbols(z) if mode == "analog" else np.ones(len(z), dtype=bool)
     target = u.reshape(-1, 80)[rows].reshape(-1)
     assert mode == "analog" or np.any(target == 0)

@@ -6,10 +6,11 @@ metrics.  A trained entry also pins its ``TrainResult``: the epoch counts
 and a sha256 of each history's float64 bytes.  The 32-byte entries pin
 ``Metrics.as_dict()`` at +inf and 4 dB over 20 trials as well.
 
-The outputs are computed in a fresh interpreter with BLAS on one thread,
-as the benchmark's digests are; no entry moves at two threads either (the
-training's sums are numpy's, not BLAS dot products).  ``tests/ledger.json``
-holds the recorded values; the test compares and never writes.  A change
+The outputs are computed in two fresh interpreters, one with BLAS on one
+thread, as the benchmark's digests are, and one on two threads, and each
+must equal the record (the training's sums are numpy's, not BLAS dot
+products).  ``tests/ledger.json`` holds the values recorded at one thread;
+the test compares and never writes.  A change
 that moves an output re-records the ledger and commits the diff, which
 names the entries it moved:
 
@@ -32,6 +33,7 @@ import pytest
 from crossphy import sim
 
 LEDGER = Path(__file__).with_name("ledger.json")
+BLAS_THREADS = (1, 2)
 LINK_SNRS = (math.inf, 4.0)
 LINK_TRIALS = 20
 PLAN_METRICS = ("nmse_body", "phase_mse_body", "evm")
@@ -87,12 +89,13 @@ def provenance() -> dict:
             "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
-@functools.lru_cache(maxsize=1)
-def measured() -> dict:
+@functools.lru_cache(maxsize=len(BLAS_THREADS))
+def measured(threads: int = 1) -> dict:
     """The provenance and every entry, from ``--print`` in a child
-    interpreter whose BLAS runs on one thread."""
+    interpreter whose BLAS runs on ``threads`` threads."""
     src = str(Path(sim.__file__).resolve().parent.parent)
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    n = str(threads)
+    env = dict(os.environ, OMP_NUM_THREADS=n, OPENBLAS_NUM_THREADS=n, MKL_NUM_THREADS=n,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, __file__, "--print"], env=env, capture_output=True,
                          text=True, check=True)
@@ -105,9 +108,12 @@ def test_ledger_names_every_entry():
 
 @pytest.mark.parametrize("name", sorted(configs()))
 def test_outputs_match_the_ledger(name):
-    recorded, now = json.loads(LEDGER.read_text()), measured()
-    assert now["entries"][name] == recorded["entries"][name], (
-        f"recorded under {recorded['provenance']}, running under {now['provenance']}")
+    recorded = json.loads(LEDGER.read_text())
+    for threads in BLAS_THREADS:
+        now = measured(threads)
+        assert now["entries"][name] == recorded["entries"][name], (
+            f"at {threads} BLAS thread(s): recorded under {recorded['provenance']}, "
+            f"running under {now['provenance']}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ def digital_fit_inputs(modulation, rate, n_bytes):
                                coding_rate=rate, emulation_mode="digital")
     subs = sim.target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count)
     model = em.EmulationModel(modulation, subs)
-    u, z = model.normalize(sim.frame_target(cfg).samples)
+    u, z = model.normalize(sim.make_target(cfg).samples)
     a, pilots = em.fused_tail(model, len(z))
     return u, a, pilots, model.const, model.decide(u)
 

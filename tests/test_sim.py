@@ -8,7 +8,7 @@ import threading
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,20 +21,24 @@ from crossphy.errors import ConfigError
 class TestMakeTarget:
     def test_empty_payload_sample_count(self):
         # 12 symbols * 320 samples = 3840, already a multiple of 80
-        sig = sim.make_target(b"", 0.0)
+        sig = sim.make_target(sim.ExperimentConfig(payload=b"", delta_f_hz=0.0,
+                                                  lead_in_samples=0))
         assert len(sig) == 3840
 
     def test_32_byte_payload_sample_count(self):
-        sig = sim.make_target(bytes(32), 0.0)
+        sig = sim.make_target(sim.ExperimentConfig(payload=bytes(32), delta_f_hz=0.0,
+                                                  lead_in_samples=0))
         assert len(sig) == 76 * 320
 
     def test_lead_in_pads_to_blocks(self):
-        sig = sim.make_target(bytes(4), -3.125e6, lead_in_samples=6)
+        sig = sim.make_target(sim.ExperimentConfig(payload=bytes(4), delta_f_hz=-3.125e6,
+                                                  lead_in_samples=6))
         assert len(sig) % 80 == 0
 
     def test_power_concentrated_in_lobe(self):
         # >= 99% of power within delta_f +- 1.5 MHz, measured by PSD
-        sig = sim.make_target(bytes(16), -3.125e6)
+        sig = sim.make_target(sim.ExperimentConfig(payload=bytes(16), delta_f_hz=-3.125e6,
+                                                  lead_in_samples=0))
         spec = np.fft.fft(sig.samples)
         freqs = np.fft.fftfreq(len(sig.samples), d=1 / sig.sample_rate_hz)
         total = np.sum(np.abs(spec) ** 2)
@@ -43,7 +47,7 @@ class TestMakeTarget:
 
     def test_offset_invariant_enforced(self):
         with pytest.raises(ConfigError):
-            sim.make_target(b"", 9e6)
+            sim.make_target(sim.ExperimentConfig(payload=b"", delta_f_hz=9e6, lead_in_samples=0))
 
 
 class TestTargetSubcarriers:
@@ -76,7 +80,8 @@ class TestBaselineQuantize:
     def setup_method(self):
         self.mcs = wifi.mcs_config("qam64", "1/2")
         self.subs = (-14, -13, -12, -11, -10, -9, -8)
-        self.target = sim.make_target(bytes(range(8)), -3.125e6, lead_in_samples=6)
+        self.target = sim.make_target(sim.ExperimentConfig(
+            payload=bytes(range(8)), delta_f_hz=-3.125e6, lead_in_samples=6))
 
     def test_webee_is_fixed_point_on_scaled_constellation(self):
         # bins already at (scaled) constellation points map back to the same
@@ -225,8 +230,9 @@ class TestPipeline:
     def test_train_model_uses_the_padded_frame_target(self):
         # BPSK 3/4 carries 36 bits a symbol: 81 target symbols pad to 82
         cfg = small_cfg(quantizer_mode="trained", modulation="bpsk", coding_rate="3/4")
-        plain = sim.make_target(cfg.payload, cfg.delta_f_hz, lead_in_samples=cfg.lead_in_samples)
-        assert len(sim.frame_target(cfg)) == len(plain) + 80
+        # qam64 1/2 carries 144 bits a symbol, so its target has no alignment pad
+        plain = sim.make_target(replace(cfg, modulation="qam64", coding_rate="1/2"))
+        assert len(sim.make_target(cfg)) == len(plain) + 80
         model, res = sim.train_model(cfg)
         plan = sim.plan_frame(cfg)
         assert res.epochs_run == plan.train.epochs_run
@@ -680,6 +686,28 @@ class TestSweep:
             assert int(got["payload_len"]) == want["payload_len"]
             assert float(got["ser"]) == pytest.approx(want["ser"])
             assert float(got["prr"]) == pytest.approx(want["prr"])
+
+    def test_rows_echo_their_point_settings(self):
+        # each row is its point's settings(), payload_len and metrics: every
+        # echo column of the CSV holds the point's setting, and the row holds
+        # every other setting too (snr_db is the point's own SNR)
+        cfg = small_cfg(snr_db=(math.inf, 6.0), trials=2, seed=3, modulation="qpsk",
+                        coding_rate="3/4", emulation_mode="digital", delta_f_hz=-2.5e6)
+        rows = sim.sweep(cfg, payload_lens=[2, 5], modes=["webee", "wide"])
+        assert len(rows) == 2 * 2 * 2
+        metric_keys = {f.name for f in fields(sim.Metrics)}
+        echo = [k for k in sim.CSV_FIELDS if k not in metric_keys and k != "payload_len"]
+        assert echo == ["quantizer_mode", "emulation_mode", "modulation", "coding_rate",
+                        "delta_f_hz", "seed"]
+        for row in rows:
+            point = replace(cfg, payload=sim.random_payload(cfg.seed, row["payload_len"]),
+                            quantizer_mode=row["quantizer_mode"]).settings()
+            assert {k: row[k] for k in echo} == {k: point[k] for k in echo}
+            del point["snr_db"]
+            assert {k: row[k] for k in point} == point
+        assert [(r["payload_len"], r["quantizer_mode"], r["snr_db"]) for r in rows] == [
+            (n, mode, snr) for n in (2, 5) for mode in ("webee", "wide")
+            for snr in (math.inf, 6.0)]
 
     def test_swept_plan_is_the_one_evaluate_plans(self, monkeypatch):
         # with no payload_lens the sweep plans the config's own payload, not
