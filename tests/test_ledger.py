@@ -50,11 +50,14 @@ def configs() -> dict:
         "wide-32": dataclasses.replace(default, quantizer_mode="wide"),
     }
     payload = sim.random_payload(4, 8)
+    modes = {"webee": {"quantizer_mode": "webee"}, "wide": {"quantizer_mode": "wide"},
+             "trained-analog": {}, "trained-digital": {"emulation_mode": "digital"}}
     for modulation in ("bpsk", "qpsk", "qam16", "qam64"):
         for rate in ("1/2", "3/4"):
-            out[f"webee-8-{modulation}-{rate.replace('/', '')}"] = dataclasses.replace(
-                default, payload=payload, modulation=modulation, coding_rate=rate,
-                quantizer_mode="webee")
+            for mode, settings in modes.items():
+                out[f"{mode}-8-{modulation}-{rate.replace('/', '')}"] = dataclasses.replace(
+                    default, payload=payload, modulation=modulation, coding_rate=rate,
+                    **settings)
     return out
 
 
