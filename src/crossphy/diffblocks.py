@@ -30,24 +30,6 @@ from .dsp import DFT_BASIS, IDFT_BASIS, N_FFT
 from .errors import DimensionError
 from .wifi import CP_LEN, PILOT_SUBCARRIERS, Constellation, columns, pilot_values
 
-__all__ = [
-    "FixedLinear",
-    "ComplexScale",
-    "SoftQuantize",
-    "GridAssemble",
-    "Sequential",
-    "stack_complex",
-    "unstack_complex",
-    "cp_add_matrix",
-    "cp_remove_matrix",
-    "dft_layer",
-    "idft_layer",
-    "cp_add_layer",
-    "cp_remove_layer",
-    "bin_select_layer",
-    "grad_check",
-]
-
 
 def stack_complex(z: np.ndarray) -> np.ndarray:
     """(S, n) complex -> (S, 2n) real, [Re | Im]."""

@@ -68,12 +68,13 @@ EMULATION_MODES = ("analog", "digital")
 class EmulationModel:
     """The assembled block stack plus bookkeeping for training/inference.
 
-    ``stack`` is the full eight-layer model: ``prefix`` (cyclic-prefix
-    removal, DFT, target-bin selection), ``scale``, ``quantize`` and
-    ``tail`` (grid assembly with the pilots, IDFT, cyclic prefix).  The
-    layers are the specification: ``forward``, ``synthesize`` and every
-    plan's metrics run them, and ``train`` runs the fixed tail as their
-    product.  The training objective is the config's ``emulation_mode``.
+    ``stack`` is the full eight-layer model, its four stages in order:
+    ``prefix`` (cyclic-prefix removal, DFT, target-bin selection),
+    ``scale``, ``quantize`` and ``tail`` (grid assembly with the pilots,
+    IDFT, cyclic prefix).  The layers are the specification: ``forward``,
+    ``synthesize`` and every plan's metrics run them, and ``train`` runs
+    the fixed tail as their product.  The training objective is the
+    config's ``emulation_mode``.
     """
 
     def __init__(self, modulation: str, target_subcarriers):
@@ -90,17 +91,11 @@ class EmulationModel:
         m = len(self.target_subcarriers)
         cols = columns(self.target_subcarriers)
 
-        self.cp_remove = cp_remove_layer()
-        self.dft = dft_layer()
-        self.select = bin_select_layer(cols)
+        self.prefix = Sequential([cp_remove_layer(), dft_layer(), bin_select_layer(cols)])
         self.scale = ComplexScale(m)
         self.quantize = SoftQuantize(self.const, m)
         # pilots from data symbol 0, as wifi.transmit_psdu sends them
-        self.assemble = GridAssemble(cols)
-        self.idft = idft_layer()
-        self.cp_add = cp_add_layer()
-        self.prefix = Sequential([self.cp_remove, self.dft, self.select])
-        self.tail = Sequential([self.assemble, self.idft, self.cp_add])
+        self.tail = Sequential([GridAssemble(cols), idft_layer(), cp_add_layer()])
         self.stack = Sequential(
             self.prefix.blocks + [self.scale, self.quantize] + self.tail.blocks)
 
@@ -230,8 +225,9 @@ def fused_tail(model: EmulationModel, n_rows: int) -> tuple[np.ndarray, np.ndarr
     the product of the three layers' weights and ``p`` (n_rows, 160) the
     pilots' waveform, the layers run on zero points.  Its backward is
     ``gy @ a.T``."""
-    a = model.assemble.weight.T @ model.idft.weight.T @ model.cp_add.weight.T
-    return a, model.tail.forward(np.zeros((n_rows, model.assemble.in_dim)))
+    assemble, idft, cp_add = model.tail.blocks
+    a = assemble.weight.T @ idft.weight.T @ cp_add.weight.T
+    return a, model.tail.forward(np.zeros((n_rows, assemble.in_dim)))
 
 
 class _GainFreeFit:

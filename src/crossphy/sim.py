@@ -218,15 +218,10 @@ def train_model(cfg: ExperimentConfig) -> tuple[EmulationModel, TrainResult]:
     """Build the emulation model for a config and train it on
     ``make_target(cfg)``, as ``plan_frame`` does for a ``trained`` plan
     given no model.  The CLI's ``train`` command trains through here."""
-    return _trained(cfg, make_target(cfg))[:2]
-
-
-def _trained(cfg: ExperimentConfig, target: ComplexSignal):
-    """``train_model`` on ``target``, also returning its analysis ``(u, z)``."""
+    target = make_target(cfg)
     model = EmulationModel(cfg.modulation,
                            target_subcarriers(cfg.delta_f_hz, cfg.target_subcarrier_count))
-    u, z = model.normalize(target.samples)
-    return model, train(model, u, z, cfg), (u, z)
+    return model, train(model, *model.normalize(target.samples), cfg)
 
 
 @dataclass
@@ -268,14 +263,14 @@ def plan_frame(cfg: ExperimentConfig, model: EmulationModel | None = None) -> Fr
             f"on {subs}, the subcarriers of delta_f_hz and target_subcarrier_count")
 
     train_seconds, result = 0.0, None
-    if cfg.quantizer_mode == "trained" and model is None:
-        t0 = time.perf_counter()
-        model, result, (u, z) = _trained(cfg, target)
+    t0 = time.perf_counter()
+    built = model is None or cfg.quantizer_mode != "trained"
+    if built:
+        model = EmulationModel(cfg.modulation, subs)
+    u, z = model.normalize(target.samples)
+    if built and cfg.quantizer_mode == "trained":
+        result = train(model, u, z, cfg)
         train_seconds = time.perf_counter() - t0
-    else:
-        if cfg.quantizer_mode != "trained":
-            model = EmulationModel(cfg.modulation, subs)
-        u, z = model.normalize(target.samples)
     index_grid = wide_quantize(z, mcs) if cfg.quantizer_mode == "wide" else model.decide(u)
     report = solve_payload(index_grid, mcs, cfg.scrambler_seed, subs,
                            bin_energy=np.abs(z) ** 2)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from crossphy import diffblocks as db
-from crossphy import dsp, emulation as em, sim, zigbee
+from crossphy import cli, dsp, emulation as em, sim, zigbee
 from crossphy.errors import ConfigError, DimensionError
 from crossphy.wifi import columns, constellation, pilot_polarity_sequence
 from emulation_oracle import (
@@ -75,13 +76,28 @@ class TestBuild:
         with pytest.raises(DimensionError):
             model.forward(np.ones(81, dtype=complex))
 
+    def test_stack_is_the_four_stages_in_order(self, tmp_path):
+        # prefix, scale, quantize and tail, the fixed layers held once: the
+        # four that depend on nothing are the cached builders' own objects
+        model = em.EmulationModel("qam64", SUBS)
+        names = ["cp_remove", "dft", "bin_select", "complex_scale", "soft_quantize",
+                 "grid_assemble", "idft", "cp_add"]
+        blocks = model.stack.blocks
+        assert [b.name for b in blocks] == names
+        assert blocks == model.prefix.blocks + [model.scale, model.quantize] + model.tail.blocks
+        for block, shared in zip(blocks[:2] + blocks[6:], (db.cp_remove_layer, db.dft_layer,
+                                                           db.idft_layer, db.cp_add_layer)):
+            assert block is shared()
+        out = tmp_path / "grad.json"
+        assert cli.main(["grad-check", "--metrics-out", str(out)]) == cli.EXIT_OK
+        assert list(json.loads(out.read_text())["grad_check"]) == names + ["autoencoder"]
+
     def test_internal_grid_pilots_fixed(self):
         model = em.EmulationModel("qam64", SUBS)
         rng = dsp.make_rng(2)
         x = rng.standard_normal(160) + 1j * rng.standard_normal(160)
         h = model._to_blocks(x)
-        for blk in (model.cp_remove, model.dft, model.select, model.scale,
-                    model.quantize, model.assemble):
+        for blk in model.stack.blocks[:6]:  # up to and including grid assembly
             h = blk.forward(h)
         grid = db.unstack_complex(h)
         pols = pilot_polarity_sequence()
@@ -241,9 +257,7 @@ class TestTraining:
         baseline_idx = model_indices(model, target)  # scales still at init
         u, z = model.normalize(target.samples)
         pts = model.const.points[baseline_idx]
-        h = model.assemble.forward(db.stack_complex(pts))
-        h = model.idft.forward(h)
-        h = model.cp_add.forward(h)
+        h = model.tail.forward(db.stack_complex(pts))
         v_base = db.unstack_complex(h).reshape(-1)
         base = selection_metric(kept("analog", u, z, v_base), kept("analog", u, z), "analog")
         train(model, target, sim.ExperimentConfig(epochs=120))
